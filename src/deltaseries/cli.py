@@ -2,7 +2,8 @@
 
 Subcommands: table, log, bernoulli, invert, eval, verify, presets-list.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or parse
-error.  DELTASERIES_MAX_ORDER (default 128) caps --order.
+error.  DELTASERIES_MAX_ORDER (default 128) caps --order and the build
+order 2n+2 of verify.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ class UsageError(Exception):
     pass
 
 
-def _max_order():
+def _check_cap(order, what):
     raw = os.environ.get("DELTASERIES_MAX_ORDER", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
+        cap = int(raw) if raw else DEFAULT_MAX_ORDER
     except ValueError:
         raise UsageError("DELTASERIES_MAX_ORDER must be an integer, got %r" % raw)
+    if order > cap:
+        raise UsageError("%s %d exceeds the cap %d (DELTASERIES_MAX_ORDER)" % (what, order, cap))
 
 
 def _parse_args(argv):
@@ -92,9 +95,7 @@ def _resolve_orders(args, default_n=8):
         n = order
     if n > order:
         raise UsageError("--n (%d) must not exceed --order (%d)" % (n, order))
-    cap = _max_order()
-    if order > cap:
-        raise UsageError("--order %d exceeds the cap %d (DELTASERIES_MAX_ORDER)" % (order, cap))
+    _check_cap(order, "--order")
     if order < 1:
         raise UsageError("--order must be at least 1")
     return n, order
@@ -227,6 +228,7 @@ def run_eval(args):
 def run_verify(args):
     n, _ = _resolve_orders(args)
     build_order = 2 * n + 2
+    _check_cap(build_order, "verify's build order 2n+2 =")
     if args.preset == "all":
         targets = vf.corpus_targets(build_order)
     else:

@@ -31,6 +31,12 @@ from .errors import (
 
 FUNCTIONS = ("exp", "log", "sqrt")
 
+# Deepest nesting (parentheses, calls, unary minus) and tree height accepted.
+# The parser spends five Python frames per nesting level and the tree walkers
+# (_eval, uses_lambda, pretty, ==) at most four per level: at 150 parsing needs
+# about 760, under the default recursion limit, and 128-term sums still parse.
+MAX_DEPTH = 150
+
 
 # ---------------------------------------------------------------------------
 # expression tree
@@ -166,6 +172,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -207,10 +214,17 @@ class _Parser:
         return e
 
     def unary(self):
+        # every recursive rule passes through here, so this bounds the recursion
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError("nested deeper than %d levels" % MAX_DEPTH, self.peek().offset, ("shallower nesting",))
         if self.peek().kind == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            e = Neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self):
         base = self.atom()
@@ -283,7 +297,21 @@ class _Parser:
 def parse(src):
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0, ("expression",))
-    return _Parser(src).parse()
+    tree = _Parser(src).parse()
+    if _height(tree) > MAX_DEPTH:
+        raise ExprSyntaxError("expression tree deeper than %d levels" % MAX_DEPTH, 0, ("shallower expression",))
+    return tree
+
+
+def _height(e):
+    """Height of the tree, found level by level without recursion: flat sums
+    and products parse in a loop but make left-deep trees."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        kids = (getattr(node, a, None) for node in level for a in ("arg", "left", "right", "base"))
+        level = [k for k in kids if isinstance(k, Expr)]
+    return height
 
 
 # ---------------------------------------------------------------------------

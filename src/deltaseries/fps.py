@@ -2,8 +2,8 @@
 
 A Series is an immutable fixed-order value: coefficients ``coeffs[n]`` are
 the ordinary coefficients of t^n.  All generating functions in this package
-are stated with t^n/n! weights; the :class:`EgfView` does that conversion
-in exactly one place.
+are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
+that conversion in exactly one place.
 
 Compositional inversion runs by Newton iteration (order doubling); the
 Lagrange inversion formulas are provided as independent coefficient
@@ -285,9 +285,6 @@ class DeltaSeries:
     def truncate(self, order):
         return DeltaSeries(self.series.truncate(order))
 
-    def linear_coeff(self):
-        return self.series.coeffs[1]
-
 
 def invert_newton(f):
     """Compositional inverse of a delta series by order-doubling Newton steps."""
@@ -402,25 +399,7 @@ def pow_ratio(f, r):
 
 
 # ---------------------------------------------------------------------------
-# EGF view
-
-class EgfView:
-    """Read a Series through the exponential-generating-function lens."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series):
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EgfView is immutable")
-
-    def __getitem__(self, n):
-        return egf_coeff(self.series, n)
-
-    def coeffs(self):
-        return tuple(egf_coeff(self.series, n) for n in range(self.series.order + 1))
-
+# EGF conversion
 
 def egf_coeff(series, n):
     """n! times the ordinary coefficient of t^n."""

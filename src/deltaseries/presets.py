@@ -31,7 +31,10 @@ def _series_from_coeff_fn(order, fn):
 
 
 def _log1p(order):
-    return fps.Series(order, [Fraction(0)] + [Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)])
+    """log(1+t) by the series logarithm, a route apart from the closed form
+    the triangle builders use."""
+    one = fps.one(order)
+    return fps.log_series(fps.add(one, fps.shift_up(one, 1)))
 
 
 def deg_log1p_of(u, lam):

@@ -380,47 +380,6 @@ def simplify(s):
     return s
 
 
-def coerce_to_ring(s, ring):
-    """Promote a scalar into the representation of the given ring."""
-    if ring == RING_Q:
-        s = simplify(s)
-        if not isinstance(s, Fraction):
-            raise TypeError("scalar %s does not lie in Q" % (s,))
-        return s
-    if ring == RING_QL:
-        s = simplify(s)
-        if isinstance(s, Fraction):
-            return LPoly.const(s)
-        if isinstance(s, LPoly):
-            return s
-        raise TypeError("scalar %s does not lie in Q[l]" % (s,))
-    if ring == RING_QLRAT:
-        r = _as_lrat(simplify(s))
-        if r is NotImplemented:
-            raise TypeError("not a scalar: %r" % (s,))
-        return r
-    raise ValueError("unknown ring tag %r" % (ring,))
-
-
-# ---------------------------------------------------------------------------
-# lambda-mode resolution
-
-def rat_arith(a, b, op):
-    """Exact rational arithmetic; op is one of add/sub/mul/div."""
-    a, b = _as_frac(a), _as_frac(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
 def lpoly_gcd(a, b):
     """Monic gcd over Q by the Euclidean algorithm."""
     a, b = as_lpoly(a), as_lpoly(b)
@@ -461,15 +420,6 @@ def scalar_pow(s, k):
     if k >= 0:
         return simplify(s ** k) if not isinstance(s, (int, Fraction)) else _as_frac(s) ** k
     return scalar_pow(scalar_inv(s), -k)
-
-
-def scalar_div(a, b):
-    return simplify_mul(a, scalar_inv(b))
-
-
-def simplify_mul(a, b):
-    r = a * b
-    return simplify(r) if isinstance(r, (LPoly, LRat)) else _as_frac(r)
 
 
 def eval_lambda(s, value):

@@ -30,14 +30,13 @@ from .errors import (
 class Triangle:
     """Lower-triangular table of scalars indexed (n, k), 0 <= k <= n <= max_n."""
 
-    __slots__ = ("kind", "max_n", "rows", "ring", "f_fingerprint")
+    __slots__ = ("kind", "max_n", "rows", "ring")
 
-    def __init__(self, kind, max_n, rows, ring, f_fingerprint=""):
+    def __init__(self, kind, max_n, rows, ring):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_n", max_n)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "f_fingerprint", f_fingerprint)
 
     def __setattr__(self, name, value):
         raise AttributeError("Triangle is immutable")
@@ -51,12 +50,12 @@ class Triangle:
         """Copy with one cell replaced (used for negative-control tests)."""
         rows = [list(r) for r in self.rows]
         rows[n][k] = value
-        return Triangle(self.kind, self.max_n, rows, self.ring, self.f_fingerprint)
+        return Triangle(self.kind, self.max_n, rows, self.ring)
 
-    def to_json(self, f_label=None):
+    def to_json(self, f_label):
         return {
             "kind": self.kind,
-            "f": f_label if f_label is not None else self.f_fingerprint,
+            "f": f_label,
             "ring": self.ring,
             "max_n": self.max_n,
             "rows": [[sc.format_scalar(c) for c in row] for row in self.rows],
@@ -73,28 +72,21 @@ class Triangle:
         return "\n".join(lines) + "\n"
 
 
-def _triangle_from_powers(base, max_n, kind, fingerprint):
-    """Triangle whose column k is the EGF of base^k / k!."""
+def _power_rows(start, base, max_n):
+    """Rows of EGF coefficients of start * base^k / k!: rows[n][k] for k <= n <= max_n."""
     cols = []
-    p = fps.one(max_n, base.ring)
+    p = start
     for k in range(max_n + 1):
         cols.append(p)
         if k < max_n:
             p = fps.scale(fps.mul(p, base), Fraction(1, k + 1))
-    rows = []
-    for n in range(max_n + 1):
-        rows.append([fps.egf_coeff(cols[k], n) for k in range(n + 1)])
-    return Triangle(kind, max_n, rows, base.ring, fingerprint)
+    return [[fps.egf_coeff(cols[k], n) for k in range(n + 1)] for n in range(max_n + 1)]
 
 
 @lru_cache(maxsize=None)
 def compositional_inverse(f):
     """Cached Newton inverse of a delta series."""
     return fps.invert_newton(f)
-
-
-def _fingerprint(f):
-    return fps.series_to_json_str(f.series)
 
 
 def _log1p(order):
@@ -109,7 +101,7 @@ def s2_assoc(f, max_n):
     m = max(max_n, 1)
     fb = compositional_inverse(f.truncate(m))
     base = fps.sub(fps.exp_series(fb.series), fps.one(m, fb.ring)).truncate(max_n)
-    return _triangle_from_powers(base, max_n, "s2", _fingerprint(f))
+    return Triangle("s2", max_n, _power_rows(fps.one(max_n, base.ring), base, max_n), base.ring)
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +110,7 @@ def s1_assoc(f, max_n):
     if f.order < max_n:
         raise InsufficientOrder("delta series order %d < max_n %d" % (f.order, max_n))
     base = assoc_log(f).truncate(max_n)
-    return _triangle_from_powers(base, max_n, "s1", _fingerprint(f))
+    return Triangle("s1", max_n, _power_rows(fps.one(max_n, base.ring), base, max_n), base.ring)
 
 
 @lru_cache(maxsize=None)
@@ -165,17 +157,7 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
     values = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
     xpolys = None
     if with_x:
-        gt = gs.truncate(max_n)
-        cols = []
-        p = base.truncate(max_n)
-        for k in range(max_n + 1):
-            cols.append(p)
-            if k < max_n:
-                p = fps.scale(fps.mul(p, gt), Fraction(1, k + 1))
-        xpolys = [
-            XPoly([fps.egf_coeff(cols[k], n) for k in range(n + 1)], BASIS_MONOMIAL)
-            for n in range(max_n + 1)
-        ]
+        xpolys = [XPoly(row, BASIS_MONOMIAL) for row in _power_rows(base.truncate(max_n), gs.truncate(max_n), max_n)]
     return BernoulliFamily(g, alpha, values, xpolys)
 
 
@@ -437,16 +419,7 @@ def poly_seq(f, max_n):
     if f.order < max_n:
         raise InsufficientOrder("order %d < max_n %d" % (f.order, max_n))
     fb = compositional_inverse(f).series.truncate(max_n)
-    cols = []
-    p = fps.one(max_n, fb.ring)
-    for k in range(max_n + 1):
-        cols.append(p)
-        if k < max_n:
-            p = fps.scale(fps.mul(p, fb), Fraction(1, k + 1))
-    return [
-        XPoly([fps.egf_coeff(cols[k], n) for k in range(n + 1)], BASIS_MONOMIAL)
-        for n in range(max_n + 1)
-    ]
+    return [XPoly(row, BASIS_MONOMIAL) for row in _power_rows(fps.one(max_n, fb.ring), fb, max_n)]
 
 
 def bell_assoc(f, max_n):

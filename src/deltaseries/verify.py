@@ -5,7 +5,6 @@ differs.  Used by the command line `verify` subcommand and by the tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import classical as cl
@@ -171,19 +170,13 @@ def run_suite(suite, f, label, max_n, seed=0):
     raise ValueError("unknown suite %r" % suite)
 
 
-def run_suites(suites, targets, max_n, seed=0, max_workers=4):
-    """Run suites over (label, DeltaSeries) pairs; independent computations
-    run on a thread pool, results come back in deterministic order."""
+def run_suites(suites, targets, max_n, seed=0):
+    """Run suites over (label, DeltaSeries) pairs one after another, in
+    (target, suite) order: the suites are pure Python under the interpreter
+    lock, where threads gain nothing."""
     if "all" in suites:
         suites = SUITES
-    jobs = [(suite, label, f) for label, f in targets for suite in suites]
-
-    def work(job):
-        suite, label, f = job
-        return run_suite(suite, f, label, max_n, seed)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(work, jobs))
+    return [run_suite(suite, f, label, max_n, seed) for label, f in targets for suite in suites]
 
 
 def corpus_targets(order, include_probabilistic=True):

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from deltaseries import cli
 from deltaseries import scalar as sc
 
@@ -131,6 +133,30 @@ class TestUsage:
         monkeypatch.setenv("DELTASERIES_MAX_ORDER", "200")
         code, _, _ = run(capsys, "log", "--preset", "identity", "--order", "130")
         assert code == 0
+
+    def test_verify_build_order_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTASERIES_MAX_ORDER", "8")
+        code, _, err = run(capsys, "verify", "logarithm", "--preset", "bell", "--n", "8")
+        assert code == 2
+        assert "2n+2 = 18" in err and "DELTASERIES_MAX_ORDER" in err
+        code, _, _ = run(capsys, "verify", "logarithm", "--preset", "bell", "--n", "3")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--f", "(" * 400 + "t" + ")" * 400, "--order", "4"],
+            ["eval", "--f=" + "-" * 2000 + "t", "--order", "4"],
+            ["table", "--kind", "s2", "--f", "exp(" * 300 + "t" + ")" * 300, "--n", "4"],
+            ["eval", "--f", "+".join(["t"] * 1500), "--order", "4"],
+            ["eval", "--f", "t" + "*1" * 1499, "--order", "4"],
+        ],
+        ids=["parens", "unary_minus", "exp_calls", "flat_sum", "flat_product"],
+    )
+    def test_deep_expression_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "ExprSyntaxError" in err and "internal error" not in err
 
     def test_degenerate_without_lambda(self, capsys):
         code, _, err = run(capsys, "table", "--kind", "s2", "--preset", "deg_falling", "--n", "4")

@@ -66,6 +66,18 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             ep.parse("x")  # bare unknown name
 
+    def test_nesting_up_to_the_limit_parses(self):
+        flat = ep.parse("+".join(["t"] * 128))
+        assert ep.eval_expr(flat, 3).coeffs[1] == 128
+        deep = "(" * (ep.MAX_DEPTH - 1) + "t" + ")" * (ep.MAX_DEPTH - 1)
+        assert ep.parse(deep) == ep.Var("t")
+        with pytest.raises(ExprSyntaxError):
+            ep.parse("(" + deep + ")")
+        neg = ep.parse("-" * (ep.MAX_DEPTH - 1) + "t")
+        assert ep.parse(ep.pretty(neg)) == neg
+        with pytest.raises(ExprSyntaxError):
+            ep.parse("-" + ep.pretty(neg))
+
     def test_no_implicit_multiplication(self):
         with pytest.raises(ExprSyntaxError):
             ep.parse("2t")

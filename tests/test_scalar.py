@@ -92,12 +92,6 @@ class TestLRat:
 
 
 class TestOps:
-    def test_rat_arith(self):
-        assert sc.rat_arith(Fraction(1, 3), Fraction(1, 6), "add") == Fraction(1, 2)
-        assert sc.rat_arith(2, 3, "div") == Fraction(2, 3)
-        with pytest.raises(DivisionByZero):
-            sc.rat_arith(1, 0, "div")
-
     def test_lpoly_gcd(self):
         assert sc.lpoly_gcd(2 * L + 2, 3 * L + 3) == L + 1
         assert sc.lpoly_gcd(L**2 - 1, L**2 - 2 * L + 1) == L - 1

@@ -6,6 +6,7 @@ import pytest
 
 from deltaseries import classical as cl
 from deltaseries import fps
+from deltaseries import presets as pr
 from deltaseries import scalar as sc
 from deltaseries import stirling as st
 from deltaseries.errors import ArityTooSmall, InsufficientOrder, NonRepresentablePower
@@ -185,6 +186,37 @@ class TestBernoulli:
         assert st.scalar_rat_pow(Fraction(1), Fraction(1, 2)) == 1
         with pytest.raises(NonRepresentablePower):
             st.scalar_rat_pow(Fraction(2), Fraction(1, 2))
+
+
+# poly_seq and the Bernoulli x-polynomials share the column-powers kernel;
+# partial_bell takes its own route (pow_int), so it checks both.
+KERNEL_PRESETS = [("mittag_leffler", pr.LAMBDA_ABSENT), ("deg_falling", pr.LAMBDA_SYMBOLIC)]
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("pid,mode", KERNEL_PRESETS)
+    def test_poly_seq_is_partial_bell_of_inverse(self, pid, mode):
+        n = 6
+        f = pr.make_preset(pid, n, mode).f
+        fb = st.compositional_inverse(f).series
+        xs = [fps.egf_coeff(fb, j) for j in range(1, n + 1)]
+        seq = st.poly_seq(f, n)
+        for m in range(n + 1):
+            assert seq[m] == st.XPoly([st.partial_bell(m, k, xs) for k in range(m + 1)])
+
+    @pytest.mark.parametrize("pid,mode", KERNEL_PRESETS)
+    def test_bernoulli_xpolys_are_bell_convolutions(self, pid, mode):
+        n = 6
+        g = pr.make_preset(pid, n + 1, mode).f
+        xs = [fps.egf_coeff(g.series, j) for j in range(1, n + 1)]
+        fam = st.bernoulli_assoc(g, Fraction(2), n, with_x=True)
+        for m in range(n + 1):
+            want = [
+                sum((math.comb(m, j) * fam.values[m - j] * st.partial_bell(j, k, xs) for j in range(k, m + 1)),
+                    Fraction(0))
+                for k in range(m + 1)
+            ]
+            assert fam.xpolys[m] == st.XPoly(want)
 
 
 class TestTheoremPaths:
