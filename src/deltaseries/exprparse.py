@@ -44,13 +44,17 @@ MAX_DEPTH = 150
 class Expr:
     __slots__ = ()
 
-    def __eq__(self, other):
-        return type(self) is type(other) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__
+    def _fields(self):
+        # binary nodes keep their fields in _BinOp's slots, not their own
+        return tuple(
+            getattr(self, f) for cls in type(self).__mro__ for f in cls.__dict__.get("__slots__", ())
         )
 
+    def __eq__(self, other):
+        return type(self) is type(other) and self._fields() == other._fields()
+
     def __hash__(self):
-        return hash((type(self).__name__,) + tuple(getattr(self, f) for f in self.__slots__))
+        return hash((type(self).__name__,) + self._fields())
 
 
 class Number(Expr):
@@ -389,28 +393,36 @@ def eval_expr(e, order, lambda_mode=sc.LAMBDA_ABSENT):
     lam = sc.resolve_lambda_mode(lambda_mode)
     if lam is None and uses_lambda(e):
         raise LambdaModeRequired("expression uses lambda; pass a lambda mode")
-    return _eval(e, order, lam)
+    return _eval(e, order, lam, {})
 
 
-def _eval(e, order, lam):
+def _eval(e, order, lam, memo):
+    """Series of e at the given order, each (node, order) evaluated once."""
+    key = (id(e), order)
+    if key not in memo:
+        memo[key] = _eval_node(e, order, lam, memo)
+    return memo[key]
+
+
+def _eval_node(e, order, lam, memo):
     if isinstance(e, Number):
         return fps.constant(e.value, order)
     if isinstance(e, Var):
         return fps.t_series(order) if e.name == "t" else fps.constant(lam, order)
     if isinstance(e, Neg):
-        return fps.scale(_eval(e.arg, order, lam), -1)
+        return fps.scale(_eval(e.arg, order, lam, memo), -1)
     if isinstance(e, Add):
-        return fps.add(_eval(e.left, order, lam), _eval(e.right, order, lam))
+        return fps.add(_eval(e.left, order, lam, memo), _eval(e.right, order, lam, memo))
     if isinstance(e, Sub):
-        return fps.sub(_eval(e.left, order, lam), _eval(e.right, order, lam))
+        return fps.sub(_eval(e.left, order, lam, memo), _eval(e.right, order, lam, memo))
     if isinstance(e, Mul):
-        return fps.mul(_eval(e.left, order, lam), _eval(e.right, order, lam))
+        return fps.mul(_eval(e.left, order, lam, memo), _eval(e.right, order, lam, memo))
     if isinstance(e, Div):
-        return _eval_div(e, order, lam)
+        return _eval_div(e, order, lam, memo)
     if isinstance(e, Pow):
-        return _eval_pow(_eval(e.base, order, lam), e.exponent)
+        return _eval_pow(_eval(e.base, order, lam, memo), e.exponent)
     if isinstance(e, Call):
-        arg = _eval(e.arg, order, lam)
+        arg = _eval(e.arg, order, lam, memo)
         if e.fn == "exp":
             c = arg.coeffs[0]
             if not sc.is_zero_scalar(c):
@@ -426,20 +438,20 @@ def _eval(e, order, lam):
     raise TypeError("not an expression: %r" % (e,))
 
 
-def _eval_div(e, order, lam):
+def _eval_div(e, order, lam, memo):
     """Division with exact cancellation of the maximal shared power of t.
 
     Both sides are re-evaluated with enough extra head-room that cancelling
     t^s still yields all coefficients up to the requested order.
     """
-    num = _eval(e.left, order, lam)
-    den = _eval(e.right, order, lam)
+    num = _eval(e.left, order, lam, memo)
+    den = _eval(e.right, order, lam, memo)
     if den.is_zero():
         raise DivisionByZero("division by the zero series")
     s = min(num.valuation(), den.valuation())
     if s > 0:
-        num = fps.shift_down(_eval(e.left, order + s, lam), s)
-        den = fps.shift_down(_eval(e.right, order + s, lam), s)
+        num = fps.shift_down(_eval(e.left, order + s, lam, memo), s)
+        den = fps.shift_down(_eval(e.right, order + s, lam, memo), s)
     return fps.div(num, den)
 
 

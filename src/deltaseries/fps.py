@@ -5,9 +5,13 @@ the ordinary coefficients of t^n.  All generating functions in this package
 are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
-Compositional inversion runs by Newton iteration (order doubling); the
-Lagrange inversion formulas are provided as independent coefficient
-extractors so the two routes can be checked against each other.
+Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
+evaluation: about 2*sqrt(d) series products for an outer series g of
+degree d, instead of one per coefficient.  Compositional inversion runs
+by Newton iteration (order doubling); each step evaluates f(g) and f'(g)
+from one shared set of baby steps.  The Lagrange inversion formulas are
+provided as independent coefficient extractors so the two routes can be
+checked against each other.
 """
 
 from __future__ import annotations
@@ -226,16 +230,52 @@ def integrate(a):
 
 
 def compose(g, f):
-    """g(f(t)) by the Horner scheme; f must have zero constant term."""
+    """g(f(t)) by baby-step/giant-step evaluation; f must have zero constant term."""
     _check_orders(g, f)
     if not sc.is_zero_scalar(f.coeffs[0]):
         raise BadConstantTerm("inner series must have zero constant term")
-    n = g.order
-    result = constant(g.coeffs[n], n)
-    for m in range(n - 1, -1, -1):
-        result = mul(result, f)
-        if not sc.is_zero_scalar(g.coeffs[m]):
-            result = add(result, constant(g.coeffs[m], n))
+    return _eval_at_powers(g, _powers(f, math.isqrt(_degree(g) + 1)))
+
+
+def _degree(s):
+    """Index of the last nonzero coefficient; 0 for the zero series."""
+    return max((i for i, c in enumerate(s.coeffs) if not sc.is_zero_scalar(c)), default=0)
+
+
+def _powers(f, k):
+    """[1, f, ..., f^k]: the baby steps of an evaluation at f and its giant step."""
+    steps = [one(f.order, f.ring), f]
+    while len(steps) <= k:
+        steps.append(mul(steps[-1], f))
+    return steps
+
+
+def _eval_at_powers(g, steps):
+    """g(f) from steps = _powers(f, k) (Paterson-Stockmeyer).
+
+    Each block of k coefficients of g is a linear combination of the baby
+    steps 1, f, ..., f^(k-1); the blocks are combined by Horner in f^k.
+    """
+    k = len(steps) - 1
+    n, d = g.order, _degree(g)
+    f = steps[1]
+    result = None
+    for start in range(d - d % k, -1, -k):
+        acc = [_ZERO] * (n + 1)
+        for j, c in enumerate(g.coeffs[start:start + k]):
+            if sc.is_zero_scalar(c):
+                continue
+            pj = steps[j].coeffs
+            for i in range(j, n + 1):  # f^j has valuation at least j
+                if not sc.is_zero_scalar(pj[i]):
+                    acc[i] = acc[i] + c * pj[i]
+        block = Series(n, acc)
+        if result is None:
+            result = block
+        else:
+            result = mul(result, steps[k])
+            if not block.is_zero():
+                result = add(result, block)
     return Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
 
 
@@ -296,8 +336,11 @@ def invert_newton(f):
         m = min(2 * g.order, n)
         fm = fs.truncate(m)
         gm = g.pad(m)
-        err = sub(compose(fm, gm), t_series(m))
-        fpg = compose(derivative(fm), gm)
+        # f(g) and f'(g) share one set of baby steps, so k balances their
+        # k - 1 products against the 2(d+1)/k giant-step products
+        steps = _powers(gm, math.isqrt(2 * (_degree(fm) + 1)))
+        err = sub(_eval_at_powers(fm, steps), t_series(m))
+        fpg = _eval_at_powers(derivative(fm), steps)
         g = sub(gm, div(err, fpg))
     return DeltaSeries(g)
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,16 @@ class TestParsing:
     def test_unary_rhs(self):
         assert ep.parse("2*-t") == ep.Mul(ep.Number(2), ep.Neg(ep.Var("t")))
         assert ep.parse("t- -t") == ep.Sub(ep.Var("t"), ep.Neg(ep.Var("t")))
+
+    def test_binary_nodes_compare_their_operands(self):
+        assert ep.parse("t+1") != ep.parse("2+3")
+        assert ep.parse("t*2") != ep.parse("t*3")
+        assert ep.parse("t/(1+t)") != ep.parse("t/(1-t)")
+        assert ep.parse("t - 1") == ep.parse("t-1")
+
+    def test_hash_agrees_with_equality(self):
+        assert hash(ep.parse("t / (1 + t)")) == hash(ep.parse("t/(1+t)"))
+        assert len({ep.parse("t+1"), ep.parse("2+3"), ep.parse("t + 1")}) == 2
 
     @pytest.mark.parametrize(
         "src,offset",
@@ -131,6 +142,20 @@ class TestEval:
         assert fps.egf_coeff(b, 6) == Fraction(1, 42)
         # t^2 / t^2 = 1
         assert ep.eval_expr(ep.parse("t^2/t^2"), 3) == fps.one(3)
+
+    def test_nested_cancellation_in_bounded_time(self):
+        # every level cancels t, so each subtree is needed one order higher;
+        # the t-free form cancels nothing and is evaluated once per level
+        cancelling, plain = "t", "t"
+        for i in range(30):
+            c, d = i % 3 + 1, i % 4 + 1
+            cancelling = "(t*(%d+%s))/(t*(1+%d*t))" % (c, cancelling, d)
+            plain = "(%d+%s)/(1+%d*t)" % (c, plain, d)
+        t0 = time.perf_counter()
+        got = ep.eval_expr(ep.parse(cancelling), 6)
+        elapsed = time.perf_counter() - t0
+        assert got == ep.eval_expr(ep.parse(plain), 6)
+        assert elapsed < 30.0
 
     def test_division_errors(self):
         with pytest.raises(NonUnitConstantTerm):

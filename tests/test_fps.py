@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltaseries import fps
+from deltaseries import presets as pr
 from deltaseries import scalar as sc
 from deltaseries.errors import (
     BadConstantTerm,
@@ -166,6 +167,101 @@ class TestDeltaAndInversion:
             fps.lagrange_coeff_inverse(f, 3)
         with pytest.raises(IndexOutOfOrder):
             fps.lagrange_coeff_power(f, 3, 2)
+
+
+def horner_compose(g, f):
+    """Reference g(f): one series product per coefficient of g."""
+    n = g.order
+    result = fps.constant(g.coeffs[n], n)
+    for m in range(n - 1, -1, -1):
+        result = fps.add(fps.mul(result, f), fps.constant(g.coeffs[m], n))
+    return fps.Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
+
+
+def horner_invert(f):
+    """Reference Newton reversion, with both evaluations by horner_compose."""
+    fs = f.series
+    g = fps.Series(1, (0, sc.scalar_inv(fs.coeffs[1])))
+    while g.order < f.order:
+        m = min(2 * g.order, f.order)
+        fm, gm = fs.truncate(m), g.pad(m)
+        err = fps.sub(horner_compose(fm, gm), fps.t_series(m))
+        g = fps.sub(gm, fps.div(err, horner_compose(fps.derivative(fm), gm)))
+    return fps.DeltaSeries(g)
+
+
+def assert_same(got, want):
+    # Series.__eq__ ignores the ring, so compare it on its own
+    assert got.coeffs == want.coeffs
+    assert got.ring == want.ring
+
+
+rationals = hst.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@hst.composite
+def compose_pair(draw):
+    n = draw(hst.integers(min_value=0, max_value=20))
+    g = draw(hst.lists(hst.one_of(hst.just(Fraction(0)), rationals), min_size=n + 1, max_size=n + 1))
+    f = draw(hst.lists(rationals, min_size=n, max_size=n))
+    return fps.Series(n, g), fps.Series(n, [Fraction(0)] + f)
+
+
+def outer_shapes(n):
+    """Dense, every other block of isqrt(n+1) coefficients zero, a lone top
+    term, a zero top coefficient (as in a derivative) and the zero series."""
+    k = math.isqrt(n + 1)
+    dense = [Fraction((-1) ** i * (i + 2), i + 1) for i in range(n + 1)]
+    yield dense
+    yield [c if (i // k) % 2 == 0 else 0 for i, c in enumerate(dense)]
+    yield [0] * n + [Fraction(3)]
+    yield dense[:n] + [0]
+    yield [0] * (n + 1)
+
+
+def symbolic_inner(name, order):
+    if name == "deg_falling":  # over Q[l]
+        return pr.make_preset("deg_falling", order, pr.LAMBDA_SYMBOLIC).f
+    # (l+1)t + 2t^2: a non-constant linear term puts it over Q(l)
+    return fps.DeltaSeries(fps.Series(order, [0, L + 1, 2] + [0] * (order - 2)))
+
+
+class TestComposeAgainstHorner:
+    """The baby-step/giant-step kernel against plain Horner evaluation."""
+
+    @given(compose_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_compose_q(self, pair):
+        g, f = pair
+        assert_same(fps.compose(g, f), horner_compose(g, f))
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_compose_block_shapes(self, n):
+        f = fps.Series(n, [0] + [Fraction(1, i) - 1 for i in range(1, n + 1)])
+        for g in outer_shapes(n):
+            g = fps.Series(n, g)
+            assert_same(fps.compose(g, f), horner_compose(g, f))
+
+    @given(compose_pair())
+    @settings(max_examples=30, deadline=None)
+    def test_invert_q(self, pair):
+        _, f = pair
+        if f.order < 1 or f.coeffs[1] == 0:
+            return
+        f = fps.DeltaSeries(f)
+        assert_same(fps.invert_newton(f).series, horner_invert(f).series)
+
+    @pytest.mark.parametrize(
+        "name,n", [("deg_falling", 3), ("deg_falling", 8), ("deg_falling", 15), ("qlrat", 3), ("qlrat", 8)]
+    )
+    def test_symbolic(self, name, n):
+        f = symbolic_inner(name, n)
+        fbar = fps.invert_newton(f).series
+        assert_same(fbar, horner_invert(f).series)
+        inners = [f.series, fbar, fps.Series(n, [0, 1, L, 1 - L] + [0] * (n - 3))]
+        for g in [fps.Series(n, g) for g in outer_shapes(n)] + [f.series]:
+            for h in inners:
+                assert_same(fps.compose(g, h), horner_compose(g, h))
 
 
 class TestTranscendental:
