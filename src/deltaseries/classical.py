@@ -11,8 +11,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import scalar as sc
-
 
 def comb0(m, j):
     """Binomial with the zero convention outside 0 <= j <= m; C(m, 0) = 1 always."""
@@ -39,8 +37,7 @@ def binom_general(upper, k):
     acc = Fraction(1)
     for i in range(k):
         acc = acc * (upper - i)
-    acc = acc * Fraction(1, math.factorial(k))
-    return sc.simplify(acc) if isinstance(acc, (sc.LPoly, sc.LRat)) else Fraction(acc)
+    return acc * Fraction(1, math.factorial(k))
 
 
 def falling_factorial(x, n):
@@ -93,15 +90,15 @@ def deg_falling_coeffs(n, lam):
         for j, c in enumerate(coeffs):
             nxt[j + 1] = nxt[j + 1] + c
         coeffs = nxt
-    return tuple(sc.simplify(c) if isinstance(c, (sc.LPoly, sc.LRat)) else Fraction(c) for c in coeffs)
+    return tuple(coeffs)
 
 
 def deg_falling_value(x, n, lam):
     """(x)_{n,lam} evaluated at a scalar x."""
-    acc = 1
+    acc = Fraction(1)
     for i in range(n):
         acc = acc * (x - i * lam)
-    return sc.simplify(acc) if isinstance(acc, (sc.LPoly, sc.LRat)) else Fraction(acc)
+    return acc
 
 
 def to_deg_falling_basis(mono_coeffs, lam):
@@ -110,8 +107,8 @@ def to_deg_falling_basis(mono_coeffs, lam):
     out = [None] * len(work)
     for k in range(len(work) - 1, -1, -1):
         c = work[k]
-        out[k] = sc.simplify(c) if isinstance(c, (sc.LPoly, sc.LRat)) else Fraction(c)
-        if not sc.is_zero_scalar(c):
+        out[k] = c
+        if c:
             base = deg_falling_coeffs(k, lam)
             for j, b in enumerate(base):
                 work[j] = work[j] - c * b
@@ -129,7 +126,7 @@ def deg_s2(n, k, lam):
         s = classical_s2(m, k)
         if s:
             acc = acc + mono[m] * s
-    return sc.simplify(acc) if isinstance(acc, (sc.LPoly, sc.LRat)) else Fraction(acc)
+    return acc
 
 
 @lru_cache(maxsize=None)

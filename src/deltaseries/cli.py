@@ -3,12 +3,13 @@
 Subcommands: table, log, bernoulli, invert, eval, verify, presets-list.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or parse
 error.  DELTASERIES_MAX_ORDER (default 128) caps --order and the build
-order 2n+2 of verify.
+orders of bernoulli (order+1) and verify (2n+2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,9 @@ def _check_cap(order, what):
         raise UsageError("%s %d exceeds the cap %d (DELTASERIES_MAX_ORDER)" % (what, order, cap))
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
     ap = argparse.ArgumentParser(prog="deltaseries", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -81,7 +84,7 @@ def _parse_args(argv):
     p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out", default=None)
 
-    return ap.parse_args(argv)
+    return ap
 
 
 def _resolve_orders(args, default_n=8):
@@ -137,17 +140,18 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _series_text(series, fmt, egf=False):
+def _values_csv(values):
+    lines = ["n,value"]
+    for n, v in enumerate(values):
+        lines.append("%d,%s" % (n, sc.csv_cell(v)))
+    return "\n".join(lines) + "\n"
+
+
+def _series_text(series, fmt):
     if fmt == "json":
-        return fps.series_to_json_str(series, egf=egf) + "\n"
+        return fps.series_to_json_str(series) + "\n"
     if fmt == "csv":
-        lines = ["n,value"]
-        for n, c in enumerate(series.coeffs):
-            val = sc.format_scalar(fps.egf_coeff(series, n) if egf else c)
-            if "/" in val or "," in val:
-                val = '"%s"' % val
-            lines.append("%d,%s" % (n, val))
-        return "\n".join(lines) + "\n"
+        return _values_csv(series.coeffs)
     out = []
     for n, c in enumerate(series.coeffs):
         out.append("[t^%d] %s" % (n, sc.format_scalar(c)))
@@ -187,7 +191,8 @@ def run_bernoulli(args):
     except (ValueError, ZeroDivisionError):
         raise UsageError("--alpha must be rational, got %r" % args.alpha)
     n, order = _resolve_orders(args)
-    f, label = _series_source(args, max(order, n) + 1)
+    _check_cap(order + 1, "bernoulli's build order (order+1) =")
+    f, label = _series_source(args, order + 1)
     fam = st.bernoulli_assoc(f, alpha, n)
     if args.fmt == "json":
         text = json.dumps({
@@ -196,13 +201,7 @@ def run_bernoulli(args):
             "values": [sc.format_scalar(v) for v in fam.values],
         }) + "\n"
     elif args.fmt == "csv":
-        lines = ["n,value"]
-        for m, v in enumerate(fam.values):
-            val = sc.format_scalar(v)
-            if "/" in val or "," in val:
-                val = '"%s"' % val
-            lines.append("%d,%s" % (m, val))
-        text = "\n".join(lines) + "\n"
+        text = _values_csv(fam.values)
     else:
         text = "\n".join("B_%d = %s" % (m, sc.format_scalar(v)) for m, v in enumerate(fam.values)) + "\n"
     _emit(text, args.out)
@@ -275,7 +274,7 @@ _RUNNERS = {
 
 def main(argv=None):
     try:
-        args = _parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(exc.code or 0)

@@ -26,6 +26,10 @@ class ScalarParseError(DeltaSeriesError):
     pass
 
 
+class ScalarTooLarge(DeltaSeriesError):
+    pass
+
+
 # series errors
 class OrderMismatch(DeltaSeriesError):
     pass

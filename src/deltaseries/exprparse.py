@@ -156,6 +156,11 @@ def _tokenize(src):
                 j += 1
             if j < n and (src[j].isalpha() or src[j] == "_"):
                 raise ExprSyntaxError("missing operator (no implicit multiplication)", j, ("operator",))
+            try:
+                int(src[i:j])
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ExprSyntaxError("integer literal of %d digits is too long" % (j - i), i,
+                                      ("shorter integer",)) from None
             tokens.append(_Token("int", src[i:j], i))
             i = j
             continue
@@ -425,7 +430,7 @@ def _eval_node(e, order, lam, memo):
         arg = _eval(e.arg, order, lam, memo)
         if e.fn == "exp":
             c = arg.coeffs[0]
-            if not sc.is_zero_scalar(c):
+            if c:
                 raise BadConstantTerm("exp needs a zero constant term, got %s" % sc.format_scalar(c))
             return fps.exp_series(arg)
         if e.fn == "log":
@@ -460,7 +465,7 @@ def _eval_pow(base, exponent, via_sqrt=False):
     if exponent.denominator == 1:
         return fps.pow_int(base, int(exponent))
     c = base.coeffs[0]
-    if sc.is_zero_scalar(c):
+    if not c:
         raise BadConstantTerm("%s needs a nonzero constant term" % what)
     if c == 1:
         return fps.pow_ratio(base, exponent)
@@ -468,7 +473,7 @@ def _eval_pow(base, exponent, via_sqrt=False):
         raise NoExactRoot("%s: constant term %s has no exact rational root" % (what, sc.format_scalar(c)))
     root = sc.rat_nth_root(c, exponent.denominator)
     if root is None:
-        raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, c, exponent.denominator))
+        raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, sc.format_scalar(c), exponent.denominator))
     unit = fps.scale(base, sc.scalar_inv(c))
     return fps.scale(fps.pow_ratio(unit, exponent), root ** exponent.numerator)
 

@@ -40,12 +40,14 @@ class Series:
     __slots__ = ("order", "coeffs", "ring")
 
     def __init__(self, order, coeffs, ring=None):
-        coeffs = tuple(sc.simplify(c) for c in coeffs)
+        # a Fraction is canonical; anything else may come from outside arithmetic
+        coeffs = tuple(c if c.__class__ is Fraction else sc.simplify(c) for c in coeffs)
         if len(coeffs) != order + 1:
             raise ValueError("need %d coefficients, got %d" % (order + 1, len(coeffs)))
         inferred = sc.RING_Q
         for c in coeffs:
-            inferred = sc.join_ring(inferred, sc.ring_of(c))
+            if c.__class__ is not Fraction:
+                inferred = sc.join_ring(inferred, sc.ring_of(c))
         if ring is None:
             ring = inferred
         elif not sc.ring_le(inferred, ring):
@@ -90,12 +92,12 @@ class Series:
 
     def valuation(self):
         for n, c in enumerate(self.coeffs):
-            if not sc.is_zero_scalar(c):
+            if c:
                 return n
         return self.order + 1
 
     def is_zero(self):
-        return all(sc.is_zero_scalar(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     # operator sugar; the module-level functions are the primary API
     def __add__(self, other):
@@ -157,7 +159,7 @@ def sub(a, b):
 
 
 def scale(a, v):
-    v = sc.simplify(v) if not isinstance(v, int) else Fraction(v)
+    v = sc.simplify(v)
     return Series(
         a.order,
         tuple(c * v for c in a.coeffs),
@@ -176,9 +178,8 @@ def mul(a, b):
         for i in range(m + 1):
             ai = av[i]
             bj = bv[m - i]
-            if sc.is_zero_scalar(ai) or sc.is_zero_scalar(bj):
-                continue
-            acc = acc + ai * bj
+            if ai and bj:
+                acc = acc + ai * bj
         out.append(acc)
     return Series(n, out, sc.join_ring(a.ring, b.ring))
 
@@ -187,7 +188,7 @@ def div(a, b):
     """Exact series division; requires an invertible constant term in b."""
     _check_orders(a, b)
     b0 = b.coeffs[0]
-    if sc.is_zero_scalar(b0):
+    if not b0:
         raise NonUnitConstantTerm("division by a series with zero constant term")
     inv0 = sc.scalar_inv(b0)
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
@@ -196,16 +197,15 @@ def div(a, b):
         acc = a.coeffs[n]
         for k in range(1, n + 1):
             bk = b.coeffs[k]
-            if sc.is_zero_scalar(bk):
-                continue
-            acc = acc - bk * out[n - k]
-        out.append(sc.simplify(acc * inv0))
+            if bk:
+                acc = acc - bk * out[n - k]
+        out.append(acc * inv0)
     return Series(a.order, out, ring)
 
 
 def shift_down(a, k):
     """Divide by t^k; the dropped low-order coefficients must vanish."""
-    if any(not sc.is_zero_scalar(c) for c in a.coeffs[:k]):
+    if any(a.coeffs[:k]):
         raise NonUnitConstantTerm("cannot cancel t^%d: low-order terms nonzero" % k)
     return Series(a.order - k, a.coeffs[k:], a.ring)
 
@@ -232,14 +232,14 @@ def integrate(a):
 def compose(g, f):
     """g(f(t)) by baby-step/giant-step evaluation; f must have zero constant term."""
     _check_orders(g, f)
-    if not sc.is_zero_scalar(f.coeffs[0]):
+    if f.coeffs[0]:
         raise BadConstantTerm("inner series must have zero constant term")
     return _eval_at_powers(g, _powers(f, math.isqrt(_degree(g) + 1)))
 
 
 def _degree(s):
     """Index of the last nonzero coefficient; 0 for the zero series."""
-    return max((i for i, c in enumerate(s.coeffs) if not sc.is_zero_scalar(c)), default=0)
+    return max((i for i, c in enumerate(s.coeffs) if c), default=0)
 
 
 def _powers(f, k):
@@ -263,11 +263,11 @@ def _eval_at_powers(g, steps):
     for start in range(d - d % k, -1, -k):
         acc = [_ZERO] * (n + 1)
         for j, c in enumerate(g.coeffs[start:start + k]):
-            if sc.is_zero_scalar(c):
+            if not c:
                 continue
             pj = steps[j].coeffs
             for i in range(j, n + 1):  # f^j has valuation at least j
-                if not sc.is_zero_scalar(pj[i]):
+                if pj[i]:
                     acc[i] = acc[i] + c * pj[i]
         block = Series(n, acc)
         if result is None:
@@ -287,13 +287,13 @@ class DeltaSeries:
     def __init__(self, series):
         if series.order < 1:
             raise NotDelta("order must be at least 1")
-        if not sc.is_zero_scalar(series.coeffs[0]):
+        if series.coeffs[0]:
             raise NotDelta("nonzero constant term")
         f1 = series.coeffs[1]
-        if sc.is_zero_scalar(f1):
+        if not f1:
             raise NotDelta("zero linear term")
         # a nonconstant polynomial linear coefficient is only invertible in Q(l)
-        if series.ring == sc.RING_QL and isinstance(f1, sc.LPoly) and not f1.is_constant():
+        if series.ring == sc.RING_QL and isinstance(f1, sc.LPoly):
             series = Series(series.order, series.coeffs, sc.RING_QLRAT)
         object.__setattr__(self, "series", series)
 
@@ -357,7 +357,7 @@ def lagrange_coeff_inverse(f, n):
         raise IndexOutOfOrder("need 1 <= n <= %d, got %d" % (f.order, n))
     w = _inverse_power_base(f, n - 1)
     wn = pow_int(w, -n)
-    return sc.simplify(wn.coeffs[n - 1] * Fraction(1, n))
+    return wn.coeffs[n - 1] * Fraction(1, n)
 
 
 def lagrange_coeff_power(f, k, n):
@@ -366,7 +366,7 @@ def lagrange_coeff_power(f, k, n):
         raise IndexOutOfOrder("need 1 <= k <= n <= %d" % f.order)
     w = _inverse_power_base(f, n - k)
     wn = pow_int(w, -n)
-    return sc.simplify(wn.coeffs[n - k] * Fraction(k, n))
+    return wn.coeffs[n - k] * Fraction(k, n)
 
 
 def lagrange_coeff_general(g, f, n):
@@ -379,22 +379,21 @@ def lagrange_coeff_general(g, f, n):
     wn = pow_int(w, -n)
     gp = derivative(g.truncate(n)).truncate(n - 1)
     prod = mul(gp, wn)
-    return sc.simplify(prod.coeffs[n - 1] * Fraction(1, n))
+    return prod.coeffs[n - 1] * Fraction(1, n)
 
 
 def exp_series(f):
     """exp of a series with zero constant term."""
-    if not sc.is_zero_scalar(f.coeffs[0]):
+    if f.coeffs[0]:
         raise BadConstantTerm("exp needs zero constant term")
     out = [_ONE]
     for n in range(1, f.order + 1):
         acc = _ZERO
         for k in range(1, n + 1):
             fk = f.coeffs[k]
-            if sc.is_zero_scalar(fk):
-                continue
-            acc = acc + (Fraction(k) * fk) * out[n - k]
-        out.append(sc.simplify(acc * Fraction(1, n)))
+            if fk:
+                acc = acc + (Fraction(k) * fk) * out[n - k]
+        out.append(acc * Fraction(1, n))
     return Series(f.order, out, f.ring)
 
 
@@ -408,10 +407,9 @@ def log_series(g):
         for k in range(1, n):
             lk = out[k]
             gnk = g.coeffs[n - k]
-            if sc.is_zero_scalar(lk) or sc.is_zero_scalar(gnk):
-                continue
-            acc = acc + (Fraction(k) * lk) * gnk
-        out.append(sc.simplify(g.coeffs[n] - acc * Fraction(1, n)))
+            if lk and gnk:
+                acc = acc + (Fraction(k) * lk) * gnk
+        out.append(g.coeffs[n] - acc * Fraction(1, n))
     return Series(g.order, out, g.ring)
 
 
@@ -446,12 +444,12 @@ def pow_ratio(f, r):
 
 def egf_coeff(series, n):
     """n! times the ordinary coefficient of t^n."""
-    return sc.simplify(series.coeffs[n] * Fraction(math.factorial(n)))
+    return series.coeffs[n] * Fraction(math.factorial(n))
 
 
 def from_egf(coeffs, ring=None):
     """Build a Series whose EGF coefficients are the given values."""
-    vals = [sc.simplify(c * Fraction(1, math.factorial(n))) for n, c in enumerate(coeffs)]
+    vals = [c * Fraction(1, math.factorial(n)) for n, c in enumerate(coeffs)]
     return Series(len(vals) - 1, vals, ring)
 
 
@@ -469,7 +467,7 @@ def series_to_json(series, egf=False):
 def series_from_json(obj):
     vals = [sc.parse_scalar(s) for s in obj["coeffs"]]
     if obj.get("egf"):
-        vals = [sc.simplify(v * Fraction(1, math.factorial(n))) for n, v in enumerate(vals)]
+        vals = [v * Fraction(1, math.factorial(n)) for n, v in enumerate(vals)]
     return Series(obj["order"], vals, obj["ring"])
 
 

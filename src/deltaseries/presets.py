@@ -27,7 +27,7 @@ resolve_lambda_mode = sc.resolve_lambda_mode
 # series construction helpers
 
 def _series_from_coeff_fn(order, fn):
-    return fps.Series(order, [sc.simplify(fn(n)) for n in range(order + 1)])
+    return fps.Series(order, [fn(n) for n in range(order + 1)])
 
 
 def _log1p(order):
@@ -50,7 +50,7 @@ def deg_log1p_of(u, lam):
     p = L
     for k in range(2, order + 1):
         p = fps.mul(p, L)
-        w = sc.simplify((lam ** (k - 1)) * Fraction(1, math.factorial(k)))
+        w = (lam ** (k - 1)) * Fraction(1, math.factorial(k))
         acc = fps.add(acc, fps.scale(p, w))
     return acc
 
@@ -301,7 +301,7 @@ def _sum_prod(outer, inner, n, k):
     acc = Fraction(0)
     for l in range(k, n + 1):
         acc = acc + outer(n, l) * inner(l, k)
-    return sc.simplify(acc)
+    return acc
 
 
 def _need_lambda(pid, lam):
@@ -410,7 +410,7 @@ def _signed_sum_s1_lah(s1_fn, n, k):
     acc = Fraction(0)
     for l in range(k, n + 1):
         acc = acc + ((-1) ** (l - k)) * s1_fn(n, l) * cl.lah(l, k)
-    return sc.simplify(acc)
+    return acc
 
 
 def oracle_log(pid, order, lam=None):
@@ -521,11 +521,11 @@ def moment_delta(m, order):
     """The delta series whose second-kind triangle gives the probabilistic
     Stirling numbers of the supplied moment sequence."""
     m1 = m.moments(1)
-    if sc.is_zero_scalar(m1):
+    if not m1:
         raise ZeroFirstMoment("first moment must be nonzero")
     g = fps.Series(
         order,
-        [Fraction(0)] + [sc.simplify(m.moments(n) * Fraction(1, math.factorial(n))) for n in range(1, order + 1)],
+        [Fraction(0)] + [m.moments(n) * Fraction(1, math.factorial(n)) for n in range(1, order + 1)],
     )
     fbar = fps.log_series(fps.add(fps.one(order, g.ring), g))
     return fps.invert_newton(fps.DeltaSeries(fbar))
@@ -551,7 +551,7 @@ def uniform_s1_multinomial(n, lam):
     acc = 0
     for m in range(n):
         acc = acc + math.comb(n - 1, m) * fps.egf_coeff(an, m) * lam ** (n - m - 1)
-    return sc.simplify(Fraction(2) ** n * acc)
+    return Fraction(2) ** n * acc
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ class CorpusEntry:
 
 
 @lru_cache(maxsize=None)
-def corpus(order, include_probabilistic=True):
+def corpus(order):
     """Every preset (b)-(o) (symbolic lambda for degenerate ones) plus the
     two probabilistic moment presets."""
     entries = []
@@ -580,7 +580,6 @@ def corpus(order, include_probabilistic=True):
         mode = LAMBDA_SYMBOLIC if is_degenerate(pid) else LAMBDA_ABSENT
         p = make_preset(pid, order, mode)
         entries.append(CorpusEntry(pid, p.f, p))
-    if include_probabilistic:
-        entries.append(CorpusEntry("prob_uniform", moment_delta(uniform_moments(sc.LAMBDA), order)))
-        entries.append(CorpusEntry("prob_one", moment_delta(point_mass_moments(1, sc.LAMBDA), order)))
+    entries.append(CorpusEntry("prob_uniform", moment_delta(uniform_moments(sc.LAMBDA), order)))
+    entries.append(CorpusEntry("prob_one", moment_delta(point_mass_moments(1, sc.LAMBDA), order)))
     return tuple(entries)

@@ -10,6 +10,14 @@ All three are immutable, hashable, and interoperate through the usual
 arithmetic operators with automatic upward promotion.  Canonical normal
 forms (trailing-nonzero LPoly, monic reduced LRat) make ``==`` an exact
 structural equality across types.
+
+Every ``LPoly``/``LRat`` operator (``+ - * / **`` and negation) returns
+its result in its simplest type: a ``Fraction`` when it is constant, an
+``LPoly`` when its denominator is 1, a reduced ``LRat`` otherwise.  So
+arithmetic on canonical scalars stays canonical, and :func:`simplify` is
+only needed for values built outside that arithmetic (ints, or ``LPoly``
+and ``LRat`` made by their constructors).  All three types define
+``__bool__``, so ``not c`` tests a scalar for zero.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .errors import (
     DivisionByZero,
     PoleAtValue,
     ScalarParseError,
+    ScalarTooLarge,
     ZeroDenominator,
 )
 
@@ -32,6 +41,9 @@ _RING_RANK = {RING_Q: 0, RING_QL: 1, RING_QLRAT: 2}
 
 Rat = Fraction  # the Q scalar type is just stdlib Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def _as_frac(v):
     if isinstance(v, Fraction):
@@ -39,6 +51,17 @@ def _as_frac(v):
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError("not a rational: %r" % (v,))
+
+
+def _poly(cs):
+    """The canonical scalar with the Fraction l-coefficients in list cs."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if len(cs) > 1:
+        p = object.__new__(LPoly)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+    return cs[0] if cs else _ZERO
 
 
 class LPoly:
@@ -104,39 +127,37 @@ class LPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return LPoly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LPoly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, LPoly)):
-            return self + (-other if isinstance(other, LPoly) else LPoly.const(-_as_frac(other)))
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LPoly.const(other) + (-self)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LPoly()
-            return LPoly(tuple(c * other for c in self.coeffs))
+            return _poly([c * other for c in self.coeffs])
         if not isinstance(other, LPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return LPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return _ZERO
+        out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return LPoly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -144,22 +165,22 @@ class LPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by zero rational")
-            return self * (Fraction(1) / _as_frac(other))
+            return self * (_ONE / other)
         if isinstance(other, LPoly):
             return lrat_reduce(self, other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return lrat_reduce(LPoly.const(other), self)
+            return lrat_reduce(other, self)
         return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return scalar_inv(self) ** (-k) if not self.is_constant() else LPoly.const(self.constant_value() ** k)
-        result = LPoly.const(1)
+            return scalar_inv(self) ** (-k) if not self.is_constant() else self.constant_value() ** k
+        result = _ONE
         base = self
         while k:
             if k & 1:
@@ -191,7 +212,7 @@ class LPoly:
     def monic(self):
         if self.is_zero():
             return self
-        return self * (Fraction(1) / self.leading())
+        return as_lpoly(self * (_ONE / self.leading()))
 
     def eval(self, value):
         """Horner evaluation at a rational value."""
@@ -231,9 +252,9 @@ class LRat:
                 g = lpoly_gcd(num, den)
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-                lc = den.leading()
-                num = num * (Fraction(1) / lc)
-                den = den * (Fraction(1) / lc)
+                inv = _ONE / den.leading()
+                num = as_lpoly(num * inv)
+                den = as_lpoly(den * inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -265,30 +286,32 @@ class LRat:
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return LRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        return lrat_reduce(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.den.degree:  # a reduced denominator is monic: this one is 1
+            return -self.num
         return LRat(-self.num, self.den, _reduced=True)
 
     def __sub__(self, other):
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return lrat_reduce(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return LRat(self.num * other.num, self.den * other.den)
+        return lrat_reduce(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -298,7 +321,7 @@ class LRat:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return LRat(self.num * other.den, self.den * other.num)
+        return lrat_reduce(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = _as_lrat(other)
@@ -313,7 +336,7 @@ class LRat:
             if self.is_zero():
                 raise DivisionByZero("zero has no negative power")
             return LRat(self.den, self.num) ** (-k)
-        return LRat(self.num ** k, self.den ** k)
+        return lrat_reduce(self.num ** k, self.den ** k)
 
     def eval(self, value):
         value = _as_frac(value)
@@ -367,17 +390,13 @@ def ring_le(a, b):
 
 
 def simplify(s):
-    """Demote a scalar to its simplest representative type."""
-    if isinstance(s, LRat):
-        if s.is_polynomial():
-            s = s.num
-        else:
-            return s
+    """Demote a scalar from outside package arithmetic (an int, or an LPoly
+    or LRat built by its constructor) to its simplest representative type."""
+    if isinstance(s, LRat) and s.is_polynomial():
+        s = s.num
     if isinstance(s, LPoly) and s.is_constant():
         return s.constant_value()
-    if isinstance(s, int):
-        return Fraction(s)
-    return s
+    return Fraction(s) if isinstance(s, int) else s
 
 
 def lpoly_gcd(a, b):
@@ -392,49 +411,29 @@ def lpoly_gcd(a, b):
 
 def lrat_reduce(num, den):
     """Canonical num/den as the simplest scalar (LRat, LPoly, or Fraction)."""
-    num, den = as_lpoly(num), as_lpoly(den)
-    if den.is_zero():
-        raise ZeroDenominator("zero denominator")
-    return simplify(LRat(num, den))
+    r = LRat(num, den)
+    return r if r.den.degree else _poly(list(r.num.coeffs))
 
 
 def scalar_inv(s):
-    s = simplify(s)
-    if isinstance(s, Fraction):
-        if s == 0:
-            raise DivisionByZero("inverse of zero")
-        return Fraction(1) / s
-    if isinstance(s, LPoly):
-        if s.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return simplify(LRat(LPoly.const(1), s))
-    if isinstance(s, LRat):
-        if s.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return simplify(LRat(s.den, s.num))
-    raise TypeError("not a scalar: %r" % (s,))
+    if not s:
+        raise DivisionByZero("inverse of zero")
+    return _ONE / s
 
 
 def scalar_pow(s, k):
     """Integer power of a scalar, negative exponents allowed."""
-    if k >= 0:
-        return simplify(s ** k) if not isinstance(s, (int, Fraction)) else _as_frac(s) ** k
-    return scalar_pow(scalar_inv(s), -k)
+    if k < 0:
+        s, k = scalar_inv(s), -k
+    return _as_frac(s) ** k if isinstance(s, int) else s ** k
 
 
 def eval_lambda(s, value):
     """Exact substitution l = value; raises PoleAtValue at a pole."""
     value = _as_frac(value)
-    s = simplify(s)
-    if isinstance(s, Fraction):
-        return s
-    return s.eval(value)
-
-
-def is_zero_scalar(s):
     if isinstance(s, (int, Fraction)):
-        return s == 0
-    return s.is_zero()
+        return _as_frac(s)
+    return s.eval(value)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +443,10 @@ def iroot(x, n):
     """Floor of the integer n-th root of x >= 0."""
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return 0
+    if x.bit_length() <= n:
+        # x < 2**n, so the root is 0 or 1; the Newton start below would
+        # build 2**(n-1), whose size grows with the root index
+        return min(x, 1)
     g = 1 << ((x.bit_length() + n - 1) // n)
     while True:
         # Newton step for r^n = x
@@ -492,13 +493,23 @@ def _fmt_lpoly(p):
 
 def format_scalar(s):
     s = simplify(s)
-    if isinstance(s, Fraction):
-        return str(s)
-    if isinstance(s, LPoly):
-        return _fmt_lpoly(s)
-    if isinstance(s, LRat):
-        return "(%s)/(%s)" % (_fmt_lpoly(s.num), _fmt_lpoly(s.den))
+    try:
+        if isinstance(s, Fraction):
+            return str(s)
+        if isinstance(s, LPoly):
+            return _fmt_lpoly(s)
+        if isinstance(s, LRat):
+            return "(%s)/(%s)" % (_fmt_lpoly(s.num), _fmt_lpoly(s.den))
+    except ValueError as exc:
+        # an integer longer than sys.get_int_max_str_digits() has no text form
+        raise ScalarTooLarge("a coefficient is too long to print: %s" % exc) from None
     raise TypeError("not a scalar: %r" % (s,))
+
+
+def csv_cell(s):
+    """format_scalar(s) as a CSV field, quoted when it holds '/' or ','."""
+    text = format_scalar(s)
+    return '"%s"' % text if "/" in text or "," in text else text
 
 
 _TERM_RE = re.compile(

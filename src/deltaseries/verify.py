@@ -42,8 +42,8 @@ def _fail(where, lhs, rhs):
     return "%s: %s != %s" % (where, sc.format_scalar(lhs), sc.format_scalar(rhs))
 
 
-def suite_orthogonality(f, label, max_n, seed=0):
-    rep = st.orthogonality_check(f, max_n, seed=seed)
+def suite_orthogonality(f, label, max_n):
+    rep = st.orthogonality_check(f, max_n)
     return SuiteReport("orthogonality", label, rep.ok, rep.failures)
 
 
@@ -129,13 +129,12 @@ def suite_logarithm(f, label, max_n):
     return SuiteReport("logarithm", label, not failures, failures)
 
 
-def suite_lambda_limit(pid, max_n, order=None):
+def suite_lambda_limit(pid, max_n):
     """Degenerate preset triangles specialized at lambda = 0 must equal the
-    classical partner's triangles."""
-    if not pr.is_degenerate(pid) or pid == "probabilistic":
+    classical partner's triangles; any other label is skipped."""
+    if pid not in pr.PRESET_IDS or not pr.is_degenerate(pid) or pid == "probabilistic":
         return SuiteReport("lambda-limit", pid, True, skipped=True)
-    if order is None:
-        order = 2 * max_n + 2
+    order = 2 * max_n + 2
     p = pr.make_preset(pid, order, pr.LAMBDA_SYMBOLIC)
     partner = pr.make_preset(p.classical_partner, order)
     failures = []
@@ -151,10 +150,10 @@ def suite_lambda_limit(pid, max_n, order=None):
     return SuiteReport("lambda-limit", pid, not failures, failures)
 
 
-def run_suite(suite, f, label, max_n, seed=0):
+def run_suite(suite, f, label, max_n):
     """Dispatch one named suite on one delta series."""
     if suite == "orthogonality":
-        return suite_orthogonality(f, label, max_n, seed)
+        return suite_orthogonality(f, label, max_n)
     if suite == "schloemilch":
         return suite_schloemilch(f, label, max_n)
     if suite == "theorem22":
@@ -164,20 +163,18 @@ def run_suite(suite, f, label, max_n, seed=0):
     if suite == "logarithm":
         return suite_logarithm(f, label, max_n)
     if suite == "lambda-limit":
-        if label in pr.PRESET_IDS and pr.is_degenerate(label) and label != "probabilistic":
-            return suite_lambda_limit(label, max_n)
-        return SuiteReport("lambda-limit", label, True, skipped=True)
+        return suite_lambda_limit(label, max_n)
     raise ValueError("unknown suite %r" % suite)
 
 
-def run_suites(suites, targets, max_n, seed=0):
+def run_suites(suites, targets, max_n):
     """Run suites over (label, DeltaSeries) pairs one after another, in
     (target, suite) order: the suites are pure Python under the interpreter
     lock, where threads gain nothing."""
     if "all" in suites:
         suites = SUITES
-    return [run_suite(suite, f, label, max_n, seed) for label, f in targets for suite in suites]
+    return [run_suite(suite, f, label, max_n) for label, f in targets for suite in suites]
 
 
-def corpus_targets(order, include_probabilistic=True):
-    return [(e.label, e.f) for e in pr.corpus(order, include_probabilistic)]
+def corpus_targets(order):
+    return [(e.label, e.f) for e in pr.corpus(order)]

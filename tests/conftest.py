@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from deltaseries import presets as pr
@@ -16,3 +18,14 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_targets(corpus):
     return [(e.label, e.f) for e in corpus]
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit (4300 digits) on turning an int into text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int-to-text conversion")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)

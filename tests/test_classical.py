@@ -73,7 +73,7 @@ def test_basis_round_trip():
     fall = cl.to_deg_falling_basis(mono, L)
     back = [Fraction(0)] * len(mono)
     for k, c in enumerate(fall):
-        if sc.is_zero_scalar(c):
+        if not c:
             continue
         for m, b in enumerate(cl.deg_falling_coeffs(k, L)):
             back[m] = sc.simplify(back[m] + c * b)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,33 @@ class TestUsage:
         )
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "n,k,value"
+
+
+class TestHostileInput:
+    def test_long_literal_is_a_syntax_error(self, capsys, int_digit_limit):
+        code, _, err = run(capsys, "eval", "--f", "t*" + "1" * 5000, "--order", "3")
+        assert code == 2
+        assert "ExprSyntaxError" in err and "at offset 2" in err
+
+    @pytest.mark.parametrize("expr", ["t*(3+t)^10000", "(2*(3+t)^10000)^(1/2)"], ids=["output", "message"])
+    def test_unprintable_coefficient_is_typed(self, capsys, int_digit_limit, expr):
+        code, _, err = run(capsys, "eval", "--f", expr, "--order", "3")
+        assert code == 2
+        assert "ScalarTooLarge" in err and "internal error" not in err
+
+    def test_huge_root_index_fails_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--f", "(4+t)^(1/100000000)", "--order", "3")
+        assert code == 2 and "NoExactRoot" in err
+        assert time.perf_counter() - start < 0.25
+
+    def test_bernoulli_build_order_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTASERIES_MAX_ORDER", "4")
+        code, _, err = run(capsys, "bernoulli", "--f", "t", "--alpha", "1", "--n", "4")
+        assert code == 2
+        assert "(order+1) = 5" in err and "DELTASERIES_MAX_ORDER" in err
+        code, _, _ = run(capsys, "bernoulli", "--f", "t", "--alpha", "1", "--n", "3")
+        assert code == 0
 
 
 class TestPresetsList:

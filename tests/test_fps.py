@@ -108,7 +108,7 @@ class TestSeriesBasics:
     def test_mul_div_round_trip(self, a, b):
         n = max(a.order, b.order)
         a, b = a.pad(n), b.pad(n)
-        if sc.is_zero_scalar(b.coeffs[0]):
+        if not b.coeffs[0]:
             return
         assert fps.mul(fps.div(a, b), b) == a
 

@@ -171,5 +171,5 @@ class TestCorpus:
 
     def test_corpus_series_are_delta(self, corpus):
         for e in corpus:
-            assert sc.is_zero_scalar(e.f.series.coeffs[0])
-            assert not sc.is_zero_scalar(e.f.series.coeffs[1])
+            assert not e.f.series.coeffs[0]
+            assert e.f.series.coeffs[1]

@@ -1,15 +1,19 @@
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from deltaseries import presets as pr
 from deltaseries import scalar as sc
+from deltaseries import stirling as st
 from deltaseries.errors import (
     BothZero,
     DivisionByZero,
     PoleAtValue,
     ScalarParseError,
+    ScalarTooLarge,
     ZeroDenominator,
 )
 
@@ -142,6 +146,11 @@ class TestOps:
         assert sc.rat_nth_root(Fraction(-8), 3) == -2
         assert sc.rat_nth_root(Fraction(-4), 2) is None
         assert sc.rat_nth_root(Fraction(2), 2) is None
+        # operands below 2**n: answered without building 2**(n-1)
+        assert sc.rat_nth_root(Fraction(4), 10**9) is None
+        assert sc.rat_nth_root(Fraction(-1, 3), 10**9 + 1) is None
+        assert sc.rat_nth_root(Fraction(-1), 10**9 + 1) == -1
+        assert sc.iroot(2**64 - 1, 64) == 1 and sc.iroot(2**64, 64) == 2
 
 
 class TestText:
@@ -161,6 +170,17 @@ class TestText:
         r = sc.LRat(lp(1), L)
         assert sc.format_scalar(r) == "(1)/(1*l)"
         assert sc.parse_scalar(sc.format_scalar(r)) == r
+
+    def test_unprintable_coefficient(self, int_digit_limit):
+        for value in (Fraction(3) ** 10000, 1 + 3**10000 * L):
+            with pytest.raises(ScalarTooLarge):
+                sc.format_scalar(value)
+
+    def test_csv_cell_quotes(self):
+        assert sc.csv_cell(Fraction(3)) == "3"
+        assert sc.csv_cell(Fraction(-1, 2)) == '"-1/2"'
+        assert sc.csv_cell(1 - L) == "1 - 1*l"
+        assert sc.csv_cell(sc.LRat(lp(1), L)) == '"(1)/(1*l)"'
 
     def test_parse_errors(self):
         for bad in ["", "l^", "1//2", "x+1"]:
@@ -216,3 +236,79 @@ class TestAlgebraProperties:
         assert sc.resolve_lambda_mode(Fraction(1, 2)) == Fraction(1, 2)
         with pytest.raises(ValueError):
             sc.resolve_lambda_mode(object())
+
+
+# ---------------------------------------------------------------------------
+# canonical form by construction: every operator result is in its simplest
+# type, checked against evaluation at a rational l (the independent route)
+
+def assert_canonical(r):
+    assert sc.simplify(r) is r, r
+    if isinstance(r, sc.LPoly):
+        assert r.degree >= 1 and r.coeffs[-1] != 0
+        assert all(type(c) is Fraction for c in r.coeffs)
+    elif isinstance(r, sc.LRat):
+        assert r.num and r.den.degree >= 1 and r.den.leading() == 1
+        assert sc.lpoly_gcd(r.num, r.den) == 1
+    else:
+        assert type(r) is Fraction
+
+
+small_fracs = hst.fractions(min_value=-20, max_value=20, max_denominator=12)
+canon_polys = hst.lists(small_fracs, max_size=4).map(lambda cs: sc.simplify(sc.LPoly(cs)))
+canon_rats = hst.tuples(canon_polys, canon_polys.filter(bool)).map(
+    lambda nd: sc.simplify(sc.LRat(nd[0], nd[1]))
+)
+scalars = hst.one_of(small_fracs, canon_polys, canon_rats)
+
+
+def _values_at(x, *scalars_):
+    """Each scalar evaluated at l = x; rejects the draw at a pole."""
+    try:
+        return [sc.eval_lambda(s, x) for s in scalars_]
+    except PoleAtValue:
+        assume(False)
+
+
+class TestCanonical:
+    @given(scalars, scalars, hst.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+           small_fracs)
+    @settings(max_examples=300, deadline=None)
+    def test_binary_ops(self, a, b, op, x):
+        if op is operator.truediv:
+            assume(b)
+        r = op(a, b)
+        assert_canonical(r)
+        ax, bx = _values_at(x, a, b)
+        if op is operator.truediv:
+            assume(bx)
+        assert sc.eval_lambda(r, x) == op(ax, bx)
+
+    @given(scalars, hst.integers(-3, 4), small_fracs)
+    @settings(max_examples=200, deadline=None)
+    def test_unary_ops(self, a, k, x):
+        assume(a or k >= 0)
+        (ax,) = _values_at(x, a)
+        assume(ax or not a)  # a root of a at x is a pole of 1/a
+        pairs = [(-a, -ax), (a ** k, ax ** k), (sc.scalar_pow(a, k), ax ** k)]
+        if a:
+            pairs.append((sc.scalar_inv(a), 1 / ax))
+        for r, want in pairs:
+            assert_canonical(r)
+            assert sc.eval_lambda(r, x) == want
+
+    def test_constructed_values_are_demoted(self):
+        assert_canonical(-sc.LRat(L, lp(1)))
+        assert_canonical(lp(2) * L - 2 * L)
+        assert_canonical(lp(3) ** 2)
+        assert_canonical(sc.LRat(L, L + 1) * (L + 1))
+
+    def test_builders_return_canonical_coefficients(self):
+        for e in pr.corpus(8):
+            cells = [c for kind in (st.s2_assoc, st.s1_assoc) for row in kind(e.f, 8).rows for c in row]
+            cells += st.assoc_log(e.f).coeffs + st.compositional_inverse(e.f).series.coeffs
+            for alpha in (Fraction(1), Fraction(-2)):
+                fam = st.bernoulli_assoc(e.f, alpha, 7, with_x=True)
+                cells += fam.values + tuple(c for p in fam.xpolys for c in p.coeffs)
+            for c in cells:
+                assert_canonical(c)
