@@ -50,22 +50,31 @@ def falling_factorial(x, n):
 
 @lru_cache(maxsize=None)
 def classical_s2(n, k):
-    """Stirling numbers of the second kind by the standard recurrence."""
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
+    """Stirling numbers of the second kind by the standard recurrence
+    S(m, j) = j S(m-1, j) + S(m-1, j-1), run over the rows m <= n and the
+    columns j <= k (a loop, so any n works at any recursion limit)."""
+    if k < 0 or k > n:
         return 0
-    return k * classical_s2(n - 1, k) + classical_s2(n - 1, k - 1)
+    col = [1] + [0] * k  # row 0
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            col[j] = j * col[j] + col[j - 1]
+        col[0] = 0
+    return col[k]
 
 
 @lru_cache(maxsize=None)
 def classical_s1(n, k):
-    """Signed Stirling numbers of the first kind by the standard recurrence."""
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
+    """Signed Stirling numbers of the first kind by the standard recurrence
+    s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j), run like classical_s2."""
+    if k < 0 or k > n:
         return 0
-    return classical_s1(n - 1, k - 1) - (n - 1) * classical_s1(n - 1, k)
+    col = [1] + [0] * k  # row 0
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            col[j] = col[j - 1] - (m - 1) * col[j]
+        col[0] = 0
+    return col[k]
 
 
 def lah(n, k):

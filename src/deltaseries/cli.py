@@ -134,8 +134,11 @@ def _series_source(args, order, need_delta=True):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write --out %r: %s" % (out, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 

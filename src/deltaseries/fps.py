@@ -5,6 +5,14 @@ the ordinary coefficients of t^n.  All generating functions in this package
 are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
+Over Q the kernels run fraction-free: ``mul``, the linear-combination
+blocks of composition, ``div`` and ``exp_series`` turn their operands into
+Python int numerators over one common denominator (``_int_view``), run
+their inner loops on those ints, and reduce once per output coefficient
+with ``Fraction(num, den)``; the two recurrences keep their outputs so far
+over a running lcm denominator (``_push``).  When any coefficient lies in
+Q[l] or Q(l), each kernel runs its plain loop on the scalars themselves.
+
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
 degree d, instead of one per coefficient.  Compositional inversion runs
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 from . import scalar as sc
@@ -167,10 +176,39 @@ def scale(a, v):
     )
 
 
+def _int_view(coeffs):
+    """(nums, den) with coeffs[i] == nums[i]/den over the lcm den of the
+    denominators, or None unless every coefficient is a Fraction."""
+    if any(c.__class__ is not Fraction for c in coeffs):
+        return None
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _push(nums, den, v):
+    """Append the Fraction v to nums, the numerators of the outputs so far
+    over their lcm den; returns the new lcm."""
+    d = v.denominator
+    if den % d:
+        m = d // math.gcd(den, d)
+        nums[:] = [x * m for x in nums]
+        den *= m
+    nums.append(v.numerator * (den // d))
+    return den
+
+
 def mul(a, b):
     """Truncated Cauchy product."""
     _check_orders(a, b)
     n = a.order
+    ring = sc.join_ring(a.ring, b.ring)
+    ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
+    if ia and ib:
+        (an, ad), (bn, bd) = ia, ib
+        den = ad * bd
+        rb = bn[::-1]
+        return Series(n, [Fraction(sum(map(operator.mul, an[:m + 1], rb[n - m:])), den)
+                          for m in range(n + 1)], ring)
     av, bv = a.coeffs, b.coeffs
     out = []
     for m in range(n + 1):
@@ -181,7 +219,7 @@ def mul(a, b):
             if ai and bj:
                 acc = acc + ai * bj
         out.append(acc)
-    return Series(n, out, sc.join_ring(a.ring, b.ring))
+    return Series(n, out, ring)
 
 
 def div(a, b):
@@ -192,6 +230,17 @@ def div(a, b):
         raise NonUnitConstantTerm("division by a series with zero constant term")
     inv0 = sc.scalar_inv(b0)
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
+    ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
+    if ia and ib:
+        # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0], with a = an/ad,
+        # b = bn/bd and the outputs so far nums/den
+        (an, ad), (bn, bd) = ia, ib
+        out, nums, den = [], [], 1
+        for n in range(a.order + 1):
+            acc = sum(map(operator.mul, bn[1:n + 1], reversed(nums)))
+            out.append(Fraction(an[n] * bd * den - acc * ad, ad * den * bn[0]))
+            den = _push(nums, den, out[-1])
+        return Series(a.order, out, ring)
     out = []
     for n in range(a.order + 1):
         acc = a.coeffs[n]
@@ -259,17 +308,10 @@ def _eval_at_powers(g, steps):
     k = len(steps) - 1
     n, d = g.order, _degree(g)
     f = steps[1]
+    views = [_int_view(s.coeffs) for s in steps[:k]]
     result = None
     for start in range(d - d % k, -1, -k):
-        acc = [_ZERO] * (n + 1)
-        for j, c in enumerate(g.coeffs[start:start + k]):
-            if not c:
-                continue
-            pj = steps[j].coeffs
-            for i in range(j, n + 1):  # f^j has valuation at least j
-                if pj[i]:
-                    acc[i] = acc[i] + c * pj[i]
-        block = Series(n, acc)
+        block = _block(g.coeffs[start:start + k], steps, views, n)
         if result is None:
             result = block
         else:
@@ -277,6 +319,30 @@ def _eval_at_powers(g, steps):
             if not block.is_zero():
                 result = add(result, block)
     return Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
+
+
+def _block(cs, steps, views, n):
+    """sum_j cs[j] f^j as a Series over Q or the ring of its terms."""
+    used = [j for j, c in enumerate(cs) if c]
+    if all(cs[j].__class__ is Fraction and views[j] for j in used):
+        # one integer combination over the lcm of the coefficients' and
+        # the steps' denominators
+        cden = math.lcm(*(cs[j].denominator for j in used))
+        sden = math.lcm(*(views[j][1] for j in used))
+        acc = [0] * (n + 1)
+        for j in used:
+            nums, den = views[j]
+            w = cs[j].numerator * (cden // cs[j].denominator) * (sden // den)
+            # f^j has valuation at least j
+            acc[j:] = [x + w * y for x, y in zip(acc[j:], nums[j:])]
+        return Series(n, [Fraction(x, cden * sden) for x in acc])
+    acc = [_ZERO] * (n + 1)
+    for j in used:
+        c, pj = cs[j], steps[j].coeffs
+        for i in range(j, n + 1):
+            if pj[i]:
+                acc[i] = acc[i] + c * pj[i]
+    return Series(n, acc)
 
 
 class DeltaSeries:
@@ -387,6 +453,17 @@ def exp_series(f):
     if f.coeffs[0]:
         raise BadConstantTerm("exp needs zero constant term")
     out = [_ONE]
+    view = _int_view(f.coeffs)
+    if view:
+        # out[n] = sum_k k f[k] out[n-k] / n, with f = fn/fd and the
+        # outputs so far nums/den
+        fn, fd = view
+        kf = [k * c for k, c in enumerate(fn)]
+        nums, den = [1], 1
+        for n in range(1, f.order + 1):
+            out.append(Fraction(sum(map(operator.mul, kf[1:n + 1], reversed(nums))), fd * den * n))
+            den = _push(nums, den, out[-1])
+        return Series(f.order, out, f.ring)
     for n in range(1, f.order + 1):
         acc = _ZERO
         for k in range(1, n + 1):

@@ -531,15 +531,19 @@ def _parse_lpoly(text):
         if not m:
             raise ScalarParseError("malformed term %r in %r" % (term, text))
         sign = -1 if m.group("sign") == "-" else 1
-        if m.group("bare"):
-            coef = Fraction(1)
-            power = int(m.group("bpow")) if m.group("bpow") else 1
-        else:
-            coef = Fraction(m.group("coef"))
-            if m.group("var"):
-                power = int(m.group("pow")) if m.group("pow") else 1
+        try:
+            if m.group("bare"):
+                coef = Fraction(1)
+                power = int(m.group("bpow")) if m.group("bpow") else 1
             else:
-                power = 0
+                coef = Fraction(m.group("coef"))
+                if m.group("var"):
+                    power = int(m.group("pow")) if m.group("pow") else 1
+                else:
+                    power = 0
+        except (ValueError, ZeroDivisionError) as exc:
+            # a numeral past Python's int-to-text limit, or a zero denominator
+            raise ScalarParseError("malformed term %r in %r" % (term, text)) from exc
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
     size = max(coeffs) + 1 if coeffs else 0
     out = [Fraction(0)] * size

@@ -9,6 +9,7 @@ two conventions goes through :func:`deltaseries.fps.egf_coeff`.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 import random
@@ -22,6 +23,9 @@ from .errors import (
     NonRepresentablePower,
     NonUnitBaseForRationalPower,
 )
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # triangles
@@ -70,14 +74,42 @@ class Triangle:
 
 
 def _power_rows(start, base, max_n):
-    """Rows of EGF coefficients of start * base^k / k!: rows[n][k] for k <= n <= max_n."""
-    cols = []
-    p = start
-    for k in range(max_n + 1):
-        cols.append(p)
-        if k < max_n:
-            p = fps.scale(fps.mul(p, base), Fraction(1, k + 1))
-    return [[fps.egf_coeff(cols[k], n) for k in range(n + 1)] for n in range(max_n + 1)]
+    """Rows of EGF coefficients of start * base^k / k!: rows[n][k] for k <= n <= max_n.
+
+    base has zero constant term.  Column k of base^k / k! holds the partial
+    Bell polynomials B_{n,k}(b_1, b_2, ...) of the EGF coefficients b_j of
+    base, built with no division by Comtet's recurrence (Advanced
+    Combinatorics, 1974, 3.3)
+
+        B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
+
+    a start other than 1 is one binomial convolution with its EGF
+    coefficients s_m.  Over Q both run on the integer numerators of s and b
+    over their common denominators e and d, and entry (n, k) is the integer
+    result over e d^k; over Q[l] and Q(l) they run on the scalars themselves.
+    """
+    s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
+    b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
+    sv, bv = fps._int_view(s), fps._int_view(b)
+    if sv and bv:
+        (s, e), (b, d) = sv, bv
+        zero, one, dens = 0, 1, [e * d**k for k in range(max_n + 1)]
+    else:
+        zero, one, dens = _ZERO, _ONE, None
+    # w[n][j] = C(n-1, j-1) b_j, shared by every column of row n
+    w = [[zero] + [math.comb(n - 1, j - 1) * b[j] for j in range(1, n + 1)] for n in range(max_n + 1)]
+    cols = [[one] + [zero] * max_n]  # cols[k][n] = B_{n,k}
+    for k in range(1, max_n + 1):
+        prev = cols[-1]
+        cols.append([zero] * k + [sum(map(operator.mul, w[n][1:n - k + 2], reversed(prev[k - 1:n])))
+                                  for n in range(k, max_n + 1)])
+    if s[0] != one or any(s[1:]):
+        ms = [m for m in range(max_n + 1) if s[m]]
+        cols = [[sum((math.comb(n, m) * s[m] * col[n - m] for m in ms if m <= n - k), zero)
+                 for n in range(max_n + 1)] for k, col in enumerate(cols)]
+    if dens is None:
+        return [[cols[k][n] for k in range(n + 1)] for n in range(max_n + 1)]
+    return [[Fraction(cols[k][n], dens[k]) for k in range(n + 1)] for n in range(max_n + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,105 @@
+"""Plain scalar loops: the reference routes for the fps and stirling kernels.
+
+Each function here works coefficient by coefficient on the scalars
+themselves (Fraction, LPoly, LRat), with no integer views and no
+baby-step/giant-step evaluation, and calls none of the kernels it checks:
+not fps.mul, fps.div, fps.add, fps.exp_series, fps.compose,
+fps.invert_newton or stirling._power_rows.  Only the Series constructor,
+truncate and pad are shared.
+"""
+
+import math
+from fractions import Fraction
+
+from deltaseries import fps
+from deltaseries import scalar as sc
+
+_ZERO = Fraction(0)
+
+
+def mul(a, b):
+    """Truncated Cauchy product."""
+    n = a.order
+    out = []
+    for m in range(n + 1):
+        acc = _ZERO
+        for i in range(m + 1):
+            if a.coeffs[i] and b.coeffs[m - i]:
+                acc = acc + a.coeffs[i] * b.coeffs[m - i]
+        out.append(acc)
+    return fps.Series(n, out, sc.join_ring(a.ring, b.ring))
+
+
+def add(a, b):
+    return fps.Series(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)], sc.join_ring(a.ring, b.ring))
+
+
+def sub(a, b):
+    return fps.Series(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)], sc.join_ring(a.ring, b.ring))
+
+
+def div(a, b):
+    """a/b by the division recurrence; b[0] must be invertible."""
+    inv0 = sc.scalar_inv(b.coeffs[0])
+    out = []
+    for n in range(a.order + 1):
+        acc = a.coeffs[n]
+        for k in range(1, n + 1):
+            if b.coeffs[k]:
+                acc = acc - b.coeffs[k] * out[n - k]
+        out.append(acc * inv0)
+    ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
+    return fps.Series(a.order, out, ring)
+
+
+def exp_series(f):
+    """exp(f) by out[n] = sum_k k f[k] out[n-k] / n; f[0] must be zero."""
+    out = [Fraction(1)]
+    for n in range(1, f.order + 1):
+        acc = _ZERO
+        for k in range(1, n + 1):
+            if f.coeffs[k]:
+                acc = acc + (Fraction(k) * f.coeffs[k]) * out[n - k]
+        out.append(acc * Fraction(1, n))
+    return fps.Series(f.order, out, f.ring)
+
+
+def derivative(a):
+    out = [Fraction(n) * a.coeffs[n] for n in range(1, a.order + 1)]
+    return fps.Series(a.order, out + [_ZERO], a.ring)
+
+
+def constant(value, order):
+    return fps.Series(order, [value] + [_ZERO] * order)
+
+
+def horner_compose(g, f):
+    """g(f): one series product per coefficient of g."""
+    n = g.order
+    result = constant(g.coeffs[n], n)
+    for m in range(n - 1, -1, -1):
+        result = add(mul(result, f), constant(g.coeffs[m], n))
+    return fps.Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
+
+
+def horner_invert(f):
+    """Newton reversion of a DeltaSeries, both evaluations by horner_compose."""
+    fs = f.series
+    g = fps.Series(1, (0, sc.scalar_inv(fs.coeffs[1])))
+    while g.order < f.order:
+        m = min(2 * g.order, f.order)
+        fm, gm = fs.truncate(m), g.pad(m)
+        t = fps.Series(m, [0, 1] + [0] * (m - 1))
+        err = sub(horner_compose(fm, gm), t)
+        g = sub(gm, div(err, horner_compose(derivative(fm), gm)))
+    return fps.DeltaSeries(g)
+
+
+def power_rows(start, base, max_n):
+    """EGF coefficients of start * base^k / k! by repeated series products."""
+    cols = [start]
+    for k in range(1, max_n + 1):
+        p = mul(cols[-1], base)
+        cols.append(fps.Series(max_n, [c * Fraction(1, k) for c in p.coeffs], p.ring))
+    fact = [Fraction(math.factorial(n)) for n in range(max_n + 1)]
+    return [[cols[k].coeffs[n] * fact[n] for k in range(n + 1)] for n in range(max_n + 1)]

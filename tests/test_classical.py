@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 from deltaseries import classical as cl
@@ -38,6 +40,16 @@ def test_classical_triangles():
         for l in range(n + 1):
             tot = sum(cl.classical_s2(n, k) * cl.classical_s1(k, l) for k in range(l, n + 1))
             assert tot == (1 if n == l else 0)
+
+
+def test_classical_stirling_past_the_recursion_limit():
+    # the rows are built by a loop; n = 1500 once raised RecursionError
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    assert cl.classical_s2(n, 2) == 2 ** (n - 1) - 1
+    assert cl.classical_s2(n, 3) == (3**n - 3 * 2**n + 3) // 6
+    assert cl.classical_s1(n, 1) == (-1) ** (n - 1) * math.factorial(n - 1)
+    assert cl.classical_s1(n, 0) == cl.classical_s2(n, 0) == cl.classical_s2(n, n + 1) == 0
 
 
 def test_lah_numbers():

@@ -177,6 +177,15 @@ class TestUsage:
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "n,k,value"
 
+    @pytest.mark.parametrize("where", ["missing/x.txt", "."])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        # a missing directory, or a directory in place of the file
+        code, out, err = run(
+            capsys, "log", "--preset", "identity", "--order", "3", "--out", str(tmp_path / where),
+        )
+        assert code == 2 and out == ""
+        assert "--out" in err and "internal error" not in err
+
 
 class TestHostileInput:
     def test_long_literal_is_a_syntax_error(self, capsys, int_digit_limit):

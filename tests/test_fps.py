@@ -16,6 +16,7 @@ from deltaseries.errors import (
     NotDelta,
     OrderMismatch,
 )
+import reference as ref
 
 L = sc.LAMBDA
 
@@ -169,30 +170,10 @@ class TestDeltaAndInversion:
             fps.lagrange_coeff_power(f, 3, 2)
 
 
-def horner_compose(g, f):
-    """Reference g(f): one series product per coefficient of g."""
-    n = g.order
-    result = fps.constant(g.coeffs[n], n)
-    for m in range(n - 1, -1, -1):
-        result = fps.add(fps.mul(result, f), fps.constant(g.coeffs[m], n))
-    return fps.Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
-
-
-def horner_invert(f):
-    """Reference Newton reversion, with both evaluations by horner_compose."""
-    fs = f.series
-    g = fps.Series(1, (0, sc.scalar_inv(fs.coeffs[1])))
-    while g.order < f.order:
-        m = min(2 * g.order, f.order)
-        fm, gm = fs.truncate(m), g.pad(m)
-        err = fps.sub(horner_compose(fm, gm), fps.t_series(m))
-        g = fps.sub(gm, fps.div(err, horner_compose(fps.derivative(fm), gm)))
-    return fps.DeltaSeries(g)
-
-
 def assert_same(got, want):
-    # Series.__eq__ ignores the ring, so compare it on its own
+    # Series.__eq__ ignores the ring and the scalar types, so compare them on their own
     assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
     assert got.ring == want.ring
 
 
@@ -233,14 +214,14 @@ class TestComposeAgainstHorner:
     @settings(max_examples=60, deadline=None)
     def test_compose_q(self, pair):
         g, f = pair
-        assert_same(fps.compose(g, f), horner_compose(g, f))
+        assert_same(fps.compose(g, f), ref.horner_compose(g, f))
 
     @pytest.mark.parametrize("n", range(21))
     def test_compose_block_shapes(self, n):
         f = fps.Series(n, [0] + [Fraction(1, i) - 1 for i in range(1, n + 1)])
         for g in outer_shapes(n):
             g = fps.Series(n, g)
-            assert_same(fps.compose(g, f), horner_compose(g, f))
+            assert_same(fps.compose(g, f), ref.horner_compose(g, f))
 
     @given(compose_pair())
     @settings(max_examples=30, deadline=None)
@@ -249,7 +230,7 @@ class TestComposeAgainstHorner:
         if f.order < 1 or f.coeffs[1] == 0:
             return
         f = fps.DeltaSeries(f)
-        assert_same(fps.invert_newton(f).series, horner_invert(f).series)
+        assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
 
     @pytest.mark.parametrize(
         "name,n", [("deg_falling", 3), ("deg_falling", 8), ("deg_falling", 15), ("qlrat", 3), ("qlrat", 8)]
@@ -257,11 +238,121 @@ class TestComposeAgainstHorner:
     def test_symbolic(self, name, n):
         f = symbolic_inner(name, n)
         fbar = fps.invert_newton(f).series
-        assert_same(fbar, horner_invert(f).series)
+        assert_same(fbar, ref.horner_invert(f).series)
         inners = [f.series, fbar, fps.Series(n, [0, 1, L, 1 - L] + [0] * (n - 3))]
         for g in [fps.Series(n, g) for g in outer_shapes(n)] + [f.series]:
             for h in inners:
-                assert_same(fps.compose(g, h), horner_compose(g, h))
+                assert_same(fps.compose(g, h), ref.horner_compose(g, h))
+
+
+PRIMES = [p for p in range(2, 500) if all(p % q for q in range(2, p))]
+
+# zero, small rationals and 1/p-type values whose denominators share no factor
+q_coeff = hst.one_of(
+    hst.just(Fraction(0)),
+    rationals,
+    hst.builds(Fraction, hst.integers(-10**12, 10**12), hst.sampled_from(PRIMES[:30])),
+    hst.builds(lambda a, b: Fraction(a, b), hst.integers(-99, 99), hst.integers(10**15, 10**15 + 10**6)),
+)
+
+
+@hst.composite
+def q_series(draw, order=None, constant=None):
+    n = draw(hst.integers(min_value=0, max_value=16)) if order is None else order
+    cs = draw(hst.lists(q_coeff, min_size=n + 1, max_size=n + 1))
+    zeros = draw(hst.integers(min_value=0, max_value=n + 1))  # leading zero coefficients
+    cs = [Fraction(0)] * zeros + cs[zeros:]
+    if constant is not None:
+        cs[0] = constant
+    return fps.Series(n, cs, draw(hst.sampled_from([None, sc.RING_QL])))
+
+
+@hst.composite
+def q_pair(draw):
+    a = draw(q_series())
+    return a, draw(q_series(order=a.order))
+
+
+def coprime_series(order, shift, constant=None):
+    """[1/p_shift, 1/p_(shift+1), ...]: every coefficient over a new prime."""
+    cs = [Fraction((-1) ** i, PRIMES[shift + i]) for i in range(order + 1)]
+    if constant is not None:
+        cs[0] = constant
+    return fps.Series(order, cs)
+
+
+class TestIntegerKernels:
+    """The integer-numerator kernels over Q against the plain Fraction loops.
+
+    Series declared over Q[l] with rational coefficients take the integer
+    route too, and must keep their declared ring.
+    """
+
+    @given(q_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_mul(self, pair):
+        a, b = pair
+        assert_same(fps.mul(a, b), ref.mul(a, b))
+
+    @given(q_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_div(self, pair):
+        a, b = pair
+        if not b.coeffs[0]:
+            return
+        assert_same(fps.div(a, b), ref.div(a, b))
+
+    @given(q_series(constant=Fraction(0)))
+    @settings(max_examples=80, deadline=None)
+    def test_exp(self, f):
+        assert_same(fps.exp_series(f), ref.exp_series(f))
+
+    @given(q_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_compose(self, pair):
+        g, f = pair
+        f = fps.Series(f.order, (0,) + f.coeffs[1:], f.ring)
+        assert_same(fps.compose(g, f), ref.horner_compose(g, f))
+
+    @given(q_series())
+    @settings(max_examples=40, deadline=None)
+    def test_invert(self, f):
+        if f.order < 1 or not f.coeffs[1]:
+            return
+        f = fps.DeltaSeries(fps.Series(f.order, (0,) + f.coeffs[1:], f.ring))
+        assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
+
+    def test_order_zero_and_zero_series(self):
+        for n in (0, 5):
+            z = fps.zero(n)
+            c = fps.constant(Fraction(-3, 7), n)
+            assert_same(fps.mul(z, c), ref.mul(z, c))
+            assert_same(fps.mul(c, c), ref.mul(c, c))
+            assert_same(fps.div(z, c), ref.div(z, c))
+            assert_same(fps.div(c, c), ref.div(c, c))
+            assert_same(fps.exp_series(z), ref.exp_series(z))
+            assert_same(fps.compose(z, z), ref.horner_compose(z, z))
+            assert_same(fps.compose(c, z), ref.horner_compose(c, z))
+
+    def test_coprime_denominators_order_40(self):
+        a, b = coprime_series(40, 0), coprime_series(40, 41)
+        f, g = coprime_series(40, 0, constant=0), coprime_series(40, 41, constant=0)
+        assert_same(fps.mul(a, b), ref.mul(a, b))
+        assert_same(fps.div(a, b), ref.div(a, b))
+        assert_same(fps.exp_series(f), ref.exp_series(f))
+        assert_same(fps.compose(a, g), ref.horner_compose(a, g))
+        delta = fps.DeltaSeries(f)
+        assert_same(fps.invert_newton(delta).series, ref.horner_invert(delta).series)
+
+    def test_mixed_rings_take_the_scalar_route(self):
+        a = coprime_series(6, 3)
+        b = fps.Series(6, [1, L, 0, Fraction(1, 3) - L, 0, 0, 2])
+        assert_same(fps.mul(a, b), ref.mul(a, b))
+        assert_same(fps.div(a, b), ref.div(a, b))
+        assert_same(fps.div(b, a), ref.div(b, a))
+        fa, fb = fps.Series(6, (0,) + a.coeffs[1:]), fps.Series(6, (0,) + b.coeffs[1:])
+        assert_same(fps.compose(a, fb), ref.horner_compose(a, fb))
+        assert_same(fps.compose(b, fa), ref.horner_compose(b, fa))
 
 
 class TestTranscendental:

@@ -187,6 +187,13 @@ class TestText:
             with pytest.raises(ScalarParseError):
                 sc.parse_scalar(bad)
 
+    def test_oversized_and_zero_denominator_numerals(self, int_digit_limit):
+        # a numeral past the int-to-text limit is a parse error with or without l
+        big = "1" * 5000
+        for bad in [big, big + "*l", "1 + " + big + "*l^2", "l^" + big, "(1)/(" + big + "*l)", "1/0*l"]:
+            with pytest.raises(ScalarParseError):
+                sc.parse_scalar(bad)
+
     @given(small_polys)
     @settings(max_examples=60, deadline=None)
     def test_lpoly_text_round_trip(self, p):

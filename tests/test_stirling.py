@@ -10,6 +10,7 @@ from deltaseries import presets as pr
 from deltaseries import scalar as sc
 from deltaseries import stirling as st
 from deltaseries.errors import ArityTooSmall, InsufficientOrder, NonRepresentablePower
+import reference as ref
 
 L = sc.LAMBDA
 
@@ -217,6 +218,72 @@ class TestPowerKernel:
                 for k in range(m + 1)
             ]
             assert fam.xpolys[m] == st.XPoly(want)
+
+
+def comtet_case(name, n):
+    if name == "qlrat":  # (l+1)t + 2t^2: a non-constant linear term puts it over Q(l)
+        return fps.DeltaSeries(fps.Series(n, [0, L + 1, 2] + [0] * (n - 2)))
+    pid, mode = name.split("@") if "@" in name else (name, pr.LAMBDA_ABSENT)
+    if mode == "1/3":
+        mode = Fraction(1, 3)
+    return pr.make_preset(pid, n, mode).f
+
+
+def assert_rows(got, want):
+    assert [list(r) for r in got] == [list(r) for r in want]
+    assert [[type(c) for c in r] for r in got] == [[type(c) for c in r] for r in want]
+
+
+COMTET_CASES = [("identity", 8), ("mittag_leffler", 8), ("bell", 8), ("laguerre_m1", 8),
+                ("deg_falling@1/3", 8), ("deg_falling@symbolic", 8), ("qlrat", 5)]
+
+
+class TestComtetKernel:
+    """_power_rows (Comtet's recurrence) through its four callers, against
+    repeated series products in the reference module and against
+    partial_bell; every base is built by the reference loops too."""
+
+    @pytest.mark.parametrize("name,n", COMTET_CASES)
+    def test_s2_and_s1(self, name, n):
+        f = comtet_case(name, n)
+        fb = ref.horner_invert(f).series
+        base2 = ref.sub(ref.exp_series(fb), fps.one(n, fb.ring))
+        log1p = fps.Series(n, [0] + [Fraction((-1) ** (j - 1), j) for j in range(1, n + 1)])
+        base1 = ref.horner_compose(f.series, log1p)
+        for tri, base in ((st.s2_assoc(f, n), base2), (st.s1_assoc(f, n), base1)):
+            assert_rows(tri.rows, ref.power_rows(fps.one(n, base.ring), base, n))
+            assert tri.ring == base.ring
+            xs = [fps.egf_coeff(base, j) for j in range(1, n + 1)]
+            for m in range(n + 1):
+                assert list(tri.rows[m]) == [st.partial_bell(m, k, xs) for k in range(m + 1)]
+
+    @pytest.mark.parametrize("name,n", COMTET_CASES)
+    def test_poly_seq(self, name, n):
+        f = comtet_case(name, n)
+        fb = ref.horner_invert(f).series
+        want = ref.power_rows(fps.one(n, fb.ring), fb, n)
+        assert_rows([p.coeffs for p in st.poly_seq(f, n)], [st.XPoly(r).coeffs for r in want])
+
+    @pytest.mark.parametrize("name,n", COMTET_CASES)
+    @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(-1)])
+    def test_bernoulli_xpolys(self, name, n, alpha):
+        g = comtet_case(name, n + 1)
+        fam = st.bernoulli_assoc(g, alpha, n, with_x=True)
+        gs = g.series.truncate(n)
+        w = fps.shift_down(ref.sub(ref.exp_series(g.series), fps.one(n + 1, gs.ring)), 1)
+        start = fps.one(n, w.ring)
+        power = w if alpha < 0 else ref.div(fps.one(n, w.ring), w)
+        for _ in range(abs(int(alpha))):
+            start = ref.mul(start, power)
+        assert list(fam.values) == [fps.egf_coeff(start, m) for m in range(n + 1)]
+        want = ref.power_rows(start, gs, n)
+        assert_rows([p.coeffs for p in fam.xpolys], [st.XPoly(r).coeffs for r in want])
+
+    def test_s2_identity_n64(self):
+        # the fraction-free route at the size of the benchmark's largest build
+        n = 64
+        tri = st.s2_assoc(fps.DeltaSeries(fps.t_series(n)), n)
+        assert all(tri.rows[m][k] == cl.classical_s2(m, k) for m in range(n + 1) for k in range(m + 1))
 
 
 class TestTheoremPaths:
