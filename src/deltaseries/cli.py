@@ -175,7 +175,8 @@ def _triangle_text(tri, fmt, label):
 
 def run_table(args):
     n, order = _resolve_orders(args)
-    f, label = _series_source(args, max(order, 1))
+    f, label = _series_source(args, order)
+    f = f.truncate(max(n, 1))  # rows up to n read only f's first n coefficients
     tri = st.s1_assoc(f, n) if args.kind == "s1" else st.s2_assoc(f, n)
     _emit(_triangle_text(tri, args.fmt, label), args.out)
     return 0

@@ -16,6 +16,7 @@ minus, so "-t^2" is -(t^2).  "2t" is a syntax error; write "2*t".
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import fps
@@ -26,6 +27,7 @@ from .errors import (
     ExprSyntaxError,
     LambdaModeRequired,
     NoExactRoot,
+    ScalarTooLarge,
     UnknownFunction,
 )
 
@@ -462,9 +464,18 @@ def _eval_div(e, order, lam, memo):
 
 def _eval_pow(base, exponent, via_sqrt=False):
     what = "sqrt" if via_sqrt else "t^(%s)" % exponent
+    c = base.coeffs[0]
+    limit = sys.get_int_max_str_digits()
+    if limit and isinstance(c, Fraction):
+        # c^e's numerator and denominator have |e| times the digits of c's;
+        # with p >= 2^(bits-1) and 3.322 > log2(10), past this bound one of
+        # them certainly has more digits than any output can print
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+        if 1000 * abs(exponent.numerator) * bits >= 3322 * limit * exponent.denominator:
+            raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
+                                 % (what, sc.format_scalar(c), limit))
     if exponent.denominator == 1:
         return fps.pow_int(base, int(exponent))
-    c = base.coeffs[0]
     if not c:
         raise BadConstantTerm("%s needs a nonzero constant term" % what)
     if c == 1:

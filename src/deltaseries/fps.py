@@ -377,13 +377,14 @@ class DeltaSeries:
     def __getitem__(self, n):
         return self.series.coeffs[n]
 
+    # the declared ring is part of the key: results built from f carry it
     def __eq__(self, other):
         if isinstance(other, DeltaSeries):
-            return self.series == other.series
+            return self.series == other.series and self.ring == other.ring
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.series)
+        return hash((self.series, self.ring))
 
     def __repr__(self):
         return "DeltaSeries(%r)" % (self.series,)
@@ -397,7 +398,7 @@ def invert_newton(f):
     n = f.order
     fs = f.series
     inv1 = sc.scalar_inv(fs.coeffs[1])
-    g = Series(1, (_ZERO, inv1))
+    g = Series(1, (_ZERO, inv1), fs.ring)
     while g.order < n:
         m = min(2 * g.order, n)
         fm = fs.truncate(m)

@@ -124,18 +124,23 @@ def _log1p(order):
 
 @lru_cache(maxsize=None)
 def s2_assoc(f, max_n):
-    """Triangle of S2(n, k; f): EGF coefficients of (e^{fbar} - 1)^k / k!."""
+    """Triangle of S2(n, k; f): EGF coefficients of (e^{fbar} - 1)^k / k!.
+
+    Reads a prefix of the one cached inverse of f at f's own order; for a
+    few rows of a long series, truncate f first."""
     if f.order < max_n:
         raise InsufficientOrder("delta series order %d < max_n %d" % (f.order, max_n))
-    m = max(max_n, 1)
-    fb = compositional_inverse(f.truncate(m))
-    base = fps.sub(fps.exp_series(fb.series), fps.one(m, fb.ring)).truncate(max_n)
+    fb = compositional_inverse(f).series.truncate(max_n)
+    base = fps.sub(fps.exp_series(fb), fps.one(max_n, fb.ring))
     return Triangle("s2", max_n, _power_rows(fps.one(max_n, base.ring), base, max_n), base.ring)
 
 
 @lru_cache(maxsize=None)
 def s1_assoc(f, max_n):
-    """Triangle of S1(n, k; f): EGF coefficients of the associated-log powers."""
+    """Triangle of S1(n, k; f): EGF coefficients of the associated-log powers.
+
+    Reads a prefix of the one cached logarithm of f at f's own order; for a
+    few rows of a long series, truncate f first."""
     if f.order < max_n:
         raise InsufficientOrder("delta series order %d < max_n %d" % (f.order, max_n))
     base = assoc_log(f).truncate(max_n)
@@ -251,10 +256,8 @@ def lemma_bell_moments(f, n, k):
     return partial_bell(n, k, xs)
 
 
-def lemma_bell_moments_sum(f, n, k, s2=None):
-    """Right side of the Bell-moment lemma, from second-kind entries."""
-    if s2 is None:
-        s2 = s2_assoc(f, n + k)
+def lemma_bell_moments_sum(f, n, k, s2):
+    """Right side of the Bell-moment lemma, from f's triangle s2 (rows to n + k)."""
     p1 = sc.scalar_inv(f[1])
     acc = Fraction(0)
     ratio = Fraction(math.factorial(n), math.factorial(n + k))
@@ -280,11 +283,9 @@ def bernoulli_via_lemma24(f, alpha, n):
     return acc
 
 
-def bernoulli_via_s2(f, alpha, n, s2=None):
-    """Order-alpha Bernoulli number from the double second-kind sum."""
+def bernoulli_via_s2(f, alpha, n, s2):
+    """Order-alpha Bernoulli number from the double sum over s2 (rows to 2n)."""
     alpha = Fraction(alpha)
-    if s2 is None:
-        s2 = s2_assoc(f, 2 * n)
     p1 = sc.scalar_inv(f[1])
     acc = Fraction(0)
     for k in range(n + 1):
@@ -300,10 +301,8 @@ def bernoulli_via_s2(f, alpha, n, s2=None):
     return acc
 
 
-def bernoulli_via_s2_alpha1(f, n, s2=None):
-    """Order-1 Bernoulli number from the single-sum corollary."""
-    if s2 is None:
-        s2 = s2_assoc(f, 2 * n)
+def bernoulli_via_s2_alpha1(f, n, s2):
+    """Order-1 Bernoulli number from the single-sum corollary over s2 (rows to 2n)."""
     p1 = sc.scalar_inv(f[1])
     acc = Fraction(0)
     for j in range(n + 1):
@@ -312,12 +311,10 @@ def bernoulli_via_s2_alpha1(f, n, s2=None):
     return acc
 
 
-def schloemilch_s1(f, n, k, s2=None):
-    """First-kind entry by the explicit second-kind (Schloemilch-type) sum."""
+def schloemilch_s1(f, n, k, s2):
+    """First-kind entry by the Schloemilch-type sum over s2 (rows to 2(n - k))."""
     if k < 0 or k > n:
         return Fraction(0)
-    if s2 is None:
-        s2 = s2_assoc(f, max(2 * (n - k), 0))
     p1 = sc.scalar_inv(f[1])
     acc = Fraction(0)
     for j in range(n - k + 1):
@@ -328,11 +325,8 @@ def schloemilch_s1(f, n, k, s2=None):
     return acc
 
 
-def assoc_log_expansion(f, max_n, s2=None):
-    """The associated logarithm rebuilt from second-kind entries only."""
-    need = max(2 * max_n - 2, max_n)
-    if s2 is None:
-        s2 = s2_assoc(f, need)
+def assoc_log_expansion(f, max_n, s2):
+    """The associated logarithm rebuilt from s2 alone (rows to 2 max_n - 2)."""
     p1 = sc.scalar_inv(f[1])
     egf = [Fraction(0)]
     for n in range(1, max_n + 1):

@@ -113,8 +113,10 @@ def suite_logarithm(f, label, max_n):
     inversion of e^{fbar}-1, the first column of the first-kind triangle,
     and the second-kind expansion."""
     direct = st.assoc_log(f).truncate(max_n)
-    fb = st.compositional_inverse(f)
-    e = fps.sub(fps.exp_series(fb.series), fps.one(f.order, fb.series.ring))
+    # the inverse of e^{fbar}-1 to order m needs only its first m coefficients
+    m = max(max_n, 1)
+    fb = st.compositional_inverse(f).series.truncate(m)
+    e = fps.sub(fps.exp_series(fb), fps.one(m, fb.ring))
     inv = fps.invert_newton(fps.DeltaSeries(e)).series.truncate(max_n)
     s1 = st.s1_assoc(f, max_n)
     col = fps.from_egf([s1.entry(n, 1) if n else Fraction(0) for n in range(max_n + 1)])
@@ -134,7 +136,7 @@ def suite_lambda_limit(pid, max_n):
     classical partner's triangles; any other label is skipped."""
     if pid not in pr.PRESET_IDS or not pr.is_degenerate(pid) or pid == "probabilistic":
         return SuiteReport("lambda-limit", pid, True, skipped=True)
-    order = 2 * max_n + 2
+    order = max(max_n, 1)
     p = pr.make_preset(pid, order, pr.LAMBDA_SYMBOLIC)
     partner = pr.make_preset(p.classical_partner, order)
     failures = []

@@ -50,6 +50,19 @@ class TestTable:
         values = [[sc.parse_scalar(v) for v in row] for row in obj["rows"]]
         assert values[2][1] == 1 - sc.LAMBDA
 
+    @pytest.mark.parametrize("source", [
+        ("--preset", "mittag_leffler"),
+        ("--preset", "deg_falling", "--lambda", "symbolic"),
+        ("--f", "t/(1+lambda*t)+t^3", "--lambda", "1/3"),
+    ], ids=["q", "symbolic", "expr"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    def test_longer_order_prints_the_same_rows(self, capsys, kind, fmt, source):
+        n = 5
+        outs = [run(capsys, "table", "--kind", kind, *source, "--n", str(n), "--order", str(order),
+                    "--format", fmt) for order in (n, 2 * n)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
     def test_lambda_rational_specializes(self, capsys):
         _, sym, _ = run(
             capsys, "table", "--kind", "s2", "--preset", "deg_falling",
@@ -198,6 +211,20 @@ class TestHostileInput:
         code, _, err = run(capsys, "eval", "--f", expr, "--order", "3")
         assert code == 2
         assert "ScalarTooLarge" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("expr", ["(2+t)^(1000000000)", "(1/2+t)^(-1000000000)", "(4+t)^(1000000001/2)"])
+    def test_huge_power_fails_at_once(self, capsys, int_digit_limit, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--f", expr, "--order", "4")
+        assert code == 2 and out == ""
+        assert "ScalarTooLarge" in err and "internal error" not in err
+        assert time.perf_counter() - start < 0.25
+
+    def test_large_power_below_the_limit_is_exact(self, capsys, int_digit_limit):
+        code, out, _ = run(capsys, "eval", "--f", "(2+t)^1000", "--order", "2")
+        assert code == 0
+        assert out.splitlines() == ["[t^0] %d" % 2 ** 1000, "[t^1] %d" % (1000 * 2 ** 999),
+                                    "[t^2] %d" % (499500 * 2 ** 998)]
 
     def test_huge_root_index_fails_at_once(self, capsys):
         start = time.perf_counter()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deltaseries import classical as cl
+from deltaseries import exprparse as ep
 from deltaseries import fps
 from deltaseries import presets as pr
 from deltaseries import scalar as sc
@@ -286,6 +287,57 @@ class TestComtetKernel:
         assert all(tri.rows[m][k] == cl.classical_s2(m, k) for m in range(n + 1) for k in range(m + 1))
 
 
+PREFIX_ORDER = 12
+PREFIX_CORPUS = pr.corpus(PREFIX_ORDER)
+
+
+def _series_types(s):
+    return [type(c) for c in s.coeffs]
+
+
+class TestPrefixRule:
+    """A triangle or inverse built at a series' own order and cut to m
+    equals the one built directly from the series cut to m."""
+
+    @pytest.mark.parametrize("entry", PREFIX_CORPUS, ids=[e.label for e in PREFIX_CORPUS])
+    def test_truncated_long_build_is_the_short_build(self, entry):
+        f = entry.f
+        symbolic = f.ring != sc.RING_Q
+        orders = (1, 2, 5, 8, 11) if symbolic else range(1, PREFIX_ORDER + 1)
+        for m in orders:
+            short = f.truncate(m)
+            long_inv = st.compositional_inverse(f).series.truncate(m)
+            short_inv = fps.invert_newton(short).series
+            assert long_inv == short_inv and _series_types(long_inv) == _series_types(short_inv)
+            assert long_inv.ring == short_inv.ring == f.ring
+            got, want = st.s2_assoc(f, m), st.s2_assoc(short, m)
+            assert_rows(got.rows, want.rows)
+            assert got.ring == want.ring == f.ring
+
+
+class TestRingKeys:
+    """A series declared over Q[l] with rational coefficients must not share
+    cache entries with the equal series over Q: every result carries the
+    ring of its own series.  The Q series is built first, so a key of the
+    coefficients alone would hand its result to the Q[l] one."""
+
+    @pytest.mark.parametrize("build", [
+        lambda f: st.s2_assoc(f, 4),
+        lambda f: st.s1_assoc(f, 4),
+        st.assoc_log,
+        st.compositional_inverse,
+        lambda f: st.bernoulli_assoc(f, Fraction(2), 4).base,
+    ], ids=["s2_assoc", "s1_assoc", "assoc_log", "compositional_inverse", "bernoulli_assoc"])
+    def test_result_ring_follows_the_declared_ring(self, build):
+        text = "t/(1+t)+t^5/7"
+        f_q = ep.require_delta(ep.eval_expr(ep.parse(text), 6))
+        f_ql = ep.require_delta(ep.eval_expr(ep.parse(text + "+lambda*t^2-lambda*t^2"), 6, sc.LAMBDA_SYMBOLIC))
+        assert f_q.series == f_ql.series and (f_q.ring, f_ql.ring) == (sc.RING_Q, sc.RING_QL)
+        assert f_q != f_ql
+        assert build(f_q).ring == sc.RING_Q
+        assert build(f_ql).ring == sc.RING_QL
+
+
 class TestTheoremPaths:
     def test_s1_via_bernoulli(self):
         f = f_identity()
@@ -327,7 +379,7 @@ class TestTheoremPaths:
 
     def test_log_expansion(self):
         f = f_deg()
-        got = st.assoc_log_expansion(f, 8)
+        got = st.assoc_log_expansion(f, 8, st.s2_assoc(f, 14))
         assert got == st.assoc_log(f).truncate(8)
 
 
