@@ -400,7 +400,11 @@ def eval_expr(e, order, lambda_mode=sc.LAMBDA_ABSENT):
     lam = sc.resolve_lambda_mode(lambda_mode)
     if lam is None and uses_lambda(e):
         raise LambdaModeRequired("expression uses lambda; pass a lambda mode")
-    return _eval(e, order, lam, {})
+    s = _eval(e, order, lam, {})
+    if isinstance(lam, sc.LPoly) and uses_lambda(e):
+        # over Q[l] at every order, also when no power of l survives truncation
+        s = fps.Series(order, s.coeffs, sc.join_ring(s.ring, sc.RING_QL))
+    return s
 
 
 def _eval(e, order, lam, memo):
@@ -466,12 +470,17 @@ def _eval_pow(base, exponent, via_sqrt=False):
     what = "sqrt" if via_sqrt else "t^(%s)" % exponent
     c = base.coeffs[0]
     limit = sys.get_int_max_str_digits()
+    # past these bounds c^e certainly has a number of more digits than any
+    # output can print: 1000 * bits >= 3322 * limit, for 3.322 > log2(10)
     if limit and isinstance(c, Fraction):
         # c^e's numerator and denominator have |e| times the digits of c's;
-        # with p >= 2^(bits-1) and 3.322 > log2(10), past this bound one of
-        # them certainly has more digits than any output can print
+        # with p >= 2^(bits-1), one of them has e * bits bits or more
         bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
         if 1000 * abs(exponent.numerator) * bits >= 3322 * limit * exponent.denominator:
+            raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
+                                 % (what, sc.format_scalar(c), limit))
+    if limit and isinstance(c, sc.LPoly) and exponent.denominator == 1:
+        if 1000 * _lpoly_power_bits(c, exponent.numerator) >= 3322 * limit:
             raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
                                  % (what, sc.format_scalar(c), limit))
     if exponent.denominator == 1:
@@ -487,6 +496,24 @@ def _eval_pow(base, exponent, via_sqrt=False):
         raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, sc.format_scalar(c), exponent.denominator))
     unit = fps.scale(base, sc.scalar_inv(c))
     return fps.scale(fps.pow_ratio(unit, exponent), root ** exponent.numerator)
+
+
+def _lpoly_power_bits(c, e):
+    """A number of bits that some l-coefficient of c^e reaches, for e < 0 of
+    its monic denominator (c / lead)^|e|: e log2|c(x)| - log2((de+1) M^(de))
+    with M = max(1, |x|), for |c(x)| <= (de+1) M^(de) max|coeff|, taken at
+    the x in +-1, +-2, +-1/2 that gives most."""
+    if e < 0:
+        c, e = c * sc.scalar_inv(c.leading()), -e
+    de = c.degree * e
+    best = 0
+    for x in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)):
+        v = c.eval(x)
+        if v:
+            # log2|p/q| >= bits(p) - 1 - bits(q - 1); log2 M^(de) is de at |x| = 2
+            low = abs(v.numerator).bit_length() - 1 - (v.denominator - 1).bit_length()
+            best = max(best, e * (low - (c.degree if abs(x) == 2 else 0)) - (de + 1).bit_length())
+    return best
 
 
 def require_delta(s):

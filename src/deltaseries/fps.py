@@ -28,6 +28,7 @@ import json
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import scalar as sc
 from .errors import (
@@ -177,24 +178,68 @@ def scale(a, v):
 
 
 def _int_view(coeffs):
-    """(nums, den) with coeffs[i] == nums[i]/den over the lcm den of the
-    denominators, or None unless every coefficient is a Fraction."""
-    if any(c.__class__ is not Fraction for c in coeffs):
+    """(xs, den, deg): coeffs[i] == xs[i] / den over the lcm den of every
+    l-coefficient's denominator, each xs[i] an int polynomial of degree at
+    most deg.  At deg 0 the xs are ints, otherwise lists of l-coefficients,
+    low first.  None when a coefficient lies in Q(l)."""
+    if all(c.__class__ is Fraction for c in coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (den // c.denominator) for c in coeffs], den, 0
+    if any(c.__class__ is not sc.LPoly for c in coeffs if c.__class__ is not Fraction):
         return None
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    parts = [(c,) if c.__class__ is Fraction else c.coeffs for c in coeffs]
+    den = math.lcm(*(x.denominator for p in parts for x in p))
+    return [[x.numerator * (den // x.denominator) for x in p] for p in parts], den, max(map(len, parts)) - 1
 
 
-def _push(nums, den, v):
-    """Append the Fraction v to nums, the numerators of the outputs so far
-    over their lcm den; returns the new lcm."""
-    d = v.denominator
-    if den % d:
-        m = d // math.gcd(den, d)
-        nums[:] = [x * m for x in nums]
-        den *= m
-    nums.append(v.numerator * (den // d))
-    return den
+def _bits(xs, deg):
+    """Bit length of the largest |l-coefficient| in xs."""
+    if not deg:
+        return max(map(abs, xs), default=0).bit_length()
+    return max((max(map(abs, p), default=0) for p in xs), default=0).bit_length()
+
+
+def _width(bits, terms):
+    """Digit width B for a sum of `terms` products of l-coefficients whose
+    bit lengths add up to at most bits: the sum lies in (-2^(B-1), 2^(B-1))."""
+    return bits + terms.bit_length() + 1
+
+
+def _pack(p, B):
+    """The int polynomial p (a list, low first) at l = 2^B: Kronecker substitution."""
+    x = 0
+    for c in reversed(p):
+        x = (x << B) + c
+    return x
+
+
+def _packs(xs, deg, B):
+    """The polynomials of a view packed at width B; an int packs as itself."""
+    return [_pack(p, B) for p in xs] if deg else xs
+
+
+def _unpack(x, B):
+    """The balanced base-2^B digits of x, low first, each in
+    [-2^(B-1), 2^(B-1)), up to the last nonzero one; [x] at width 0."""
+    if not B:
+        return [x]
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= mask + 1  # a negative digit borrows from the next one
+        out.append(d)
+        x = (x - d) >> B
+    return out
+
+
+def _scalars(xs, B, den):
+    """The canonical scalars x / den of the polynomials xs packed at width B;
+    width 0 means every x is a constant."""
+    if not B:
+        return [Fraction(x, den) for x in xs]
+    return [sc._poly([Fraction(c, den) for c in _unpack(x, B)]) for x in xs]
 
 
 def mul(a, b):
@@ -204,11 +249,11 @@ def mul(a, b):
     ring = sc.join_ring(a.ring, b.ring)
     ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
     if ia and ib:
-        (an, ad), (bn, bd) = ia, ib
-        den = ad * bd
-        rb = bn[::-1]
-        return Series(n, [Fraction(sum(map(operator.mul, an[:m + 1], rb[n - m:])), den)
-                          for m in range(n + 1)], ring)
+        (xa, ad, da), (xb, bd, db) = ia, ib
+        B = _width(_bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1)) if da + db else 0
+        an, rb = _packs(xa, da, B), _packs(xb, db, B)[::-1]
+        return Series(n, _scalars([sum(map(operator.mul, an[:m + 1], rb[n - m:])) for m in range(n + 1)],
+                                  B, ad * bd), ring)
     av, bv = a.coeffs, b.coeffs
     out = []
     for m in range(n + 1):
@@ -222,6 +267,53 @@ def mul(a, b):
     return Series(n, out, ring)
 
 
+def _recurrence(u, c, e):
+    """out[n] = (u[n] - sum_{k=1}^{n} c[k] out[n-k]) * cd / e[n] for the int
+    views u and c = (xs, cd, deg) and the ints e[n].
+
+    The outputs so far are kept packed at one width B over their lcm den.
+    Each step forms the packed sum, unpacks and reduces the new output and
+    packs it.  Before the next sum could overflow B, B grows and everything
+    so far is repacked.  B is 0 (nothing packed) when u and c are constants.
+    """
+    (xu, ud, du), (xc, cd, dc) = u, c
+    hc = _bits(xc, dc) if du + dc else 0
+    B = _width(hc, 1) if du + dc else 0
+    ck = _packs(xc, dc, B)
+    out, nums, den = [], [], 1
+    dn, hn = 0, 0  # degree and height bits of nums
+    for n, un in enumerate(xu):
+        s = sum(map(operator.mul, ck[1:n + 1], reversed(nums)))
+        cden, q = cd * den, ud * den * e[n]
+        if B:
+            v = sc._poly([Fraction(cden * ui - ud * si, q)
+                          for ui, si in zip_longest(un if du else (un,), _unpack(s, B), fillvalue=0)])
+            frs = v.coeffs if v.__class__ is sc.LPoly else (v,)
+            dv = math.lcm(*[f.denominator for f in frs])
+            x = [f.numerator * (dv // f.denominator) for f in frs]  # v = x / dv
+            m = dv // math.gcd(den, dv)
+            # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
+            hn = max(hn + (m - 1).bit_length(), (max(map(abs, x), default=0) * (den * m // dv)).bit_length())
+            dn = max(dn, len(x) - 1)
+            need = _width(hc + hn, (n + 1) * (min(dc, dn) + 1))
+            if need > B:
+                W = need + (need >> 2)
+                nums = [_pack(_unpack(y, B), W) for y in nums]
+                ck = _packs(xc, dc, W)
+                B = W
+            x = _pack(x, B)
+        else:
+            v = Fraction(cden * un - ud * s, q)
+            x, dv = v.numerator, v.denominator
+            m = dv // math.gcd(den, dv)
+        out.append(v)
+        if m > 1:
+            nums = [y * m for y in nums]
+            den *= m
+        nums.append(x * (den // dv))
+    return out
+
+
 def div(a, b):
     """Exact series division; requires an invertible constant term in b."""
     _check_orders(a, b)
@@ -231,16 +323,11 @@ def div(a, b):
     inv0 = sc.scalar_inv(b0)
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
     ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
-    if ia and ib:
-        # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0], with a = an/ad,
-        # b = bn/bd and the outputs so far nums/den
-        (an, ad), (bn, bd) = ia, ib
-        out, nums, den = [], [], 1
-        for n in range(a.order + 1):
-            acc = sum(map(operator.mul, bn[1:n + 1], reversed(nums)))
-            out.append(Fraction(an[n] * bd * den - acc * ad, ad * den * bn[0]))
-            den = _push(nums, den, out[-1])
-        return Series(a.order, out, ring)
+    if ia and ib and b0.__class__ is Fraction:
+        # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0], b[0] = b0n / bd
+        xb, _, db = ib
+        b0n = xb[0][0] if db else xb[0]
+        return Series(a.order, _recurrence(ia, ib, [b0n] * (a.order + 1)), ring)
     out = []
     for n in range(a.order + 1):
         acc = a.coeffs[n]
@@ -308,10 +395,19 @@ def _eval_at_powers(g, steps):
     k = len(steps) - 1
     n, d = g.order, _degree(g)
     f = steps[1]
-    views = [_int_view(s.coeffs) for s in steps[:k]]
+    gv = _int_view(g.coeffs)
+    sv = _int_view([c for s in steps[:k] for c in s.coeffs])
+    packed = None
+    if gv and sv:
+        # g and the baby steps each over one denominator, packed at one width
+        (xg, gden, dg), (xs, sden, ds) = gv, sv
+        B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
+        sk = _packs(xs, ds, B)
+        packed = (_packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)],
+                  B, gden * sden)
     result = None
     for start in range(d - d % k, -1, -k):
-        block = _block(g.coeffs[start:start + k], steps, views, n)
+        block = _block(g, start, steps, packed)
         if result is None:
             result = block
         else:
@@ -321,24 +417,21 @@ def _eval_at_powers(g, steps):
     return Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
 
 
-def _block(cs, steps, views, n):
-    """sum_j cs[j] f^j as a Series over Q or the ring of its terms."""
-    used = [j for j, c in enumerate(cs) if c]
-    if all(cs[j].__class__ is Fraction and views[j] for j in used):
-        # one integer combination over the lcm of the coefficients' and
-        # the steps' denominators
-        cden = math.lcm(*(cs[j].denominator for j in used))
-        sden = math.lcm(*(views[j][1] for j in used))
+def _block(g, start, steps, packed):
+    """sum_j g[start + j] f^j over the baby steps f^j, j < k, as a Series."""
+    n, k = g.order, len(steps) - 1
+    used = [j for j in range(min(k, n + 1 - start)) if g.coeffs[start + j]]
+    if packed:
+        gk, sk, B, den = packed
         acc = [0] * (n + 1)
         for j in used:
-            nums, den = views[j]
-            w = cs[j].numerator * (cden // cs[j].denominator) * (sden // den)
+            w, s = gk[start + j], sk[j]
             # f^j has valuation at least j
-            acc[j:] = [x + w * y for x, y in zip(acc[j:], nums[j:])]
-        return Series(n, [Fraction(x, cden * sden) for x in acc])
+            acc[j:] = [x + w * y for x, y in zip(acc[j:], s[j:])]
+        return Series(n, _scalars(acc, B, den))
     acc = [_ZERO] * (n + 1)
     for j in used:
-        c, pj = cs[j], steps[j].coeffs
+        c, pj = g.coeffs[start + j], steps[j].coeffs
         for i in range(j, n + 1):
             if pj[i]:
                 acc[i] = acc[i] + c * pj[i]
@@ -453,18 +546,15 @@ def exp_series(f):
     """exp of a series with zero constant term."""
     if f.coeffs[0]:
         raise BadConstantTerm("exp needs zero constant term")
-    out = [_ONE]
     view = _int_view(f.coeffs)
     if view:
-        # out[n] = sum_k k f[k] out[n-k] / n, with f = fn/fd and the
-        # outputs so far nums/den
-        fn, fd = view
-        kf = [k * c for k, c in enumerate(fn)]
-        nums, den = [1], 1
-        for n in range(1, f.order + 1):
-            out.append(Fraction(sum(map(operator.mul, kf[1:n + 1], reversed(nums))), fd * den * n))
-            den = _push(nums, den, out[-1])
-        return Series(f.order, out, f.ring)
+        # out[n] = sum_k k f[k] out[n-k] / n, f = xs / fd
+        xs, fd, deg = view
+        kf = [[-k * x for x in p] for k, p in enumerate(xs)] if deg else [-k * x for k, x in enumerate(xs)]
+        one = [1] + [0] * f.order, 1, 0
+        return Series(f.order, _recurrence(one, (kf, fd, deg), [fd] + [fd * n for n in range(1, f.order + 1)]),
+                      f.ring)
+    out = [_ONE]
     for n in range(1, f.order + 1):
         acc = _ZERO
         for k in range(1, n + 1):

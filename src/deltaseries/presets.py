@@ -223,8 +223,11 @@ def make_preset(pid, order, lambda_mode=LAMBDA_ABSENT):
     lam = resolve_lambda_mode(lambda_mode)
     if degenerate and lam is None:
         raise LambdaModeRequired("preset %r needs a lambda mode" % pid)
-    f = fps.DeltaSeries(builder(order, lam))
-    return Preset(pid, letter, lam, f, expr, formula, partner)
+    s = builder(order, lam)
+    if degenerate and isinstance(lam, sc.LPoly):
+        # over Q[l] at every order, also before a power of l shows up
+        s = fps.Series(order, s.coeffs, sc.join_ring(s.ring, sc.RING_QL))
+    return Preset(pid, letter, lam, fps.DeltaSeries(s), expr, formula, partner)
 
 
 def registry_json():

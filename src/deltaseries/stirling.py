@@ -46,7 +46,10 @@ class Triangle:
         raise AttributeError("Triangle is immutable")
 
     def entry(self, n, k):
-        if k < 0 or k > n or n > self.max_n:
+        """Entry (n, k); 0 off the triangle, an error past its last row."""
+        if n > self.max_n:
+            raise InsufficientOrder("row %d of a %s triangle with max_n %d" % (n, self.kind, self.max_n))
+        if k < 0 or k > n:
             return Fraction(0)
         return self.rows[n][k]
 
@@ -84,32 +87,51 @@ def _power_rows(start, base, max_n):
         B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
 
     a start other than 1 is one binomial convolution with its EGF
-    coefficients s_m.  Over Q both run on the integer numerators of s and b
-    over their common denominators e and d, and entry (n, k) is the integer
-    result over e d^k; over Q[l] and Q(l) they run on the scalars themselves.
+    coefficients s_m.  Over Q and Q[l] both run on ints: the numerator
+    polynomials of s and b over their common denominators e and d, each
+    packed into one int (``fps._pack``) at a width B that bounds every sum,
+    taken from the same recurrence run on the l1 norms of those polynomials
+    (the l1 norm of a product is at most the product of the norms).  Entry
+    (n, k) is the unpacked result over e d^k.  Over Q(l) they run on the
+    scalars themselves.
     """
     s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
     b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
     sv, bv = fps._int_view(s), fps._int_view(b)
-    if sv and bv:
-        (s, e), (b, d) = sv, bv
-        zero, one, dens = 0, 1, [e * d**k for k in range(max_n + 1)]
-    else:
-        zero, one, dens = _ZERO, _ONE, None
+    if not (sv and bv):
+        cols = _convolve(s, _bell_columns(b, _ZERO, _ONE), _ZERO, _ONE)
+        return [[cols[k][n] for k in range(n + 1)] for n in range(max_n + 1)]
+    (xs, e, ds), (xb, d, db) = sv, bv
+    B = 0
+    if ds + db:
+        norms = [[sum(map(abs, p)) for p in x] if deg else list(map(abs, x)) for x, deg in ((xs, ds), (xb, db))]
+        bell = _bell_columns(norms[1], 0, 1)
+        B = max(max(col) for col in bell + _convolve(norms[0], bell, 0, 1)).bit_length() + 1
+    cols = _convolve(fps._packs(xs, ds, B), _bell_columns(fps._packs(xb, db, B), 0, 1), 0, 1)
+    cols = [fps._scalars(col[k:], B, e * d**k) for k, col in enumerate(cols)]
+    return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
+
+
+def _bell_columns(b, zero, one):
+    """cols[k][n] = B_{n,k}(b_1, b_2, ...) by Comtet's recurrence."""
+    max_n = len(b) - 1
     # w[n][j] = C(n-1, j-1) b_j, shared by every column of row n
     w = [[zero] + [math.comb(n - 1, j - 1) * b[j] for j in range(1, n + 1)] for n in range(max_n + 1)]
-    cols = [[one] + [zero] * max_n]  # cols[k][n] = B_{n,k}
+    cols = [[one] + [zero] * max_n]
     for k in range(1, max_n + 1):
         prev = cols[-1]
         cols.append([zero] * k + [sum(map(operator.mul, w[n][1:n - k + 2], reversed(prev[k - 1:n])))
                                   for n in range(k, max_n + 1)])
-    if s[0] != one or any(s[1:]):
-        ms = [m for m in range(max_n + 1) if s[m]]
-        cols = [[sum((math.comb(n, m) * s[m] * col[n - m] for m in ms if m <= n - k), zero)
-                 for n in range(max_n + 1)] for k, col in enumerate(cols)]
-    if dens is None:
-        return [[cols[k][n] for k in range(n + 1)] for n in range(max_n + 1)]
-    return [[Fraction(cols[k][n], dens[k]) for k in range(n + 1)] for n in range(max_n + 1)]
+    return cols
+
+
+def _convolve(s, cols, zero, one):
+    """The EGF product of s with each column: sum_m C(n, m) s_m cols[k][n - m]."""
+    if s[0] == one and not any(s[1:]):
+        return cols
+    ms = [m for m, x in enumerate(s) if x]
+    return [[sum((math.comb(n, m) * s[m] * col[n - m] for m in ms if m <= n - k), zero)
+             for n in range(len(s))] for k, col in enumerate(cols)]
 
 
 @lru_cache(maxsize=None)

@@ -85,7 +85,7 @@ def horner_compose(g, f):
 def horner_invert(f):
     """Newton reversion of a DeltaSeries, both evaluations by horner_compose."""
     fs = f.series
-    g = fps.Series(1, (0, sc.scalar_inv(fs.coeffs[1])))
+    g = fps.Series(1, (0, sc.scalar_inv(fs.coeffs[1])), fs.ring)
     while g.order < f.order:
         m = min(2 * g.order, f.order)
         fm, gm = fs.truncate(m), g.pad(m)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -62,6 +63,19 @@ class TestTable:
         outs = [run(capsys, "table", "--kind", kind, *source, "--n", str(n), "--order", str(order),
                     "--format", fmt) for order in (n, 2 * n)]
         assert outs[0][0] == 0 and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("source,ring", [
+        (["--preset", "deg_falling", "--lambda", "symbolic"], "QL"),
+        (["--f", "t+lambda*t^2", "--lambda", "symbolic"], "QL"),
+        (["--f", "t+t^2", "--lambda", "symbolic"], "Q"),
+    ], ids=["preset", "expr", "expr-without-lambda"])
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    def test_ring_does_not_depend_on_the_order(self, capsys, kind, source, ring):
+        # at order 1 no power of lambda is left, yet the series is over Q[l]
+        for order in ("1", "2"):
+            code, out, _ = run(capsys, "table", "--kind", kind, *source, "--n", "1", "--order", order,
+                               "--format", "json")
+            assert code == 0 and json.loads(out)["ring"] == ring
 
     def test_lambda_rational_specializes(self, capsys):
         _, sym, _ = run(
@@ -225,6 +239,22 @@ class TestHostileInput:
         assert code == 0
         assert out.splitlines() == ["[t^0] %d" % 2 ** 1000, "[t^1] %d" % (1000 * 2 ** 999),
                                     "[t^2] %d" % (499500 * 2 ** 998)]
+
+    @pytest.mark.parametrize("expr", ["(1+lambda+t)^(100000)", "(1-lambda+t)^(-100000)", "(2*lambda+t)^(100000)"])
+    def test_huge_lambda_power_fails_at_once(self, capsys, int_digit_limit, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--f", expr, "--lambda", "symbolic", "--order", "4")
+        assert code == 2 and out == ""
+        assert "ScalarTooLarge" in err and "internal error" not in err
+        assert time.perf_counter() - start < 0.25
+
+    def test_lambda_power_below_the_limit_is_exact(self, capsys, int_digit_limit):
+        code, out, _ = run(capsys, "eval", "--f", "(1+lambda+t)^(20)", "--lambda", "symbolic", "--order", "2")
+        assert code == 0
+        # [t^m] (c + t)^20 = C(20, m) c^(20-m) for c = 1 + lambda
+        c = 1 + sc.LAMBDA
+        assert out.splitlines() == ["[t^%d] %s" % (m, sc.format_scalar(math.comb(20, m) * c ** (20 - m)))
+                                    for m in range(3)]
 
     def test_huge_root_index_fails_at_once(self, capsys):
         start = time.perf_counter()

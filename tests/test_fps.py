@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as hst
 from deltaseries import fps
 from deltaseries import presets as pr
 from deltaseries import scalar as sc
+from deltaseries import stirling as st
 from deltaseries.errors import (
     BadConstantTerm,
     IndexOutOfOrder,
@@ -353,6 +356,176 @@ class TestIntegerKernels:
         fa, fb = fps.Series(6, (0,) + a.coeffs[1:]), fps.Series(6, (0,) + b.coeffs[1:])
         assert_same(fps.compose(a, fb), ref.horner_compose(a, fb))
         assert_same(fps.compose(b, fa), ref.horner_compose(b, fa))
+
+
+# l-coefficients: zero, small rationals, 1/p-type values and heights
+# +-(2^k - 1), whose packed sums carry long runs of balanced-digit borrows
+HEIGHTS = [2**k - 1 for k in (1, 2, 3, 7, 8, 15, 16, 31, 32, 63, 64, 65)]
+l_coeff = hst.one_of(
+    hst.just(Fraction(0)),
+    rationals,
+    hst.builds(Fraction, hst.integers(-10**6, 10**6), hst.sampled_from(PRIMES[:30])),
+    hst.builds(lambda h, s: Fraction(s * h), hst.sampled_from(HEIGHTS), hst.sampled_from([1, -1])),
+)
+
+
+@hst.composite
+def l_poly(draw, max_deg=6):
+    """A canonical scalar of Q[l] of degree <= max_deg (a Fraction when constant)."""
+    deg = draw(hst.integers(min_value=0, max_value=max_deg))
+    return sc.simplify(sc.LPoly(draw(hst.lists(l_coeff, min_size=deg + 1, max_size=deg + 1))))
+
+
+def l_rat(max_deg):
+    # a Q(l) value with a non-constant denominator
+    return hst.builds(lambda p, q: p / (q + L), l_poly(max_deg), l_poly(1))
+
+
+@hst.composite
+def l_series(draw, order=None, max_deg=6, constant=None, qlrat=False, max_order=8):
+    """Series over Q[l] (some Q-declared rational, some Q[l]-declared
+    rational) with zero coefficients; with qlrat, now and then a Q(l) one."""
+    n = draw(hst.integers(min_value=0, max_value=max_order)) if order is None else order
+    scalar = l_poly(max_deg)
+    if qlrat:
+        scalar = hst.one_of(scalar, scalar, l_rat(1))
+    cs = draw(hst.lists(hst.one_of(hst.just(Fraction(0)), scalar), min_size=n + 1, max_size=n + 1))
+    if constant is not None:
+        cs[0] = draw(constant)
+    ring = draw(hst.sampled_from([None, sc.RING_QL]))
+    s = fps.Series(n, cs)
+    return fps.Series(n, cs, ring) if sc.ring_le(s.ring, ring or s.ring) else s
+
+
+@hst.composite
+def operands(draw, count, constant=None, max_deg=6, max_order=8):
+    """count series of one order: over Q and Q[l], or (mixed, smaller, as
+    the Q(l) loops are slow) with some Q(l) coefficients."""
+    mixed = draw(hst.booleans())
+    if mixed:
+        max_deg, max_order = min(max_deg, 2), min(max_order, 4)
+    first = draw(l_series(max_deg=max_deg, max_order=max_order, qlrat=mixed))
+    rest = [draw(l_series(order=first.order, max_deg=max_deg, qlrat=mixed,
+                          constant=constant(mixed) if constant else None)) for _ in range(count - 1)]
+    return [first] + rest
+
+
+nonzero_rational = hst.one_of(rationals, hst.sampled_from(HEIGHTS)).filter(bool).map(Fraction)
+
+
+def tight_series(n, deg, h, sign):
+    """Every coefficient h(1 + s l + l^2 + s l^3 ...): the packed sums reach
+    within a bit of the width the kernels give them."""
+    p = sc.LPoly([h * sign ** i for i in range(deg + 1)])
+    return fps.Series(n, [p] * (n + 1))
+
+
+class TestPackedKernels:
+    """The packed-integer route over Q and Q[l] against the plain scalar
+    loops: coefficients, scalar types and declared rings."""
+
+    @given(operands(2))
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, pair):
+        a, b = pair
+        assert_same(fps.mul(a, b), ref.mul(a, b))
+
+    @given(operands(2, constant=lambda mixed: hst.one_of(
+        # a rational constant term keeps Q[l]; an l-polynomial one goes to Q(l)
+        nonzero_rational, l_poly(1).filter(bool) if mixed else nonzero_rational)))
+    @settings(max_examples=60, deadline=None)
+    def test_div(self, pair):
+        a, b = pair
+        assert_same(fps.div(a, b), ref.div(a, b))
+
+    @given(operands(1))
+    @settings(max_examples=60, deadline=None)
+    def test_exp(self, one):
+        f = fps.Series(one[0].order, (0,) + one[0].coeffs[1:], one[0].ring)
+        assert_same(fps.exp_series(f), ref.exp_series(f))
+
+    @given(operands(2, max_deg=3, max_order=6))
+    @settings(max_examples=30, deadline=None)
+    def test_compose(self, pair):
+        g, f = pair
+        f = fps.Series(f.order, (0,) + f.coeffs[1:], f.ring)
+        assert_same(fps.compose(g, f), ref.horner_compose(g, f))
+
+    @given(operands(1, max_deg=2, max_order=6), hst.one_of(nonzero_rational, nonzero_rational, l_poly(1).filter(bool)))
+    @settings(max_examples=25, deadline=None)
+    def test_invert(self, one, f1):
+        s = one[0]
+        if s.order < 1:
+            return
+        f = fps.DeltaSeries(fps.Series(s.order, (0, f1) + s.coeffs[2:], sc.join_ring(s.ring, sc.ring_of(f1))))
+        assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
+
+    @given(operands(2, max_deg=3))
+    @settings(max_examples=40, deadline=None)
+    def test_power_rows(self, pair):
+        start, base = pair
+        base = fps.Series(base.order, (0,) + base.coeffs[1:], base.ring)
+        got = st._power_rows(start, base, start.order)
+        want = ref.power_rows(start, base, start.order)
+        assert got == want
+        assert [[type(c) for c in r] for r in got] == [[type(c) for c in r] for r in want]
+
+    @pytest.mark.parametrize("h", [2**3 - 1, 2**31 - 1, 2**64 - 1])
+    def test_sums_at_the_edge_of_the_width(self, h):
+        for n in (0, 1, 2, 3, 6):
+            for deg in (1, 2, 3, 6):
+                for sign in (1, -1):
+                    a = tight_series(n, deg, h, sign)
+                    b = tight_series(n, deg, -h, sign)
+                    assert_same(fps.mul(a, b), ref.mul(a, b))
+                    assert_same(fps.mul(b, b), ref.mul(b, b))
+                    g = fps.Series(n, a.coeffs, sc.RING_QL)
+                    f = fps.Series(n, (0,) + b.coeffs[1:])
+                    assert_same(fps.compose(g, f), ref.horner_compose(g, f))
+
+    @pytest.mark.parametrize("h", [1, 2**7 - 1, 2**40 - 1])
+    def test_comtet_at_the_edge_of_the_width(self, h):
+        # monomial l-coefficients leave no cancellation: the top entry of
+        # every sum equals its l1 norm
+        for n in (1, 4, 9):
+            for base in (fps.Series(n, [0] + [h * L] * n), fps.Series(n, [0] + [-h * L**2] * n)):
+                for start in (fps.one(n), fps.Series(n, [h * L] * (n + 1))):
+                    want = ref.power_rows(start, base, n)
+                    assert st._power_rows(start, base, n) == want
+
+    def test_recurrences_widen_as_outputs_grow(self):
+        # the outputs outgrow the first width many times over
+        n = 24
+        h = 2**20 - 1
+        a = fps.Series(n, [1 + h * L + L**2] + [h * L**3 - L] * n)
+        b = fps.Series(n, [Fraction(1, 3)] + [Fraction(h, 7) * L - h] * n)
+        assert_same(fps.div(a, b), ref.div(a, b))
+        f = fps.Series(n, [0] + [h * L**2 - Fraction(1, 5)] * n)
+        assert_same(fps.exp_series(f), ref.exp_series(f))
+
+
+def test_reference_shares_no_kernel():
+    """tests/reference.py reads nothing of fps or stirling but the Series
+    and DeltaSeries types, so no kernel can become part of its own oracle."""
+    allowed = {"Series", "DeltaSeries"}
+    guarded = {"deltaseries.fps", "deltaseries.stirling"}
+    tree = ast.parse(pathlib.Path(ref.__file__).read_text())
+    names = set()  # local names bound to a guarded module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name in guarded for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in guarded:
+                assert all(a.name in allowed for a in node.names), ast.unparse(node)
+            elif node.module == "deltaseries":
+                names |= {a.asname or a.name for a in node.names if "deltaseries." + a.name in guarded}
+    assert "fps" in names  # the check below sees the module
+    used = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id in names]
+    assert {n.attr for n in used} <= allowed, sorted({n.attr for n in used} - allowed)
+    # every other use of the module name (getattr(fps, ...), an alias) is refused
+    bare = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names]
+    assert len(bare) == len(used)
 
 
 class TestTranscendental:

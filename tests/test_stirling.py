@@ -339,6 +339,23 @@ class TestRingKeys:
 
 
 class TestTheoremPaths:
+    def test_short_triangle_is_an_error(self):
+        # t + t^2: each S2 formula reads rows past max_n = 4 of this triangle
+        f = delta(0, 1, 1, 0, 0, 0, 0, 0, 0)
+        short = st.s2_assoc(f, 4)
+        calls = [
+            lambda s2: st.schloemilch_s1(f, 4, 1, s2),
+            lambda s2: st.bernoulli_via_s2(f, 2, 4, s2),
+            lambda s2: st.bernoulli_via_s2_alpha1(f, 4, s2),
+            lambda s2: st.lemma_bell_moments_sum(f, 4, 2, s2),
+            lambda s2: st.assoc_log_expansion(f, 4, s2),
+        ]
+        for call in calls:
+            with pytest.raises(InsufficientOrder):
+                call(short)
+            call(st.s2_assoc(f, 8))
+        assert st.schloemilch_s1(f, 4, 1, st.s2_assoc(f, 8)) == st.s1_assoc(f, 4).entry(4, 1) == 16
+
     def test_s1_via_bernoulli(self):
         f = f_identity()
         s1 = st.s1_assoc(f, 8)
