@@ -5,13 +5,20 @@ the ordinary coefficients of t^n.  All generating functions in this package
 are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
-Over Q the kernels run fraction-free: ``mul``, the linear-combination
-blocks of composition, ``div`` and ``exp_series`` turn their operands into
-Python int numerators over one common denominator (``_int_view``), run
-their inner loops on those ints, and reduce once per output coefficient
-with ``Fraction(num, den)``; the two recurrences keep their outputs so far
-over a running lcm denominator (``_push``).  When any coefficient lies in
-Q[l] or Q(l), each kernel runs its plain loop on the scalars themselves.
+Over Q and Q[l] the kernels run on Python ints: ``mul``, the
+linear-combination blocks of composition (``_block``), ``div`` and
+``exp_series`` view their operands as integer-coefficient polynomials in l
+over one common denominator (``_int_view``), pack each polynomial into one
+int by Kronecker substitution l = 2^B (``_pack``), run their inner loops on
+those ints, and unpack and reduce once per output coefficient
+(``_scalars``).  A rational coefficient is a polynomial of degree 0, whose
+packing is its own numerator, so Q runs the same loops with nothing to pack
+(width 0).  The width B comes from the bit sizes of the actual operands and
+bounds every sum a kernel forms, so the balanced base-2^B digits of a
+packed sum are its l-coefficients.  The two recurrences (``_recurrence``)
+keep their outputs so far packed over a running lcm denominator and widen
+B as those outputs grow.  When any coefficient lies in Q(l), each kernel
+runs its plain loop on the scalars themselves.
 
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
@@ -197,6 +204,11 @@ def _bits(xs, deg):
     if not deg:
         return max(map(abs, xs), default=0).bit_length()
     return max((max(map(abs, p), default=0) for p in xs), default=0).bit_length()
+
+
+def _norms(xs, deg):
+    """The l1 norm of each polynomial of a view."""
+    return [sum(map(abs, p)) for p in xs] if deg else list(map(abs, xs))
 
 
 def _width(bits, terms):
@@ -418,7 +430,8 @@ def _eval_at_powers(g, steps):
 
 
 def _block(g, start, steps, packed):
-    """sum_j g[start + j] f^j over the baby steps f^j, j < k, as a Series."""
+    """sum_j g[start + j] f^j over the baby steps f^j, j < k, as a Series:
+    on the ints _eval_at_powers packed, else on the scalars."""
     n, k = g.order, len(steps) - 1
     used = [j for j in range(min(k, n + 1 - start)) if g.coeffs[start + j]]
     if packed:

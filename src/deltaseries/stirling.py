@@ -87,13 +87,14 @@ def _power_rows(start, base, max_n):
         B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
 
     a start other than 1 is one binomial convolution with its EGF
-    coefficients s_m.  Over Q and Q[l] both run on ints: the numerator
-    polynomials of s and b over their common denominators e and d, each
-    packed into one int (``fps._pack``) at a width B that bounds every sum,
-    taken from the same recurrence run on the l1 norms of those polynomials
-    (the l1 norm of a product is at most the product of the norms).  Entry
-    (n, k) is the unpacked result over e d^k.  Over Q(l) they run on the
-    scalars themselves.
+    coefficients s_m.  Over Q and Q[l] both run on ints: s and b become
+    integer polynomials in l over their common denominators e and d, each
+    packed into one int (``fps._pack``), and entry (n, k) is the unpacked
+    result over e d^k.  The width bounds every sum because the same
+    recurrence, run first on the l1 norms of those polynomials, bounds the
+    l1 norm of each sum (the norm of a product is at most the product of
+    the norms).  Over Q the norms are not needed: nothing is packed.  Over
+    Q(l) both run on the scalars themselves.
     """
     s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
     b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
@@ -104,9 +105,8 @@ def _power_rows(start, base, max_n):
     (xs, e, ds), (xb, d, db) = sv, bv
     B = 0
     if ds + db:
-        norms = [[sum(map(abs, p)) for p in x] if deg else list(map(abs, x)) for x, deg in ((xs, ds), (xb, db))]
-        bell = _bell_columns(norms[1], 0, 1)
-        B = max(max(col) for col in bell + _convolve(norms[0], bell, 0, 1)).bit_length() + 1
+        bell = _bell_columns(fps._norms(xb, db), 0, 1)
+        B = max(max(col) for col in bell + _convolve(fps._norms(xs, ds), bell, 0, 1)).bit_length() + 1
     cols = _convolve(fps._packs(xs, ds, B), _bell_columns(fps._packs(xb, db, B), 0, 1), 0, 1)
     cols = [fps._scalars(col[k:], B, e * d**k) for k, col in enumerate(cols)]
     return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
