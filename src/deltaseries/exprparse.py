@@ -470,7 +470,7 @@ def _eval_pow(base, exponent, via_sqrt=False):
     what = "sqrt" if via_sqrt else "t^(%s)" % exponent
     c = base.coeffs[0]
     limit = sys.get_int_max_str_digits()
-    # past these bounds c^e certainly has a number of more digits than any
+    # past these bounds a number in c^e certainly has more digits than any
     # output can print: 1000 * bits >= 3322 * limit, for 3.322 > log2(10)
     if limit and isinstance(c, Fraction):
         # c^e's numerator and denominator have |e| times the digits of c's;

@@ -493,6 +493,25 @@ class TestPackedKernels:
                     want = ref.power_rows(start, base, n)
                     assert st._power_rows(start, base, n) == want
 
+    def test_recurrence_sums_at_the_edge_of_the_width(self):
+        # a / b = x for b = 1 + h t + h t^2 + ... and a[n] = x (1 + h n): the
+        # step-n sum is h n x, n equal terms over a constant c = b
+        n = 31
+        for h in (1, 2**16 - 1):
+            for x in (1 + L, 2**31 - 1 - (2**31 - 1) * L**2):
+                a = fps.Series(n, [x * (1 + h * m) for m in range(n + 1)])
+                b = fps.Series(n, [1] + [h] * n)
+                assert_same(fps.div(a, b), ref.div(a, b))
+
+    def test_block_sums_at_the_edge_of_the_width(self):
+        # f^j[i] = C(i-1, j-1) for f = t + t^2 + ...: the k baby steps add up
+        # at one index to more than the largest of them; the lone l-term
+        # makes the steps polynomials in l
+        n, h = 25, 2**40 - 1
+        g = fps.Series(n, [h] * (n + 1))
+        f = fps.Series(n, [0] + [1] * (n - 1) + [1 + L])
+        assert_same(fps.compose(g, f), ref.horner_compose(g, f))
+
     def test_recurrences_widen_as_outputs_grow(self):
         # the outputs outgrow the first width many times over
         n = 24
