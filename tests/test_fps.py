@@ -378,7 +378,7 @@ def l_poly(draw, max_deg=6):
 
 def l_rat(max_deg):
     # a Q(l) value with a non-constant denominator
-    return hst.builds(lambda p, q: p / (q + L), l_poly(max_deg), l_poly(1))
+    return hst.builds(lambda p, q: p / (1 + q * L), l_poly(max_deg), l_poly(1))
 
 
 @hst.composite
