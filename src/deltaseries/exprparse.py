@@ -400,11 +400,7 @@ def eval_expr(e, order, lambda_mode=sc.LAMBDA_ABSENT):
     lam = sc.resolve_lambda_mode(lambda_mode)
     if lam is None and uses_lambda(e):
         raise LambdaModeRequired("expression uses lambda; pass a lambda mode")
-    s = _eval(e, order, lam, {})
-    if isinstance(lam, sc.LPoly) and uses_lambda(e):
-        # over Q[l] at every order, also when no power of l survives truncation
-        s = fps.Series(order, s.coeffs, sc.join_ring(s.ring, sc.RING_QL))
-    return s
+    return _eval(e, order, lam, {})
 
 
 def _eval(e, order, lam, memo):

@@ -289,7 +289,7 @@ def _recurrence(u, c, e):
     so far is repacked.  B is 0 (nothing packed) when u and c are constants.
     """
     (xu, ud, du), (xc, cd, dc) = u, c
-    hc = _bits(xc, dc) if du + dc else 0
+    hc = _bits(xc, dc)
     B = _width(hc, 1) if du + dc else 0
     ck = _packs(xc, dc, B)
     out, nums, den = [], [], 1
@@ -336,10 +336,9 @@ def div(a, b):
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
     ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
     if ia and ib and b0.__class__ is Fraction:
-        # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0], b[0] = b0n / bd
-        xb, _, db = ib
-        b0n = xb[0][0] if db else xb[0]
-        return Series(a.order, _recurrence(ia, ib, [b0n] * (a.order + 1)), ring)
+        # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0], b[0] = e / bd
+        e = b0.numerator * (ib[1] // b0.denominator)
+        return Series(a.order, _recurrence(ia, ib, [e] * (a.order + 1)), ring)
     out = []
     for n in range(a.order + 1):
         acc = a.coeffs[n]
