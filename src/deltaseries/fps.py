@@ -5,20 +5,29 @@ the ordinary coefficients of t^n.  All generating functions in this package
 are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
-Over Q and Q[l] the kernels run on Python ints: ``mul``, the
-linear-combination blocks of composition (``_block``), ``div`` and
-``exp_series`` view their operands as integer-coefficient polynomials in l
-over one common denominator (``_int_view``), pack each polynomial into one
-int by Kronecker substitution l = 2^B (``_pack``), run their inner loops on
-those ints, and unpack and reduce once per output coefficient
-(``_scalars``).  A rational coefficient is a polynomial of degree 0, whose
-packing is its own numerator, so Q runs the same loops with nothing to pack
-(width 0).  The width B comes from the bit sizes of the actual operands and
-bounds every sum a kernel forms, so the balanced base-2^B digits of a
-packed sum are its l-coefficients.  The two recurrences (``_recurrence``)
-keep their outputs so far packed over a running lcm denominator and widen
-B as those outputs grow.  When any coefficient lies in Q(l), each kernel
-runs its plain loop on the scalars themselves.
+In all three rings the kernels run on Python ints, by one route: ``mul``,
+the linear-combination blocks of composition (``_eval_at_powers``), ``div``
+and ``exp_series`` (and ``add`` and ``sub`` over Q(l)) view coefficient i
+of each operand as an integer-coefficient polynomial in l over
+den P^(w i + s) (``_int_view``).  P is the primitive squarefree polynomial
+whose powers every l-denominator of the operands divides (``_base``; 1 over
+Q and Q[l]), den one integer, w a weight shared by the operands and s a
+shift of each.  This is the substitution t -> t / P^w, which commutes with
+products, exp, composition and partial Bell polynomials (Comtet,
+*Advanced Combinatorics*, 1974, 3.3), so every result keeps that shape:
+the inverse fbar of f and e^fbar - 1 have w = 2 and P the squarefree part
+of f1, as Lagrange inversion puts [t^n] fbar over a divisor of f1^(2n-1).
+The kernels pack each polynomial into one int by Kronecker substitution
+l = 2^B (``scalar._pack``), run their inner loops on those ints, and unpack
+and reduce once per output coefficient (``_scalars``): P is stripped by
+trial division (``scalar._reduce``), with a gcd only when P has degree 2
+or more.  A rational coefficient is a polynomial of degree 0, whose packing
+is its own numerator, so Q runs the same loops with nothing to pack (width
+0).  The width B comes from the bit sizes of the actual operands and bounds
+every sum a kernel forms, so the balanced base-2^B digits of a packed sum
+are its l-coefficients.  The two recurrences (``_recurrence``) keep their
+outputs so far packed over a running lcm denominator and widen B as those
+outputs grow.
 
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
@@ -38,6 +47,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import scalar as sc
+from .scalar import _pack, _part, _pmul, _reduce, _unpack
 from .errors import (
     BadConstantTerm,
     IndexOutOfOrder,
@@ -58,7 +68,7 @@ class Series:
 
     def __init__(self, order, coeffs, ring=None):
         # a Fraction is canonical; anything else may come from outside arithmetic
-        coeffs = tuple(c if c.__class__ is Fraction else sc.simplify(c) for c in coeffs)
+        coeffs = tuple([c if c.__class__ is Fraction else sc.simplify(c) for c in coeffs])
         if len(coeffs) != order + 1:
             raise ValueError("need %d coefficients, got %d" % (order + 1, len(coeffs)))
         inferred = sc.RING_Q
@@ -161,7 +171,7 @@ def add(a, b):
     _check_orders(a, b)
     return Series(
         a.order,
-        tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
+        [x + y for x, y in zip(a.coeffs, b.coeffs)],
         sc.join_ring(a.ring, b.ring),
     )
 
@@ -170,7 +180,7 @@ def sub(a, b):
     _check_orders(a, b)
     return Series(
         a.order,
-        tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
+        [x - y for x, y in zip(a.coeffs, b.coeffs)],
         sc.join_ring(a.ring, b.ring),
     )
 
@@ -179,24 +189,65 @@ def scale(a, v):
     v = sc.simplify(v)
     return Series(
         a.order,
-        tuple(c * v for c in a.coeffs),
+        [c * v for c in a.coeffs],
         sc.join_ring(a.ring, sc.ring_of(v)),
     )
 
 
-def _int_view(coeffs):
-    """(xs, den, deg): coeffs[i] == xs[i] / den over the lcm den of every
-    l-coefficient's denominator, each xs[i] an int polynomial of degree at
-    most deg.  At deg 0 the xs are ints, otherwise lists of l-coefficients,
-    low first.  None when a coefficient lies in Q(l)."""
-    if all(c.__class__ is Fraction for c in coeffs):
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return [c.numerator * (den // c.denominator) for c in coeffs], den, 0
-    if any(c.__class__ is not sc.LPoly for c in coeffs if c.__class__ is not Fraction):
-        return None
-    parts = [(c,) if c.__class__ is Fraction else c.coeffs for c in coeffs]
-    den = math.lcm(*(x.denominator for p in parts for x in p))
-    return [[x.numerator * (den // x.denominator) for x in p] for p in parts], den, max(map(len, parts)) - 1
+def _base(*items):
+    """P (``scalar._base``) for the scalars of items: Series, or sequences of
+    scalars.  A Series not declared over Q(l) has no l-denominator."""
+    return sc._base([c for x in items if x.__class__ is not Series or x.ring == sc.RING_QLRAT
+                     for c in (x.coeffs if x.__class__ is Series else x) if c.__class__ is sc.LRat])
+
+
+def _parts(coeffs, P):
+    """_part(c, P) of each coefficient c, None for a zero one."""
+    return [_part(c, P) if c else None for c in coeffs]
+
+
+def _weight(parts, a=0):
+    """The least w >= 0 with every part i >= 1 over P^(w i - a): its k is at
+    most w i - a."""
+    return max([0] + [-((-p[2] - a) // i) for i, p in enumerate(parts) if i and p])
+
+
+def _shift(parts, w):
+    """The least s with every part i over P^(w i + s) (0 when there is none)."""
+    return max((p[2] - w * i for i, p in enumerate(parts) if p), default=0)
+
+
+def _line(n, w, s):
+    """The exponents w i + s of P for i = 0..n."""
+    return [w * i + s for i in range(n + 1)]
+
+
+def _frame(P, *seqs):
+    """(w, shifts, parts): the least weight w >= 0 with seq[i] over P^(w i)
+    for every i >= 1, each sequence's least shift s at w (it lies over
+    P^(w i + s)) and its _parts."""
+    parts = [_parts(seq, P) for seq in seqs]
+    w = max(map(_weight, parts))
+    return w, [_shift(p, w) for p in parts], parts
+
+
+def _int_view(coeffs, P=sc.NO_P, exps=None, parts=None):
+    """(xs, den, deg): coeffs[i] == xs[i] / (den P^exps[i]) over one int den,
+    each xs[i] an int polynomial of degree at most deg, for P from _base and
+    exps[i] at least the k of _part(coeffs[i], P); parts, when given, are
+    the _parts of coeffs.  At deg 0 the xs are ints, otherwise lists of
+    l-coefficients, low first.  For P = (1,) the exps are not read: den is
+    the lcm of every l-coefficient's denominator."""
+    if len(P) == 1:
+        if all(c.__class__ is Fraction for c in coeffs):
+            den = math.lcm(*[c.denominator for c in coeffs])
+            return [c.numerator * (den // c.denominator) for c in coeffs], den, 0
+        parts = [(c,) if c.__class__ is Fraction else c.coeffs for c in coeffs]
+        den = math.lcm(*[x.denominator for p in parts for x in p])
+        return [[x.numerator * (den // x.denominator) for x in p] for p in parts], den, max(map(len, parts)) - 1
+    xs, den = sc._over(parts or _parts(coeffs, P), P, exps)
+    deg = max(map(len, xs)) - 1
+    return (xs, den, deg) if deg else ([x[0] for x in xs], den, 0)
 
 
 def _bits(xs, deg):
@@ -217,38 +268,16 @@ def _width(bits, terms):
     return bits + terms.bit_length() + 1
 
 
-def _pack(p, B):
-    """The int polynomial p (a list, low first) at l = 2^B: Kronecker substitution."""
-    x = 0
-    for c in reversed(p):
-        x = (x << B) + c
-    return x
-
-
 def _packs(xs, deg, B):
     """The polynomials of a view packed at width B; an int packs as itself."""
     return [_pack(p, B) for p in xs] if deg else xs
 
 
-def _unpack(x, B):
-    """The balanced base-2^B digits of x, low first, each in
-    [-2^(B-1), 2^(B-1)), up to the last nonzero one; [x] at width 0."""
-    if not B:
-        return [x]
-    mask, half = (1 << B) - 1, 1 << (B - 1)
-    out = []
-    while x:
-        d = x & mask
-        if d >= half:
-            d -= mask + 1  # a negative digit borrows from the next one
-        out.append(d)
-        x = (x - d) >> B
-    return out
-
-
-def _scalars(xs, B, den):
-    """The canonical scalars x / den of the polynomials xs packed at width B;
-    width 0 means every x is a constant."""
+def _scalars(xs, B, den, P=sc.NO_P, exps=None):
+    """The canonical scalars x / (den P^exps[i]) of the polynomials xs packed
+    at width B; for P = (1,) at width 0 every x is a constant."""
+    if len(P) > 1:
+        return [_reduce(_unpack(x, B), den, P, e) for x, e in zip(xs, exps)]
     if not B:
         return [Fraction(x, den) for x in xs]
     return [sc._poly([Fraction(c, den) for c in _unpack(x, B)]) for x in xs]
@@ -256,66 +285,83 @@ def _scalars(xs, B, den):
 
 def mul(a, b):
     """Truncated Cauchy product."""
+    return _mul_add(a, b)
+
+
+def _mul_add(a, b, c=None):
+    """a b + c, the truncated Cauchy product plus c when given: the Horner
+    step of composition, whose sum then needs no gcd over Q(l)."""
     _check_orders(a, b)
-    n = a.order
+    n, extra = a.order, [c] if c else []
+    P = _base(a, b, *extra)
+    ea = eb = eo = None  # exponents of P, none for P = 1
+    if len(P) > 1:
+        w, ss, parts = _frame(P, a.coeffs, b.coeffs, *[x.coeffs for x in extra])
+        so = max([ss[0] + ss[1]] + ss[2:])
+        ea, eb, eo = _line(n, w, ss[0]), _line(n, w, so - ss[0]), _line(n, w, so)
+    else:
+        parts = [None] * 3
+    (xa, ad, da), (xb, bd, db) = _int_view(a.coeffs, P, ea, parts[0]), _int_view(b.coeffs, P, eb, parts[1])
+    bits, terms, den, dc = _bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1), ad * bd, 0
+    if c:
+        xc, cd, dc = _int_view(c.coeffs, P, eo, parts[-1])
+        den = math.lcm(den, cd)
+        ma, mc = den // (ad * bd), den // cd
+        # ma times each of the terms products, and one term mc c[m]
+        bits, terms = max(bits + ma.bit_length(), _bits(xc, dc) + mc.bit_length()), terms + 1
+    B = _width(bits, terms) if da + db + dc else 0
+    an, rb = _packs(xa, da, B), _packs(xb, db, B)[::-1]
+    sums = [sum(map(operator.mul, an[:m + 1], rb[n - m:])) for m in range(n + 1)]
     ring = sc.join_ring(a.ring, b.ring)
-    ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
-    if ia and ib:
-        (xa, ad, da), (xb, bd, db) = ia, ib
-        B = _width(_bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1)) if da + db else 0
-        an, rb = _packs(xa, da, B), _packs(xb, db, B)[::-1]
-        return Series(n, _scalars([sum(map(operator.mul, an[:m + 1], rb[n - m:])) for m in range(n + 1)],
-                                  B, ad * bd), ring)
-    av, bv = a.coeffs, b.coeffs
-    out = []
-    for m in range(n + 1):
-        acc = _ZERO
-        for i in range(m + 1):
-            ai = av[i]
-            bj = bv[m - i]
-            if ai and bj:
-                acc = acc + ai * bj
-        out.append(acc)
-    return Series(n, out, ring)
+    if c:
+        sums = [ma * s + mc * x for s, x in zip(sums, _packs(xc, dc, B))]
+        ring = sc.join_ring(ring, c.ring)
+    return Series(n, _scalars(sums, B, den, P, eo), ring)
 
 
-def _recurrence(u, c, e):
-    """out[n] = (u[n] - sum_{k=1}^{n} c[k] out[n-k]) * cd / e[n] for the int
-    views u and c = (xs, cd, deg) and the ints e[n].
+def _recurrence(u, c, g, e, P, E):
+    """out[n] = (u[n] - sum_{k=1}^{n} c[k] out[n-k]) cd g / e[n] for the int
+    views u = (xs, ud, deg) over P^(E[n] - a) and c = (xs, cd, deg) over
+    P^(w k - a), the factor g = (gam, gd, a) == gam / (gd P^a) and the ints
+    e[n]; out[n] lies over P^E[n], E[n] = w n + s.
 
-    The outputs so far are kept packed at one width B over their lcm den.
-    Each step forms the packed sum, unpacks and reduces the new output and
-    packs it.  Before the next sum could overflow B, B grows and everything
-    so far is repacked.  B is 0 (nothing packed) when u and c are constants.
+    The outputs so far are kept packed at one width B over their lcm den and
+    P^E[n]: the terms of each sum then share the exponent of u[n].  Each
+    step forms the packed sum, unpacks it, multiplies by gam, reduces the new
+    output once and packs its numerator.  Before the next sum could overflow
+    B, B grows and everything so far is repacked.  B is 0 (nothing packed)
+    when u, c and gam are constants.
     """
-    (xu, ud, du), (xc, cd, dc) = u, c
+    (xu, ud, du), (xc, cd, dc), (gam, gd, _) = u, c, g
+    E = E or [0] * len(xu)
     hc = _bits(xc, dc)
-    B = _width(hc, 1) if du + dc else 0
+    B = _width(hc, 1) if du + dc + len(gam) - 1 else 0
     ck = _packs(xc, dc, B)
     out, nums, den = [], [], 1
     dn, hn = 0, 0  # degree and height bits of nums
     for n, un in enumerate(xu):
         s = sum(map(operator.mul, ck[1:n + 1], reversed(nums)))
-        cden, q = cd * den, ud * den * e[n]
-        if B:
-            v = sc._poly([Fraction(cden * ui - ud * si, q)
-                          for ui, si in zip_longest(un if du else (un,), _unpack(s, B), fillvalue=0)])
-            frs = v.coeffs if v.__class__ is sc.LPoly else (v,)
-            dv = math.lcm(*[f.denominator for f in frs])
-            x = [f.numerator * (dv // f.denominator) for f in frs]  # v = x / dv
+        cden, q = cd * den, ud * den * gd * e[n]
+        if B or len(P) > 1:
+            x = [cden * ui - ud * si for ui, si in zip_longest(un if du else (un,), _unpack(s, B), fillvalue=0)]
+            x = _pmul(x, gam)
+            h = math.gcd(q, *x)
+            x, dv = [y // h for y in x], q // h  # the new output is x / (dv P^E[n])
+            v = _reduce(x, dv, P, E[n])
             m = dv // math.gcd(den, dv)
-            # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
-            hn = max(hn + (m - 1).bit_length(), (max(map(abs, x), default=0) * (den * m // dv)).bit_length())
-            dn = max(dn, len(x) - 1)
-            need = _width(hc + hn, (n + 1) * (min(dc, dn) + 1))
-            if need > B:
-                W = need + (need >> 2)
-                nums = [_pack(_unpack(y, B), W) for y in nums]
-                ck = _packs(xc, dc, W)
-                B = W
+            if B:
+                # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
+                hn = max(hn + (m - 1).bit_length(), (max(map(abs, x), default=0) * (den * m // dv)).bit_length())
+                dn = max(dn, len(x) - 1)
+                need = _width(hc + hn, (n + 1) * (min(dc, dn) + 1))
+                if need > B:
+                    W = need + (need >> 2)
+                    nums = [_pack(_unpack(y, B), W) for y in nums]
+                    ck = _packs(xc, dc, W)
+                    B = W
             x = _pack(x, B)
         else:
-            v = Fraction(cden * un - ud * s, q)
+            v = Fraction((cden * un - ud * s) * gam[0], q)
             x, dv = v.numerator, v.denominator
             m = dv // math.gcd(den, dv)
         out.append(v)
@@ -329,25 +375,26 @@ def _recurrence(u, c, e):
 def div(a, b):
     """Exact series division; requires an invertible constant term in b."""
     _check_orders(a, b)
-    b0 = b.coeffs[0]
+    n, b0 = a.order, b.coeffs[0]
     if not b0:
         raise NonUnitConstantTerm("division by a series with zero constant term")
     inv0 = sc.scalar_inv(b0)
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
-    ia, ib = _int_view(a.coeffs), _int_view(b.coeffs)
-    if ia and ib and b0.__class__ is Fraction:
-        # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0], b[0] = e / bd
-        e = b0.numerator * (ib[1] // b0.denominator)
-        return Series(a.order, _recurrence(ia, ib, [e] * (a.order + 1)), ring)
-    out = []
-    for n in range(a.order + 1):
-        acc = a.coeffs[n]
-        for k in range(1, n + 1):
-            bk = b.coeffs[k]
-            if bk:
-                acc = acc - bk * out[n - k]
-        out.append(acc * inv0)
-    return Series(a.order, out, ring)
+    # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0]; b[0]'s factors are in P,
+    # so 1/b[0] is a polynomial over a power of P
+    c = (_ZERO,) + b.coeffs[1:]
+    P = _base(a, b, (inv0,))
+    gam, gd, ag = _part(inv0, P)
+    eu = ec = E = pa = pc = None
+    if len(P) > 1:
+        pa, pc = _parts(a.coeffs, P), _parts(c, P)
+        w = max(_weight(pa), _weight(pc, ag))
+        s = _shift(pa, w)
+        eu, ec, E = _line(n, w, s), _line(n, w, -ag), _line(n, w, s + ag)
+    cv = _int_view(c, P, ec, pc)
+    h = math.gcd(cv[1], *gam)  # the recurrence's factor is inv0 / cd
+    g = [x // h for x in gam], gd * (cv[1] // h), ag
+    return Series(n, _recurrence(_int_view(a.coeffs, P, eu, pa), cv, g, [1] * (n + 1), P, E), ring)
 
 
 def shift_down(a, k):
@@ -402,52 +449,37 @@ def _eval_at_powers(g, steps):
 
     Each block of k coefficients of g is a linear combination of the baby
     steps 1, f, ..., f^(k-1); the blocks are combined by Horner in f^k.
+    With f[i] over P^(w i + sig), f^j[i] lies over P^(w i + j sig), so g[m]
+    is viewed over P^(sg - sig m) and every term of the block at start lies
+    over P^(w i + sg - sig start).
     """
     k = len(steps) - 1
     n, d = g.order, _degree(g)
     f = steps[1]
-    gv = _int_view(g.coeffs)
-    sv = _int_view([c for s in steps[:k] for c in s.coeffs])
-    packed = None
-    if gv and sv:
-        # g and the baby steps each over one denominator, packed at one width
-        (xg, gden, dg), (xs, sden, ds) = gv, sv
-        B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
-        sk = _packs(xs, ds, B)
-        packed = (_packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)],
-                  B, gden * sden)
+    P = _base(g, f)  # the powers of f need nothing more
+    eg = es = pg = None
+    if len(P) > 1:
+        pf, pg = _parts(f.coeffs, P), _parts(g.coeffs, P)
+        w = _weight(pf)
+        sig = _shift(pf, w)
+        sg = _shift(pg, -sig)
+        eg, es = _line(n, -sig, sg), [w * i + j * sig for j in range(k) for i in range(n + 1)]
+    # g and the baby steps each over one denominator, packed at one width
+    xg, gden, dg = _int_view(g.coeffs, P, eg, pg)
+    xs, sden, ds = _int_view([c for s in steps[:k] for c in s.coeffs], P, es)
+    B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
+    sk = _packs(xs, ds, B)
+    gk, sk = _packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)]
     result = None
     for start in range(d - d % k, -1, -k):
-        block = _block(g, start, steps, packed)
-        if result is None:
-            result = block
-        else:
-            result = mul(result, steps[k])
-            if not block.is_zero():
-                result = add(result, block)
-    return Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
-
-
-def _block(g, start, steps, packed):
-    """sum_j g[start + j] f^j over the baby steps f^j, j < k, as a Series:
-    on the ints _eval_at_powers packed, else on the scalars."""
-    n, k = g.order, len(steps) - 1
-    used = [j for j in range(min(k, n + 1 - start)) if g.coeffs[start + j]]
-    if packed:
-        gk, sk, B, den = packed
         acc = [0] * (n + 1)
-        for j in used:
-            w, s = gk[start + j], sk[j]
-            # f^j has valuation at least j
-            acc[j:] = [x + w * y for x, y in zip(acc[j:], s[j:])]
-        return Series(n, _scalars(acc, B, den))
-    acc = [_ZERO] * (n + 1)
-    for j in used:
-        c, pj = g.coeffs[start + j], steps[j].coeffs
-        for i in range(j, n + 1):
-            if pj[i]:
-                acc[i] = acc[i] + c * pj[i]
-    return Series(n, acc)
+        for j in range(min(k, n + 1 - start)):
+            if g.coeffs[start + j]:
+                # f^j has valuation at least j
+                acc[j:] = [x + gk[start + j] * y for x, y in zip(acc[j:], sk[j][j:])]
+        block = Series(n, _scalars(acc, B, gden * sden, P, eg and _line(n, w, sg - sig * start)))
+        result = block if result is None else _mul_add(result, steps[k], block)
+    return Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
 
 
 class DeltaSeries:
@@ -558,23 +590,18 @@ def exp_series(f):
     """exp of a series with zero constant term."""
     if f.coeffs[0]:
         raise BadConstantTerm("exp needs zero constant term")
-    view = _int_view(f.coeffs)
-    if view:
-        # out[n] = sum_k k f[k] out[n-k] / n, f = xs / fd
-        xs, fd, deg = view
-        kf = [[-k * x for x in p] for k, p in enumerate(xs)] if deg else [-k * x for k, x in enumerate(xs)]
-        one = [1] + [0] * f.order, 1, 0
-        return Series(f.order, _recurrence(one, (kf, fd, deg), [fd] + [fd * n for n in range(1, f.order + 1)]),
-                      f.ring)
-    out = [_ONE]
-    for n in range(1, f.order + 1):
-        acc = _ZERO
-        for k in range(1, n + 1):
-            fk = f.coeffs[k]
-            if fk:
-                acc = acc + (Fraction(k) * fk) * out[n - k]
-        out.append(acc * Fraction(1, n))
-    return Series(f.order, out, f.ring)
+    # out[n] = sum_k k f[k] out[n-k] / n, f[k] over P^(w k): out[n] over P^(w n)
+    n = f.order
+    P = _base(f)
+    E = pf = None
+    if len(P) > 1:
+        pf = _parts(f.coeffs, P)
+        E = _line(n, _weight(pf), 0)
+    xs, fd, deg = _int_view(f.coeffs, P, E, pf)
+    kf = [[-k * x for x in p] for k, p in enumerate(xs)] if deg else [-k * x for k, x in enumerate(xs)]
+    one = [1] + [0] * n, 1, 0
+    e = [fd] + [fd * m for m in range(1, n + 1)]
+    return Series(n, _recurrence(one, (kf, fd, deg), ([1], 1, 0), e, P, E), f.ring)
 
 
 def log_series(g):

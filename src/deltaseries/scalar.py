@@ -22,6 +22,7 @@ and ``LRat`` made by their constructors).  All three types define
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -282,7 +283,11 @@ class LRat:
             return self.is_polynomial() and self.num == other
         return NotImplemented
 
+    # num/den plus a polynomial p stays reduced, gcd(num + p den, den) = gcd(num, den),
+    # and so does num/den times a nonzero rational: neither needs a gcd
     def __add__(self, other):
+        if isinstance(other, (int, Fraction, LPoly)):
+            return _lrat(self.num + other * self.den, self.den)
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -296,18 +301,21 @@ class LRat:
         return LRat(-self.num, self.den, _reduced=True)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction, LPoly)):
+            return _lrat(self.num - other * self.den, self.den)
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
         return lrat_reduce(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        other = _as_lrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (int, Fraction, LPoly)):
+            return _lrat(other * self.den - self.num, self.den)
+        return NotImplemented
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _lrat(self.num * other, self.den) if other else _ZERO
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -316,6 +324,8 @@ class LRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            return _lrat(self.num * (_ONE / other), self.den)
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -350,6 +360,13 @@ class LRat:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _lrat(num, den):
+    """num/den for num coprime to the monic den, as the simplest scalar."""
+    if den.degree:
+        return LRat(num, den, _reduced=True)
+    return _poly(list(as_lpoly(num).coeffs))
 
 
 def _as_lrat(v):
@@ -434,6 +451,169 @@ def eval_lambda(s, value):
     if isinstance(s, (int, Fraction)):
         return _as_frac(s)
     return s.eval(value)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials in l (lists of ints, low first), and the scalars they
+# give over powers of one polynomial P
+
+def _pack(p, B):
+    """The int polynomial p (a list, low first) at l = 2^B: Kronecker
+    substitution, halving long polynomials so the time is n log n in the
+    degree."""
+    if len(p) > 16:
+        m = len(p) >> 1
+        return _pack(p[:m], B) + (_pack(p[m:], B) << B * m)
+    x = 0
+    for c in reversed(p):
+        x = (x << B) + c
+    return x
+
+
+def _unpack(x, B):
+    """The balanced base-2^B digits of x, low first, each in
+    [-2^(B-1), 2^(B-1)), up to the last nonzero one; [x] at width 0.
+    Long numbers split in halves, as in _pack."""
+    if not B:
+        return [x]
+    m = (x.bit_length() + 1) // B >> 1  # half the digits of a long x
+    if m > 8:
+        H = ((1 << B * m) - 1) // ((1 << B) - 1) << (B - 1)  # m digits 2^(B-1)
+        lo = ((x + H) & ((1 << B * m) - 1)) - H  # the low m balanced digits
+        hi = _unpack((x - lo) >> B * m, B)
+        lo = _unpack(lo, B)
+        return lo + [0] * (m - len(lo)) + hi if hi else lo
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= mask + 1  # a negative digit borrows from the next one
+        out.append(d)
+        x = (x - d) >> B
+    return out
+
+
+def _ints(cs):
+    """(xs, d): the Fractions cs are xs / d over the lcm d of their denominators."""
+    d = math.lcm(*[x.denominator for x in cs])
+    return [x.numerator * (d // x.denominator) for x in cs], d
+
+
+def _pmul(a, b):
+    """The product of two int polynomials (lists, low first)."""
+    if len(b) == 1:
+        return [x * b[0] for x in a]
+    # a coefficient of the product is a sum of at most min(len) products
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    B = bits + min(len(a), len(b)).bit_length() + 1
+    return _unpack(_pack(a, B) * _pack(b, B), B)
+
+
+def _ppow(P, e):
+    """P^e for an int polynomial P and e >= 0; its coefficients lie below l1(P)^e."""
+    B = e * sum(map(abs, P)).bit_length() + 2
+    return _unpack(_pack(P, B) ** e, B)
+
+
+def _pdiv(a, b):
+    """a / b for int polynomials, b primitive; None unless b divides a.
+    By Gauss's lemma the quotient of a primitive divisor has int coefficients."""
+    a, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(a[i], b[-1])
+        if r:
+            return None
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    return None if any(a[:db]) else q
+
+
+def _cofactor(den, P):
+    """(q, k): 1/den == q / P^k for the monic polynomial den, the int
+    polynomial q and the least k; None when den divides no power of P."""
+    D = _ints(den.coeffs)[0]
+    g = math.gcd(*D)
+    D = [x // g for x in D]  # primitive; den is monic, so it is D / D[-1]
+    for k in range(-((1 - len(D)) // (len(P) - 1)) if len(P) > 1 else len(D), len(D)):
+        q = _pdiv(_ppow(P, k), D)  # 1/D == q / P^k
+        if q is not None:
+            return [x * D[-1] for x in q], k
+    return None
+
+
+def _part(c, P):
+    """(N, d, k): the nonzero scalar c == N / (d P^k) for the int polynomial N,
+    the int d and the least k, for P from _base."""
+    if c.__class__ is Fraction:
+        return [c.numerator], c.denominator, 0
+    if c.__class__ is LPoly:
+        N, d = _ints(c.coeffs)
+        return N, d, 0
+    q, k = _cofactor(c.den, P)
+    N, d = _ints(c.num.coeffs)
+    return _pmul(N, q), d, k
+
+
+NO_P = (1,)  # P (see _base) when no scalar has a denominator in l
+
+
+def _base(rats):
+    """P for the LRats rats: the primitive squarefree int polynomial, with a
+    positive leading coefficient, whose powers every denominator among them
+    divides; (1,) when there are none."""
+    P = NO_P
+    # the lowest degrees first: most denominators are powers of the first one
+    for c in sorted(rats, key=lambda c: len(c.den.coeffs)):
+        if _cofactor(c.den, P) is None:
+            D = c.den
+            L = D if D.degree == 1 else D.divmod(lpoly_gcd(D, D.derivative()))[0]  # squarefree part
+            if len(P) > 1:
+                Q = LPoly(P)
+                L = (Q * L).divmod(lpoly_gcd(Q, L))[0]  # lcm(P, L), monic
+            xs = _ints(L.coeffs)[0]
+            g = math.gcd(*xs)
+            P = tuple([x // g for x in xs])
+    return P
+
+
+def _over(parts, P, exps):
+    """(xs, den): the scalars of parts (each from _part, None for a zero one)
+    are xs[i] / (den P^exps[i]) over one int den, for int polynomials xs[i]
+    and exps[i] at least their k."""
+    den = math.lcm(*[p[1] for p in parts if p])
+    return [_pmul([x * (den // p[1]) for x in p[0]], _ppow(P, e - p[2])) if p else [0]
+            for p, e in zip(parts, exps)], den
+
+
+def _reduce(cs, den, P, e):
+    """The canonical scalar cs / (den P^e) for the int polynomial cs.
+
+    P is stripped by exact trial division.  When P has degree 2 or more, a
+    proper factor of it may still divide what is left: then each round
+    strips G = gcd(cs, P), of degree below P's, from cs and from P^e."""
+    if not any(cs):
+        return _ZERO
+    while e > 0:
+        q = _pdiv(cs, P)
+        if q is None:
+            break
+        cs, e = q, e - 1
+    D = _ppow(P, e)
+    for _ in range(e if len(P) > 2 else 0):
+        G = _ints(lpoly_gcd(LPoly(P), LPoly(cs)).coeffs)[0]
+        if len(G) == 1:
+            break
+        h = math.gcd(*G)
+        G = [x // h for x in G]
+        cs, D = _pdiv(cs, G), _pdiv(D, G)
+    num = [Fraction(c, den * D[-1]) for c in cs]
+    if len(D) == 1:
+        return _poly(num)
+    return LRat(LPoly(num), LPoly([Fraction(x, D[-1]) for x in D]), _reduced=True)
 
 
 # ---------------------------------------------------------------------------

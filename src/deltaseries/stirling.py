@@ -24,9 +24,6 @@ from .errors import (
     NonUnitBaseForRationalPower,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # ---------------------------------------------------------------------------
 # triangles
 
@@ -39,7 +36,7 @@ class Triangle:
     def __init__(self, kind, max_n, rows, ring):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "rows", tuple([tuple(r) for r in rows]))
         object.__setattr__(self, "ring", ring)
 
     def __setattr__(self, name, value):
@@ -87,50 +84,54 @@ def _power_rows(start, base, max_n):
         B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
 
     a start other than 1 is one binomial convolution with its EGF
-    coefficients s_m.  Over Q and Q[l] both run on ints: s and b become
-    integer polynomials in l over their common denominators e and d, each
-    packed into one int (``fps._pack``), and entry (n, k) is the unpacked
-    result over e d^k.  The width bounds every sum because the same
+    coefficients s_m.  Both run on ints in every ring: s_m and b_j become
+    integer polynomials in l over e P^(w m + ss) and d P^(w j + sb)
+    (``fps._int_view``), each packed into one int (``fps._pack``).  B_{n,k}
+    is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x) (Comtet,
+    3.3), so entry (n, k) is the unpacked result over e d^k P^(w n + k sb + ss).
+    Over Q and Q[l] P is 1.  The width bounds every sum because the same
     recurrence, run first on the l1 norms of those polynomials, bounds the
     l1 norm of each sum (the norm of a product is at most the product of
-    the norms).  Over Q the norms are not needed: nothing is packed.  Over
-    Q(l) both run on the scalars themselves.
+    the norms).  Over Q the norms are not needed: nothing is packed.
     """
     s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
     b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
-    sv, bv = fps._int_view(s), fps._int_view(b)
-    if not (sv and bv):
-        cols = _convolve(s, _bell_columns(b, _ZERO, _ONE), _ZERO, _ONE)
-        return [[cols[k][n] for k in range(n + 1)] for n in range(max_n + 1)]
-    (xs, e, ds), (xb, d, db) = sv, bv
+    P = fps._base(start, base)
+    es = eb = None  # exponents of P, none for P = 1
+    parts = [None] * 2
+    if len(P) > 1:
+        w, (ss, sb), parts = fps._frame(P, s, b)
+        es, eb = fps._line(max_n, w, ss), fps._line(max_n, w, sb)
+    (xs, e, ds), (xb, d, db) = fps._int_view(s, P, es, parts[0]), fps._int_view(b, P, eb, parts[1])
     B = 0
     if ds + db:
-        bell = _bell_columns(fps._norms(xb, db), 0, 1)
-        B = max(max(col) for col in bell + _convolve(fps._norms(xs, ds), bell, 0, 1)).bit_length() + 1
-    cols = _convolve(fps._packs(xs, ds, B), _bell_columns(fps._packs(xb, db, B), 0, 1), 0, 1)
-    cols = [fps._scalars(col[k:], B, e * d**k) for k, col in enumerate(cols)]
+        bell = _bell_columns(fps._norms(xb, db))
+        B = max(max(col) for col in bell + _convolve(fps._norms(xs, ds), bell)).bit_length() + 1
+    cols = _convolve(fps._packs(xs, ds, B), _bell_columns(fps._packs(xb, db, B)))
+    cols = [fps._scalars(col[k:], B, e * d**k, P, es and fps._line(max_n - k, w, (w + sb) * k + ss))
+            for k, col in enumerate(cols)]
     return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
 
 
-def _bell_columns(b, zero, one):
-    """cols[k][n] = B_{n,k}(b_1, b_2, ...) by Comtet's recurrence."""
+def _bell_columns(b):
+    """cols[k][n] = B_{n,k}(b_1, b_2, ...) by Comtet's recurrence, on ints."""
     max_n = len(b) - 1
     # w[n][j] = C(n-1, j-1) b_j, shared by every column of row n
-    w = [[zero] + [math.comb(n - 1, j - 1) * b[j] for j in range(1, n + 1)] for n in range(max_n + 1)]
-    cols = [[one] + [zero] * max_n]
+    w = [[0] + [math.comb(n - 1, j - 1) * b[j] for j in range(1, n + 1)] for n in range(max_n + 1)]
+    cols = [[1] + [0] * max_n]
     for k in range(1, max_n + 1):
         prev = cols[-1]
-        cols.append([zero] * k + [sum(map(operator.mul, w[n][1:n - k + 2], reversed(prev[k - 1:n])))
-                                  for n in range(k, max_n + 1)])
+        cols.append([0] * k + [sum(map(operator.mul, w[n][1:n - k + 2], reversed(prev[k - 1:n])))
+                               for n in range(k, max_n + 1)])
     return cols
 
 
-def _convolve(s, cols, zero, one):
+def _convolve(s, cols):
     """The EGF product of s with each column: sum_m C(n, m) s_m cols[k][n - m]."""
-    if s[0] == one and not any(s[1:]):
+    if s[0] == 1 and not any(s[1:]):
         return cols
     ms = [m for m, x in enumerate(s) if x]
-    return [[sum((math.comb(n, m) * s[m] * col[n - m] for m in ms if m <= n - k), zero)
+    return [[sum(math.comb(n, m) * s[m] * col[n - m] for m in ms if m <= n - k)
              for n in range(len(s))] for k, col in enumerate(cols)]
 
 

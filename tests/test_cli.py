@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from deltaseries import cli
 from deltaseries import scalar as sc
@@ -256,6 +260,15 @@ class TestHostileInput:
         assert out.splitlines() == ["[t^%d] %s" % (m, sc.format_scalar(math.comb(20, m) * c ** (20 - m)))
                                     for m in range(3)]
 
+    def test_long_lambda_power_is_fast(self, capsys):
+        # l-degree 20000 with small coefficients: packing is n log n in the degree
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--f", "(lambda+t)^(20000)", "--lambda", "symbolic", "--order", "2")
+        assert code == 0
+        assert out.splitlines() == ["[t^0] 1*l^20000", "[t^1] 20000*l^19999",
+                                    "[t^2] %d*l^19998" % math.comb(20000, 2)]
+        assert time.perf_counter() - start < 4
+
     def test_huge_root_index_fails_at_once(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "eval", "--f", "(4+t)^(1/100000000)", "--order", "3")
@@ -269,6 +282,33 @@ class TestHostileInput:
         assert "(order+1) = 5" in err and "DELTASERIES_MAX_ORDER" in err
         code, _, _ = run(capsys, "bernoulli", "--f", "t", "--alpha", "1", "--n", "3")
         assert code == 0
+
+
+# expressions over Q(l): lambda in numerators and denominators, poles in t
+FUZZ_ATOMS = ["t", "lambda", "2", "1/3", "(lambda+1)", "(lambda^2-lambda)", "(1-t)", "exp(t)", "log(1+t)"]
+fuzz_expr = hst.recursive(
+    hst.sampled_from(FUZZ_ATOMS),
+    lambda inner: hst.one_of(hst.tuples(inner, hst.sampled_from("+-*/"), inner).map("(%s%s%s)".__mod__),
+                             hst.tuples(inner, hst.sampled_from(["2", "3", "(-1)"])).map("(%s)^%s".__mod__)),
+    max_leaves=6)
+FUZZ_COMMANDS = [["eval", "--order", "4"], ["invert", "--order", "5"], ["log", "--order", "4"],
+                 ["table", "--kind", "s2", "--n", "4"], ["table", "--kind", "s1", "--n", "4"],
+                 ["bernoulli", "--alpha", "2", "--n", "3"]]
+
+
+class TestFuzzSymbolicLambda:
+    @given(fuzz_expr, hst.sampled_from(FUZZ_COMMANDS), hst.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_and_time(self, expr, command, times_t):
+        # t*(...) gives most expressions the zero constant term of a delta series
+        argv = command[:1] + ["--f", "t*" + expr if times_t else expr, "--lambda", "symbolic"] + command[1:]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue()
+        assert time.perf_counter() - start < 5, argv
 
 
 class TestPresetsList:

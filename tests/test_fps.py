@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from deltaseries import exprparse as ep
 from deltaseries import fps
 from deltaseries import presets as pr
 from deltaseries import scalar as sc
@@ -521,6 +522,160 @@ class TestPackedKernels:
         assert_same(fps.div(a, b), ref.div(a, b))
         f = fps.Series(n, [0] + [h * L**2 - Fraction(1, 5)] * n)
         assert_same(fps.exp_series(f), ref.exp_series(f))
+
+
+# Denominator families for Q(l): a linear P, an irreducible quadratic, a
+# reducible squarefree P = l^2 - l (trial division by P leaves a factor of
+# it, so the gcd fallback runs), and coprime factors mixed.
+DEN_FAMILIES = {
+    "linear": [1 + 2 * L],
+    "irreducible": [L**2 + 1],
+    "reducible": [L, L - 1],
+    "mixed": [L + 1, L - 2, L**2 + 1],
+}
+
+
+@hst.composite
+def qlrat_scalar(draw, factors):
+    """p / prod q^e over the given factors q, e in 0..2: often in Q(l)."""
+    den = Fraction(1)
+    for q in factors:
+        den = den * q ** draw(hst.integers(min_value=0, max_value=2))
+    return draw(l_poly(2)) / den
+
+
+@hst.composite
+def qlrat_series(draw, factors, order, constant=None):
+    cs = draw(hst.lists(hst.one_of(hst.just(Fraction(0)), qlrat_scalar(factors)), min_size=order + 1,
+                        max_size=order + 1))
+    if constant is not None:
+        cs[0] = draw(constant)
+    return fps.Series(order, cs)
+
+
+@hst.composite
+def qlrat_operands(draw, count, max_order=5, constant=None):
+    """count series of one order whose l-denominators come from one family."""
+    factors = DEN_FAMILIES[draw(hst.sampled_from(sorted(DEN_FAMILIES)))]
+    n = draw(hst.integers(min_value=0, max_value=max_order))
+    return [draw(qlrat_series(factors, n, constant(factors) if constant and i else None)) for i in range(count)]
+
+
+def nonzero_constant(factors):
+    """A divisor's constant term: rational, a non-constant polynomial (its
+    factors join P), a Q(l) value, or the square (1 + l)^2."""
+    return hst.one_of(nonzero_rational, l_poly(2).filter(lambda p: p.__class__ is sc.LPoly),
+                      qlrat_scalar(factors).filter(bool), hst.just((1 + L) ** 2))
+
+
+class TestRationalFunctionKernels:
+    """The packed route over Q(l), where every coefficient lies over
+    den P^(w i + s), against the plain scalar loops: coefficients, scalar
+    types and declared rings."""
+
+    @given(qlrat_operands(2))
+    @settings(max_examples=40, deadline=None)
+    def test_mul_add_sub(self, pair):
+        a, b = pair
+        assert_same(fps.mul(a, b), ref.mul(a, b))
+        assert_same(fps.add(a, b), ref.add(a, b))
+        assert_same(fps.sub(a, b), ref.sub(a, b))
+
+    @given(qlrat_operands(2, constant=nonzero_constant))
+    @settings(max_examples=25, deadline=None)
+    def test_div(self, pair):
+        a, b = pair
+        assert_same(fps.div(a, b), ref.div(a, b))
+
+    @given(qlrat_operands(1))
+    @settings(max_examples=30, deadline=None)
+    def test_exp(self, one):
+        f = fps.Series(one[0].order, (0,) + one[0].coeffs[1:])
+        assert_same(fps.exp_series(f), ref.exp_series(f))
+
+    @given(qlrat_operands(2, max_order=4))
+    @settings(max_examples=25, deadline=None)
+    def test_compose(self, pair):
+        g, f = pair
+        f = fps.Series(f.order, (0,) + f.coeffs[1:])
+        assert_same(fps.compose(g, f), ref.horner_compose(g, f))
+
+    @given(qlrat_operands(1, max_order=5), hst.sampled_from([1 + 2 * L, (1 + L) ** 2, L**2 + 1, L**2 - L,
+                                                             (L + 1) / (L - 2), Fraction(-3, 2)]))
+    @settings(max_examples=20, deadline=None)
+    def test_invert(self, one, f1):
+        s = one[0]
+        if s.order < 1:
+            return
+        f = fps.DeltaSeries(fps.Series(s.order, (0, f1) + s.coeffs[2:]))
+        assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
+
+    @given(qlrat_operands(2, max_order=5))
+    @settings(max_examples=25, deadline=None)
+    def test_power_rows(self, pair):
+        start, base = pair
+        base = fps.Series(base.order, (0,) + base.coeffs[1:], base.ring)
+        got = st._power_rows(start, base, start.order)
+        want = ref.power_rows(start, base, start.order)
+        assert got == want
+        assert [[type(c) for c in r] for r in got] == [[type(c) for c in r] for r in want]
+
+    def test_reducible_base_takes_the_gcd(self):
+        # P = l^2 - l: after P is stripped from (l - 1)^2 / P^2 a factor of P is left
+        a = fps.Series(2, [1 / L**2, 1 / (L - 1), L / (L**2 - L) ** 3])
+        b = fps.Series(2, [1, L, 1 / L])
+        assert_same(fps.mul(a, b), ref.mul(a, b))
+        assert_same(fps.div(a, b), ref.div(a, b))
+
+
+class TestLambdaDenominators:
+    """The structure the Q(l) route relies on: Lagrange inversion puts the
+    n-th coefficient of fbar over a divisor of f1^(2n-1), and so e^fbar - 1."""
+
+    # the shapes of the benchmark's Q(l) expressions, and (1+l)t + t^2/(1-t)
+    EXPRS = ["(lambda+1)*t+2*t^2", "(lambda-1)*t-2*t^2", "lambda*t-t^2", "lambda*t+t^2",
+             "(lambda+2)*t/(1-t)", "(lambda-2)*t/(1+t)", "(lambda+1)*t+2*t^3", "(lambda-1)*t-2*t^3",
+             "(1+lambda)*t + t^2/(1-t)"]
+
+    @pytest.mark.parametrize("text", EXPRS)
+    def test_denominators_divide_powers_of_f1(self, text):
+        n = 10
+        f = ep.require_delta(ep.eval_expr(ep.parse(text), n, "symbolic"))
+        f1 = f[1]
+        fbar = fps.invert_newton(f).series
+        base = fps.sub(fps.exp_series(fbar), fps.one(n, fbar.ring))
+        for s in (fbar, base):
+            for m in range(1, n + 1):
+                c = s[m]
+                if c.__class__ is sc.LRat:
+                    assert not (f1 ** (2 * m - 1)).divmod(c.den)[1], (text, m)
+
+    def test_reference_inverse_matches_lagrange(self):
+        f = ep.require_delta(ep.eval_expr(ep.parse("(1+lambda)*t + t^2/(1-t)"), 10, "symbolic"))
+        fbar = fps.invert_newton(f).series
+        assert [fps.lagrange_coeff_inverse(f, m) for m in range(1, 11)] == list(fbar.coeffs[1:])
+
+
+@hst.composite
+def balanced_digits(draw):
+    """(p, B): up to 80 digits in [-2^(B-1), 2^(B-1)), the extremes often."""
+    B = draw(hst.integers(min_value=2, max_value=70))
+    h = 1 << (B - 1)
+    digit = hst.one_of(hst.integers(-h, h - 1), hst.sampled_from([-h, 1 - h, 0, h - 2, h - 1]))
+    n = draw(hst.integers(min_value=0, max_value=80))
+    p = draw(hst.lists(digit, min_size=n, max_size=n))
+    while p and not p[-1]:
+        p.pop()
+    return p, B
+
+
+@given(balanced_digits())
+@settings(max_examples=100, deadline=None)
+def test_pack_round_trip(pB):
+    # long polynomials take the halving path of _pack and _unpack
+    p, B = pB
+    assert fps._pack(p, B) == sum(c << B * i for i, c in enumerate(p))
+    assert fps._unpack(fps._pack(p, B), B) == p
 
 
 def test_reference_shares_no_kernel():
