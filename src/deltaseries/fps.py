@@ -67,7 +67,9 @@ class Series:
     __slots__ = ("order", "coeffs", "ring")
 
     def __init__(self, order, coeffs, ring=None):
-        # a Fraction is canonical; anything else may come from outside arithmetic
+        # a Fraction is canonical; anything else may come from outside arithmetic.
+        # tuple() of a list, not of a generator: that one is allocated at a guessed
+        # size and resized, which moves it between the tuple free lists and grows them
         coeffs = tuple([c if c.__class__ is Fraction else sc.simplify(c) for c in coeffs])
         if len(coeffs) != order + 1:
             raise ValueError("need %d coefficients, got %d" % (order + 1, len(coeffs)))
@@ -194,11 +196,12 @@ def scale(a, v):
     )
 
 
-def _base(*items):
-    """P (``scalar._base``) for the scalars of items: Series, or sequences of
-    scalars.  A Series not declared over Q(l) has no l-denominator."""
-    return sc._base([c for x in items if x.__class__ is not Series or x.ring == sc.RING_QLRAT
-                     for c in (x.coeffs if x.__class__ is Series else x) if c.__class__ is sc.LRat])
+def _base(ring, *seqs):
+    """P (``scalar._base``) for the scalars of seqs, which lie in ring: only
+    Q(l) has l-denominators."""
+    if ring != sc.RING_QLRAT:
+        return sc.NO_P
+    return sc._base([c for seq in seqs for c in seq if c.__class__ is sc.LRat])
 
 
 def _parts(coeffs, P):
@@ -292,18 +295,19 @@ def _mul_add(a, b, c=None):
     """a b + c, the truncated Cauchy product plus c when given: the Horner
     step of composition, whose sum then needs no gcd over Q(l)."""
     _check_orders(a, b)
-    n, extra = a.order, [c] if c else []
-    P = _base(a, b, *extra)
+    n, ring, seqs = a.order, sc.join_ring(a.ring, b.ring), (a.coeffs, b.coeffs)
+    if c is not None:
+        ring, seqs = sc.join_ring(ring, c.ring), seqs + (c.coeffs,)
+    P = _base(ring, *seqs)
     ea = eb = eo = None  # exponents of P, none for P = 1
+    parts = (None, None, None)
     if len(P) > 1:
-        w, ss, parts = _frame(P, a.coeffs, b.coeffs, *[x.coeffs for x in extra])
+        w, ss, parts = _frame(P, *seqs)
         so = max([ss[0] + ss[1]] + ss[2:])
         ea, eb, eo = _line(n, w, ss[0]), _line(n, w, so - ss[0]), _line(n, w, so)
-    else:
-        parts = [None] * 3
     (xa, ad, da), (xb, bd, db) = _int_view(a.coeffs, P, ea, parts[0]), _int_view(b.coeffs, P, eb, parts[1])
     bits, terms, den, dc = _bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1), ad * bd, 0
-    if c:
+    if c is not None:
         xc, cd, dc = _int_view(c.coeffs, P, eo, parts[-1])
         den = math.lcm(den, cd)
         ma, mc = den // (ad * bd), den // cd
@@ -312,10 +316,8 @@ def _mul_add(a, b, c=None):
     B = _width(bits, terms) if da + db + dc else 0
     an, rb = _packs(xa, da, B), _packs(xb, db, B)[::-1]
     sums = [sum(map(operator.mul, an[:m + 1], rb[n - m:])) for m in range(n + 1)]
-    ring = sc.join_ring(a.ring, b.ring)
-    if c:
+    if c is not None:
         sums = [ma * s + mc * x for s, x in zip(sums, _packs(xc, dc, B))]
-        ring = sc.join_ring(ring, c.ring)
     return Series(n, _scalars(sums, B, den, P, eo), ring)
 
 
@@ -333,7 +335,6 @@ def _recurrence(u, c, g, e, P, E):
     when u, c and gam are constants.
     """
     (xu, ud, du), (xc, cd, dc), (gam, gd, _) = u, c, g
-    E = E or [0] * len(xu)
     hc = _bits(xc, dc)
     B = _width(hc, 1) if du + dc + len(gam) - 1 else 0
     ck = _packs(xc, dc, B)
@@ -347,7 +348,7 @@ def _recurrence(u, c, g, e, P, E):
             x = _pmul(x, gam)
             h = math.gcd(q, *x)
             x, dv = [y // h for y in x], q // h  # the new output is x / (dv P^E[n])
-            v = _reduce(x, dv, P, E[n])
+            v = _reduce(x, dv, P, E[n] if E else 0)
             m = dv // math.gcd(den, dv)
             if B:
                 # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
@@ -383,7 +384,7 @@ def div(a, b):
     # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0]; b[0]'s factors are in P,
     # so 1/b[0] is a polynomial over a power of P
     c = (_ZERO,) + b.coeffs[1:]
-    P = _base(a, b, (inv0,))
+    P = _base(ring, a.coeffs, b.coeffs, (inv0,))
     gam, gd, ag = _part(inv0, P)
     eu = ec = E = pa = pc = None
     if len(P) > 1:
@@ -456,7 +457,8 @@ def _eval_at_powers(g, steps):
     k = len(steps) - 1
     n, d = g.order, _degree(g)
     f = steps[1]
-    P = _base(g, f)  # the powers of f need nothing more
+    ring = sc.join_ring(g.ring, f.ring)
+    P = _base(ring, g.coeffs, f.coeffs)  # the powers of f need nothing more
     eg = es = pg = None
     if len(P) > 1:
         pf, pg = _parts(f.coeffs, P), _parts(g.coeffs, P)
@@ -479,7 +481,7 @@ def _eval_at_powers(g, steps):
                 acc[j:] = [x + gk[start + j] * y for x, y in zip(acc[j:], sk[j][j:])]
         block = Series(n, _scalars(acc, B, gden * sden, P, eg and _line(n, w, sg - sig * start)))
         result = block if result is None else _mul_add(result, steps[k], block)
-    return Series(n, result.coeffs, sc.join_ring(g.ring, f.ring))
+    return Series(n, result.coeffs, ring)
 
 
 class DeltaSeries:
@@ -592,7 +594,7 @@ def exp_series(f):
         raise BadConstantTerm("exp needs zero constant term")
     # out[n] = sum_k k f[k] out[n-k] / n, f[k] over P^(w k): out[n] over P^(w n)
     n = f.order
-    P = _base(f)
+    P = _base(f.ring, f.coeffs)
     E = pf = None
     if len(P) > 1:
         pf = _parts(f.coeffs, P)

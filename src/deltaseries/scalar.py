@@ -18,6 +18,11 @@ arithmetic on canonical scalars stays canonical, and :func:`simplify` is
 only needed for values built outside that arithmetic (ints, or ``LPoly``
 and ``LRat`` made by their constructors).  All three types define
 ``__bool__``, so ``not c`` tests a scalar for zero.
+
+The series kernels see scalars as integer polynomials in l (``_part``):
+a scalar is N / (d P^k) for an int polynomial N, an int d and the power k
+of one squarefree polynomial P (``_base``), and ``_reduce`` builds the
+canonical scalar back by trial division by P, not by a gcd.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ def _power_rows(start, base, max_n):
     """
     s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
     b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
-    P = fps._base(start, base)
+    P = fps._base(sc.join_ring(start.ring, base.ring), s, b)
     es = eb = None  # exponents of P, none for P = 1
     parts = [None] * 2
     if len(P) > 1:
