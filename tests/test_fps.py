@@ -581,7 +581,7 @@ class TestRationalFunctionKernels:
         assert_same(fps.add(a, b), ref.add(a, b))
         assert_same(fps.sub(a, b), ref.sub(a, b))
 
-    @given(qlrat_operands(2, constant=nonzero_constant))
+    @given(qlrat_operands(2, max_order=4, constant=nonzero_constant))
     @settings(max_examples=25, deadline=None)
     def test_div(self, pair):
         a, b = pair
@@ -600,7 +600,7 @@ class TestRationalFunctionKernels:
         f = fps.Series(f.order, (0,) + f.coeffs[1:])
         assert_same(fps.compose(g, f), ref.horner_compose(g, f))
 
-    @given(qlrat_operands(1, max_order=5), hst.sampled_from([1 + 2 * L, (1 + L) ** 2, L**2 + 1, L**2 - L,
+    @given(qlrat_operands(1, max_order=4), hst.sampled_from([1 + 2 * L, (1 + L) ** 2, L**2 + 1, L**2 - L,
                                                              (L + 1) / (L - 2), Fraction(-3, 2)]))
     @settings(max_examples=20, deadline=None)
     def test_invert(self, one, f1):
