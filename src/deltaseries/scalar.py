@@ -505,6 +505,13 @@ def _ints(cs):
     return [x.numerator * (d // x.denominator) for x in cs], d
 
 
+def _primitive(cs):
+    """The primitive int polynomial that is a positive multiple of the Fractions cs."""
+    xs = _ints(cs)[0]
+    g = math.gcd(*xs)
+    return [x // g for x in xs]
+
+
 def _pmul(a, b):
     """The product of two int polynomials (lists, low first)."""
     if len(b) == 1:
@@ -540,9 +547,7 @@ def _pdiv(a, b):
 def _cofactor(den, P):
     """(q, k): 1/den == q / P^k for the monic polynomial den, the int
     polynomial q and the least k; None when den divides no power of P."""
-    D = _ints(den.coeffs)[0]
-    g = math.gcd(*D)
-    D = [x // g for x in D]  # primitive; den is monic, so it is D / D[-1]
+    D = _primitive(den.coeffs)  # den is monic, so it is D / D[-1]
     for k in range(-((1 - len(D)) // (len(P) - 1)) if len(P) > 1 else len(D), len(D)):
         q = _pdiv(_ppow(P, k), D)  # 1/D == q / P^k
         if q is not None:
@@ -579,9 +584,7 @@ def _base(rats):
             if len(P) > 1:
                 Q = LPoly(P)
                 L = (Q * L).divmod(lpoly_gcd(Q, L))[0]  # lcm(P, L), monic
-            xs = _ints(L.coeffs)[0]
-            g = math.gcd(*xs)
-            P = tuple([x // g for x in xs])
+            P = tuple(_primitive(L.coeffs))
     return P
 
 
@@ -609,11 +612,9 @@ def _reduce(cs, den, P, e):
         cs, e = q, e - 1
     D = _ppow(P, e)
     for _ in range(e if len(P) > 2 else 0):
-        G = _ints(lpoly_gcd(LPoly(P), LPoly(cs)).coeffs)[0]
+        G = _primitive(lpoly_gcd(LPoly(P), LPoly(cs)).coeffs)
         if len(G) == 1:
             break
-        h = math.gcd(*G)
-        G = [x // h for x in G]
         cs, D = _pdiv(cs, G), _pdiv(D, G)
     num = [Fraction(c, den * D[-1]) for c in cs]
     if len(D) == 1:
