@@ -6,8 +6,8 @@ are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
-the linear-combination blocks of composition (``_eval_at_powers``), ``div``
-and ``exp_series`` (and ``add`` and ``sub`` over Q(l)) view coefficient i
+the blocks and Horner steps of composition (``_eval_at_powers``,
+``_mul_add``), ``div`` and ``exp_series`` view coefficient i
 of each operand as an integer-coefficient polynomial in l over
 den P^(w i + s) (``_int_view``).  P is the primitive squarefree polynomial
 whose powers every l-denominator of the operands divides (``_base``; 1 over
