@@ -431,14 +431,14 @@ def _eval_node(e, order, lam, memo):
     if isinstance(e, Call):
         arg = _eval(e.arg, order, lam, memo)
         if e.fn == "exp":
-            c = arg.coeffs[0]
+            c = arg[0]
             if c:
                 raise BadConstantTerm("exp needs a zero constant term, got %s" % sc.format_scalar(c))
             return fps.exp_series(arg)
         if e.fn == "log":
-            if arg.coeffs[0] != 1:
+            if arg[0] != 1:
                 raise BadConstantTerm(
-                    "log needs constant term 1, got %s" % sc.format_scalar(arg.coeffs[0])
+                    "log needs constant term 1, got %s" % sc.format_scalar(arg[0])
                 )
             return fps.log_series(arg)
         return _eval_pow(arg, Fraction(1, 2), via_sqrt=True)
@@ -464,7 +464,7 @@ def _eval_div(e, order, lam, memo):
 
 def _eval_pow(base, exponent, via_sqrt=False):
     what = "sqrt" if via_sqrt else "t^(%s)" % exponent
-    c = base.coeffs[0]
+    c = base[0]
     limit = sys.get_int_max_str_digits()
     # past these bounds a number in c^e certainly has more digits than any
     # output can print: 1000 * bits >= 3322 * limit, for 3.322 > log2(10)

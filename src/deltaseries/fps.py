@@ -7,23 +7,34 @@ that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
 the blocks and Horner steps of composition (``_eval_at_powers``,
-``_mul_add``), ``div`` and ``exp_series`` view coefficient i
-of each operand as an integer-coefficient polynomial in l over
-den P^(w i + s) (``_int_view``).  P is the primitive squarefree polynomial
-whose powers every l-denominator of the operands divides (``_base``; 1 over
-Q and Q[l]), den one integer, w a weight shared by the operands and s a
-shift of each.  This is the substitution t -> t / P^w, which commutes with
-products, exp, composition and partial Bell polynomials (Comtet,
-*Advanced Combinatorics*, 1974, 3.3), so every result keeps that shape:
-the inverse fbar of f and e^fbar - 1 have w = 2 and P the squarefree part
-of f1, as Lagrange inversion puts [t^n] fbar over a divisor of f1^(2n-1).
-The kernels pack each polynomial into one int by Kronecker substitution
-l = 2^B (``scalar._pack``), run their inner loops on those ints, and unpack
-and reduce once per output coefficient (``_scalars``): P is stripped by
-trial division (``scalar._reduce``), with a gcd only when P has degree 2
-or more.  A rational coefficient is a polynomial of degree 0, whose packing
-is its own numerator, so Q runs the same loops with nothing to pack (width
-0).  The width B comes from the bit sizes of the actual operands and bounds
+``_mul_add``), ``div``, ``exp_series``, ``add`` and ``sub`` (``_sum``) view
+coefficient i of each operand as an integer-coefficient polynomial in l
+over den P^(w i + s) (``_int_view``).  P is the primitive squarefree
+polynomial whose powers every l-denominator of the operands divides
+(``_base``; 1 over Q and Q[l]), den one integer, w a weight shared by the
+operands and s a shift of each.  This is the substitution t -> t / P^w,
+which commutes with products, exp, composition and partial Bell polynomials
+(Comtet, *Advanced Combinatorics*, 1974, 3.3), so every result keeps that
+shape: the inverse fbar of f and e^fbar - 1 have w = 2 and P the squarefree
+part of f1, as Lagrange inversion puts [t^n] fbar over a divisor of
+f1^(2n-1).  The kernels pack each polynomial into one int by Kronecker
+substitution l = 2^B (``scalar._pack``), run their inner loops on those
+ints, and unpack once per output coefficient.  Over Q(l) each output
+coefficient is then reduced to its canonical scalar (``_scalars``): P is
+stripped by trial division (``scalar._reduce``), with a gcd only when P has
+degree 2 or more.  Over Q and Q[l] (P = 1, known from the declared ring
+without reading a coefficient) no scalar is made: the result keeps the
+unpacked view, divided through by its content g = gcd(den, every numerator)
+(``_norm``).  As lcm(d / g_i) = d / gcd(g_i), that is exactly the view
+``_int_view`` makes of the canonical scalars, so the next kernel reads it
+as it is, at the same widths.  ``Fraction`` and ``LPoly`` values are made
+only where a value leaves the series layer: when ``coeffs`` or one
+coefficient is read (for output, equality and hashing), and for Triangle
+entries and Bernoulli values (``_scalars``, ``egf_coeff``).
+
+A rational coefficient is a polynomial of degree 0, whose packing is its
+own numerator, so Q runs the same loops with nothing to pack (width 0).
+The width B comes from the bit sizes of the actual operands and bounds
 every sum a kernel forms, so the balanced base-2^B digits of a packed sum
 are its l-coefficients.  The two recurrences (``_recurrence``) keep their
 outputs so far packed over a running lcm denominator and widen B as those
@@ -44,7 +55,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from . import scalar as sc
 from .scalar import _pack, _part, _pmul, _reduce, _unpack
@@ -58,13 +69,24 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Series:
-    """Truncated power series of fixed order with exact coefficients."""
+    """Truncated power series of fixed order with exact coefficients.
 
-    __slots__ = ("order", "coeffs", "ring")
+    A Series made by a kernel over P = 1 (Q and Q[l]), or by zero, one or
+    t_series, holds only its int view (xs, den, deg): coefficient i is
+    xs[i] / den, with the content g = gcd(den, every numerator) divided out
+    (``_norm``).  As
+    lcm(d / g_i) = d / gcd(g_i), that is the view ``_int_view`` computes
+    from the scalars.  ``coeffs``, the tuple of canonical scalars, is made
+    from the view the first time it is read, and ``s[n]`` makes just one.
+    A Series built from scalars keeps the view a kernel first computes of
+    them.  Neither changes once made, and equality and hashing read the
+    scalars, so a lazy and an eager Series of one value are equal.
+    """
+
+    __slots__ = ("order", "_coeffs", "ring", "_view")
 
     def __init__(self, order, coeffs, ring=None):
         # a Fraction is canonical; anything else may come from outside arithmetic.
@@ -81,14 +103,24 @@ class Series:
             ring = inferred
         elif not sc.ring_le(inferred, ring):
             raise RingMismatch("coefficients lie in %s, declared ring %s" % (inferred, ring))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "ring", ring)
+        _set(self, order, ring, coeffs, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    @property
+    def coeffs(self):
+        cs = self._coeffs
+        if cs is None:
+            xs, den, deg = self._view
+            cs = tuple([_scalar(x, den, deg) for x in xs])
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
     def __getitem__(self, n):
+        if self._coeffs is None and n.__class__ is int:
+            xs, den, deg = self._view
+            return _scalar(xs[n], den, deg)
         return self.coeffs[n]
 
     def __eq__(self, other):
@@ -111,22 +143,20 @@ class Series:
     def truncate(self, order):
         if order > self.order:
             raise OrderMismatch("cannot truncate order %d to %d" % (self.order, order))
-        return Series(order, self.coeffs[: order + 1], self.ring)
+        return _window(self, 0, 0, order)
 
     def pad(self, order):
         """Zero-extend; the added coefficients are *not* claimed correct."""
-        if order < self.order:
-            return self.truncate(order)
-        return Series(order, self.coeffs + (_ZERO,) * (order - self.order), self.ring)
+        return _window(self, 0, 0, order)
 
     def valuation(self):
-        for n, c in enumerate(self.coeffs):
+        for n, c in enumerate(_flags(self)):
             if c:
                 return n
         return self.order + 1
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(_flags(self))
 
     # operator sugar; the module-level functions are the primary API
     def __add__(self, other):
@@ -146,12 +176,82 @@ class Series:
         return scale(self, -1)
 
 
+def _set(s, order, ring, coeffs, view):
+    """Fill the slots of s, which __setattr__ refuses."""
+    object.__setattr__(s, "order", order)
+    object.__setattr__(s, "ring", ring)
+    object.__setattr__(s, "_coeffs", coeffs)
+    object.__setattr__(s, "_view", view)
+    return s
+
+
+def _scalar(x, den, deg):
+    """The canonical scalar of one polynomial x / den of a view."""
+    return sc._poly([Fraction(c, den) for c in x]) if deg else Fraction(x, den)
+
+
+def _norm(xs, den, deg):
+    """The view xs / den in normal form: ints when no polynomial has degree
+    1 or more, and divided through by g = gcd(den, every numerator).  As
+    the lcm of the reduced denominators d / g_i is d / gcd(g_i), den is
+    then the lcm of the scalars' denominators, as in ``_int_view``.  The
+    lists carry no trailing zeros but for a lone [0]."""
+    if deg:
+        deg = max(map(len, xs)) - 1
+        if deg < 1:
+            xs, deg = [p[0] if p else 0 for p in xs], 0
+    g = math.gcd(den, *[c for p in xs for c in p]) if deg else math.gcd(den, *xs)
+    if g > 1:
+        xs, den = ([[c // g for c in p] for p in xs] if deg else [x // g for x in xs]), den // g
+    return xs, den, deg
+
+
+def _lazy(order, xs, den, deg, ring):
+    """The Series of the view xs / den (lists when deg): only its normal
+    form is kept, and the scalars are made when read."""
+    return _set(object.__new__(Series), order, ring, None, _norm(xs, den, deg))
+
+
+def _view(s, P=sc.NO_P, exps=None, parts=None):
+    """The int view of s (``_int_view``); over P = 1 the one kept on s."""
+    if len(P) > 1:
+        return _int_view(s.coeffs, P, exps, parts)
+    v = s._view
+    if v is None:
+        v = _int_view(s._coeffs)
+        object.__setattr__(s, "_view", v)
+    return v
+
+
+def _flags(s):
+    """Truthy exactly at the nonzero coefficients of s, read from its view
+    when its scalars are not made."""
+    if s._coeffs is not None:
+        return s._coeffs
+    xs, _, deg = s._view
+    return list(map(any, xs)) if deg else xs
+
+
+def _window(a, lo, z, order):
+    """The Series of order `order` whose coefficients are z zeros and then
+    a's from index lo on, cut or zero-padded to length order + 1; it keeps
+    a's view and a's scalars, whichever a has."""
+    def cut(cs, zero):
+        cs = ([zero] * z + list(cs[lo:]))[:order + 1]
+        return cs + [zero] * (order + 1 - len(cs))
+    coeffs = a._coeffs and tuple(cut(a._coeffs, _ZERO))
+    if a._view is None:
+        return _set(object.__new__(Series), order, a.ring, coeffs, None)
+    xs, den, deg = a._view
+    return _set(object.__new__(Series), order, a.ring, coeffs, _norm(cut(xs, [] if deg else 0), den, deg))
+
+
 def zero(order, ring=sc.RING_Q):
-    return Series(order, (_ZERO,) * (order + 1), ring)
+    return _lazy(order, [0] * (order + 1), 1, 0, ring)
 
 
 def one(order, ring=sc.RING_Q):
-    return Series(order, (_ONE,) + (_ZERO,) * order, ring)
+    return _lazy(order, [1] + [0] * order, 1, 0, ring)
 
 
 def constant(value, order):
@@ -161,7 +261,7 @@ def constant(value, order):
 def t_series(order):
     if order < 1:
         raise ValueError("order must be at least 1 for t")
-    return Series(order, (_ZERO, _ONE) + (_ZERO,) * (order - 1))
+    return _lazy(order, [0, 1] + [0] * (order - 1), 1, 0, sc.RING_Q)
 
 
 def _check_orders(a, b):
@@ -170,38 +270,47 @@ def _check_orders(a, b):
 
 
 def add(a, b):
-    _check_orders(a, b)
-    return Series(
-        a.order,
-        [x + y for x, y in zip(a.coeffs, b.coeffs)],
-        sc.join_ring(a.ring, b.ring),
-    )
+    return _sum(a, b, 1)
 
 
 def sub(a, b):
+    return _sum(a, b, -1)
+
+
+def _sum(a, b, sign):
+    """a + sign b in every ring: both viewed over one den P^(w i + s) for a
+    shared weight w and shift s, summed packed, reduced once per coefficient."""
     _check_orders(a, b)
-    return Series(
-        a.order,
-        [x - y for x, y in zip(a.coeffs, b.coeffs)],
-        sc.join_ring(a.ring, b.ring),
-    )
+    n, ring = a.order, sc.join_ring(a.ring, b.ring)
+    P = _base(ring, a, b)
+    e, parts = None, (None, None)
+    if len(P) > 1:
+        w, ss, parts = _frame(P, a.coeffs, b.coeffs)
+        e = _line(n, w, max(ss))
+    va, vb = _view(a, P, e, parts[0]), _view(b, P, e, parts[1])
+    den, deg = math.lcm(va[1], vb[1]), max(va[2], vb[2])
+    xa, xb = _lift(va, den, deg), _lift(vb, den, deg)
+    B = _width(max(_bits(xa, deg), _bits(xb, deg)), 2) if deg else 0
+    return _out(n, [x + sign * y for x, y in zip(_packs(xa, deg, B), _packs(xb, deg, B))], B, den, P, e, ring)
 
 
 def scale(a, v):
     v = sc.simplify(v)
-    return Series(
-        a.order,
-        [c * v for c in a.coeffs],
-        sc.join_ring(a.ring, sc.ring_of(v)),
-    )
+    ring = sc.join_ring(a.ring, sc.ring_of(v))
+    if v.__class__ is Fraction and v and ring != sc.RING_QLRAT:
+        xs, den, deg = _view(a)
+        p = v.numerator
+        return _lazy(a.order, [[c * p for c in x] for x in xs] if deg else [x * p for x in xs],
+                     den * v.denominator, deg, ring)
+    return Series(a.order, [c * v for c in a.coeffs], ring)
 
 
-def _base(ring, *seqs):
-    """P (``scalar._base``) for the scalars of seqs, which lie in ring: only
-    Q(l) has l-denominators."""
+def _base(ring, *ss):
+    """P (``scalar._base``) for the Series or scalar tuples ss, which lie in
+    ring: only Q(l) has l-denominators, so over Q and Q[l] nothing is read."""
     if ring != sc.RING_QLRAT:
         return sc.NO_P
-    return sc._base([c for seq in seqs for c in seq if c.__class__ is sc.LRat])
+    return sc._base([c for s in ss for c in (s if s.__class__ is tuple else s.coeffs) if c.__class__ is sc.LRat])
 
 
 def _parts(coeffs, P):
@@ -242,15 +351,22 @@ def _int_view(coeffs, P=sc.NO_P, exps=None, parts=None):
     l-coefficients, low first.  For P = (1,) the exps are not read: den is
     the lcm of every l-coefficient's denominator."""
     if len(P) == 1:
-        if all(c.__class__ is Fraction for c in coeffs):
-            den = math.lcm(*[c.denominator for c in coeffs])
-            return [c.numerator * (den // c.denominator) for c in coeffs], den, 0
         parts = [(c,) if c.__class__ is Fraction else c.coeffs for c in coeffs]
         den = math.lcm(*[x.denominator for p in parts for x in p])
-        return [[x.numerator * (den // x.denominator) for x in p] for p in parts], den, max(map(len, parts)) - 1
+        return _norm([[x.numerator * (den // x.denominator) for x in p] for p in parts], den, 1)
     xs, den = sc._over(parts or _parts(coeffs, P), P, exps)
     deg = max(map(len, xs)) - 1
     return (xs, den, deg) if deg else ([x[0] for x in xs], den, 0)
+
+
+def _lift(v, den, deg):
+    """The polynomials of the view v over den, a multiple of its own; as
+    lists when deg."""
+    xs, d, dv = v
+    m = den // d
+    if not deg:
+        return [x * m for x in xs]
+    return [[c * m for c in p] for p in xs] if dv else [[x * m] for x in xs]
 
 
 def _bits(xs, deg):
@@ -281,9 +397,15 @@ def _scalars(xs, B, den, P=sc.NO_P, exps=None):
     at width B; for P = (1,) at width 0 every x is a constant."""
     if len(P) > 1:
         return [_reduce(_unpack(x, B), den, P, e) for x, e in zip(xs, exps)]
-    if not B:
-        return [Fraction(x, den) for x in xs]
-    return [sc._poly([Fraction(c, den) for c in _unpack(x, B)]) for x in xs]
+    return [_scalar(_unpack(x, B) if B else x, den, B) for x in xs]
+
+
+def _out(n, xs, B, den, P, exps, ring):
+    """The Series of order n of the sums xs packed at width B over
+    den P^exps[i]: its reduced scalars over Q(l), only its view for P = 1."""
+    if len(P) > 1:
+        return Series(n, _scalars(xs, B, den, P, exps), ring)
+    return _lazy(n, [_unpack(x, B) for x in xs] if B else xs, den, B, ring)
 
 
 def mul(a, b):
@@ -295,20 +417,20 @@ def _mul_add(a, b, c=None):
     """a b + c, the truncated Cauchy product plus c when given: the Horner
     step of composition, whose sum then needs no gcd over Q(l)."""
     _check_orders(a, b)
-    n, ring, seqs = a.order, sc.join_ring(a.ring, b.ring), (a.coeffs, b.coeffs)
+    ops = (a, b) if c is None else (a, b, c)
+    n, ring = a.order, sc.join_ring(a.ring, b.ring)
     if c is not None:
-        ring, seqs = sc.join_ring(ring, c.ring), seqs + (c.coeffs,)
-    P = _base(ring, *seqs)
-    ea = eb = eo = None  # exponents of P, none for P = 1
-    parts = (None, None, None)
+        ring = sc.join_ring(ring, c.ring)
+    P = _base(ring, *ops)
+    es = parts = (None, None, None)  # exponents of P, none for P = 1
     if len(P) > 1:
-        w, ss, parts = _frame(P, *seqs)
+        w, ss, parts = _frame(P, *[s.coeffs for s in ops])
         so = max([ss[0] + ss[1]] + ss[2:])
-        ea, eb, eo = _line(n, w, ss[0]), _line(n, w, so - ss[0]), _line(n, w, so)
-    (xa, ad, da), (xb, bd, db) = _int_view(a.coeffs, P, ea, parts[0]), _int_view(b.coeffs, P, eb, parts[1])
+        es = _line(n, w, ss[0]), _line(n, w, so - ss[0]), _line(n, w, so)
+    (xa, ad, da), (xb, bd, db) = _view(a, P, es[0], parts[0]), _view(b, P, es[1], parts[1])
     bits, terms, den, dc = _bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1), ad * bd, 0
     if c is not None:
-        xc, cd, dc = _int_view(c.coeffs, P, eo, parts[-1])
+        xc, cd, dc = _view(c, P, es[2], parts[-1])
         den = math.lcm(den, cd)
         ma, mc = den // (ad * bd), den // cd
         # ma times each of the terms products, and one term mc c[m]
@@ -318,21 +440,23 @@ def _mul_add(a, b, c=None):
     sums = [sum(map(operator.mul, an[:m + 1], rb[n - m:])) for m in range(n + 1)]
     if c is not None:
         sums = [ma * s + mc * x for s, x in zip(sums, _packs(xc, dc, B))]
-    return Series(n, _scalars(sums, B, den, P, eo), ring)
+    return _out(n, sums, B, den, P, es[2], ring)
 
 
-def _recurrence(u, c, g, e, P, E):
-    """out[n] = (u[n] - sum_{k=1}^{n} c[k] out[n-k]) cd g / e[n] for the int
-    views u = (xs, ud, deg) over P^(E[n] - a) and c = (xs, cd, deg) over
-    P^(w k - a), the factor g = (gam, gd, a) == gam / (gd P^a) and the ints
-    e[n]; out[n] lies over P^E[n], E[n] = w n + s.
+def _recurrence(u, c, g, e, P, E, ring):
+    """The Series out[n] = (u[n] - sum_{k=1}^{n} c[k] out[n-k]) cd g / e[n]
+    for the int views u = (xs, ud, deg) over P^(E[n] - a) and
+    c = (xs, cd, deg) over P^(w k - a), the factor g = (gam, gd, a) ==
+    gam / (gd P^a) and the ints e[n]; out[n] lies over P^E[n],
+    E[n] = w n + s.
 
     The outputs so far are kept packed at one width B over their lcm den and
     P^E[n]: the terms of each sum then share the exponent of u[n].  Each
     step forms the packed sum, unpacks it, multiplies by gam, reduces the new
     output once and packs its numerator.  Before the next sum could overflow
     B, B grows and everything so far is repacked.  B is 0 (nothing packed)
-    when u, c and gam are constants.
+    when u, c and gam are constants.  For P = 1 the packed outputs are the
+    result's view, and no scalar is made.
     """
     (xu, ud, du), (xc, cd, dc), (gam, gd, _) = u, c, g
     hc = _bits(xc, dc)
@@ -348,7 +472,8 @@ def _recurrence(u, c, g, e, P, E):
             x = _pmul(x, gam)
             h = math.gcd(q, *x)
             x, dv = [y // h for y in x], q // h  # the new output is x / (dv P^E[n])
-            v = _reduce(x, dv, P, E[n] if E else 0)
+            if len(P) > 1:
+                out.append(_reduce(x, dv, P, E[n]))
             m = dv // math.gcd(den, dv)
             if B:
                 # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
@@ -362,58 +487,67 @@ def _recurrence(u, c, g, e, P, E):
                     B = W
             x = _pack(x, B)
         else:
-            v = Fraction((cden * un - ud * s) * gam[0], q)
-            x, dv = v.numerator, v.denominator
+            x = (cden * un - ud * s) * gam[0]
+            h = math.gcd(q, x)
+            x, dv = x // h, q // h
             m = dv // math.gcd(den, dv)
-        out.append(v)
         if m > 1:
             nums = [y * m for y in nums]
             den *= m
         nums.append(x * (den // dv))
-    return out
+    if len(P) > 1:
+        return Series(len(out) - 1, out, ring)
+    return _lazy(len(nums) - 1, [_unpack(y, B) for y in nums] if B else nums, den, B, ring)
 
 
 def div(a, b):
     """Exact series division; requires an invertible constant term in b."""
     _check_orders(a, b)
-    n, b0 = a.order, b.coeffs[0]
+    n, b0 = a.order, b[0]
     if not b0:
         raise NonUnitConstantTerm("division by a series with zero constant term")
     inv0 = sc.scalar_inv(b0)
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
     # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0]; b[0]'s factors are in P,
     # so 1/b[0] is a polynomial over a power of P
-    c = (_ZERO,) + b.coeffs[1:]
-    P = _base(ring, a.coeffs, b.coeffs, (inv0,))
+    P = _base(ring, a, b, (inv0,))
     gam, gd, ag = _part(inv0, P)
-    eu = ec = E = pa = pc = None
+    E = None
     if len(P) > 1:
+        c = (_ZERO,) + b.coeffs[1:]
         pa, pc = _parts(a.coeffs, P), _parts(c, P)
         w = max(_weight(pa), _weight(pc, ag))
         s = _shift(pa, w)
-        eu, ec, E = _line(n, w, s), _line(n, w, -ag), _line(n, w, s + ag)
-    cv = _int_view(c, P, ec, pc)
+        E = _line(n, w, s + ag)
+        av, cv = _int_view(a.coeffs, P, _line(n, w, s), pa), _int_view(c, P, _line(n, w, -ag), pc)
+    else:
+        xb, bd, db = _view(b)  # the tail of b over b's own den, in normal form
+        av, cv = _view(a), _norm([[] if db else 0] + xb[1:], bd, db)
     h = math.gcd(cv[1], *gam)  # the recurrence's factor is inv0 / cd
     g = [x // h for x in gam], gd * (cv[1] // h), ag
-    return Series(n, _recurrence(_int_view(a.coeffs, P, eu, pa), cv, g, [1] * (n + 1), P, E), ring)
+    return _recurrence(av, cv, g, [1] * (n + 1), P, E, ring)
 
 
 def shift_down(a, k):
     """Divide by t^k; the dropped low-order coefficients must vanish."""
-    if any(a.coeffs[:k]):
+    if any(_flags(a)[:k]):
         raise NonUnitConstantTerm("cannot cancel t^%d: low-order terms nonzero" % k)
-    return Series(a.order - k, a.coeffs[k:], a.ring)
+    return _window(a, k, 0, a.order - k)
 
 
 def shift_up(a, k):
     """Multiply by t^k, keeping the order (top coefficients drop off)."""
-    return Series(a.order, ((_ZERO,) * k + a.coeffs)[: a.order + 1], a.ring)
+    return _window(a, 0, k, a.order)
 
 
 def derivative(a):
-    out = [(Fraction(n) * a.coeffs[n]) for n in range(1, a.order + 1)]
-    out.append(_ZERO)  # unknown top coefficient; callers truncate as needed
-    return Series(a.order, out, a.ring)
+    """The derivative; its top coefficient is unknown and set to 0, so
+    callers truncate as needed."""
+    if a.ring == sc.RING_QLRAT:
+        return Series(a.order, [c * n for n, c in enumerate(a.coeffs[1:], 1)] + [_ZERO], a.ring)
+    xs, den, deg = _view(a)
+    out = [[n * c for c in p] if deg else n * p for n, p in enumerate(xs[1:], 1)]
+    return _lazy(a.order, out + [[] if deg else 0], den, deg, a.ring)
 
 
 def integrate(a):
@@ -427,14 +561,14 @@ def integrate(a):
 def compose(g, f):
     """g(f(t)) by baby-step/giant-step evaluation; f must have zero constant term."""
     _check_orders(g, f)
-    if f.coeffs[0]:
+    if f[0]:
         raise BadConstantTerm("inner series must have zero constant term")
     return _eval_at_powers(g, _powers(f, math.isqrt(_degree(g) + 1)))
 
 
 def _degree(s):
     """Index of the last nonzero coefficient; 0 for the zero series."""
-    return max((i for i, c in enumerate(s.coeffs) if c), default=0)
+    return max((i for i, c in enumerate(_flags(s)) if c), default=0)
 
 
 def _powers(f, k):
@@ -458,17 +592,19 @@ def _eval_at_powers(g, steps):
     n, d = g.order, _degree(g)
     f = steps[1]
     ring = sc.join_ring(g.ring, f.ring)
-    P = _base(ring, g.coeffs, f.coeffs)  # the powers of f need nothing more
-    eg = es = pg = None
+    P = _base(ring, g, f)  # the powers of f need nothing more
+    eg = pg = None
     if len(P) > 1:
         pf, pg = _parts(f.coeffs, P), _parts(g.coeffs, P)
         w = _weight(pf)
         sig = _shift(pf, w)
         sg = _shift(pg, -sig)
-        eg, es = _line(n, -sig, sg), [w * i + j * sig for j in range(k) for i in range(n + 1)]
+        eg = _line(n, -sig, sg)
     # g and the baby steps each over one denominator, packed at one width
-    xg, gden, dg = _int_view(g.coeffs, P, eg, pg)
-    xs, sden, ds = _int_view([c for s in steps[:k] for c in s.coeffs], P, es)
+    xg, gden, dg = _view(g, P, eg, pg)
+    vs = [_view(s, P, eg and _line(n, w, j * sig)) for j, s in enumerate(steps[:k])]
+    sden, ds = math.lcm(*[v[1] for v in vs]), max(v[2] for v in vs)
+    xs = [x for v in vs for x in _lift(v, sden, ds)]
     B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
     sk = _packs(xs, ds, B)
     gk, sk = _packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)]
@@ -476,12 +612,12 @@ def _eval_at_powers(g, steps):
     for start in range(d - d % k, -1, -k):
         acc = [0] * (n + 1)
         for j in range(min(k, n + 1 - start)):
-            if g.coeffs[start + j]:
+            if gk[start + j]:
                 # f^j has valuation at least j
                 acc[j:] = [x + gk[start + j] * y for x, y in zip(acc[j:], sk[j][j:])]
-        block = Series(n, _scalars(acc, B, gden * sden, P, eg and _line(n, w, sg - sig * start)))
+        block = _out(n, acc, B, gden * sden, P, eg and _line(n, w, sg - sig * start), ring)
         result = block if result is None else _mul_add(result, steps[k], block)
-    return Series(n, result.coeffs, ring)
+    return result
 
 
 class DeltaSeries:
@@ -492,9 +628,9 @@ class DeltaSeries:
     def __init__(self, series):
         if series.order < 1:
             raise NotDelta("order must be at least 1")
-        if series.coeffs[0]:
+        if series[0]:
             raise NotDelta("nonzero constant term")
-        f1 = series.coeffs[1]
+        f1 = series[1]
         if not f1:
             raise NotDelta("zero linear term")
         # a nonconstant polynomial linear coefficient is only invertible in Q(l)
@@ -514,7 +650,7 @@ class DeltaSeries:
         return self.series.ring
 
     def __getitem__(self, n):
-        return self.series.coeffs[n]
+        return self.series[n]
 
     # the declared ring is part of the key: results built from f carry it
     def __eq__(self, other):
@@ -536,7 +672,7 @@ def invert_newton(f):
     """Compositional inverse of a delta series by order-doubling Newton steps."""
     n = f.order
     fs = f.series
-    inv1 = sc.scalar_inv(fs.coeffs[1])
+    inv1 = sc.scalar_inv(fs[1])
     g = Series(1, (_ZERO, inv1), fs.ring)
     while g.order < n:
         m = min(2 * g.order, n)
@@ -563,7 +699,7 @@ def lagrange_coeff_inverse(f, n):
         raise IndexOutOfOrder("need 1 <= n <= %d, got %d" % (f.order, n))
     w = _inverse_power_base(f, n - 1)
     wn = pow_int(w, -n)
-    return wn.coeffs[n - 1] * Fraction(1, n)
+    return wn[n - 1] * Fraction(1, n)
 
 
 def lagrange_coeff_power(f, k, n):
@@ -572,7 +708,7 @@ def lagrange_coeff_power(f, k, n):
         raise IndexOutOfOrder("need 1 <= k <= n <= %d" % f.order)
     w = _inverse_power_base(f, n - k)
     wn = pow_int(w, -n)
-    return wn.coeffs[n - k] * Fraction(k, n)
+    return wn[n - k] * Fraction(k, n)
 
 
 def lagrange_coeff_general(g, f, n):
@@ -585,41 +721,34 @@ def lagrange_coeff_general(g, f, n):
     wn = pow_int(w, -n)
     gp = derivative(g.truncate(n)).truncate(n - 1)
     prod = mul(gp, wn)
-    return prod.coeffs[n - 1] * Fraction(1, n)
+    return prod[n - 1] * Fraction(1, n)
 
 
 def exp_series(f):
     """exp of a series with zero constant term."""
-    if f.coeffs[0]:
+    if f[0]:
         raise BadConstantTerm("exp needs zero constant term")
     # out[n] = sum_k k f[k] out[n-k] / n, f[k] over P^(w k): out[n] over P^(w n)
     n = f.order
-    P = _base(f.ring, f.coeffs)
+    P = _base(f.ring, f)
     E = pf = None
     if len(P) > 1:
         pf = _parts(f.coeffs, P)
         E = _line(n, _weight(pf), 0)
-    xs, fd, deg = _int_view(f.coeffs, P, E, pf)
+    xs, fd, deg = _view(f, P, E, pf)
     kf = [[-k * x for x in p] for k, p in enumerate(xs)] if deg else [-k * x for k, x in enumerate(xs)]
     one = [1] + [0] * n, 1, 0
     e = [fd] + [fd * m for m in range(1, n + 1)]
-    return Series(n, _recurrence(one, (kf, fd, deg), ([1], 1, 0), e, P, E), f.ring)
+    return _recurrence(one, (kf, fd, deg), ([1], 1, 0), e, P, E, f.ring)
 
 
 def log_series(g):
-    """log of a series with constant term exactly 1."""
-    if g.coeffs[0] != 1:
+    """log of a series with constant term exactly 1, as the integral of g'/g:
+    the unknown top coefficient of g' is never read, as the integral drops
+    the top coefficient of the quotient."""
+    if g[0] != 1:
         raise BadConstantTerm("log needs constant term 1")
-    out = [_ZERO]
-    for n in range(1, g.order + 1):
-        acc = _ZERO
-        for k in range(1, n):
-            lk = out[k]
-            gnk = g.coeffs[n - k]
-            if lk and gnk:
-                acc = acc + (Fraction(k) * lk) * gnk
-        out.append(g.coeffs[n] - acc * Fraction(1, n))
-    return Series(g.order, out, g.ring)
+    return integrate(div(derivative(g), g))
 
 
 def pow_int(f, k):
@@ -643,7 +772,7 @@ def pow_int(f, k):
 def pow_ratio(f, r):
     """Rational power exp(r*log f); constant term must be exactly 1."""
     r = Fraction(r)
-    if f.coeffs[0] != 1:
+    if f[0] != 1:
         raise NonUnitConstantTerm("rational power needs constant term 1")
     return exp_series(scale(log_series(f), r))
 
@@ -653,7 +782,18 @@ def pow_ratio(f, r):
 
 def egf_coeff(series, n):
     """n! times the ordinary coefficient of t^n."""
+    if series._coeffs is None:  # one scalar, made from the view
+        xs, den, deg = series._view
+        m = math.factorial(n)
+        return _scalar([c * m for c in xs[n]] if deg else xs[n] * m, den, deg)
     return series.coeffs[n] * Fraction(math.factorial(n))
+
+
+def _egf_view(s, n):
+    """The view of the EGF coefficients m! s[m], m <= n, of s over P = 1."""
+    xs, den, deg = _view(s)
+    fs = accumulate(range(1, n + 1), operator.mul, initial=1)
+    return _norm([[f * c for c in p] for f, p in zip(fs, xs)] if deg else list(map(operator.mul, fs, xs)), den, deg)
 
 
 def from_egf(coeffs, ring=None):

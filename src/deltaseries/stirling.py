@@ -89,20 +89,23 @@ def _power_rows(start, base, max_n):
     (``fps._int_view``), each packed into one int (``fps._pack``).  B_{n,k}
     is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x) (Comtet,
     3.3), so entry (n, k) is the unpacked result over e d^k P^(w n + k sb + ss).
-    Over Q and Q[l] P is 1.  The width bounds every sum because the same
-    recurrence, run first on the l1 norms of those polynomials, bounds the
-    l1 norm of each sum (the norm of a product is at most the product of
+    Over Q and Q[l] P is 1, and s_m and b_j come straight from the views
+    the two series keep, as m! x_m / den (``fps._egf_view``): the entries
+    are the only scalars made here.  The width bounds every sum because the
+    same recurrence, run first on the l1 norms of those polynomials, bounds
+    the l1 norm of each sum (the norm of a product is at most the product of
     the norms).  Over Q the norms are not needed: nothing is packed.
     """
-    s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
-    b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
-    P = fps._base(sc.join_ring(start.ring, base.ring), s, b)
-    es = eb = None  # exponents of P, none for P = 1
-    parts = [None] * 2
+    P = fps._base(sc.join_ring(start.ring, base.ring), start, base)
+    es = None  # exponents of P, none for P = 1
     if len(P) > 1:
+        s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
+        b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
         w, (ss, sb), parts = fps._frame(P, s, b)
         es, eb = fps._line(max_n, w, ss), fps._line(max_n, w, sb)
-    (xs, e, ds), (xb, d, db) = fps._int_view(s, P, es, parts[0]), fps._int_view(b, P, eb, parts[1])
+        (xs, e, ds), (xb, d, db) = fps._int_view(s, P, es, parts[0]), fps._int_view(b, P, eb, parts[1])
+    else:
+        (xs, e, ds), (xb, d, db) = fps._egf_view(start, max_n), fps._egf_view(base, max_n)
     B = 0
     if ds + db:
         bell = _bell_columns(fps._norms(xb, db))
@@ -206,9 +209,9 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
     if alpha.denominator == 1:
         base = fps.pow_int(w, -int(alpha))
     else:
-        if w.coeffs[0] != 1:
+        if w[0] != 1:
             raise NonUnitBaseForRationalPower(
-                "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w.coeffs[0])
+                "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
             )
         base = fps.pow_ratio(w, -alpha)
     values = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
@@ -272,9 +275,9 @@ def moment_sequence(f, max_m):
     return [fps.egf_coeff(e, m) for m in range(max_m + 1)]
 
 
-def lemma_bell_moments(f, n, k):
-    """Left side of the Bell-moment lemma: B_{n,k}(p2/2, p3/3, ...)."""
-    ps = moment_sequence(f, n - k + 2)
+def lemma_bell_moments(ps, n, k):
+    """Left side of the Bell-moment lemma: B_{n,k}(p2/2, p3/3, ...), from
+    the moments ps = moment_sequence(f, m) of f for some m >= n - k + 2."""
     xs = [ps[m] * Fraction(1, m) for m in range(2, n - k + 3)]
     return partial_bell(n, k, xs)
 
@@ -292,9 +295,9 @@ def lemma_bell_moments_sum(f, n, k, s2):
     return acc
 
 
-def bernoulli_via_lemma24(f, alpha, n):
-    """Order-alpha Bernoulli number from the Bell-moment expansion."""
-    ps = moment_sequence(f, n + 2)
+def bernoulli_via_lemma24(ps, alpha, n):
+    """Order-alpha Bernoulli number from the Bell-moment expansion, from the
+    moments ps = moment_sequence(f, m) of f for some m >= n + 2."""
     p1 = ps[1]
     xs = [ps[m] * Fraction(1, m) for m in range(2, n + 3)]
     acc = Fraction(0)

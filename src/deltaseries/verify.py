@@ -85,9 +85,10 @@ def suite_lemmas(f, label, max_n):
     corollary, for a small range of orders alpha."""
     failures = []
     s2 = st.s2_assoc(f, 2 * max_n)
+    ps = st.moment_sequence(f, max_n + 2)  # every moment both lemma routes read
     for n in range(max_n + 1):
         for k in range(n + 1):
-            lhs = st.lemma_bell_moments(f, n, k)
+            lhs = st.lemma_bell_moments(ps, n, k)
             rhs = st.lemma_bell_moments_sum(f, n, k, s2)
             if lhs != rhs:
                 failures.append(_fail("bell-moments (n=%d,k=%d)" % (n, k), lhs, rhs))
@@ -96,7 +97,7 @@ def suite_lemmas(f, label, max_n):
         fam = st.bernoulli_assoc(fb, Fraction(alpha), max_n)
         for n in range(max_n + 1):
             direct = fam.values[n]
-            via24 = st.bernoulli_via_lemma24(f, Fraction(alpha), n)
+            via24 = st.bernoulli_via_lemma24(ps, Fraction(alpha), n)
             via_s2 = st.bernoulli_via_s2(f, Fraction(alpha), n, s2)
             for name, other in (("lemma", via24), ("double-sum", via_s2)):
                 if other != direct:

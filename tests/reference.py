@@ -3,9 +3,10 @@
 Each function here works coefficient by coefficient on the scalars
 themselves (Fraction, LPoly, LRat), with no integer views and no
 baby-step/giant-step evaluation, and calls none of the kernels it checks:
-not fps.mul, fps.div, fps.add, fps.exp_series, fps.compose,
+not fps.mul, fps.div, fps.add, fps.exp_series, fps.log_series, fps.compose,
 fps.invert_newton or stirling._power_rows.  Only the Series constructor,
-truncate and pad are shared.
+its coeffs, truncate and pad are shared; nothing here reads the int view a
+Series may keep.
 """
 
 import math
@@ -62,6 +63,18 @@ def exp_series(f):
                 acc = acc + (Fraction(k) * f.coeffs[k]) * out[n - k]
         out.append(acc * Fraction(1, n))
     return fps.Series(f.order, out, f.ring)
+
+
+def log_series(g):
+    """log(g) by out[n] = g[n] - sum_{k<n} k out[k] g[n-k] / n; g[0] must be 1."""
+    out = [_ZERO]
+    for n in range(1, g.order + 1):
+        acc = _ZERO
+        for k in range(1, n):
+            if out[k] and g.coeffs[n - k]:
+                acc = acc + (Fraction(k) * out[k]) * g.coeffs[n - k]
+        out.append(g.coeffs[n] - acc * Fraction(1, n))
+    return fps.Series(g.order, out, g.ring)
 
 
 def derivative(a):

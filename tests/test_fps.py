@@ -700,6 +700,142 @@ def test_reference_shares_no_kernel():
     # every other use of the module name (getattr(fps, ...), an alias) is refused
     bare = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names]
     assert len(bare) == len(used)
+    # nor does it read the int view a Series keeps, by attribute or by name
+    private = {"_view", "_coeffs"}
+    assert not [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in private]
+    assert not [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in private]
+
+
+def assert_view(s):
+    """A view kept on s is the one _int_view makes of its scalars, and the
+    one plain lcm arithmetic gives; a zero polynomial may be [] or [0]."""
+    if s._view is None:
+        return
+    def zeros_as_0(v):
+        return [p or [0] for p in v[0]] if v[2] else v[0], v[1], v[2]
+    assert zeros_as_0(s._view) == zeros_as_0(fps._int_view(s.coeffs))
+    xs, den, deg = s._view
+    polys = [(c,) if c.__class__ is Fraction else c.coeffs for c in s.coeffs]
+    lcm = math.lcm(*[x.denominator for p in polys for x in p])
+    assert (den, deg) == (lcm, max(map(len, polys)) - 1)
+    assert ([p or [0] for p in xs] if deg else [[x] for x in xs]) == \
+        [[x.numerator * (lcm // x.denominator) for x in p] for p in polys]
+
+
+@hst.composite
+def view_pair(draw):
+    """Two series of one order over Q or Q[l], the second with a nonzero
+    rational constant term."""
+    a = draw(hst.one_of(q_series(), l_series(max_deg=3)))
+    b = draw(hst.one_of(q_series(order=a.order), l_series(order=a.order, max_deg=3)))
+    c = draw(nonzero_rational)
+    return a, fps.Series(b.order, (c,) + b.coeffs[1:], b.ring)
+
+
+def lazy(s):
+    """A Series equal to s that holds only its view, as kernels make them."""
+    out = fps.mul(s, fps.one(s.order, s.ring))
+    assert out._coeffs is None
+    return out
+
+
+class TestViews:
+    """Series over Q and Q[l] kept as int views between kernels: every view
+    is in the normal form of _int_view, lazy and eager operands give the
+    same results, and the scalars are made only when read."""
+
+    @given(view_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_keep_normal_views(self, pair):
+        a, b = pair
+        n = a.order
+        f = fps.Series(n, (0,) + b.coeffs[1:], b.ring)
+        for x, y, g in ((a, b, f), (lazy(a), lazy(b), lazy(f))):
+            got = [fps.mul(x, y), fps.div(x, y), fps.exp_series(g), fps.compose(x, g),
+                   fps.add(x, y), fps.sub(x, y), x.truncate(n // 2), x.pad(n + 3), fps.derivative(x),
+                   fps.integrate(x), fps.scale(x, Fraction(-3, 7)), fps.shift_up(x, 2)]
+            want = [ref.mul(a, b), ref.div(a, b), ref.exp_series(f), ref.horner_compose(a, f),
+                    ref.add(a, b), ref.sub(a, b), a.truncate(n // 2), a.pad(n + 3), ref.derivative(a),
+                    fps.Series(n, [0] + [c * Fraction(1, i) for i, c in enumerate(a.coeffs[:-1], 1)], a.ring),
+                    fps.Series(n, [c * Fraction(-3, 7) for c in a.coeffs], a.ring),
+                    fps.shift_up(a, 2)]
+            if n and f[1] and f[1].__class__ is Fraction:  # an l in f1 takes it to Q(l)
+                got.append(fps.invert_newton(fps.DeltaSeries(g)).series)
+                want.append(ref.horner_invert(fps.DeltaSeries(f)).series)
+            for s in got:
+                assert_view(s)
+            for s, w in zip(got, want):
+                assert_same(s, w)
+                assert_view(s)
+            rows = st._power_rows(x, g, n)
+            assert rows == ref.power_rows(a, f, n)
+            for s in (x, g):
+                assert_view(s)
+
+    @given(view_pair())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_and_eager_series_are_one_value(self, pair):
+        for s in pair:
+            la = lazy(s)
+            assert la.order == s.order and la.ring == s.ring
+            assert [la[i] for i in range(s.order + 1)] == list(s.coeffs)
+            assert la._coeffs is None  # reading one coefficient makes no tuple
+            assert la == s and s == la and hash(la) == hash(s)
+            assert_same(la, s)
+            assert la.valuation() == s.valuation() and la.is_zero() == s.is_zero()
+
+    def test_series_stays_immutable(self):
+        s = lazy(fps.Series(2, [1, L, Fraction(1, 2)]))
+        for name in ("order", "ring", "coeffs", "_coeffs", "_view"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        assert s.coeffs == (1, L, Fraction(1, 2))
+        with pytest.raises(AttributeError):
+            object.__setattr__(s, "coeffs", ())
+
+    def test_a_q_product_makes_no_fraction(self):
+        a = fps.Series(6, [Fraction(1, p) for p in PRIMES[:7]])
+        p = fps.mul(a, a)
+        assert p._coeffs is None and p._view is not None
+        assert_same(p, ref.mul(a, a))
+
+    def test_a_view_loses_a_vanished_l(self):
+        # the l-terms cancel: the sum and the truncation are over Q again
+        a = fps.Series(3, [1 + L, Fraction(1, 3), 0, L])
+        b = fps.Series(3, [-L, 0, Fraction(1, 6), -L], sc.RING_QL)
+        c = fps.Series(3, [1, Fraction(1, 3), 0, L])
+        for s, want in ((fps.add(lazy(a), lazy(b)), ref.add(a, b)), (lazy(c).truncate(2), c.truncate(2))):
+            assert s._view[2] == 0 and s.ring == sc.RING_QL
+            assert_view(s)
+            assert_same(s, want)
+
+
+class TestLogSeries:
+    """log g = integral of g'/g against the plain scalar loop in all three rings."""
+
+    @given(q_series(constant=Fraction(1)))
+    @settings(max_examples=40, deadline=None)
+    def test_q(self, g):
+        assert_same(fps.log_series(g), ref.log_series(g))
+
+    @given(l_series(constant=hst.just(Fraction(1)), max_deg=3))
+    @settings(max_examples=40, deadline=None)
+    def test_ql(self, g):
+        assert_same(fps.log_series(g), ref.log_series(g))
+
+    @given(qlrat_operands(1, max_order=4))
+    @settings(max_examples=20, deadline=None)
+    def test_qlrat(self, one):
+        g = fps.Series(one[0].order, (1,) + one[0].coeffs[1:])
+        assert_same(fps.log_series(g), ref.log_series(g))
+        r = Fraction(-1, 2)
+        assert_same(fps.pow_ratio(g, r), ref.exp_series(fps.Series(g.order, [c * r for c in ref.log_series(g).coeffs])))
+
+    def test_inverse_of_exp_over_q_lambda(self):
+        n = 8
+        f = ep.require_delta(ep.eval_expr(ep.parse("(1+lambda)*t + t^2/(1-t)"), n, "symbolic"))
+        fbar = fps.invert_newton(f).series
+        assert_same(fps.log_series(fps.exp_series(fbar)), fbar)
 
 
 class TestTranscendental:

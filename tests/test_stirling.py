@@ -377,18 +377,20 @@ class TestTheoremPaths:
     def test_bell_moment_lemma(self):
         f = f_deg()
         s2 = st.s2_assoc(f, 12)
+        ps = st.moment_sequence(f, 8)
         for n in range(7):
             for k in range(n + 1):
-                assert st.lemma_bell_moments(f, n, k) == st.lemma_bell_moments_sum(f, n, k, s2)
+                assert st.lemma_bell_moments(ps, n, k) == st.lemma_bell_moments_sum(f, n, k, s2)
 
     def test_bernoulli_three_ways(self):
         f = delta(*([0, 2, 1, -1] + [0] * 13))
         fb = st.compositional_inverse(f)
         s2 = st.s2_assoc(f, 12)
+        ps = st.moment_sequence(f, 8)
         for alpha in (-2, -1, 1, 2, 3):
             fam = st.bernoulli_assoc(fb, Fraction(alpha), 6)
             for n in range(7):
-                assert st.bernoulli_via_lemma24(f, Fraction(alpha), n) == fam.values[n]
+                assert st.bernoulli_via_lemma24(ps, Fraction(alpha), n) == fam.values[n]
                 assert st.bernoulli_via_s2(f, Fraction(alpha), n, s2) == fam.values[n]
         fam1 = st.bernoulli_assoc(fb, Fraction(1), 6)
         for n in range(7):
