@@ -236,6 +236,8 @@ def _window(a, lo, z, order):
     """The Series of order `order` whose coefficients are z zeros and then
     a's from index lo on, cut or zero-padded to length order + 1; it keeps
     a's view and a's scalars, whichever a has."""
+    if order < 0:
+        raise ValueError("need %d coefficients" % (order + 1))
     def cut(cs, zero):
         cs = ([zero] * z + list(cs[lo:]))[:order + 1]
         return cs + [zero] * (order + 1 - len(cs))

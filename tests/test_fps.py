@@ -96,6 +96,12 @@ class TestSeriesBasics:
         assert fps.shift_up(ser(1, 2), 1).coeffs == (Fraction(0), Fraction(1))
         with pytest.raises(NonUnitConstantTerm):
             fps.shift_down(ser(1, 2), 1)
+        # past the order, on scalars and on a view alike
+        for t in (ser(0, 0, 0), fps.zero(2, sc.RING_QL)):
+            with pytest.raises(ValueError):
+                fps.shift_down(t, 5)
+            with pytest.raises(ValueError):
+                t.pad(-2)
 
     def test_derivative_integrate(self):
         s = ser(5, 1, 3)
