@@ -784,11 +784,7 @@ def pow_ratio(f, r):
 
 def egf_coeff(series, n):
     """n! times the ordinary coefficient of t^n."""
-    if series._coeffs is None:  # one scalar, made from the view
-        xs, den, deg = series._view
-        m = math.factorial(n)
-        return _scalar([c * m for c in xs[n]] if deg else xs[n] * m, den, deg)
-    return series.coeffs[n] * Fraction(math.factorial(n))
+    return series[n] * Fraction(math.factorial(n))
 
 
 def _egf_view(s, n):
