@@ -88,19 +88,19 @@ def _parser():
 
 
 def _resolve_orders(args, default_n=8):
-    n = getattr(args, "n", None)
-    order = getattr(args, "order", None)
-    if n is None and order is None:
-        n = default_n
+    n, order = getattr(args, "n", None), getattr(args, "order", None)
+    if n is not None and n < 0:
+        raise UsageError("--n must not be negative, got %d" % n)
+    flag = "--order" if order is not None else "--n (without --order)"
     if order is None:
-        order = n
+        order = default_n if n is None else n
     if n is None:
         n = order
     if n > order:
         raise UsageError("--n (%d) must not exceed --order (%d)" % (n, order))
     _check_cap(order, "--order")
     if order < 1:
-        raise UsageError("--order must be at least 1")
+        raise UsageError("%s must be at least 1" % flag)
     return n, order
 
 

@@ -43,8 +43,8 @@ outputs grow.
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
 degree d, instead of one per coefficient.  Compositional inversion runs
-by Newton iteration (order doubling); each step evaluates f(g) and f'(g)
-from one shared set of baby steps.  The Lagrange inversion formulas are
+by Newton iteration (order doubling); each step evaluates f(g) once, and
+g' stands in for 1/f'(g).  The Lagrange inversion formulas are
 provided as independent coefficient extractors so the two routes can be
 checked against each other.
 """
@@ -565,7 +565,7 @@ def compose(g, f):
     _check_orders(g, f)
     if f[0]:
         raise BadConstantTerm("inner series must have zero constant term")
-    return _eval_at_powers(g, _powers(f, math.isqrt(_degree(g) + 1)))
+    return _eval_at_powers(g, f)
 
 
 def _degree(s):
@@ -573,26 +573,21 @@ def _degree(s):
     return max((i for i, c in enumerate(_flags(s)) if c), default=0)
 
 
-def _powers(f, k):
-    """[1, f, ..., f^k]: the baby steps of an evaluation at f and its giant step."""
-    steps = [one(f.order, f.ring), f]
-    while len(steps) <= k:
-        steps.append(mul(steps[-1], f))
-    return steps
+def _eval_at_powers(g, f):
+    """g(f) by Paterson-Stockmeyer evaluation at the powers of f.
 
-
-def _eval_at_powers(g, steps):
-    """g(f) from steps = _powers(f, k) (Paterson-Stockmeyer).
-
-    Each block of k coefficients of g is a linear combination of the baby
-    steps 1, f, ..., f^(k-1); the blocks are combined by Horner in f^k.
+    Each block of k = isqrt(deg g + 1) coefficients of g is a linear
+    combination of the baby steps 1, f, ..., f^(k-1); the blocks are
+    combined by Horner in the giant step f^k.
     With f[i] over P^(w i + sig), f^j[i] lies over P^(w i + j sig), so g[m]
     is viewed over P^(sg - sig m) and every term of the block at start lies
     over P^(w i + sg - sig start).
     """
-    k = len(steps) - 1
     n, d = g.order, _degree(g)
-    f = steps[1]
+    k = math.isqrt(d + 1)
+    steps = [one(n, f.ring), f]
+    while len(steps) <= k:
+        steps.append(mul(steps[-1], f))
     ring = sc.join_ring(g.ring, f.ring)
     P = _base(ring, g, f)  # the powers of f need nothing more
     eg = pg = None
@@ -671,21 +666,20 @@ class DeltaSeries:
 
 
 def invert_newton(f):
-    """Compositional inverse of a delta series by order-doubling Newton steps."""
-    n = f.order
+    """Compositional inverse of a delta series by order-doubling Newton steps.
+
+    With g right through t^h and m = min(2h, order of f), f(g) - t is
+    O(t^(h+1)) and 1/f'(g) = g' + O(t^h), as f'(g) g' = (f(g))' (Brent and
+    Kung, J. ACM 25, 1978), so a step g - (f(g) - t) / f'(g) is
+    g - t^(h+1) (f(g)[h+1..m] g'): one evaluation, one short product."""
     fs = f.series
-    inv1 = sc.scalar_inv(fs[1])
-    g = Series(1, (_ZERO, inv1), fs.ring)
-    while g.order < n:
-        m = min(2 * g.order, n)
-        fm = fs.truncate(m)
+    g = Series(1, (_ZERO, sc.scalar_inv(fs[1])), fs.ring)
+    while g.order < f.order:
+        h = g.order
+        m = min(2 * h, f.order)
         gm = g.pad(m)
-        # f(g) and f'(g) share one set of baby steps, so k balances their
-        # k - 1 products against the 2(d+1)/k giant-step products
-        steps = _powers(gm, math.isqrt(2 * (_degree(fm) + 1)))
-        err = sub(_eval_at_powers(fm, steps), t_series(m))
-        fpg = _eval_at_powers(derivative(fm), steps)
-        g = sub(gm, div(err, fpg))
+        err = _window(compose(fs.truncate(m), gm), h + 1, 0, m - h - 1)  # (f(g) - t) / t^(h+1)
+        g = sub(gm, _window(mul(err, derivative(g).truncate(m - h - 1)), 0, h + 1, m))
     return DeltaSeries(g)
 
 

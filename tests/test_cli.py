@@ -6,11 +6,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from deltaseries import cli
+from deltaseries import exprparse as ep
+from deltaseries import presets as pr
 from deltaseries import scalar as sc
+from deltaseries import verify as vf
+from deltaseries.errors import DeltaSeriesError
 
 
 def run(capsys, *argv):
@@ -156,6 +160,25 @@ class TestUsage:
         code, _, err = run(capsys, "table", "--kind", "s2", "--preset", "identity", "--n", "6", "--order", "4")
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--kind", "s2"], ["bernoulli", "--alpha=1"], ["verify", "all"],
+    ], ids=["table", "bernoulli", "verify"])
+    @pytest.mark.parametrize("n", ["-1", "-2"])
+    def test_negative_n_exits_2(self, capsys, argv, n):
+        for order in (["--order", "3"], []):
+            code, out, err = run(capsys, *argv, "--preset", "bell", "--n", n, *order)
+            assert code == 2 and out == ""
+            assert "--n must not be negative" in err and "internal error" not in err
+
+    def test_n_zero_without_order_names_n(self, capsys):
+        code, _, err = run(capsys, "table", "--kind", "s2", "--preset", "bell", "--n", "0")
+        assert code == 2
+        assert "--n (without --order) must be at least 1" in err
+        code, out, _ = run(capsys, "table", "--kind", "s2", "--preset", "bell", "--n", "0", "--order", "3")
+        assert code == 0 and out == "0: 1\n"
+        code, _, err = run(capsys, "log", "--preset", "bell", "--order", "0")
+        assert code == 2 and "--order must be at least 1" in err
 
     def test_order_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DELTASERIES_MAX_ORDER", "10")
@@ -309,6 +332,58 @@ class TestFuzzSymbolicLambda:
         assert code in (0, 2), (argv, err.getvalue())
         assert "internal error" not in err.getvalue()
         assert time.perf_counter() - start < 5, argv
+
+
+VERIFY_SOURCES = [["--preset", p] for p in pr.PRESET_IDS + ("all",)] + [
+    ["--f", e] for e in ("t/(1+t)", "exp(t)-1", "t+lambda*t^2", "(1+lambda)*t+t^2", "t^2", "1+t", "t/(")]
+
+
+def has_fail_line(out):
+    return any(line.split()[-1:] == ["FAIL"] for line in out.splitlines())
+
+
+class TestFuzzVerify:
+    @given(hst.sampled_from(vf.SUITES + ("all",)), hst.sampled_from(VERIFY_SOURCES),
+           hst.sampled_from([None, "symbolic", "1/3", "0"]), hst.integers(min_value=-2, max_value=4),
+           hst.one_of(hst.none(), hst.integers(min_value=-1, max_value=6)))
+    @example("all", ["--preset", "bell"], None, -1, 3)
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_and_time(self, suite, source, lam, n, order):
+        argv = ["verify", suite, *source, "--n", str(n)]
+        argv += ["--lambda", lam] if lam else []
+        argv += ["--order", str(order)] if order is not None else []
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2) or (code == 1 and has_fail_line(out.getvalue())), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue(), argv
+        assert time.perf_counter() - start < 5, argv
+
+
+class TestFuzzRoundTrip:
+    """pretty(parse(pretty(e))) == pretty(e), and both trees evaluate alike."""
+
+    @given(fuzz_expr)
+    @settings(max_examples=60, deadline=None)
+    def test_pretty_parse_eval(self, expr):
+        tree = ep.parse(expr)
+        text = ep.pretty(tree)
+        again = ep.parse(text)
+        assert ep.pretty(again) == text
+        results = []
+        for e in (tree, again):
+            try:
+                results.append(ep.eval_expr(e, 3, sc.LAMBDA_SYMBOLIC))
+            except DeltaSeriesError as exc:
+                results.append(type(exc))
+        first, second = results
+        if isinstance(first, type):
+            assert first is second, (expr, text)
+        else:
+            assert not isinstance(second, type), (expr, text)
+            assert first.coeffs == second.coeffs and first.ring == second.ring
+            assert [type(c) for c in first.coeffs] == [type(c) for c in second.coeffs]
 
 
 class TestPresetsList:

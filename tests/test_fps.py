@@ -662,6 +662,59 @@ class TestLambdaDenominators:
         assert [fps.lagrange_coeff_inverse(f, m) for m in range(1, 11)] == list(fbar.coeffs[1:])
 
 
+# name: (declared ring, coefficients from t^0 on, top order, highest order
+# also checked against horner_invert, whose scalar loops slow down over Q(l))
+NEWTON_CASES = {
+    "q-linear": (None, [0, Fraction(-3, 2)], 20, 20),
+    "q-f2-zero": (None, [0, 2, 0] + [Fraction((-1) ** i, i) for i in range(3, 21)], 20, 20),
+    "q-dense": (None, [0, Fraction(3, 2)] + [Fraction((-1) ** i * (i + 2), i + 1) for i in range(2, 21)], 20, 20),
+    "ql-linear": (sc.RING_QL, [0, 3], 20, 20),
+    "ql-f2-zero": (None, [0, 1, 0] + [L ** (i % 3) - i for i in range(3, 21)], 20, 12),
+    "ql-dense": (None, [0, -2] + [(1 - L) ** (i % 2) * Fraction(1, i) for i in range(2, 21)], 20, 12),
+    "qlrat-linear": (None, [0, (1 + L) ** 2], 20, 20),
+    "qlrat-f2-zero": (None, [0, (1 + L) ** 2, 0, 0, 1], 20, 8),
+    "qlrat-dense": (None, [0, (1 + L) ** 2, 1, 1, Fraction(-1, 2), L], 8, 6),
+}
+
+
+def newton_case(name, n):
+    ring, cs, _, _ = NEWTON_CASES[name]
+    cs = (cs + [0] * n)[:n + 1]
+    return fps.DeltaSeries(fps.Series(n, cs, ring))
+
+
+class TestNewtonStep:
+    """The step g - t^(h+1) (f(g)[h+1..m] g') of invert_newton at every
+    order, so that the last step often has m < 2h, against the
+    f'(g)-and-division step of tests/reference.py and Lagrange inversion."""
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_CASES))
+    def test_every_order(self, name):
+        _, _, top, horner = NEWTON_CASES[name]
+        f_top = newton_case(name, top)
+        # the inverse at order n is that at the top order, truncated
+        lag = [fps.lagrange_coeff_inverse(f_top, m) for m in range(1, top + 1)]
+        for n in range(1, top + 1):
+            f = newton_case(name, n)
+            got = fps.invert_newton(f).series
+            assert_same(got, fps.Series(n, [0] + lag[:n], f.ring))
+            if n <= horner:
+                assert_same(got, ref.horner_invert(f).series)
+
+    def test_one_evaluation_and_no_division_a_step(self, monkeypatch):
+        calls = []
+        for kernel in ("_eval_at_powers", "div"):
+            real = getattr(fps, kernel)
+            monkeypatch.setattr(fps, kernel, lambda *a, real=real, kernel=kernel: calls.append(kernel) or real(*a))
+        for name, (_, _, top, _) in NEWTON_CASES.items():
+            for n in (1, 2, 3, 5, 8, top):
+                f = newton_case(name, n)
+                calls.clear()
+                fps.invert_newton(f)
+                # h = 1, 2, 4, ... : (n - 1).bit_length() steps reach n
+                assert calls == ["_eval_at_powers"] * (n - 1).bit_length(), (name, n)
+
+
 @hst.composite
 def balanced_digits(draw):
     """(p, B): up to 80 digits in [-2^(B-1), 2^(B-1)), the extremes often."""
