@@ -7,30 +7,33 @@ that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
 the blocks and Horner steps of composition (``_eval_at_powers``,
-``_mul_add``), ``div``, ``exp_series``, ``add`` and ``sub`` (``_sum``) view
-coefficient i of each operand as an integer-coefficient polynomial in l
-over den P^(w i + s) (``_int_view``).  P is the primitive squarefree
-polynomial whose powers every l-denominator of the operands divides
-(``_base``; 1 over Q and Q[l]), den one integer, w a weight shared by the
-operands and s a shift of each.  This is the substitution t -> t / P^w,
-which commutes with products, exp, composition and partial Bell polynomials
-(Comtet, *Advanced Combinatorics*, 1974, 3.3), so every result keeps that
-shape: the inverse fbar of f and e^fbar - 1 have w = 2 and P the squarefree
-part of f1, as Lagrange inversion puts [t^n] fbar over a divisor of
-f1^(2n-1).  The kernels pack each polynomial into one int by Kronecker
-substitution l = 2^B (``scalar._pack``), run their inner loops on those
-ints, and unpack once per output coefficient.  Over Q(l) each output
-coefficient is then reduced to its canonical scalar (``_scalars``): P is
-stripped by trial division (``scalar._reduce``), with a gcd only when P has
-degree 2 or more.  Over Q and Q[l] (P = 1, known from the declared ring
-without reading a coefficient) no scalar is made: the result keeps the
-unpacked view, divided through by its content g = gcd(den, every numerator)
-(``_norm``).  As lcm(d / g_i) = d / gcd(g_i), that is exactly the view
-``_int_view`` makes of the canonical scalars, so the next kernel reads it
-as it is, at the same widths.  ``Fraction`` and ``LPoly`` values are made
+``_mul_add``), ``div``, ``exp_series``, ``add`` and ``sub`` (``_sum``) read
+each operand's int view, in which coefficient i is an integer-coefficient
+polynomial in l over den P^E[i] (``_view``, ``_int_view``).  P is the
+primitive squarefree polynomial whose powers every l-denominator divides
+(``scalar._base``; 1 over Q and Q[l]), den one integer and E[i] the least
+exponent; operands over different P are re-expressed over their lcm
+(``_rebase``).  A kernel views coefficient i of each operand over
+den P^(w i + s) (``_at``), for a weight w shared by the operands and a
+shift s of each, chosen together to carry the fewest surplus factors of P
+(``_frame``); sums take the larger exponent coefficientwise.  This is the
+substitution t -> t / P^w, which commutes with products, exp, composition
+and partial Bell polynomials (Comtet, *Advanced Combinatorics*, 1974, 3.3),
+so every result keeps that shape: the inverse fbar of f and e^fbar - 1
+have w = 2 and P the squarefree part of f1, as Lagrange inversion puts
+[t^n] fbar over a divisor of f1^(2n-1).  The kernels pack each polynomial
+into one int by Kronecker substitution l = 2^B (``scalar._pack``), run
+their inner loops on those ints, and unpack once per output coefficient;
+over Q(l) P is then stripped from it by trial division
+(``scalar._reduce``), which leaves its least exponent.  The result keeps
+only that view, divided through by its content g = gcd(den, every
+numerator) (``_norm``).  As lcm(d / g_i) = d / gcd(g_i), that is exactly
+the view ``_int_view`` makes of the canonical scalars, so the next kernel
+reads it as it is.  ``Fraction``, ``LPoly`` and ``LRat`` values are made
 only where a value leaves the series layer: when ``coeffs`` or one
-coefficient is read (for output, equality and hashing), and for Triangle
-entries and Bernoulli values (``_scalars``, ``egf_coeff``).
+coefficient is read (for output, equality and the hash), with a gcd only
+when P has degree 2 or more (``scalar._rat``), and for Triangle entries
+and Bernoulli values (``_scalars``, ``egf_coeff``).
 
 A rational coefficient is a polynomial of degree 0, whose packing is its
 own numerator, so Q runs the same loops with nothing to pack (width 0).
@@ -74,19 +77,23 @@ _ZERO = Fraction(0)
 class Series:
     """Truncated power series of fixed order with exact coefficients.
 
-    A Series made by a kernel over P = 1 (Q and Q[l]), or by zero, one or
-    t_series, holds only its int view (xs, den, deg): coefficient i is
-    xs[i] / den, with the content g = gcd(den, every numerator) divided out
-    (``_norm``).  As
-    lcm(d / g_i) = d / gcd(g_i), that is the view ``_int_view`` computes
-    from the scalars.  ``coeffs``, the tuple of canonical scalars, is made
-    from the view the first time it is read, and ``s[n]`` makes just one.
-    A Series built from scalars keeps the view a kernel first computes of
-    them.  Neither changes once made, and equality and hashing read the
-    scalars, so a lazy and an eager Series of one value are equal.
+    A Series made by a kernel, or by zero, one or t_series, holds only its
+    int view (xs, den, deg, P, E): coefficient i is xs[i] / (den P^E[i]).
+    P is a primitive squarefree int polynomial in l (``scalar._base``), 1
+    over Q and Q[l], where E is None and not read.  Over Q(l) E[i] is the
+    least exponent: P does not divide xs[i] when E[i] > 0 (``_reduce``),
+    and E[i] is 0 where xs[i] is 0.  The content g = gcd(den, every
+    numerator) is divided out (``_norm``).  As lcm(d / g_i) = d / gcd(g_i),
+    that is the view ``_int_view`` computes from the scalars at the same P.
+    ``coeffs``, the tuple of canonical scalars, is made from the view the
+    first time it is read, and ``s[n]`` makes just one.  A Series built
+    from scalars keeps the view a kernel first computes of them, over the P
+    of their l-denominators.  Neither changes once made.  Equality and
+    hashing read the scalars, so a lazy and an eager Series of one value
+    are equal; the hash is kept once computed.
     """
 
-    __slots__ = ("order", "_coeffs", "ring", "_view")
+    __slots__ = ("order", "_coeffs", "ring", "_view", "_hash")
 
     def __init__(self, order, coeffs, ring=None):
         # a Fraction is canonical; anything else may come from outside arithmetic.
@@ -112,15 +119,15 @@ class Series:
     def coeffs(self):
         cs = self._coeffs
         if cs is None:
-            xs, den, deg = self._view
-            cs = tuple([_scalar(x, den, deg) for x in xs])
+            xs, den, deg, P, E = self._view
+            cs = tuple([_scalar(x, den, deg, P, e) for x, e in zip(xs, _exps(self._view))])
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
     def __getitem__(self, n):
         if self._coeffs is None and n.__class__ is int:
-            xs, den, deg = self._view
-            return _scalar(xs[n], den, deg)
+            xs, den, deg, P, E = self._view
+            return _scalar(xs[n], den, deg, P, E and E[n])
         return self.coeffs[n]
 
     def __eq__(self, other):
@@ -131,7 +138,11 @@ class Series:
         )
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        h = self._hash
+        if h is None:
+            h = hash((self.order, self.coeffs))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return "Series(order=%d, ring=%s, coeffs=[%s])" % (
@@ -182,18 +193,21 @@ def _set(s, order, ring, coeffs, view):
     object.__setattr__(s, "ring", ring)
     object.__setattr__(s, "_coeffs", coeffs)
     object.__setattr__(s, "_view", view)
+    object.__setattr__(s, "_hash", None)
     return s
 
 
-def _scalar(x, den, deg):
-    """The canonical scalar of one polynomial x / den of a view."""
+def _scalar(x, den, deg, P=sc.NO_P, e=0):
+    """The canonical scalar of one polynomial x / (den P^e) of a view."""
+    if e:
+        return sc._rat(x if deg else [x], den, P, e)
     return sc._poly([Fraction(c, den) for c in x]) if deg else Fraction(x, den)
 
 
 def _norm(xs, den, deg):
-    """The view xs / den in normal form: ints when no polynomial has degree
-    1 or more, and divided through by g = gcd(den, every numerator).  As
-    the lcm of the reduced denominators d / g_i is d / gcd(g_i), den is
+    """The polynomials xs / den in normal form: ints when no polynomial has
+    degree 1 or more, and divided through by g = gcd(den, every numerator).
+    As the lcm of the reduced denominators d / g_i is d / gcd(g_i), den is
     then the lcm of the scalars' denominators, as in ``_int_view``.  The
     lists carry no trailing zeros but for a lone [0]."""
     if deg:
@@ -206,19 +220,19 @@ def _norm(xs, den, deg):
     return xs, den, deg
 
 
-def _lazy(order, xs, den, deg, ring):
-    """The Series of the view xs / den (lists when deg): only its normal
-    form is kept, and the scalars are made when read."""
-    return _set(object.__new__(Series), order, ring, None, _norm(xs, den, deg))
+def _lazy(order, xs, den, deg, ring, P=sc.NO_P, E=None):
+    """The Series of the view xs / (den P^E) (lists when deg): only its
+    normal form is kept, and the scalars are made when read."""
+    return _set(object.__new__(Series), order, ring, None, _norm(xs, den, deg) + (P, E))
 
 
-def _view(s, P=sc.NO_P, exps=None, parts=None):
-    """The int view of s (``_int_view``); over P = 1 the one kept on s."""
-    if len(P) > 1:
-        return _int_view(s.coeffs, P, exps, parts)
+def _view(s):
+    """The int view of s; for a Series built from scalars, the one
+    ``_int_view`` makes of them over the P of their l-denominators, kept on
+    s the first time a kernel reads it."""
     v = s._view
     if v is None:
-        v = _int_view(s._coeffs)
+        v = _int_view(s._coeffs, sc._base(s._coeffs) if s.ring == sc.RING_QLRAT else sc.NO_P)
         object.__setattr__(s, "_view", v)
     return v
 
@@ -228,24 +242,23 @@ def _flags(s):
     when its scalars are not made."""
     if s._coeffs is not None:
         return s._coeffs
-    xs, _, deg = s._view
+    xs, _, deg, _, _ = s._view
     return list(map(any, xs)) if deg else xs
 
 
 def _window(a, lo, z, order):
     """The Series of order `order` whose coefficients are z zeros and then
     a's from index lo on, cut or zero-padded to length order + 1; it keeps
-    a's view and a's scalars, whichever a has."""
+    a's view, and a's scalars when a has them."""
     if order < 0:
         raise ValueError("need %d coefficients" % (order + 1))
     def cut(cs, zero):
         cs = ([zero] * z + list(cs[lo:]))[:order + 1]
         return cs + [zero] * (order + 1 - len(cs))
     coeffs = a._coeffs and tuple(cut(a._coeffs, _ZERO))
-    if a._view is None:
-        return _set(object.__new__(Series), order, a.ring, coeffs, None)
-    xs, den, deg = a._view
-    return _set(object.__new__(Series), order, a.ring, coeffs, _norm(cut(xs, [] if deg else 0), den, deg))
+    xs, den, deg, P, E = _view(a)
+    view = _norm(cut(xs, [] if deg else 0), den, deg) + (P, E and cut(E, 0))
+    return _set(object.__new__(Series), order, a.ring, coeffs, view)
 
 
 def zero(order, ring=sc.RING_Q):
@@ -280,55 +293,87 @@ def sub(a, b):
 
 
 def _sum(a, b, sign):
-    """a + sign b in every ring: both viewed over one den P^(w i + s) for a
-    shared weight w and shift s, summed packed, reduced once per coefficient."""
+    """a + sign b in every ring: coefficient i of both viewed over one den
+    P^F[i], F[i] the larger of their exponents, summed packed, and each sum
+    reduced once."""
     _check_orders(a, b)
     n, ring = a.order, sc.join_ring(a.ring, b.ring)
-    P = _base(ring, a, b)
-    e, parts = None, (None, None)
-    if len(P) > 1:
-        w, ss, parts = _frame(P, a.coeffs, b.coeffs)
-        e = _line(n, w, max(ss))
-    va, vb = _view(a, P, e, parts[0]), _view(b, P, e, parts[1])
-    den, deg = math.lcm(va[1], vb[1]), max(va[2], vb[2])
-    xa, xb = _lift(va, den, deg), _lift(vb, den, deg)
+    va, vb = _view(a), _view(b)
+    P = _join(va[3], vb[3])
+    F = list(map(max, _exps(va), _exps(vb))) if len(P) > 1 else None
+    xa, xb = _at(va, P, F), _at(vb, P, F)
+    den, deg = math.lcm(xa[1], xb[1]), max(xa[2], xb[2])
+    xa, xb = _lift(xa, den, deg), _lift(xb, den, deg)
     B = _width(max(_bits(xa, deg), _bits(xb, deg)), 2) if deg else 0
-    return _out(n, [x + sign * y for x, y in zip(_packs(xa, deg, B), _packs(xb, deg, B))], B, den, P, e, ring)
+    return _out(n, [x + sign * y for x, y in zip(_packs(xa, deg, B), _packs(xb, deg, B))], B, den, P, F, ring)
 
 
 def scale(a, v):
+    """a times the scalar v: one product with each polynomial of a's view."""
     v = sc.simplify(v)
     ring = sc.join_ring(a.ring, sc.ring_of(v))
-    if v.__class__ is Fraction and v and ring != sc.RING_QLRAT:
-        xs, den, deg = _view(a)
-        p = v.numerator
+    if not v:
+        return zero(a.order, ring)
+    va = _view(a)
+    P = _join(va[3], sc._base([v]))
+    xs, den, deg, _, E = _rebase(va, P)
+    N, d, k = _part(v, P)
+    if len(N) == 1 and not k:  # a rational multiple: P neither appears nor goes
+        p = N[0]
         return _lazy(a.order, [[c * p for c in x] for x in xs] if deg else [x * p for x in xs],
-                     den * v.denominator, deg, ring)
-    return Series(a.order, [c * v for c in a.coeffs], ring)
+                     den * d, deg, ring, P, E)
+    xs = [_pmul(x, N) if any(x) else [] for x in _polys(xs, deg)]
+    if len(P) > 1:
+        xs, E = map(list, zip(*[_reduce(x, P, e + k) for x, e in zip(xs, E)]))
+    return _lazy(a.order, xs, den * d, 1, ring, P, E)
 
 
-def _base(ring, *ss):
-    """P (``scalar._base``) for the Series or scalar tuples ss, which lie in
-    ring: only Q(l) has l-denominators, so over Q and Q[l] nothing is read."""
-    if ring != sc.RING_QLRAT:
-        return sc.NO_P
-    return sc._base([c for s in ss for c in (s if s.__class__ is tuple else s.coeffs) if c.__class__ is sc.LRat])
+def _join(*Ps):
+    """The P of a kernel whose operands lie over the Ps: their lcm."""
+    P = sc.NO_P
+    for Q in Ps:
+        if len(Q) > 1 and Q != P:
+            P = Q if len(P) == 1 else sc._plcm(P, Q)
+    return P
 
 
-def _parts(coeffs, P):
-    """_part(c, P) of each coefficient c, None for a zero one."""
-    return [_part(c, P) if c else None for c in coeffs]
+def _rebase(v, P):
+    """The view v over P, a multiple of its own P: each polynomial times
+    (P / v's P)^E[i], which keeps E least, as the two are coprime."""
+    xs, den, deg, Q, E = v
+    if Q == P:
+        return v
+    if len(Q) == 1:
+        return xs, den, deg, P, [0] * len(xs)
+    R = sc._pdiv(P, Q)
+    xs = [_pmul(x, sc._ppow(R, e)) if e else x for x, e in zip(_polys(xs, deg), E)]
+    return _norm(xs, den, 1) + (P, E)
 
 
-def _weight(parts, a=0):
-    """The least w >= 0 with every part i >= 1 over P^(w i - a): its k is at
-    most w i - a."""
-    return max([0] + [-((-p[2] - a) // i) for i, p in enumerate(parts) if i and p])
+def _polys(xs, deg):
+    """The polynomials of a view as lists."""
+    return xs if deg else [[x] for x in xs]
 
 
-def _shift(parts, w):
-    """The least s with every part i over P^(w i + s) (0 when there is none)."""
-    return max((p[2] - w * i for i, p in enumerate(parts) if p), default=0)
+def _exps(v):
+    """The exponents E of the view v, 0 for each polynomial over P = 1."""
+    return v[4] or [0] * len(v[0])
+
+
+def _points(v):
+    """(i, E[i]) for each nonzero polynomial i of the view v."""
+    xs, _, deg, _, _ = v
+    return [(i, e) for i, (x, e) in enumerate(zip(xs, _exps(v))) if (any(x) if deg else x)]
+
+
+def _weight(pts, a=0):
+    """The least w >= 0 with every point (i, e), i >= 1, at most w i - a."""
+    return max([0] + [-((-e - a) // i) for i, e in pts if i])
+
+
+def _shift(pts, w):
+    """The least s with every point (i, e) at most w i + s (0 when there is none)."""
+    return max((e - w * i for i, e in pts), default=0)
 
 
 def _line(n, w, s):
@@ -336,29 +381,58 @@ def _line(n, w, s):
     return [w * i + s for i in range(n + 1)]
 
 
-def _frame(P, *seqs):
-    """(w, shifts, parts): the least weight w >= 0 with seq[i] over P^(w i)
-    for every i >= 1, each sequence's least shift s at w (it lies over
-    P^(w i + s)) and its _parts."""
-    parts = [_parts(seq, P) for seq in seqs]
-    w = max(map(_weight, parts))
-    return w, [_shift(p, w) for p in parts], parts
+def _frame(*vs, w=0, fixed=0):
+    """(w, shifts): a weight w, at least the one given, and for each view v
+    in vs its least shift s at w, so that every nonzero polynomial i of v
+    lies over P^(w i + s), with the least total excess: the sum of
+    w i + s - E[i] over those polynomials, the factors of P a kernel
+    carries through and ``_reduce`` strips again.  `fixed` is the sum of
+    the indices of the nonzero terms of an operand whose shift the kernel
+    fixes, whose excess grows by that much with each unit of w.  The excess
+    is convex in w, so the scan stops at its first minimum."""
+    pts = [_points(v) for v in vs]
+    tot = fixed + sum(i for p in pts for i, _ in p)
+
+    def excess(w):  # up to a constant
+        ss = [_shift(p, w) for p in pts]
+        return w * tot + sum(map(operator.mul, map(len, pts), ss)), ss
+
+    c, ss = excess(w)
+    while True:
+        c1, ss1 = excess(w + 1)
+        if c1 >= c:
+            return w, ss
+        w, c, ss = w + 1, c1, ss1
 
 
-def _int_view(coeffs, P=sc.NO_P, exps=None, parts=None):
-    """(xs, den, deg): coeffs[i] == xs[i] / (den P^exps[i]) over one int den,
-    each xs[i] an int polynomial of degree at most deg, for P from _base and
-    exps[i] at least the k of _part(coeffs[i], P); parts, when given, are
-    the _parts of coeffs.  At deg 0 the xs are ints, otherwise lists of
-    l-coefficients, low first.  For P = (1,) the exps are not read: den is
-    the lcm of every l-coefficient's denominator."""
+def _int_view(coeffs, P=sc.NO_P):
+    """(xs, den, deg, P, E): coeffs[i] == xs[i] / (den P^E[i]) over one int
+    den, in the normal form of ``_norm``, each xs[i] an int polynomial of
+    degree at most deg.  At deg 0 the xs are ints, otherwise lists of
+    l-coefficients, low first.  For P = (1,) E is None, and den is the lcm
+    of every l-coefficient's denominator; otherwise P comes from _base,
+    E[i] is the least exponent of coeffs[i] (``scalar._part``) and 0 for a
+    zero one."""
     if len(P) == 1:
         parts = [(c,) if c.__class__ is Fraction else c.coeffs for c in coeffs]
         den = math.lcm(*[x.denominator for p in parts for x in p])
-        return _norm([[x.numerator * (den // x.denominator) for x in p] for p in parts], den, 1)
-    xs, den = sc._over(parts or _parts(coeffs, P), P, exps)
+        return _norm([[x.numerator * (den // x.denominator) for x in p] for p in parts], den, 1) + (P, None)
+    parts = [_part(c, P) if c else None for c in coeffs]
+    den = math.lcm(*[p[1] for p in parts if p])
+    xs = [[x * (den // p[1]) for x in p[0]] if p else [0] for p in parts]
+    return _norm(xs, den, 1) + (P, [p[2] if p else 0 for p in parts])
+
+
+def _at(v, P, F):
+    """(xs, den, deg): the polynomials of the view v over den P^F[i], P a
+    multiple of v's own and F[i] at least E[i] wherever v is nonzero; the
+    view itself over P = 1 (F None)."""
+    if F is None:
+        return v[:3]
+    xs, den, deg, _, E = _rebase(v, P)
+    xs = [_pmul(x, sc._ppow(P, f - e)) if f > e and any(x) else x for x, f, e in zip(_polys(xs, deg), F, E)]
     deg = max(map(len, xs)) - 1
-    return (xs, den, deg) if deg else ([x[0] for x in xs], den, 0)
+    return (xs, den, deg) if deg > 0 else ([x[0] if x else 0 for x in xs], den, 0)
 
 
 def _lift(v, den, deg):
@@ -398,16 +472,20 @@ def _scalars(xs, B, den, P=sc.NO_P, exps=None):
     """The canonical scalars x / (den P^exps[i]) of the polynomials xs packed
     at width B; for P = (1,) at width 0 every x is a constant."""
     if len(P) > 1:
-        return [_reduce(_unpack(x, B), den, P, e) for x, e in zip(xs, exps)]
+        rs = [_reduce(_unpack(x, B) if B else [x], P, e) for x, e in zip(xs, exps)]
+        return [sc._rat(x, den, P, e) for x, e in rs]
     return [_scalar(_unpack(x, B) if B else x, den, B) for x in xs]
 
 
-def _out(n, xs, B, den, P, exps, ring):
+def _out(n, xs, B, den, P, F, ring):
     """The Series of order n of the sums xs packed at width B over
-    den P^exps[i]: its reduced scalars over Q(l), only its view for P = 1."""
-    if len(P) > 1:
-        return Series(n, _scalars(xs, B, den, P, exps), ring)
-    return _lazy(n, [_unpack(x, B) for x in xs] if B else xs, den, B, ring)
+    den P^F[i]: only its view, each polynomial over Q(l) reduced to its
+    least exponent (``scalar._reduce``)."""
+    xs = [_unpack(x, B) for x in xs] if B else xs
+    if len(P) == 1:
+        return _lazy(n, xs, den, B, ring)
+    xs, E = zip(*[_reduce(x if B else [x], P, f) for x, f in zip(xs, F)])
+    return _lazy(n, list(xs), den, 1, ring, P, list(E))
 
 
 def mul(a, b):
@@ -423,16 +501,17 @@ def _mul_add(a, b, c=None):
     n, ring = a.order, sc.join_ring(a.ring, b.ring)
     if c is not None:
         ring = sc.join_ring(ring, c.ring)
-    P = _base(ring, *ops)
-    es = parts = (None, None, None)  # exponents of P, none for P = 1
+    vs = [_view(s) for s in ops]
+    P = _join(*[v[3] for v in vs])
+    es = (None, None, None)  # exponents of P, none for P = 1
     if len(P) > 1:
-        w, ss, parts = _frame(P, *[s.coeffs for s in ops])
+        w, ss = _frame(*vs)
         so = max([ss[0] + ss[1]] + ss[2:])
         es = _line(n, w, ss[0]), _line(n, w, so - ss[0]), _line(n, w, so)
-    (xa, ad, da), (xb, bd, db) = _view(a, P, es[0], parts[0]), _view(b, P, es[1], parts[1])
+    (xa, ad, da), (xb, bd, db) = _at(vs[0], P, es[0]), _at(vs[1], P, es[1])
     bits, terms, den, dc = _bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1), ad * bd, 0
     if c is not None:
-        xc, cd, dc = _view(c, P, es[2], parts[-1])
+        xc, cd, dc = _at(vs[2], P, es[2])
         den = math.lcm(den, cd)
         ma, mc = den // (ad * bd), den // cd
         # ma times each of the terms products, and one term mc c[m]
@@ -455,10 +534,10 @@ def _recurrence(u, c, g, e, P, E, ring):
     The outputs so far are kept packed at one width B over their lcm den and
     P^E[n]: the terms of each sum then share the exponent of u[n].  Each
     step forms the packed sum, unpacks it, multiplies by gam, reduces the new
-    output once and packs its numerator.  Before the next sum could overflow
-    B, B grows and everything so far is repacked.  B is 0 (nothing packed)
-    when u, c and gam are constants.  For P = 1 the packed outputs are the
-    result's view, and no scalar is made.
+    output once for the result's view and packs its numerator.  Before the
+    next sum could overflow B, B grows and everything so far is repacked.
+    B is 0 (nothing packed) when u, c and gam are constants.  For P = 1 the
+    packed outputs are the result's view.
     """
     (xu, ud, du), (xc, cd, dc), (gam, gd, _) = u, c, g
     hc = _bits(xc, dc)
@@ -475,7 +554,7 @@ def _recurrence(u, c, g, e, P, E, ring):
             h = math.gcd(q, *x)
             x, dv = [y // h for y in x], q // h  # the new output is x / (dv P^E[n])
             if len(P) > 1:
-                out.append(_reduce(x, dv, P, E[n]))
+                out.append(_reduce(x, P, E[n]) + (dv,))
             m = dv // math.gcd(den, dv)
             if B:
                 # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
@@ -497,8 +576,9 @@ def _recurrence(u, c, g, e, P, E, ring):
             nums = [y * m for y in nums]
             den *= m
         nums.append(x * (den // dv))
-    if len(P) > 1:
-        return Series(len(out) - 1, out, ring)
+    if len(P) > 1:  # den is now the lcm of the outputs' dv
+        return _lazy(len(out) - 1, [[y * (den // dv) for y in x] for x, _, dv in out], den, 1, ring,
+                     P, [k for _, k, _ in out])
     return _lazy(len(nums) - 1, [_unpack(y, B) for y in nums] if B else nums, den, B, ring)
 
 
@@ -512,19 +592,20 @@ def div(a, b):
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
     # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0]; b[0]'s factors are in P,
     # so 1/b[0] is a polynomial over a power of P
-    P = _base(ring, a, b, (inv0,))
+    va, vb = _view(a), _view(b)
+    P = _join(va[3], vb[3], sc._base([inv0]))
     gam, gd, ag = _part(inv0, P)
     E = None
+    xb, bd, db, Pb, eb = vb
+    cv = _norm([[] if db else 0] + xb[1:], bd, db) + (Pb, eb and [0] + eb[1:])  # b's tail
     if len(P) > 1:
-        c = (_ZERO,) + b.coeffs[1:]
-        pa, pc = _parts(a.coeffs, P), _parts(c, P)
-        w = max(_weight(pa), _weight(pc, ag))
-        s = _shift(pa, w)
+        # c[k] over P^(w k - ag), a over P^(w i + s): the recurrence fixes c's shift
+        pc = _points(cv)
+        w, (s,) = _frame(va, w=_weight(pc, ag), fixed=sum(i for i, _ in pc))
         E = _line(n, w, s + ag)
-        av, cv = _int_view(a.coeffs, P, _line(n, w, s), pa), _int_view(c, P, _line(n, w, -ag), pc)
+        av, cv = _at(va, P, _line(n, w, s)), _at(cv, P, _line(n, w, -ag))
     else:
-        xb, bd, db = _view(b)  # the tail of b over b's own den, in normal form
-        av, cv = _view(a), _norm([[] if db else 0] + xb[1:], bd, db)
+        av, cv = va[:3], cv[:3]
     h = math.gcd(cv[1], *gam)  # the recurrence's factor is inv0 / cd
     g = [x // h for x in gam], gd * (cv[1] // h), ag
     return _recurrence(av, cv, g, [1] * (n + 1), P, E, ring)
@@ -545,19 +626,17 @@ def shift_up(a, k):
 def derivative(a):
     """The derivative; its top coefficient is unknown and set to 0, so
     callers truncate as needed."""
-    if a.ring == sc.RING_QLRAT:
-        return Series(a.order, [c * n for n, c in enumerate(a.coeffs[1:], 1)] + [_ZERO], a.ring)
-    xs, den, deg = _view(a)
+    xs, den, deg, P, E = _view(a)
     out = [[n * c for c in p] if deg else n * p for n, p in enumerate(xs[1:], 1)]
-    return _lazy(a.order, out + [[] if deg else 0], den, deg, a.ring)
+    return _lazy(a.order, out + [[] if deg else 0], den, deg, a.ring, P, E and E[1:] + [0])
 
 
 def integrate(a):
     """Antiderivative with zero constant term, same order (top coeff drops)."""
-    out = [_ZERO]
-    for n in range(a.order):
-        out.append(a.coeffs[n] * Fraction(1, n + 1))
-    return Series(a.order, out, a.ring)
+    xs, den, deg, P, E = _view(a)
+    L = math.lcm(*range(1, a.order + 1))  # coefficient m is xs[m-1] (L/m) / (den L)
+    out = [[c * (L // m) for c in p] if deg else p * (L // m) for m, p in enumerate(xs[:-1], 1)]
+    return _lazy(a.order, [[] if deg else 0] + out, den * L, deg, a.ring, P, E and [0] + E[:-1])
 
 
 def compose(g, f):
@@ -589,17 +668,18 @@ def _eval_at_powers(g, f):
     while len(steps) <= k:
         steps.append(mul(steps[-1], f))
     ring = sc.join_ring(g.ring, f.ring)
-    P = _base(ring, g, f)  # the powers of f need nothing more
-    eg = pg = None
+    vg, vf = _view(g), _view(f)
+    P = _join(vg[3], vf[3])  # the powers of f need nothing more
+    eg = None
     if len(P) > 1:
-        pf, pg = _parts(f.coeffs, P), _parts(g.coeffs, P)
+        pf = _points(vf)
         w = _weight(pf)
         sig = _shift(pf, w)
-        sg = _shift(pg, -sig)
+        sg = _shift(_points(vg), -sig)
         eg = _line(n, -sig, sg)
     # g and the baby steps each over one denominator, packed at one width
-    xg, gden, dg = _view(g, P, eg, pg)
-    vs = [_view(s, P, eg and _line(n, w, j * sig)) for j, s in enumerate(steps[:k])]
+    xg, gden, dg = _at(vg, P, eg)
+    vs = [_at(_view(s), P, eg and _line(n, w, j * sig)) for j, s in enumerate(steps[:k])]
     sden, ds = math.lcm(*[v[1] for v in vs]), max(v[2] for v in vs)
     xs = [x for v in vs for x in _lift(v, sden, ds)]
     B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
@@ -620,7 +700,7 @@ def _eval_at_powers(g, f):
 class DeltaSeries:
     """A Series validated to have f(0)=0 and invertible f'(0)."""
 
-    __slots__ = ("series",)
+    __slots__ = ("series", "_hash")
 
     def __init__(self, series):
         if series.order < 1:
@@ -632,8 +712,9 @@ class DeltaSeries:
             raise NotDelta("zero linear term")
         # a nonconstant polynomial linear coefficient is only invertible in Q(l)
         if series.ring == sc.RING_QL and isinstance(f1, sc.LPoly):
-            series = Series(series.order, series.coeffs, sc.RING_QLRAT)
+            series = _set(object.__new__(Series), series.order, sc.RING_QLRAT, series._coeffs, series._view)
         object.__setattr__(self, "series", series)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeltaSeries is immutable")
@@ -656,7 +737,11 @@ class DeltaSeries:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.series, self.ring))
+        h = self._hash
+        if h is None:
+            h = hash((self.series, self.ring))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return "DeltaSeries(%r)" % (self.series,)
@@ -726,12 +811,11 @@ def exp_series(f):
         raise BadConstantTerm("exp needs zero constant term")
     # out[n] = sum_k k f[k] out[n-k] / n, f[k] over P^(w k): out[n] over P^(w n)
     n = f.order
-    P = _base(f.ring, f)
-    E = pf = None
+    v = _view(f)
+    P, E = v[3], None
     if len(P) > 1:
-        pf = _parts(f.coeffs, P)
-        E = _line(n, _weight(pf), 0)
-    xs, fd, deg = _view(f, P, E, pf)
+        E = _line(n, _weight(_points(v)), 0)
+    xs, fd, deg = _at(v, P, E)
     kf = [[-k * x for x in p] for k, p in enumerate(xs)] if deg else [-k * x for k, x in enumerate(xs)]
     one = [1] + [0] * n, 1, 0
     e = [fd] + [fd * m for m in range(1, n + 1)]
@@ -782,10 +866,11 @@ def egf_coeff(series, n):
 
 
 def _egf_view(s, n):
-    """The view of the EGF coefficients m! s[m], m <= n, of s over P = 1."""
-    xs, den, deg = _view(s)
+    """The view of the EGF coefficients m! s[m], m <= n, of s."""
+    xs, den, deg, P, E = _view(s)
     fs = accumulate(range(1, n + 1), operator.mul, initial=1)
-    return _norm([[f * c for c in p] for f, p in zip(fs, xs)] if deg else list(map(operator.mul, fs, xs)), den, deg)
+    xs = [[f * c for c in p] for f, p in zip(fs, xs)] if deg else list(map(operator.mul, fs, xs))
+    return _norm(xs, den, deg) + (P, E and E[:n + 1])
 
 
 def from_egf(coeffs, ring=None):

@@ -21,8 +21,9 @@ and ``LRat`` made by their constructors).  All three types define
 
 The series kernels see scalars as integer polynomials in l (``_part``):
 a scalar is N / (d P^k) for an int polynomial N, an int d and the power k
-of one squarefree polynomial P (``_base``), and ``_reduce`` builds the
-canonical scalar back by trial division by P, not by a gcd.
+of one squarefree polynomial P (``_base``).  ``_reduce`` strips P from a
+kernel's output by trial division, not by a gcd, and ``_rat`` builds the
+canonical scalar from what is left when a value is read.
 """
 
 from __future__ import annotations
@@ -422,13 +423,13 @@ def simplify(s):
 
 
 def lpoly_gcd(a, b):
-    """Monic gcd over Q by the Euclidean algorithm."""
+    """Monic gcd over Q, by a primitive remainder sequence over the ints
+    (``_igcd``); the monic gcd is unique, so any route gives the same one."""
     a, b = as_lpoly(a), as_lpoly(b)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    G = _igcd(_ints(a.coeffs)[0], _ints(b.coeffs)[0])
+    return LPoly([Fraction(x, G[-1]) for x in G])
 
 
 def lrat_reduce(num, den):
@@ -544,6 +545,36 @@ def _pdiv(a, b):
     return None if any(a[:db]) else q
 
 
+def _prem(a, b):
+    """A remainder of the int polynomial a by b, with its content divided
+    out: a mod b times a nonzero int, found on ints alone by eliminating
+    the leading term of a with a multiple of b at each step."""
+    a, db, lb = list(a), len(b) - 1, b[-1]
+    while len(a) > db:
+        c = a.pop()
+        if c:
+            g = math.gcd(lb, c)
+            m, c, k = lb // g, c // g, len(a) - db
+            a = [m * x for x in a[:k]] + [m * x - c * y for x, y in zip(a[k:], b)]
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _igcd(a, b):
+    """The gcd of the int polynomials a and b, not both zero, as a primitive
+    polynomial with a positive leading coefficient: a primitive remainder
+    sequence (Knuth, TAOCP vol. 2, 4.6.1), which keeps the remainders'
+    coefficients small without any rational arithmetic."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _prem(a, b)
+    g = math.gcd(*a)
+    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
+
+
 def _cofactor(den, P):
     """(q, k): 1/den == q / P^k for the monic polynomial den, the int
     polynomial q and the least k; None when den divides no power of P."""
@@ -557,7 +588,8 @@ def _cofactor(den, P):
 
 def _part(c, P):
     """(N, d, k): the nonzero scalar c == N / (d P^k) for the int polynomial N,
-    the int d and the least k, for P from _base."""
+    the int d and the least k, for P from _base.  When k > 0, P does not
+    divide N."""
     if c.__class__ is Fraction:
         return [c.numerator], c.denominator, 0
     if c.__class__ is LPoly:
@@ -571,48 +603,50 @@ def _part(c, P):
 NO_P = (1,)  # P (see _base) when no scalar has a denominator in l
 
 
-def _base(rats):
-    """P for the LRats rats: the primitive squarefree int polynomial, with a
-    positive leading coefficient, whose powers every denominator among them
-    divides; (1,) when there are none."""
+def _base(scalars):
+    """P for the scalars: the primitive squarefree int polynomial, with a
+    positive leading coefficient, whose powers every l-denominator among
+    them divides; (1,) when there is none."""
     P = NO_P
     # the lowest degrees first: most denominators are powers of the first one
-    for c in sorted(rats, key=lambda c: len(c.den.coeffs)):
+    for c in sorted([c for c in scalars if c.__class__ is LRat], key=lambda c: len(c.den.coeffs)):
         if _cofactor(c.den, P) is None:
-            D = c.den
-            L = D if D.degree == 1 else D.divmod(lpoly_gcd(D, D.derivative()))[0]  # squarefree part
-            if len(P) > 1:
-                Q = LPoly(P)
-                L = (Q * L).divmod(lpoly_gcd(Q, L))[0]  # lcm(P, L), monic
-            P = tuple(_primitive(L.coeffs))
+            D = _primitive(c.den.coeffs)
+            if len(D) > 2:  # its squarefree part
+                D = _pdiv(D, _igcd(D, [i * x for i, x in enumerate(D)][1:]))
+            P = tuple(D) if len(P) == 1 else _plcm(P, D)
     return P
 
 
-def _over(parts, P, exps):
-    """(xs, den): the scalars of parts (each from _part, None for a zero one)
-    are xs[i] / (den P^exps[i]) over one int den, for int polynomials xs[i]
-    and exps[i] at least their k."""
-    den = math.lcm(*[p[1] for p in parts if p])
-    return [_pmul([x * (den // p[1]) for x in p[0]], _ppow(P, e - p[2])) if p else [0]
-            for p, e in zip(parts, exps)], den
+def _plcm(P, Q):
+    """The lcm of two primitive squarefree int polynomials with positive
+    leading coefficients, as one of the same kind (a tuple)."""
+    return tuple(_pmul(list(P), _pdiv(Q, _igcd(list(P), list(Q)))))
 
 
-def _reduce(cs, den, P, e):
-    """The canonical scalar cs / (den P^e) for the int polynomial cs.
-
-    P is stripped by exact trial division.  When P has degree 2 or more, a
-    proper factor of it may still divide what is left: then each round
-    strips G = gcd(cs, P), of degree below P's, from cs and from P^e."""
+def _reduce(cs, P, e):
+    """(cs, e) for the int polynomial cs / P^e with every factor P that
+    divides cs stripped, by exact trial division: e is then the least
+    exponent, and P does not divide cs unless e is 0."""
     if not any(cs):
-        return _ZERO
+        return cs, 0
     while e > 0:
         q = _pdiv(cs, P)
         if q is None:
             break
         cs, e = q, e - 1
+    return cs, e
+
+
+def _rat(cs, den, P, e):
+    """The canonical scalar cs / (den P^e), for (cs, e) from _reduce.
+
+    When P has degree 2 or more, a proper factor of it may still divide cs:
+    then each round strips G = gcd(cs, P), of degree below P's, from cs and
+    from P^e."""
     D = _ppow(P, e)
     for _ in range(e if len(P) > 2 else 0):
-        G = _primitive(lpoly_gcd(LPoly(P), LPoly(cs)).coeffs)
+        G = _igcd(list(P), cs)
         if len(G) == 1:
             break
         cs, D = _pdiv(cs, G), _pdiv(D, G)

@@ -84,28 +84,26 @@ def _power_rows(start, base, max_n):
         B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
 
     a start other than 1 is one binomial convolution with its EGF
-    coefficients s_m.  Both run on ints in every ring: s_m and b_j become
-    integer polynomials in l over e P^(w m + ss) and d P^(w j + sb)
-    (``fps._int_view``), each packed into one int (``fps._pack``).  B_{n,k}
-    is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x) (Comtet,
-    3.3), so entry (n, k) is the unpacked result over e d^k P^(w n + k sb + ss).
-    Over Q and Q[l] P is 1, and s_m and b_j come straight from the views
-    the two series keep, as m! x_m / den (``fps._egf_view``): the entries
+    coefficients s_m.  Both run on ints in every ring: s_m and b_j come
+    from the views the two series keep, as m! x_m / den (``fps._egf_view``),
+    over P^E[m] of their least exponents, and are viewed as integer
+    polynomials in l over e P^(w m + ss) and d P^(w j + sb) for the frame
+    of least excess (``fps._frame``), each packed into one int
+    (``fps._pack``).  B_{n,k} is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) =
+    a^n B_{n,k}(x) (Comtet, 3.3), so entry (n, k) is the unpacked result
+    over e d^k P^(w n + k sb + ss).  Over Q and Q[l] P is 1.  The entries
     are the only scalars made here.  The width bounds every sum because the
     same recurrence, run first on the l1 norms of those polynomials, bounds
     the l1 norm of each sum (the norm of a product is at most the product of
     the norms).  Over Q the norms are not needed: nothing is packed.
     """
-    P = fps._base(sc.join_ring(start.ring, base.ring), start, base)
+    vs, vb = fps._egf_view(start, max_n), fps._egf_view(base, max_n)
+    P = fps._join(vs[3], vb[3])
     es = None  # exponents of P, none for P = 1
     if len(P) > 1:
-        s = [fps.egf_coeff(start, n) for n in range(max_n + 1)]
-        b = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
-        w, (ss, sb), parts = fps._frame(P, s, b)
-        es, eb = fps._line(max_n, w, ss), fps._line(max_n, w, sb)
-        (xs, e, ds), (xb, d, db) = fps._int_view(s, P, es, parts[0]), fps._int_view(b, P, eb, parts[1])
-    else:
-        (xs, e, ds), (xb, d, db) = fps._egf_view(start, max_n), fps._egf_view(base, max_n)
+        w, (ss, sb) = fps._frame(vs, vb)
+        es = fps._line(max_n, w, ss)
+    (xs, e, ds), (xb, d, db) = fps._at(vs, P, es), fps._at(vb, P, es and fps._line(max_n, w, sb))
     B = 0
     if ds + db:
         bell = _bell_columns(fps._norms(xb, db))

@@ -2,7 +2,9 @@
 
 Each function here works coefficient by coefficient on the scalars
 themselves (Fraction, LPoly, LRat), with no integer views and no
-baby-step/giant-step evaluation, and calls none of the kernels it checks:
+baby-step/giant-step evaluation, and calls none of the kernels it checks
+(``lpoly_gcd`` is Euclid over Fractions, against the integer remainder
+sequence of ``scalar.lpoly_gcd``):
 not fps.mul, fps.div, fps.add, fps.exp_series, fps.log_series, fps.compose,
 fps.invert_newton or stirling._power_rows.  Only the Series constructor,
 its coeffs, truncate and pad are shared; nothing here reads the int view a
@@ -116,3 +118,11 @@ def power_rows(start, base, max_n):
         cols.append(fps.Series(max_n, [c * Fraction(1, k) for c in p.coeffs], p.ring))
     fact = [Fraction(math.factorial(n)) for n in range(max_n + 1)]
     return [[cols[k].coeffs[n] * fact[n] for k in range(n + 1)] for n in range(max_n + 1)]
+
+
+def lpoly_gcd(a, b):
+    """Monic gcd over Q by the Euclidean algorithm on Fraction coefficients."""
+    a, b = sc.as_lpoly(a), sc.as_lpoly(b)
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()

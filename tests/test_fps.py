@@ -5,7 +5,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from deltaseries import exprparse as ep
@@ -587,6 +587,13 @@ class TestRationalFunctionKernels:
         assert_same(fps.add(a, b), ref.add(a, b))
         assert_same(fps.sub(a, b), ref.sub(a, b))
 
+    # the operands whose reference quotient took seconds in LRat gcds
+    # while lpoly_gcd ran Euclid over Fractions
+    @example([fps.Series(4, [(4 * L - 4294967295) / (L**4 - 4 * L**3 + 5 * L**2 - 4 * L + 4), 0, 0,
+                             (L**2 + 4294967295) / (L**6 - 2 * L**5 - 2 * L**4 + 2 * L**3 + L**2 + 4 * L + 4),
+                             (127 - 4294967295 * L) / (L**2 - L - 2)]),
+              fps.Series(4, [1, (Fraction(2509, 37) + Fraction(205493, 101) * L**2)
+                             / (L**8 - 2 * L**7 - L**6 - L**4 + 6 * L**3 + 5 * L**2 + 4 * L + 4), 0, 0, 0])])
     @given(qlrat_operands(2, max_order=4, constant=nonzero_constant))
     @settings(max_examples=25, deadline=None)
     def test_div(self, pair):
@@ -660,6 +667,28 @@ class TestLambdaDenominators:
         f = ep.require_delta(ep.eval_expr(ep.parse("(1+lambda)*t + t^2/(1-t)"), 10, "symbolic"))
         fbar = fps.invert_newton(f).series
         assert [fps.lagrange_coeff_inverse(f, m) for m in range(1, 11)] == list(fbar.coeffs[1:])
+
+
+class TestTightFrames:
+    """_frame chooses the weight w and the shifts together, so a series
+    whose constant term carries powers of P is not viewed over a frame
+    much steeper than its exponents."""
+
+    def test_frame_fits_weight_and_shift_together(self):
+        n = 6
+        x = fps.pow_int(fps.div(fps.one(n), fps.Series(n, [(1 + L) ** 2, 1] + [0] * (n - 1))), 8)
+        v = fps._view(x)
+        assert v[3] == (1, 1) and v[4] == [2 * i + 16 for i in range(n + 1)]
+        assert fps._frame(v) == (2, [16])
+
+    def test_lagrange_coefficient_with_a_square_linear_term(self):
+        import time
+        n = 20
+        f = fps.DeltaSeries(fps.Series(n, [0, (1 + L) ** 2, 1] + [0] * (n - 2)))
+        t0 = time.perf_counter()
+        c = fps.lagrange_coeff_inverse(f, n)
+        assert time.perf_counter() - t0 < 0.5
+        assert c == fps.invert_newton(f).series[n]
 
 
 # name: (declared ring, coefficients from t^0 on, top order, highest order
@@ -766,14 +795,26 @@ def test_reference_shares_no_kernel():
 
 
 def assert_view(s):
-    """A view kept on s is the one _int_view makes of its scalars, and the
-    one plain lcm arithmetic gives; a zero polynomial may be [] or [0]."""
+    """A view kept on s is the one _int_view makes of its scalars at the
+    view's P, and the one plain arithmetic gives: over P = 1 lcm arithmetic
+    on the scalars, over Q(l) scalar arithmetic with the exponents least
+    (no factor of P in a numerator whose exponent is positive, 0 for a zero
+    coefficient).  A zero polynomial may be [] or [0]."""
     if s._view is None:
         return
     def zeros_as_0(v):
-        return [p or [0] for p in v[0]] if v[2] else v[0], v[1], v[2]
-    assert zeros_as_0(s._view) == zeros_as_0(fps._int_view(s.coeffs))
-    xs, den, deg = s._view
+        return ([p or [0] for p in v[0]] if v[2] else v[0],) + v[1:]
+    xs, den, deg, P, E = s._view
+    assert zeros_as_0(s._view) == zeros_as_0(fps._int_view(s.coeffs, P))
+    if len(P) > 1:
+        Q = sc.LPoly(P)
+        assert math.gcd(den, *[c for x in (xs if deg else [[x] for x in xs]) for c in x]) == 1
+        for x, e, c in zip(xs if deg else [[x] for x in xs], E, s.coeffs):
+            x = sc.LPoly(x)
+            assert x / (den * Q**e) == c
+            assert (not e or x.divmod(Q)[1]) and (c or not e)
+        return
+    assert E is None and len(xs) == s.order + 1
     polys = [(c,) if c.__class__ is Fraction else c.coeffs for c in s.coeffs]
     lcm = math.lcm(*[x.denominator for p in polys for x in p])
     assert (den, deg) == (lcm, max(map(len, polys)) - 1)
@@ -799,9 +840,10 @@ def lazy(s):
 
 
 class TestViews:
-    """Series over Q and Q[l] kept as int views between kernels: every view
-    is in the normal form of _int_view, lazy and eager operands give the
-    same results, and the scalars are made only when read."""
+    """Series kept as int views between kernels in all three rings: every
+    view is in the normal form of _int_view, over Q(l) with the least
+    exponents of P, lazy and eager operands give the same results, and the
+    scalars are made only when read."""
 
     @given(view_pair())
     @settings(max_examples=60, deadline=None)
@@ -831,6 +873,39 @@ class TestViews:
             for s in (x, g):
                 assert_view(s)
 
+    @given(qlrat_operands(2, max_order=4, constant=nonzero_constant), hst.sampled_from([1 + 2 * L, L**2 - L]))
+    @settings(max_examples=30, deadline=None)
+    def test_qlrat_kernels_keep_reduced_views(self, pair, f1):
+        # every result over Q(l), and the operands a kernel read, keep their
+        # least exponents of P, also where the operands' P differ
+        a, b = pair
+        n = a.order
+        f = fps.Series(n, (0,) + b.coeffs[1:], b.ring)
+        v = (L + 1) / (L - 2)
+        got = [fps.mul(a, b), fps.div(a, b), fps.exp_series(f), fps.compose(a, f), fps.add(a, b),
+               fps.sub(a, b), fps.mul(a, f).truncate(n // 2), fps.mul(a, b).pad(n + 2), fps.derivative(a),
+               fps.integrate(a), fps.scale(a, Fraction(-3, 7)), fps.scale(a, 1 - L), fps.scale(a, v),
+               fps.shift_up(fps.add(a, b), 1)]
+        want = [ref.mul(a, b), ref.div(a, b), ref.exp_series(f), ref.horner_compose(a, f), ref.add(a, b),
+                ref.sub(a, b), ref.mul(a, f).truncate(n // 2), ref.mul(a, b).pad(n + 2), ref.derivative(a),
+                fps.Series(n, [0] + [c * Fraction(1, i) for i, c in enumerate(a.coeffs[:-1], 1)], a.ring),
+                fps.Series(n, [c * Fraction(-3, 7) for c in a.coeffs], a.ring),
+                fps.Series(n, [c * (1 - L) for c in a.coeffs], sc.join_ring(a.ring, sc.RING_QL)),
+                fps.Series(n, [c * v for c in a.coeffs], sc.RING_QLRAT),
+                fps.shift_up(ref.add(a, b), 1)]
+        if n:
+            g = fps.DeltaSeries(fps.Series(n, (0, f1) + b.coeffs[2:]))
+            got.append(fps.invert_newton(g).series)
+            want.append(ref.horner_invert(g).series)
+        for s, w in zip(got, want):
+            # made lazy and read only below; at order 1 the inverse is built from scalars
+            assert s._coeffs is None or (s is got[-1] and n == 1)
+            assert_view(s)
+            assert_same(s, w)
+        for s in (a, b, f):
+            assert_view(s)
+        assert st._power_rows(a, f, n) == ref.power_rows(a, f, n)
+
     @given(view_pair())
     @settings(max_examples=40, deadline=None)
     def test_lazy_and_eager_series_are_one_value(self, pair):
@@ -842,6 +917,31 @@ class TestViews:
             assert la == s and s == la and hash(la) == hash(s)
             assert_same(la, s)
             assert la.valuation() == s.valuation() and la.is_zero() == s.is_zero()
+
+    def test_a_polynomial_keeps_its_factors_of_p(self):
+        # coefficient 0 of the product is (1+l)^2 / (1+l) = 1+l: exponent 0,
+        # where P still divides the numerator and nothing more is stripped
+        a = fps.Series(2, [1 / (1 + L), L, 1])
+        b = fps.Series(2, [(1 + L) ** 2, 0, 1 / (1 + L)])
+        for got, want in ((fps.mul(a, b), ref.mul(a, b)),
+                          (fps.scale(a, (1 + L) ** 2), fps.Series(2, [c * (1 + L) ** 2 for c in a.coeffs], a.ring))):
+            assert got._view[4][0] == 0
+            assert_view(got)
+            assert_same(got, want)
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        s = fps.Series(3, [1, L, 1 / (1 + L), Fraction(1, 2)])
+        la = lazy(s)
+        f = fps.DeltaSeries(fps.Series(3, [0, 1 + L, 1 / (2 + L), 0]))
+        assert hash(la) == hash(s) and la._coeffs is not None
+        first = st.compositional_inverse(f)
+        calls = []
+        for cls in (sc.LPoly, sc.LRat, Fraction):
+            real = cls.__hash__
+            monkeypatch.setattr(cls, "__hash__", lambda c, real=real: calls.append(c) or real(c))
+        assert st.compositional_inverse(f) is first
+        assert {la: 1}[s] == 1 and hash(f) == hash(f)
+        assert not calls
 
     def test_series_stays_immutable(self):
         s = lazy(fps.Series(2, [1, L, Fraction(1, 2)]))

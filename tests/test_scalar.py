@@ -16,6 +16,7 @@ from deltaseries.errors import (
     ScalarTooLarge,
     ZeroDenominator,
 )
+import reference as ref
 
 L = sc.LAMBDA
 
@@ -102,6 +103,23 @@ class TestOps:
         assert sc.lpoly_gcd(lp(), L) == L
         with pytest.raises(BothZero):
             sc.lpoly_gcd(lp(), lp())
+
+    @given(small_polys, small_polys, small_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_lpoly_gcd_matches_euclid(self, a, b, c):
+        a, b = sc.as_lpoly(a * c), sc.as_lpoly(b * c)
+        assume(a or b)
+        g = sc.lpoly_gcd(a, b)
+        assert g == ref.lpoly_gcd(a, b) and g.__class__ is sc.LPoly
+
+    def test_lpoly_gcd_packs_nothing(self, monkeypatch):
+        # the reference loops build LRats, so their gcd must not share the packing it checks
+        def refuse(*args):
+            raise AssertionError("lpoly_gcd packed")
+        for name in ("_pack", "_unpack", "_pmul"):
+            monkeypatch.setattr(sc, name, refuse)
+        assert sc.lpoly_gcd((L**2 - 1) * (3 * L + 2) ** 3, (L + 1) * (3 * L + 2) ** 2 * (L**2 + 7)) \
+            == (L + 1) * (L + Fraction(2, 3)) ** 2
 
     def test_lrat_reduce_demotes(self):
         assert sc.lrat_reduce(L**2 - 1, L - 1) == L + 1
