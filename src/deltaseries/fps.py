@@ -31,9 +31,10 @@ numerator) (``_norm``).  As lcm(d / g_i) = d / gcd(g_i), that is exactly
 the view ``_int_view`` makes of the canonical scalars, so the next kernel
 reads it as it is.  ``Fraction``, ``LPoly`` and ``LRat`` values are made
 only where a value leaves the series layer: when ``coeffs`` or one
-coefficient is read (for output, equality and the hash), with a gcd only
-when P has degree 2 or more (``scalar._rat``), and for Triangle entries
-and Bernoulli values (``_scalars``, ``egf_coeff``).
+coefficient is read (for output, equality and the hash), for Triangle
+entries (``_out`` of each column) and Bernoulli values (``egf_coeff``).
+An LPoly keeps a view's ints (``scalar._poly``); an LRat takes a gcd only
+when P has degree 2 or more (``scalar._rat``).
 
 A rational coefficient is a polynomial of degree 0, whose packing is its
 own numerator, so Q runs the same loops with nothing to pack (width 0).
@@ -201,7 +202,7 @@ def _scalar(x, den, deg, P=sc.NO_P, e=0):
     """The canonical scalar of one polynomial x / (den P^e) of a view."""
     if e:
         return sc._rat(x if deg else [x], den, P, e)
-    return sc._poly([Fraction(c, den) for c in x]) if deg else Fraction(x, den)
+    return sc._poly(x, den) if deg else Fraction(x, den)
 
 
 def _norm(xs, den, deg):
@@ -294,18 +295,23 @@ def sub(a, b):
 
 def _sum(a, b, sign):
     """a + sign b in every ring: coefficient i of both viewed over one den
-    P^F[i], F[i] the larger of their exponents, summed packed, and each sum
-    reduced once."""
+    P^F[i], F[i] the larger of their exponents, and summed packed.  As P
+    divides no numerator over a positive power of it, it can divide a sum
+    only where both terms lie over one such power: only those are reduced."""
     _check_orders(a, b)
     n, ring = a.order, sc.join_ring(a.ring, b.ring)
     va, vb = _view(a), _view(b)
     P = _join(va[3], vb[3])
-    F = list(map(max, _exps(va), _exps(vb))) if len(P) > 1 else None
+    F = ties = None
+    if len(P) > 1:
+        ea, eb = _exps(va), _exps(vb)  # 0 at a zero polynomial
+        F = list(map(max, ea, eb))
+        ties = {i for i, (e, f) in enumerate(zip(ea, eb)) if e and e == f}
     xa, xb = _at(va, P, F), _at(vb, P, F)
     den, deg = math.lcm(xa[1], xb[1]), max(xa[2], xb[2])
     xa, xb = _lift(xa, den, deg), _lift(xb, den, deg)
     B = _width(max(_bits(xa, deg), _bits(xb, deg)), 2) if deg else 0
-    return _out(n, [x + sign * y for x, y in zip(_packs(xa, deg, B), _packs(xb, deg, B))], B, den, P, F, ring)
+    return _out(n, [x + sign * y for x, y in zip(_packs(xa, deg, B), _packs(xb, deg, B))], B, den, P, F, ring, ties)
 
 
 def scale(a, v):
@@ -409,18 +415,14 @@ def _int_view(coeffs, P=sc.NO_P):
     """(xs, den, deg, P, E): coeffs[i] == xs[i] / (den P^E[i]) over one int
     den, in the normal form of ``_norm``, each xs[i] an int polynomial of
     degree at most deg.  At deg 0 the xs are ints, otherwise lists of
-    l-coefficients, low first.  For P = (1,) E is None, and den is the lcm
-    of every l-coefficient's denominator; otherwise P comes from _base,
-    E[i] is the least exponent of coeffs[i] (``scalar._part``) and 0 for a
-    zero one."""
-    if len(P) == 1:
-        parts = [(c,) if c.__class__ is Fraction else c.coeffs for c in coeffs]
-        den = math.lcm(*[x.denominator for p in parts for x in p])
-        return _norm([[x.numerator * (den // x.denominator) for x in p] for p in parts], den, 1) + (P, None)
+    l-coefficients, low first.  P comes from _base, E[i] is the least
+    exponent of coeffs[i] (``scalar._part``) and 0 for a zero one; for
+    P = (1,) E is None, and den is the lcm of every l-coefficient's
+    denominator."""
     parts = [_part(c, P) if c else None for c in coeffs]
     den = math.lcm(*[p[1] for p in parts if p])
     xs = [[x * (den // p[1]) for x in p[0]] if p else [0] for p in parts]
-    return _norm(xs, den, 1) + (P, [p[2] if p else 0 for p in parts])
+    return _norm(xs, den, 1) + (P, [p[2] if p else 0 for p in parts] if len(P) > 1 else None)
 
 
 def _at(v, P, F):
@@ -468,23 +470,17 @@ def _packs(xs, deg, B):
     return [_pack(p, B) for p in xs] if deg else xs
 
 
-def _scalars(xs, B, den, P=sc.NO_P, exps=None):
-    """The canonical scalars x / (den P^exps[i]) of the polynomials xs packed
-    at width B; for P = (1,) at width 0 every x is a constant."""
-    if len(P) > 1:
-        rs = [_reduce(_unpack(x, B) if B else [x], P, e) for x, e in zip(xs, exps)]
-        return [sc._rat(x, den, P, e) for x, e in rs]
-    return [_scalar(_unpack(x, B) if B else x, den, B) for x in xs]
-
-
-def _out(n, xs, B, den, P, F, ring):
+def _out(n, xs, B, den, P, F, ring, ties=None):
     """The Series of order n of the sums xs packed at width B over
     den P^F[i]: only its view, each polynomial over Q(l) reduced to its
-    least exponent (``scalar._reduce``)."""
+    least exponent (``scalar._reduce``), or only those at the indices in
+    `ties` when given, F[i] being least at the others."""
     xs = [_unpack(x, B) for x in xs] if B else xs
     if len(P) == 1:
         return _lazy(n, xs, den, B, ring)
-    xs, E = zip(*[_reduce(x if B else [x], P, f) for x, f in zip(xs, F)])
+    xs = xs if B else [[x] for x in xs]
+    xs, E = zip(*[_reduce(x, P, f) if ties is None or i in ties else (x, f)
+                  for i, (x, f) in enumerate(zip(xs, F))])
     return _lazy(n, list(xs), den, 1, ring, P, list(E))
 
 

@@ -8,22 +8,25 @@ Scalars are plain values of one of three types:
 
 All three are immutable, hashable, and interoperate through the usual
 arithmetic operators with automatic upward promotion.  Canonical normal
-forms (trailing-nonzero LPoly, monic reduced LRat) make ``==`` an exact
-structural equality across types.
+forms make ``==`` an exact structural equality across types: an LPoly is
+ints ``xs`` over one int ``den`` in lowest terms, the form the kernels
+read, and an LRat is reduced, with a monic denominator.
 
-Every ``LPoly``/``LRat`` operator (``+ - * / **`` and negation) returns
-its result in its simplest type: a ``Fraction`` when it is constant, an
-``LPoly`` when its denominator is 1, a reduced ``LRat`` otherwise.  So
-arithmetic on canonical scalars stays canonical, and :func:`simplify` is
-only needed for values built outside that arithmetic (ints, or ``LPoly``
-and ``LRat`` made by their constructors).  All three types define
-``__bool__``, so ``not c`` tests a scalar for zero.
+Every ``LPoly``/``LRat`` operator (``+ - * / **`` and negation) runs on
+those ints, packing nothing (products are schoolbook loops, and every LRat
+is reduced by ``_igcd`` and ``_pdiv``), and returns its result in its
+simplest type: a ``Fraction`` when it is constant, an ``LPoly`` when its
+denominator is 1, a reduced ``LRat`` otherwise.  So arithmetic on
+canonical scalars stays canonical, and :func:`simplify` is only needed for
+values built outside that arithmetic (ints, or ``LPoly`` and ``LRat`` made
+by their constructors).  All three types define ``__bool__``, so ``not c``
+tests a scalar for zero.
 
 The series kernels see scalars as integer polynomials in l (``_part``):
 a scalar is N / (d P^k) for an int polynomial N, an int d and the power k
 of one squarefree polynomial P (``_base``).  ``_reduce`` strips P from a
-kernel's output by trial division, not by a gcd, and ``_rat`` builds the
-canonical scalar from what is left when a value is read.
+kernel's output by trial division, not by a gcd, and ``_rat`` and
+``_poly`` build the canonical scalar from what is left when it is read.
 """
 
 from __future__ import annotations
@@ -60,111 +63,126 @@ def _as_frac(v):
     raise TypeError("not a rational: %r" % (v,))
 
 
-def _poly(cs):
-    """The canonical scalar with the Fraction l-coefficients in list cs."""
-    while cs and not cs[-1]:
-        cs.pop()
-    if len(cs) > 1:
-        p = object.__new__(LPoly)
-        object.__setattr__(p, "coeffs", tuple(cs))
-        return p
-    return cs[0] if cs else _ZERO
+def _lpoly(xs, den):
+    """The LPoly xs / den in normal form, for the ints xs (low first) and an
+    int den != 0; xs itself is left as it is, as views share their lists."""
+    k = len(xs)
+    while k and not xs[k - 1]:
+        k -= 1
+    g = math.gcd(den, *xs[:k])
+    if den < 0:
+        g = -g
+    p = object.__new__(LPoly)
+    object.__setattr__(p, "xs", tuple(xs[:k]) if g == 1 else tuple([x // g for x in xs[:k]]))
+    object.__setattr__(p, "den", den // g)
+    return p
+
+
+def _poly(xs, den):
+    """The canonical scalar xs / den, for xs and den as in ``_lpoly``."""
+    p = _lpoly(xs, den)
+    return p if len(p.xs) > 1 else p.constant_value()
+
+
+def _pair(v):
+    """(xs, den) of an LPoly, an int or a Fraction; None for anything else."""
+    if v.__class__ is LPoly:
+        return v.xs, v.den
+    if isinstance(v, (int, Fraction)):
+        return (v.numerator,), v.denominator
+    return None
 
 
 class LPoly:
-    """Dense polynomial in l with Fraction coefficients, trailing term nonzero."""
+    """Polynomial in l over Q: the ints xs, low first and the last nonzero,
+    over one int den > 0 with gcd(den, *xs) = 1.  ``coeffs``, the tuple of
+    its Fraction coefficients, is made when it is read."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("xs", "den")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         cs = [_as_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        d = math.lcm(*[c.denominator for c in cs])
+        return _lpoly([c.numerator * (d // c.denominator) for c in cs], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("LPoly is immutable")
 
-    @staticmethod
-    def const(v):
-        return LPoly((v,))
+    @property
+    def coeffs(self):
+        return tuple([Fraction(x, self.den) for x in self.xs])
 
     @property
     def degree(self):
         # degree of the zero polynomial reported as -1
-        return len(self.coeffs) - 1
+        return len(self.xs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.xs
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.xs) <= 1
 
     def constant_value(self):
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.xs[0], self.den) if self.xs else _ZERO
 
     def leading(self):
-        if not self.coeffs:
+        if not self.xs:
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.xs[-1], self.den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.xs)
 
     def __hash__(self):
-        if self.is_constant():
+        if len(self.xs) <= 1:
             return hash(self.constant_value())
-        return hash(self.coeffs)
+        return hash((self.xs, self.den))
 
     def __eq__(self, other):
-        if isinstance(other, LPoly):
-            return self.coeffs == other.coeffs
+        if other.__class__ is LPoly:
+            return self.xs == other.xs and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            return len(self.xs) <= 1 and self.constant_value() == other
         return NotImplemented
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LPoly.const(other)
-        if not isinstance(other, LPoly):
+    def _add(self, other, sign):
+        o = _pair(other)
+        if o is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
+        (a, da), (b, db) = (self.xs, self.den), o
+        den = math.lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        out = [x * ma for x in a] + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += y * mb
+        return _poly(out, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _poly([-c for c in self.coeffs])
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LPoly)):
-            return self + (-other)
-        return NotImplemented
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return -self + other
-        return NotImplemented
+        return -self + other
+
+    def __neg__(self):
+        return _poly([-x for x in self.xs], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _poly([c * other for c in self.coeffs])
-        if not isinstance(other, LPoly):
+        o = _pair(other)
+        if o is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _poly(out)
+        (a, da), (b, db) = (self.xs, self.den), o
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + lb] = [c + x * y for c, y in zip(out[i:i + lb], b)]
+        return _poly(out, da * db)
 
     __rmul__ = __mul__
 
@@ -172,7 +190,7 @@ class LPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by zero rational")
-            return self * (_ONE / other)
+            return _poly([x * other.denominator for x in self.xs], self.den * other.numerator)
         if isinstance(other, LPoly):
             return lrat_reduce(self, other)
         return NotImplemented
@@ -219,18 +237,19 @@ class LPoly:
     def monic(self):
         if self.is_zero():
             return self
-        return as_lpoly(self * (_ONE / self.leading()))
+        return _lpoly(self.xs, self.xs[-1])
 
     def eval(self, value):
         """Horner evaluation at a rational value."""
         value = _as_frac(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        p, q = value.numerator, value.denominator
+        acc, qk = 0, 1
+        for x in reversed(self.xs):  # the value so far is acc q / qk
+            acc, qk = acc * p + x * qk, qk * q
+        return Fraction(acc * q, self.den * qk)
 
     def derivative(self):
-        return LPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:] if self.coeffs else ())
+        return _lpoly([i * x for i, x in enumerate(self.xs)][1:], self.den)
 
     def __repr__(self):
         return "LPoly(%r)" % (list(self.coeffs),)
@@ -254,14 +273,14 @@ class LRat:
             raise ZeroDenominator("zero denominator in rational function")
         if not _reduced:
             if num.is_zero():
-                num, den = LPoly(), LPoly.const(1)
+                num, den = LPoly(), LPoly((1,))
             else:
-                g = lpoly_gcd(num, den)
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-                inv = _ONE / den.leading()
-                num = as_lpoly(num * inv)
-                den = as_lpoly(den * inv)
+                # num / den == (N den.den / (num.den D[-1])) / (D / D[-1]) for the
+                # cofactors N and D of G = gcd(num.xs, den.xs)
+                G = _igcd(num.xs, den.xs)
+                N, D = _pdiv(num.xs, G), _pdiv(den.xs, G)
+                num = _lpoly([x * den.den for x in N], num.den * D[-1])
+                den = _lpoly(D, D[-1])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -280,7 +299,7 @@ class LRat:
     def __hash__(self):
         if self.is_polynomial():
             return hash(self.num)
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __eq__(self, other):
         if isinstance(other, LRat):
@@ -289,11 +308,7 @@ class LRat:
             return self.is_polynomial() and self.num == other
         return NotImplemented
 
-    # num/den plus a polynomial p stays reduced, gcd(num + p den, den) = gcd(num, den),
-    # and so does num/den times a nonzero rational: neither needs a gcd
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LPoly)):
-            return _lrat(self.num + other * self.den, self.den)
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -307,21 +322,15 @@ class LRat:
         return LRat(-self.num, self.den, _reduced=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LPoly)):
-            return _lrat(self.num - other * self.den, self.den)
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
         return lrat_reduce(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction, LPoly)):
-            return _lrat(other * self.den - self.num, self.den)
-        return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _lrat(self.num * other, self.den) if other else _ZERO
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -330,8 +339,6 @@ class LRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
-            return _lrat(self.num * (_ONE / other), self.den)
         other = _as_lrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -368,18 +375,11 @@ class LRat:
         return format_scalar(self)
 
 
-def _lrat(num, den):
-    """num/den for num coprime to the monic den, as the simplest scalar."""
-    if den.degree:
-        return LRat(num, den, _reduced=True)
-    return _poly(list(as_lpoly(num).coeffs))
-
-
 def _as_lrat(v):
     if isinstance(v, LRat):
         return v
     if isinstance(v, (int, Fraction, LPoly)):
-        return LRat(as_lpoly(v), LPoly.const(1), _reduced=True)
+        return LRat(v, 1, _reduced=True)
     return NotImplemented
 
 
@@ -387,7 +387,7 @@ def as_lpoly(v):
     if isinstance(v, LPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return LPoly.const(v)
+        return LPoly((v,))
     raise TypeError("cannot view %r as a polynomial in l" % (v,))
 
 
@@ -428,14 +428,14 @@ def lpoly_gcd(a, b):
     a, b = as_lpoly(a), as_lpoly(b)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    G = _igcd(_ints(a.coeffs)[0], _ints(b.coeffs)[0])
-    return LPoly([Fraction(x, G[-1]) for x in G])
+    G = _igcd(a.xs, b.xs)
+    return _lpoly(G, G[-1])
 
 
 def lrat_reduce(num, den):
     """Canonical num/den as the simplest scalar (LRat, LPoly, or Fraction)."""
     r = LRat(num, den)
-    return r if r.den.degree else _poly(list(r.num.coeffs))
+    return r if r.den.degree else simplify(r.num)
 
 
 def scalar_inv(s):
@@ -500,19 +500,6 @@ def _unpack(x, B):
     return out
 
 
-def _ints(cs):
-    """(xs, d): the Fractions cs are xs / d over the lcm d of their denominators."""
-    d = math.lcm(*[x.denominator for x in cs])
-    return [x.numerator * (d // x.denominator) for x in cs], d
-
-
-def _primitive(cs):
-    """The primitive int polynomial that is a positive multiple of the Fractions cs."""
-    xs = _ints(cs)[0]
-    g = math.gcd(*xs)
-    return [x // g for x in xs]
-
-
 def _pmul(a, b):
     """The product of two int polynomials (lists, low first)."""
     if len(b) == 1:
@@ -575,10 +562,10 @@ def _igcd(a, b):
     return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
 
 
-def _cofactor(den, P):
-    """(q, k): 1/den == q / P^k for the monic polynomial den, the int
-    polynomial q and the least k; None when den divides no power of P."""
-    D = _primitive(den.coeffs)  # den is monic, so it is D / D[-1]
+def _cofactor(D, P):
+    """(q, k): 1/den == q / P^k for the monic denominator den = D / D[-1]
+    of an LRat, whose ints D are primitive, the int polynomial q and the
+    least k; None when den divides no power of P."""
     for k in range(-((1 - len(D)) // (len(P) - 1)) if len(P) > 1 else len(D), len(D)):
         q = _pdiv(_ppow(P, k), D)  # 1/D == q / P^k
         if q is not None:
@@ -593,11 +580,9 @@ def _part(c, P):
     if c.__class__ is Fraction:
         return [c.numerator], c.denominator, 0
     if c.__class__ is LPoly:
-        N, d = _ints(c.coeffs)
-        return N, d, 0
-    q, k = _cofactor(c.den, P)
-    N, d = _ints(c.num.coeffs)
-    return _pmul(N, q), d, k
+        return c.xs, c.den, 0
+    q, k = _cofactor(c.den.xs, P)
+    return _pmul(c.num.xs, q), c.num.den, k
 
 
 NO_P = (1,)  # P (see _base) when no scalar has a denominator in l
@@ -609,9 +594,8 @@ def _base(scalars):
     them divides; (1,) when there is none."""
     P = NO_P
     # the lowest degrees first: most denominators are powers of the first one
-    for c in sorted([c for c in scalars if c.__class__ is LRat], key=lambda c: len(c.den.coeffs)):
-        if _cofactor(c.den, P) is None:
-            D = _primitive(c.den.coeffs)
+    for D in sorted([c.den.xs for c in scalars if c.__class__ is LRat], key=len):
+        if _cofactor(D, P) is None:
             if len(D) > 2:  # its squarefree part
                 D = _pdiv(D, _igcd(D, [i * x for i, x in enumerate(D)][1:]))
             P = tuple(D) if len(P) == 1 else _plcm(P, D)
@@ -650,10 +634,9 @@ def _rat(cs, den, P, e):
         if len(G) == 1:
             break
         cs, D = _pdiv(cs, G), _pdiv(D, G)
-    num = [Fraction(c, den * D[-1]) for c in cs]
     if len(D) == 1:
-        return _poly(num)
-    return LRat(LPoly(num), LPoly([Fraction(x, D[-1]) for x in D]), _reduced=True)
+        return _poly(cs, den * D[-1])
+    return LRat(_lpoly(cs, den * D[-1]), _lpoly(D, D[-1]), _reduced=True)
 
 
 # ---------------------------------------------------------------------------

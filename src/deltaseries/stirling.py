@@ -109,8 +109,9 @@ def _power_rows(start, base, max_n):
         bell = _bell_columns(fps._norms(xb, db))
         B = max(max(col) for col in bell + _convolve(fps._norms(xs, ds), bell)).bit_length() + 1
     cols = _convolve(fps._packs(xs, ds, B), _bell_columns(fps._packs(xb, db, B)))
-    cols = [fps._scalars(col[k:], B, e * d**k, P, es and fps._line(max_n - k, w, (w + sb) * k + ss))
-            for k, col in enumerate(cols)]
+    ring = sc.join_ring(start.ring, base.ring)
+    cols = [fps._out(max_n - k, col[k:], B, e * d**k, P, es and fps._line(max_n - k, w, (w + sb) * k + ss),
+                     ring).coeffs for k, col in enumerate(cols)]
     return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
 
 

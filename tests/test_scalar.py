@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -113,13 +114,21 @@ class TestOps:
         assert g == ref.lpoly_gcd(a, b) and g.__class__ is sc.LPoly
 
     def test_lpoly_gcd_packs_nothing(self, monkeypatch):
-        # the reference loops build LRats, so their gcd must not share the packing it checks
+        # the reference loops run on LPoly and LRat arithmetic, so neither it
+        # nor the gcd that reduces an LRat may share the packing it checks
         def refuse(*args):
-            raise AssertionError("lpoly_gcd packed")
+            raise AssertionError("scalar arithmetic packed")
         for name in ("_pack", "_unpack", "_pmul"):
             monkeypatch.setattr(sc, name, refuse)
         assert sc.lpoly_gcd((L**2 - 1) * (3 * L + 2) ** 3, (L + 1) * (3 * L + 2) ** 2 * (L**2 + 7)) \
             == (L + 1) * (L + Fraction(2, 3)) ** 2
+        p, q = (3 * L + 2) ** 3 / 7 - L, (L**2 - 1) * (3 * L + 2) / 5
+        r, s = sc.LRat(p, q), sc.LRat(q + 1, (L + 1) ** 2 * p)
+        for a, b in ((p, q), (r, s), (p, r), (s, Fraction(-2, 3)), (Fraction(5, 4), r)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                assert sc.eval_lambda(op(a, b), 2) == op(sc.eval_lambda(a, 2), sc.eval_lambda(b, 2))
+            for k in (-2, 3):
+                assert sc.eval_lambda(a**k, 2) == sc.eval_lambda(a, 2) ** k
 
     def test_lrat_reduce_demotes(self):
         assert sc.lrat_reduce(L**2 - 1, L - 1) == L + 1
@@ -275,8 +284,14 @@ def assert_canonical(r):
     elif isinstance(r, sc.LRat):
         assert r.num and r.den.degree >= 1 and r.den.leading() == 1
         assert sc.lpoly_gcd(r.num, r.den) == 1
+        assert r.den.xs[-1] == r.den.den
     else:
         assert type(r) is Fraction
+    # the int normal form of every LPoly: xs / den, den > 0, gcd 1, no trailing zero
+    polys = (r.num, r.den) if isinstance(r, sc.LRat) else (r,) if isinstance(r, sc.LPoly) else ()
+    for p in polys:
+        assert p.den > 0 and math.gcd(p.den, *p.xs) == 1 and p.xs[-1] != 0
+        assert type(p.xs) is tuple and all(type(x) is int for x in p.xs)
 
 
 small_fracs = hst.fractions(min_value=-20, max_value=20, max_denominator=12)
