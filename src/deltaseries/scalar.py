@@ -504,8 +504,9 @@ def _pmul(a, b):
     """The product of two int polynomials (lists, low first)."""
     if len(b) == 1:
         return [x * b[0] for x in a]
-    # a coefficient of the product is a sum of at most min(len) products
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    # a coefficient of the product is a sum of at most min(len) products;
+    # the zero polynomial may come as []
+    bits = max(map(abs, a), default=0).bit_length() + max(map(abs, b), default=0).bit_length()
     B = bits + min(len(a), len(b)).bit_length() + 1
     return _unpack(_pack(a, B) * _pack(b, B), B)
 

@@ -606,6 +606,16 @@ class TestRationalFunctionKernels:
         a, b = pair
         assert_same(fps.div(a, b), ref.div(a, b))
 
+    def test_div_zero_terms_by_lambda_constant(self):
+        # a sum's zero terms are empty polynomials in its view, and
+        # 1/b[0] = l/2 is not constant, so the recurrence multiplies []
+        a = fps.add(fps.Series(3, [L, 0, 0, 0]), fps.one(3))
+        assert fps._view(a)[0][1:] == [[], [], []]
+        b = fps.Series(3, [sc.LRat(sc.LPoly((2,)), L), 0, 0, 0])
+        q = fps.div(a, b)
+        assert_same(q, ref.div(a, b))
+        assert q.coeffs[0] == (L + 1) * L / 2 and not any(q.coeffs[1:])
+
     @given(qlrat_operands(1))
     @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     def test_exp(self, one):

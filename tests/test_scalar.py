@@ -130,6 +130,11 @@ class TestOps:
             for k in (-2, 3):
                 assert sc.eval_lambda(a**k, 2) == sc.eval_lambda(a, 2) ** k
 
+    def test_pmul_of_zero(self):
+        # the zero polynomial comes as [] from an unpacked 0
+        assert sc._pmul([], [0, 1]) == [] and sc._pmul([0, 1], []) == []
+        assert not any(sc._pmul([0, 0], [3, 1]))
+
     def test_lrat_reduce_demotes(self):
         assert sc.lrat_reduce(L**2 - 1, L - 1) == L + 1
         assert isinstance(sc.lrat_reduce(L**2 - 1, L - 1), sc.LPoly)
