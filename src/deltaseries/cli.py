@@ -46,7 +46,7 @@ def _parser():
     ap = argparse.ArgumentParser(prog="deltaseries", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order=True, n=False):
+    def add_common(p, order=True, n=False, fmt=True):
         src = p.add_mutually_exclusive_group()
         src.add_argument("--preset", help="built-in series id (see presets-list)")
         src.add_argument("--f", dest="expr", help="delta series expression, e.g. 't/(1+t)'")
@@ -56,7 +56,8 @@ def _parser():
             p.add_argument("--n", type=int, default=None, help="maximum row index")
         if order:
             p.add_argument("--order", type=int, default=None, help="truncation order")
-        p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p = sub.add_parser("table", help="emit a Stirling triangle")
@@ -76,9 +77,9 @@ def _parser():
     p = sub.add_parser("eval", help="evaluate an expression to a series")
     add_common(p)
 
-    p = sub.add_parser("verify", help="run an invariant suite")
+    p = sub.add_parser("verify", help="run an invariant suite (plain text report)")
     p.add_argument("suite", choices=vf.SUITES + ("all",))
-    add_common(p, n=True)
+    add_common(p, n=True, fmt=False)
 
     p = sub.add_parser("presets-list", help="list the built-in series")
     p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
@@ -233,6 +234,8 @@ def run_verify(args):
     build_order = 2 * n + 2
     _check_cap(build_order, "verify's build order 2n+2 =")
     if args.preset == "all":
+        if args.lam is not None:
+            raise UsageError("--preset all fixes lambda (symbolic for degenerate presets); drop --lambda")
         targets = vf.corpus_targets(build_order)
     else:
         f, label = _series_source(args, build_order)

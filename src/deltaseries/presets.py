@@ -5,6 +5,8 @@ independent evaluators for the first/second-kind triangles and for the
 associated logarithm, so the core machinery can be checked against stated
 closed forms.  Oracles use only classical recurrences, direct products,
 and the raw series primitives -- never the triangle builders themselves.
+The central factorial oracles read their Bell tables from stirling.bell_rows,
+never from Comtet's kernel (stirling._power_rows) that the builders run.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 from . import classical as cl
 from . import fps
 from . import scalar as sc
+from . import stirling as st
 from .errors import LambdaModeRequired, NoOracle, UnknownPreset, ZeroFirstMoment
 
 LAMBDA_ABSENT = sc.LAMBDA_ABSENT
@@ -262,15 +265,7 @@ def _powers_table(pid, max_n, lam=None):
         base = _build_deg_central_bell(max_n, lam)
     else:
         raise ValueError(pid)
-    cols = []
-    p = fps.one(max_n, base.ring)
-    for k in range(max_n + 1):
-        cols.append(p)
-        if k < max_n:
-            p = fps.scale(fps.mul(p, base), Fraction(1, k + 1))
-    return tuple(
-        tuple(fps.egf_coeff(cols[k], n) for k in range(n + 1)) for n in range(max_n + 1)
-    )
+    return st.bell_rows(base, max_n)
 
 
 def central_t2(n, k):

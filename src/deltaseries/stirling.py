@@ -234,20 +234,27 @@ def scalar_rat_pow(s, e):
 # partial Bell polynomials
 
 
+def bell_rows(base, max_n):
+    """rows[n][k] = n! [t^n] base^k / k! = B_{n,k}(b_1, b_2, ...), b_j the EGF
+    coefficients of base (zero constant term), by successive series products:
+    the route apart from Comtet's kernel (_power_rows) that checks it.  The
+    rows to m are a prefix of the rows to any larger max_n."""
+    base = base.truncate(max_n)
+    cols = [fps.one(max_n, base.ring)]
+    for k in range(1, max_n + 1):
+        cols.append(fps.scale(fps.mul(cols[-1], base), Fraction(1, k)))
+    return tuple(tuple(fps.egf_coeff(cols[k], n) for k in range(n + 1)) for n in range(max_n + 1))
+
+
 def partial_bell(n, k, xs):
-    """B_{n,k}(x1, ..., x_{n-k+1}) via the truncated k-th power EGF."""
+    """B_{n,k}(x1, ..., x_{n-k+1}): one entry of bell_rows."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if k == 0:
         return Fraction(1) if n == 0 else Fraction(0)
     if len(xs) < n - k + 1:
         raise ArityTooSmall("need %d arguments, got %d" % (n - k + 1, len(xs)))
-    coeffs = [Fraction(0)] * (n + 1)
-    for m in range(1, min(n, n - k + 1) + 1):
-        coeffs[m] = xs[m - 1] * Fraction(1, math.factorial(m))
-    s = fps.Series(n, coeffs)
-    p = fps.scale(fps.pow_int(s, k), Fraction(1, math.factorial(k)))
-    return fps.egf_coeff(p, n)
+    return bell_rows(fps.from_egf([0] + list(xs[:n - k + 1]) + [0] * (k - 1)), n)[n][k]
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +266,9 @@ def s1_via_bernoulli(f, n, k):
     c = cl.binom_shift(n, k)
     if c == 0:
         return Fraction(0)
-    m = n - k
-    fb = compositional_inverse(f)
-    fam = bernoulli_assoc(fb, Fraction(n), m)
-    return fam.values[m] * c
+    # one family per order n: its values are prefixes, so k only picks one
+    fam = bernoulli_assoc(compositional_inverse(f), Fraction(n), max(n - 1, 0))
+    return fam.values[n - k] * c
 
 
 def moment_sequence(f, max_m):
@@ -274,11 +280,11 @@ def moment_sequence(f, max_m):
     return [fps.egf_coeff(e, m) for m in range(max_m + 1)]
 
 
-def lemma_bell_moments(ps, n, k):
-    """Left side of the Bell-moment lemma: B_{n,k}(p2/2, p3/3, ...), from
-    the moments ps = moment_sequence(f, m) of f for some m >= n - k + 2."""
-    xs = [ps[m] * Fraction(1, m) for m in range(2, n - k + 3)]
-    return partial_bell(n, k, xs)
+def lemma_bell_moments(ps, max_n):
+    """Left side of the Bell-moment lemma: the rows to max_n of
+    B_{n,k}(p2/2, p3/3, ...), from the moments ps = moment_sequence(f, m)
+    of f for some m >= max_n + 1."""
+    return bell_rows(fps.from_egf([0] + [ps[m] * Fraction(1, m) for m in range(2, max_n + 2)]), max_n)
 
 
 def lemma_bell_moments_sum(f, n, k, s2):
@@ -294,17 +300,16 @@ def lemma_bell_moments_sum(f, n, k, s2):
     return acc
 
 
-def bernoulli_via_lemma24(ps, alpha, n):
+def bernoulli_via_lemma24(ps, bell, alpha, n):
     """Order-alpha Bernoulli number from the Bell-moment expansion, from the
-    moments ps = moment_sequence(f, m) of f for some m >= n + 2."""
+    moments ps of f and their rows bell = lemma_bell_moments(ps, m), m >= n."""
     p1 = ps[1]
-    xs = [ps[m] * Fraction(1, m) for m in range(2, n + 3)]
     acc = Fraction(0)
     for k in range(n + 1):
         fk = cl.falling_factorial(-alpha, k)
         if fk == 0:
             continue
-        acc = acc + fk * scalar_rat_pow(p1, -alpha - k) * partial_bell(n, k, xs)
+        acc = acc + fk * scalar_rat_pow(p1, -alpha - k) * bell[n][k]
     return acc
 
 

@@ -66,13 +66,13 @@ def suite_theorem22(f, label, max_n):
     Schloemilch sum."""
     s1 = st.s1_assoc(f, max_n)
     s2 = st.s2_assoc(f, 2 * max_n)
-    col1 = [s1.entry(m, 1) for m in range(1, max_n + 1)]
+    bell = st.bell_rows(fps.from_egf([0] + [s1.entry(m, 1) for m in range(1, max_n + 1)]), max_n)
     failures = []
     for n in range(max_n + 1):
         for k in range(n + 1):
             direct = s1.entry(n, k)
             via_b = st.s1_via_bernoulli(f, n, k)
-            via_bell = st.partial_bell(n, k, col1) if n else (Fraction(1) if k == 0 else Fraction(0))
+            via_bell = bell[n][k]
             via_sch = st.schloemilch_s1(f, n, k, s2)
             for name, other in (("bernoulli", via_b), ("bell", via_bell), ("schloemilch", via_sch)):
                 if other != direct:
@@ -85,10 +85,11 @@ def suite_lemmas(f, label, max_n):
     corollary, for a small range of orders alpha."""
     failures = []
     s2 = st.s2_assoc(f, 2 * max_n)
-    ps = st.moment_sequence(f, max_n + 2)  # every moment both lemma routes read
+    ps = st.moment_sequence(f, max_n + 1)  # every moment both lemma routes read
+    bell = st.lemma_bell_moments(ps, max_n)
     for n in range(max_n + 1):
         for k in range(n + 1):
-            lhs = st.lemma_bell_moments(ps, n, k)
+            lhs = bell[n][k]
             rhs = st.lemma_bell_moments_sum(f, n, k, s2)
             if lhs != rhs:
                 failures.append(_fail("bell-moments (n=%d,k=%d)" % (n, k), lhs, rhs))
@@ -97,7 +98,7 @@ def suite_lemmas(f, label, max_n):
         fam = st.bernoulli_assoc(fb, Fraction(alpha), max_n)
         for n in range(max_n + 1):
             direct = fam.values[n]
-            via24 = st.bernoulli_via_lemma24(ps, Fraction(alpha), n)
+            via24 = st.bernoulli_via_lemma24(ps, bell, Fraction(alpha), n)
             via_s2 = st.bernoulli_via_s2(f, Fraction(alpha), n, s2)
             for name, other in (("lemma", via24), ("double-sum", via_s2)):
                 if other != direct:

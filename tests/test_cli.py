@@ -145,6 +145,19 @@ class TestVerify:
         assert code == 0
         assert "orthogonality" in out
 
+    def test_no_format_flag(self, capsys):
+        # verify prints plain text only, so it takes no --format
+        code, out, err = run(capsys, "verify", "orthogonality", "--preset", "all", "--n", "1", "--format", "json")
+        assert code == 2 and out == ""
+        assert "--format" in err
+
+    @pytest.mark.parametrize("lam", ["1/3", "symbolic"])
+    def test_corpus_refuses_lambda(self, capsys, lam):
+        # the corpus fixes lambda itself: symbolic for the degenerate presets
+        code, out, err = run(capsys, "verify", "orthogonality", "--preset", "all", "--n", "1", "--lambda", lam)
+        assert code == 2 and out == ""
+        assert "--lambda" in err and "internal error" not in err
+
 
 class TestUsage:
     def test_missing_source(self, capsys):

@@ -151,6 +151,64 @@ class TestPartialBell:
         assert st.partial_bell(4, 2, xs) == sc.simplify(3 * (2 * L) ** 2 + 4 * (1 + L) * 1)
 
 
+def bell_base(ring, n):
+    """A base with zero constant term over Q, Q[l] or Q(l)."""
+    if ring == sc.RING_Q:
+        return fps.Series(n, [0, 2, Fraction(-3, 2), 5, Fraction(1, 7)] + [1] * (n - 4))
+    if ring == sc.RING_QL:
+        return fps.Series(n, [0, L + 1, 2, L * L - 3] + [Fraction(1, 2)] * (n - 3))
+    # the inverse of (l+1)t + 2t^2 has coefficients in 1/(l+1)
+    return fps.invert_newton(fps.DeltaSeries(fps.Series(n, [0, L + 1, 2] + [0] * (n - 2)))).series
+
+
+BELL_RINGS = [sc.RING_Q, sc.RING_QL, sc.RING_QLRAT]
+
+
+class TestBellRows:
+    """stirling.bell_rows, the series-power route to B_{n,k}, against
+    partition enumeration in every ring."""
+
+    @pytest.mark.parametrize("ring", BELL_RINGS)
+    def test_against_partition_enumeration(self, ring):
+        n = 6
+        base = bell_base(ring, n)
+        assert base.ring == ring
+        xs = [fps.egf_coeff(base, j) for j in range(1, n + 1)]
+        rows = st.bell_rows(base, n)
+        assert [len(r) for r in rows] == list(range(1, n + 2))
+        for m in range(n + 1):
+            assert list(rows[m]) == [brute_partial_bell(m, k, xs) for k in range(m + 1)]
+
+    @pytest.mark.parametrize("ring", BELL_RINGS)
+    def test_rows_are_prefixes(self, ring):
+        big = 7
+        base = bell_base(ring, big)
+        long = st.bell_rows(base, big)
+        for m in range(big + 1):
+            assert_rows(st.bell_rows(base, m), long[:m + 1])
+
+    def test_oracles_never_read_comtet(self, monkeypatch):
+        """The series-power route and the central factorial oracles stay
+        independent of Comtet's kernel, which they check."""
+        def calls():
+            rows = [st.bell_rows(bell_base(ring, 5), 5) for ring in BELL_RINGS]
+            bells = [st.partial_bell(5, k, [1 + L, 2, L, Fraction(1, 3), 7]) for k in range(6)]
+            central = [(pr.central_t1(n, k), pr.central_t2(n, k), pr.central_t1_deg(n, k, L),
+                        pr.central_t2_deg(n, k, Fraction(1, 3))) for n in range(7) for k in range(n + 1)]
+            return rows, bells, central
+
+        pr._powers_table.cache_clear()
+        want = calls()
+
+        def refuse(*args):
+            raise AssertionError("an oracle read Comtet's kernel")
+
+        for name in ("_power_rows", "_bell_columns", "_convolve"):
+            monkeypatch.setattr(st, name, refuse)
+        pr._powers_table.cache_clear()
+        assert calls() == want
+
+
 class TestBernoulli:
     def test_alpha_zero_is_trivial(self):
         fam = st.bernoulli_assoc(f_identity(), Fraction(0), 5)
@@ -191,7 +249,8 @@ class TestBernoulli:
 
 
 # poly_seq and the Bernoulli x-polynomials share the column-powers kernel;
-# partial_bell takes its own route (pow_int), so it checks both.
+# partial_bell reads bell_rows, the series-power route (successive
+# products), so it checks both.
 KERNEL_PRESETS = [("mittag_leffler", pr.LAMBDA_ABSENT), ("deg_falling", pr.LAMBDA_SYMBOLIC)]
 
 
@@ -378,19 +437,21 @@ class TestTheoremPaths:
         f = f_deg()
         s2 = st.s2_assoc(f, 12)
         ps = st.moment_sequence(f, 8)
+        bell = st.lemma_bell_moments(ps, 6)
         for n in range(7):
             for k in range(n + 1):
-                assert st.lemma_bell_moments(ps, n, k) == st.lemma_bell_moments_sum(f, n, k, s2)
+                assert bell[n][k] == st.lemma_bell_moments_sum(f, n, k, s2)
 
     def test_bernoulli_three_ways(self):
         f = delta(*([0, 2, 1, -1] + [0] * 13))
         fb = st.compositional_inverse(f)
         s2 = st.s2_assoc(f, 12)
         ps = st.moment_sequence(f, 8)
+        bell = st.lemma_bell_moments(ps, 6)
         for alpha in (-2, -1, 1, 2, 3):
             fam = st.bernoulli_assoc(fb, Fraction(alpha), 6)
             for n in range(7):
-                assert st.bernoulli_via_lemma24(ps, Fraction(alpha), n) == fam.values[n]
+                assert st.bernoulli_via_lemma24(ps, bell, Fraction(alpha), n) == fam.values[n]
                 assert st.bernoulli_via_s2(f, Fraction(alpha), n, s2) == fam.values[n]
         fam1 = st.bernoulli_assoc(fb, Fraction(1), 6)
         for n in range(7):

@@ -1,4 +1,5 @@
 from deltaseries import fps
+from deltaseries import stirling as st
 from deltaseries import verify as vf
 
 
@@ -33,3 +34,24 @@ class TestSuites:
         lines = rep.lines()
         assert "FAIL" in lines[0]
         assert "first failure" in lines[1]
+
+
+class TestSharedTables:
+    """Each suite builds one Bell table per series and one Bernoulli family
+    per order, and reads entries out of them."""
+
+    def test_theorem22_builds_one_family_per_order(self):
+        st.bernoulli_assoc.cache_clear()
+        assert vf.suite_theorem22(small_f(), "test", 6).ok
+        assert st.bernoulli_assoc.cache_info().currsize <= 7
+
+    def test_lemmas_read_their_bell_terms_from_one_table(self, monkeypatch):
+        f = small_f()
+        assert vf.suite_lemmas(f, "test", 5).ok  # fills the Bernoulli and triangle caches
+
+        def refuse(*args):
+            raise AssertionError("a Bell term built its own series power")
+
+        monkeypatch.setattr(st, "partial_bell", refuse)
+        monkeypatch.setattr(fps, "pow_int", refuse)
+        assert vf.suite_lemmas(f, "test", 5).ok
