@@ -2,8 +2,8 @@
 
 Subcommands: table, log, bernoulli, invert, eval, verify, presets-list.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or parse
-error.  DELTASERIES_MAX_ORDER (default 128) caps --order and the build
-orders of bernoulli (order+1) and verify (2n+2).
+error.  DELTASERIES_MAX_ORDER (a positive integer, default 128) caps
+--order and the build orders of bernoulli (order+1) and verify (2n+2).
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ def _check_cap(order, what):
     try:
         cap = int(raw) if raw else DEFAULT_MAX_ORDER
     except ValueError:
-        raise UsageError("DELTASERIES_MAX_ORDER must be an integer, got %r" % raw)
+        cap = 0
+    if cap < 1:  # a cap below 1 would refuse every request as "exceeding" it
+        raise UsageError("DELTASERIES_MAX_ORDER must be a positive integer, got %r" % raw)
     if order > cap:
         raise UsageError("%s %d exceeds the cap %d (DELTASERIES_MAX_ORDER)" % (what, order, cap))
 

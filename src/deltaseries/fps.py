@@ -6,10 +6,10 @@ are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
-the blocks and Horner steps of composition (``_eval_at_powers``,
-``_mul_add``), ``div``, ``exp_series``, ``add`` and ``sub`` (``_sum``) read
-each operand's int view, in which coefficient i is an integer-coefficient
-polynomial in l over den P^E[i] (``_view``, ``_int_view``).  P is the
+composition (``_eval_at_powers``), ``div``, ``exp_series``, ``add`` and
+``sub`` (``_sum``) read each operand's int view, in which coefficient i is
+an integer-coefficient polynomial in l over den P^E[i] (``_view``,
+``_int_view``).  P is the
 primitive squarefree polynomial whose powers every l-denominator divides
 (``scalar._base``; 1 over Q and Q[l]), den one integer and E[i] the least
 exponent; operands over different P are re-expressed over their lcm
@@ -46,7 +46,10 @@ outputs grow.
 
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
-degree d, instead of one per coefficient.  Compositional inversion runs
+degree d, instead of one per coefficient.  One composition runs in one
+frame of g and f: the powers of f and the Horner chain stay int views,
+each brought to normal form, and only the result is reduced
+(``_eval_at_powers``).  Compositional inversion runs
 by Newton iteration (order doubling); each step evaluates f(g) once, and
 g' stands in for 1/f'(g).  The Lagrange inversion formulas are
 provided as independent coefficient extractors so the two routes can be
@@ -59,7 +62,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 from . import scalar as sc
 from .scalar import _pack, _part, _pmul, _reduce, _unpack
@@ -451,7 +454,7 @@ def _bits(xs, deg):
     """Bit length of the largest |l-coefficient| in xs."""
     if not deg:
         return max(map(abs, xs), default=0).bit_length()
-    return max((max(map(abs, p), default=0) for p in xs), default=0).bit_length()
+    return max(map(abs, chain.from_iterable(xs)), default=0).bit_length()
 
 
 def _norms(xs, deg):
@@ -485,39 +488,34 @@ def _out(n, xs, B, den, P, F, ring, ties=None):
 
 
 def mul(a, b):
-    """Truncated Cauchy product."""
-    return _mul_add(a, b)
-
-
-def _mul_add(a, b, c=None):
-    """a b + c, the truncated Cauchy product plus c when given: the Horner
-    step of composition, whose sum then needs no gcd over Q(l)."""
+    """Truncated Cauchy product: both operands viewed in one frame
+    (``_frame``), their product taken packed (``_product``) and each sum
+    reduced once (``_out``)."""
     _check_orders(a, b)
-    ops = (a, b) if c is None else (a, b, c)
     n, ring = a.order, sc.join_ring(a.ring, b.ring)
-    if c is not None:
-        ring = sc.join_ring(ring, c.ring)
-    vs = [_view(s) for s in ops]
-    P = _join(*[v[3] for v in vs])
-    es = (None, None, None)  # exponents of P, none for P = 1
+    va, vb = _view(a), _view(b)
+    P = _join(va[3], vb[3])
+    ea = eb = eo = None  # exponents of P, none for P = 1
     if len(P) > 1:
-        w, ss = _frame(*vs)
-        so = max([ss[0] + ss[1]] + ss[2:])
-        es = _line(n, w, ss[0]), _line(n, w, so - ss[0]), _line(n, w, so)
-    (xa, ad, da), (xb, bd, db) = _at(vs[0], P, es[0]), _at(vs[1], P, es[1])
-    bits, terms, den, dc = _bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1), ad * bd, 0
-    if c is not None:
-        xc, cd, dc = _at(vs[2], P, es[2])
-        den = math.lcm(den, cd)
-        ma, mc = den // (ad * bd), den // cd
-        # ma times each of the terms products, and one term mc c[m]
-        bits, terms = max(bits + ma.bit_length(), _bits(xc, dc) + mc.bit_length()), terms + 1
-    B = _width(bits, terms) if da + db + dc else 0
-    an, rb = _packs(xa, da, B), _packs(xb, db, B)[::-1]
-    sums = [sum(map(operator.mul, an[:m + 1], rb[n - m:])) for m in range(n + 1)]
-    if c is not None:
-        sums = [ma * s + mc * x for s, x in zip(sums, _packs(xc, dc, B))]
-    return _out(n, sums, B, den, P, es[2], ring)
+        w, (sa, sb) = _frame(va, vb)
+        ea, eb, eo = _line(n, w, sa), _line(n, w, sb), _line(n, w, sa + sb)
+    return _out(n, *_product(_at(va, P, ea), _at(vb, P, eb), n), P, eo, ring)
+
+
+def _product(a, b, n, v=0):
+    """(sums, B, den): the truncated Cauchy product of the int views
+    a and b = (xs, den, deg), b of valuation at least v, packed at the
+    width B its sums need, over den."""
+    (xa, ad, da), (xb, bd, db) = a, b
+    B = _width(_bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1)) if da + db else 0
+    return _cauchy(_packs(xa, da, B), _packs(xb, db, B), n, v), B, ad * bd
+
+
+def _cauchy(an, bn, n, v=0):
+    """The n + 1 truncated Cauchy sums of the packed polynomials an and bn,
+    bn of valuation at least v."""
+    rb = bn[::-1]
+    return [sum(map(operator.mul, an[:m + 1 - v], rb[n - m:])) for m in range(n + 1)]
 
 
 def _recurrence(u, c, g, e, P, E, ring):
@@ -649,48 +647,73 @@ def _degree(s):
 
 
 def _eval_at_powers(g, f):
-    """g(f) by Paterson-Stockmeyer evaluation at the powers of f.
+    """g(f) by Paterson-Stockmeyer evaluation at the powers of f, in one
+    integer frame.
 
     Each block of k = isqrt(deg g + 1) coefficients of g is a linear
-    combination of the baby steps 1, f, ..., f^(k-1); the blocks are
-    combined by Horner in the giant step f^k.
-    With f[i] over P^(w i + sig), f^j[i] lies over P^(w i + j sig), so g[m]
-    is viewed over P^(sg - sig m) and every term of the block at start lies
-    over P^(w i + sg - sig start).
+    combination of the baby steps 1, f, ..., f^(k-1); from the top block
+    down, the Horner step r f^k + block combines them in the giant step
+    f^k.  With f[i] over P^(w i + sig), f^j[i] lies over P^(w i + j sig),
+    so g[m] is viewed over P^(sg - sig m), and the block at start and r f^k
+    both lie over P^(w i + sg - sig start): no factor of P is stripped
+    between steps.  The powers of f and each step's r are int views
+    (xs, den, deg) in that frame, each made by one truncated product and
+    brought to the normal form of ``_norm`` (one gcd), which keeps r's den
+    from growing by den(f^k) at every step.  Only the result is unpacked,
+    reduced and made a Series (``_out``).
     """
     n, d = g.order, _degree(g)
     k = math.isqrt(d + 1)
-    steps = [one(n, f.ring), f]
-    while len(steps) <= k:
-        steps.append(mul(steps[-1], f))
     ring = sc.join_ring(g.ring, f.ring)
     vg, vf = _view(g), _view(f)
     P = _join(vg[3], vf[3])  # the powers of f need nothing more
-    eg = None
+    eg = ef = None
     if len(P) > 1:
         pf = _points(vf)
         w = _weight(pf)
         sig = _shift(pf, w)
         sg = _shift(_points(vg), -sig)
-        eg = _line(n, -sig, sg)
-    # g and the baby steps each over one denominator, packed at one width
+        eg, ef = _line(n, -sig, sg), _line(n, w, sig)
     xg, gden, dg = _at(vg, P, eg)
-    vs = [_at(_view(s), P, eg and _line(n, w, j * sig)) for j, s in enumerate(steps[:k])]
-    sden, ds = math.lcm(*[v[1] for v in vs]), max(v[2] for v in vs)
-    xs = [x for v in vs for x in _lift(v, sden, ds)]
+    steps = [([1] + [0] * n, 1, 0), _at(vf, P, ef)]  # f^j over den P^(w i + j sig)
+    while len(steps) <= k:
+        steps.append(_normal(*_product(steps[-1], steps[1], n, 1)))
+    # g and the baby steps each over one denominator, packed at one width
+    sden, ds = math.lcm(*[v[1] for v in steps[:k]]), max(v[2] for v in steps[:k])
+    xs = [x for v in steps[:k] for x in _lift(v, sden, ds)]
     B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
     sk = _packs(xs, ds, B)
     gk, sk = _packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)]
-    result = None
+    bden = gden * sden  # the blocks' den
+    xk, kd, dk = steps[k]
+    hk = _bits(xk, dk)
+    r = None
     for start in range(d - d % k, -1, -k):
         acc = [0] * (n + 1)
         for j in range(min(k, n + 1 - start)):
             if gk[start + j]:
                 # f^j has valuation at least j
                 acc[j:] = [x + gk[start + j] * y for x, y in zip(acc[j:], sk[j][j:])]
-        block = _out(n, acc, B, gden * sden, P, eg and _line(n, w, sg - sig * start), ring)
-        result = block if result is None else _mul_add(result, steps[k], block)
-    return result
+        W, den = B, bden
+        if r is not None:  # r f^k + block over one den, at the width W that sum needs
+            (xr, rd, dr), xb = r, ([_unpack(x, B) for x in acc] if B else acc)
+            den = math.lcm(rd * kd, bden)
+            ma, mb = den // (rd * kd), den // bden
+            W = 0
+            if dr + dk + B:  # ma times each product of r and f^k, and one term mb block[i]
+                bits = max(_bits(xr, dr) + hk + ma.bit_length(), _bits(xb, B) + mb.bit_length())
+                W = _width(bits, (n + 1) * (min(dr, dk) + 1) + 1)
+            acc = [ma * s + mb * x for s, x in zip(_cauchy(_packs(xr, dr, W), _packs(xk, dk, W), n, k),
+                                                    _packs(xb, B, W))]
+        if not start:
+            return _out(n, acc, W, den, P, eg and _line(n, w, sg), ring)
+        r = _normal(acc, W, den)
+
+
+def _normal(sums, B, den):
+    """The int view (xs, den, deg) of the sums packed at width B over den,
+    in the normal form of ``_norm``."""
+    return _norm([_unpack(x, B) for x in sums], den, 1) if B else _norm(sums, den, 0)
 
 
 class DeltaSeries:

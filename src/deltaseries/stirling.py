@@ -317,6 +317,7 @@ def bernoulli_via_s2(f, alpha, n, s2):
     """Order-alpha Bernoulli number from the double sum over s2 (rows to 2n)."""
     alpha = Fraction(alpha)
     p1 = sc.scalar_inv(f[1])
+    pows = [scalar_rat_pow(p1, -alpha - j) for j in range(n + 1)]  # f1^(alpha + j), j alone
     acc = Fraction(0)
     for k in range(n + 1):
         bk = cl.binom_general(alpha + k - 1, k)
@@ -327,7 +328,7 @@ def bernoulli_via_s2(f, alpha, n, s2):
             if c == 0:
                 continue
             coef = bk * Fraction(c * (-1) ** j, cl.comb0(n + j, j))
-            acc = acc + coef * scalar_rat_pow(p1, -alpha - j) * s2.entry(n + j, j)
+            acc = acc + coef * pows[j] * s2.entry(n + j, j)
     return acc
 
 

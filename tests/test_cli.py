@@ -202,6 +202,22 @@ class TestUsage:
         code, _, _ = run(capsys, "log", "--preset", "identity", "--order", "130")
         assert code == 0
 
+    @pytest.mark.parametrize("raw", ["-5", "0", "ten", " "])
+    def test_order_cap_env_must_be_positive(self, capsys, monkeypatch, raw):
+        # a cap below 1 is refused as such, not reported as "--order 4 exceeds the cap -5"
+        monkeypatch.setenv("DELTASERIES_MAX_ORDER", raw)
+        code, out, err = run(capsys, "log", "--preset", "identity", "--order", "4")
+        assert code == 2 and not out
+        assert "DELTASERIES_MAX_ORDER must be a positive integer, got %r" % raw in err
+        assert "exceeds" not in err and "internal error" not in err
+
+    def test_order_cap_env_may_be_padded(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTASERIES_MAX_ORDER", " 12 ")
+        code, _, _ = run(capsys, "log", "--preset", "identity", "--order", "12")
+        assert code == 0
+        code, _, err = run(capsys, "log", "--preset", "identity", "--order", "13")
+        assert code == 2 and "--order 13 exceeds the cap 12" in err
+
     def test_verify_build_order_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DELTASERIES_MAX_ORDER", "8")
         code, _, err = run(capsys, "verify", "logarithm", "--preset", "bell", "--n", "8")

@@ -213,8 +213,15 @@ def outer_shapes(n):
 def symbolic_inner(name, order):
     if name == "deg_falling":  # over Q[l]
         return pr.make_preset("deg_falling", order, pr.LAMBDA_SYMBOLIC).f
+    if name == "qlrat_den":  # t/(1+l) + 2t^2 + l t^3/(1+l)^2: l-denominators, P = 1+l
+        return fps.DeltaSeries(fps.Series(order, ([0, 1 / (1 + L), 2, L / (1 + L) ** 2] + [0] * order)[:order + 1]))
     # (l+1)t + 2t^2: a non-constant linear term puts it over Q(l)
-    return fps.DeltaSeries(fps.Series(order, [0, L + 1, 2] + [0] * (order - 2)))
+    return fps.DeltaSeries(fps.Series(order, ([0, L + 1, 2] + [0] * order)[:order + 1]))
+
+
+def inner_series(name, order):
+    """symbolic_inner at any order from 0, as a Series of its ring."""
+    return symbolic_inner(name, max(order, 2)).series.truncate(order)
 
 
 class TestComposeAgainstHorner:
@@ -253,6 +260,100 @@ class TestComposeAgainstHorner:
         for g in [fps.Series(n, g) for g in outer_shapes(n)] + [f.series]:
             for h in inners:
                 assert_same(fps.compose(g, h), ref.horner_compose(g, h))
+
+    @pytest.mark.parametrize("name,top", [("deg_falling", 20), ("qlrat", 20), ("qlrat_den", 12)])
+    def test_symbolic_block_shapes(self, name, top):
+        # every block shape at every order from 0, over Q[l] and Q(l)
+        for n in range(top + 1):
+            f = inner_series(name, n)
+            for g in outer_shapes(n):
+                g = fps.Series(n, g)
+                got = fps.compose(g, f)
+                assert_same(got, ref.horner_compose(g, f))
+                assert_view(got)
+
+    def test_edge_cases(self):
+        Lr = 1 / (1 + L)  # over Q(l), P = 1 + l
+        cases = [
+            # order 0, in each ring
+            (fps.Series(0, [Fraction(2, 3)]), fps.zero(0)),
+            (fps.Series(0, [L + 1]), fps.zero(0, sc.RING_QL)),
+            (fps.Series(0, [Lr]), fps.zero(0, sc.RING_QLRAT)),
+            # a zero outer series
+            (fps.zero(9), inner_series("qlrat_den", 9)),
+            (fps.zero(9, sc.RING_QLRAT), inner_series("deg_falling", 9)),
+            # a zero inner series: g(0) = g[0]
+            (fps.Series(7, [L * Lr, 1, Lr, 2, 0, L, 3, 1]), fps.zero(7, sc.RING_QLRAT)),
+            (fps.Series(7, [0, 1, Lr, 2, 0, L, 3, 1]), fps.zero(7)),
+            # an inner series of valuation 2 over a l-denominator: a negative shift
+            (fps.Series(10, [0] * 5 + [1] + [0] * 5), fps.Series(10, [0, 0, Lr] + [0] * 8)),
+            (fps.Series(12, [0] * 5 + [1] + [0] * 7), fps.Series(12, [0, 0, Lr, 0, L] + [0] * 8)),
+            # an outer series with a l-dependent constant term
+            (fps.Series(9, [L / (1 + L) ** 2, 1, L, 0, Lr, 0, 0, 2, 0, 1]), inner_series("qlrat_den", 9)),
+            (fps.Series(9, [L ** 2 - 1] + [Fraction(1, i) for i in range(1, 10)]), inner_series("deg_falling", 9)),
+        ]
+        for g, f in cases:
+            got = fps.compose(g, f)
+            assert_same(got, ref.horner_compose(g, f))
+            assert_view(got)
+        # t^5 o t^2/(1+l) is t^10/(1+l)^5, its l-denominator kept least
+        got = fps.compose(*cases[7])
+        assert got.coeffs == (0,) * 10 + (Lr ** 5,) and got._view[4][10] == 5
+
+
+class TestComposeInOneFrame:
+    """A composition runs in one integer frame: the powers of f and the
+    Horner chain are int views, not Series, and the chain is brought to
+    normal form after every step, which keeps its denominator from
+    growing by den(f^k) a step at large orders."""
+
+    @staticmethod
+    def pairs(n):
+        """(g, f) dense over Q, Q[l] and Q(l) at order n, views already read."""
+        dense = [Fraction((-1) ** i * (i + 2), i + 1) for i in range(n + 1)]
+        for g, f in ((dense, fps.Series(n, [0] + [Fraction(1, i) - 1 for i in range(1, n + 1)])),
+                     ([c * (1 + L * i) for i, c in enumerate(dense)], inner_series("deg_falling", n)),
+                     ([c / (1 + L) ** (i % 3) for i, c in enumerate(dense)], inner_series("qlrat_den", n))):
+            g = fps.Series(n, g)
+            fps._view(g), fps._view(f)
+            yield g, f
+
+    def count(self, monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(fps, name, None)
+
+            def counted(*a, real=real, name=name):
+                calls[name] += 1
+                return real(*a)
+            monkeypatch.setattr(fps, name, counted, raising=False)
+        return calls
+
+    def test_no_series_between_steps(self, monkeypatch):
+        pairs = list(self.pairs(20))
+        assert [f.ring for _, f in pairs] == [sc.RING_Q, sc.RING_QL, sc.RING_QLRAT]
+        calls = self.count(monkeypatch, ["mul", "_mul_add", "_frame", "_out", "_lazy"])
+        for g, f in pairs:
+            for c in calls:
+                calls[c] = 0
+            got = fps.compose(g, f)
+            # no series product, no frame scan, one Series made, for the result
+            assert calls == {"mul": 0, "_mul_add": 0, "_frame": 0, "_out": 1, "_lazy": 1}, f.ring
+            assert_same(got, ref.horner_compose(g, f))
+
+    def test_the_chain_is_normalised_every_step(self, monkeypatch):
+        # k = isqrt(d + 1) is 4 for d = 15 and d = 23: the same powers of f,
+        # and 15 // 4 = 3 against 23 // 4 = 5 Horner steps
+        calls = self.count(monkeypatch, ["_norm"])
+        for g23, f in self.pairs(23):
+            g15 = fps.Series(23, g23.coeffs[:16] + (0,) * 8, g23.ring)
+            fps._view(g15)
+            norms = []
+            for g in (g15, g23):
+                calls["_norm"] = 0
+                fps.compose(g, f)
+                norms.append(calls["_norm"])
+            assert norms[1] - norms[0] >= 2 and norms[1] >= 5, (f.ring, norms)
 
 
 PRIMES = [p for p in range(2, 500) if all(p % q for q in range(2, p))]
@@ -957,6 +1058,19 @@ class TestViews:
             assert la == s and s == la and hash(la) == hash(s)
             assert_same(la, s)
             assert la.valuation() == s.valuation() and la.is_zero() == s.is_zero()
+
+    def test_compose_leaves_a_normal_view_in_every_ring(self):
+        # the one Series a composition makes holds only its view, in normal
+        # form; over Q(l) also for an inner series at weight 2, an inverse
+        fbar = fps.invert_newton(symbolic_inner("qlrat", 6)).series
+        g = fps.Series(6, [Fraction(1, 3), L / (1 + L), 2, 0, 1 - L, 0, 1])
+        pairs = list(TestComposeInOneFrame.pairs(9)) + [(g, fbar)]
+        assert [sc.join_ring(g.ring, f.ring) for g, f in pairs] == [sc.RING_Q, sc.RING_QL] + [sc.RING_QLRAT] * 2
+        for g, f in pairs:
+            s = fps.compose(g, f)
+            assert s._coeffs is None
+            assert_view(s)
+            assert_same(s, ref.horner_compose(g, f))
 
     def test_a_polynomial_keeps_its_factors_of_p(self):
         # coefficient 0 of the product is (1+l)^2 / (1+l) = 1+l: exponent 0,

@@ -457,6 +457,22 @@ class TestTheoremPaths:
         for n in range(7):
             assert st.bernoulli_via_s2_alpha1(f, n, s2) == fam1.values[n]
 
+    def test_bernoulli_via_s2_takes_each_power_once(self, monkeypatch):
+        # f1^(alpha + j) depends on j alone: n + 1 powers a call, not one per (k, j)
+        calls = []
+        real = st.scalar_rat_pow
+        monkeypatch.setattr(st, "scalar_rat_pow", lambda s, e: calls.append(e) or real(s, e))
+        for f in (delta(*([0, 2, 1, -1] + [0] * 9)), f_deg(12), delta(*([0, 1 + L, 2, L] + [0] * 9))):
+            s2 = st.s2_assoc(f, 10)
+            fb = st.compositional_inverse(f)
+            for alpha in (-1, 2, 3):
+                fam = st.bernoulli_assoc(fb, Fraction(alpha), 5)
+                for n in range(6):
+                    calls.clear()
+                    assert st.bernoulli_via_s2(f, Fraction(alpha), n, s2) == fam.values[n]
+                    assert len(calls) == n + 1, (f.ring, alpha, n)
+        assert {f.ring for f in (f_deg(12), delta(0, 1 + L))} == {sc.RING_QL, sc.RING_QLRAT}
+
     def test_log_expansion(self):
         f = f_deg()
         got = st.assoc_log_expansion(f, 8, st.s2_assoc(f, 14))
