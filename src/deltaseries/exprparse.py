@@ -16,7 +16,6 @@ minus, so "-t^2" is -(t^2).  "2t" is a syntax error; write "2*t".
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from . import fps
@@ -27,7 +26,6 @@ from .errors import (
     ExprSyntaxError,
     LambdaModeRequired,
     NoExactRoot,
-    ScalarTooLarge,
     UnknownFunction,
 )
 
@@ -465,20 +463,7 @@ def _eval_div(e, order, lam, memo):
 def _eval_pow(base, exponent, via_sqrt=False):
     what = "sqrt" if via_sqrt else "t^(%s)" % exponent
     c = base[0]
-    limit = sys.get_int_max_str_digits()
-    # past these bounds a number in c^e certainly has more digits than any
-    # output can print: 1000 * bits >= 3322 * limit, for 3.322 > log2(10)
-    if limit and isinstance(c, Fraction):
-        # c^e's numerator and denominator have |e| times the digits of c's;
-        # with p >= 2^(bits-1), one of them has e * bits bits or more
-        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-        if 1000 * abs(exponent.numerator) * bits >= 3322 * limit * exponent.denominator:
-            raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
-                                 % (what, sc.format_scalar(c), limit))
-    if limit and isinstance(c, sc.LPoly) and exponent.denominator == 1:
-        if 1000 * _lpoly_power_bits(c, exponent.numerator) >= 3322 * limit:
-            raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
-                                 % (what, sc.format_scalar(c), limit))
+    sc.check_power_size(c, exponent, what)
     if exponent.denominator == 1:
         return fps.pow_int(base, int(exponent))
     if not c:
@@ -492,24 +477,6 @@ def _eval_pow(base, exponent, via_sqrt=False):
         raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, sc.format_scalar(c), exponent.denominator))
     unit = fps.scale(base, sc.scalar_inv(c))
     return fps.scale(fps.pow_ratio(unit, exponent), root ** exponent.numerator)
-
-
-def _lpoly_power_bits(c, e):
-    """A number of bits that some l-coefficient of c^e reaches, for e < 0 of
-    its monic denominator (c / lead)^|e|: e log2|c(x)| - log2((de+1) M^(de))
-    with M = max(1, |x|), for |c(x)| <= (de+1) M^(de) max|coeff|, taken at
-    the x in +-1, +-2, +-1/2 that gives most."""
-    if e < 0:
-        c, e = c * sc.scalar_inv(c.leading()), -e
-    de = c.degree * e
-    best = 0
-    for x in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)):
-        v = c.eval(x)
-        if v:
-            # log2|p/q| >= bits(p) - 1 - bits(q - 1); log2 M^(de) is de at |x| = 2
-            low = abs(v.numerator).bit_length() - 1 - (v.denominator - 1).bit_length()
-            best = max(best, e * (low - (c.degree if abs(x) == 2 else 0)) - (de + 1).bit_length())
-    return best
 
 
 def require_delta(s):

@@ -49,11 +49,13 @@ evaluation: about 2*sqrt(d) series products for an outer series g of
 degree d, instead of one per coefficient.  One composition runs in one
 frame of g and f: the powers of f and the Horner chain stay int views,
 each brought to normal form, and only the result is reduced
-(``_eval_at_powers``).  Compositional inversion runs
-by Newton iteration (order doubling); each step evaluates f(g) once, and
-g' stands in for 1/f'(g).  The Lagrange inversion formulas are
-provided as independent coefficient extractors so the two routes can be
-checked against each other.
+(``_eval_at_powers``).  Compositional inversion runs by Newton iteration
+(order doubling); each step evaluates f(g) once, and g' stands in for
+1/f'(g).  One inversion runs in one frame too: the iterate g, f(g) and
+the correction stay int views over one P, and the inverse is the one
+Series it makes.  The Lagrange inversion formulas are provided as
+independent coefficient extractors so the two routes can be checked
+against each other.
 """
 
 from __future__ import annotations
@@ -462,6 +464,12 @@ def _norms(xs, deg):
     return [sum(map(abs, p)) for p in xs] if deg else list(map(abs, xs))
 
 
+def _muls(xs, deg, ms):
+    """The polynomials of a view, each times the int at its index in ms;
+    as many as there are ms."""
+    return [[m * c for c in p] for m, p in zip(ms, xs)] if deg else list(map(operator.mul, ms, xs))
+
+
 def _width(bits, terms):
     """Digit width B for a sum of `terms` products of l-coefficients whose
     bit lengths add up to at most bits: the sum lies in (-2^(B-1), 2^(B-1))."""
@@ -475,31 +483,43 @@ def _packs(xs, deg, B):
 
 def _out(n, xs, B, den, P, F, ring, ties=None):
     """The Series of order n of the sums xs packed at width B over
-    den P^F[i]: only its view, each polynomial over Q(l) reduced to its
-    least exponent (``scalar._reduce``), or only those at the indices in
-    `ties` when given, F[i] being least at the others."""
+    den P^F[i]: only its view (``_reduced``)."""
+    xs, den, deg, P, E = _reduced(xs, B, den, P, F, ties)
+    return _lazy(n, xs, den, deg, ring, P, E)
+
+
+def _reduced(xs, B, den, P, F, ties=None):
+    """The view (xs, den, deg, P, E) of the sums xs packed at width B over
+    den P^F[i], each polynomial over Q(l) reduced to its least exponent
+    (``scalar._reduce``), or only those at the indices in `ties` when given,
+    F[i] being least at the others.  It is not in normal form: its content
+    is not divided out, and its deg, B or 1, only says whether the
+    polynomials are lists, so it bounds no degree until ``_norm``."""
     xs = [_unpack(x, B) for x in xs] if B else xs
     if len(P) == 1:
-        return _lazy(n, xs, den, B, ring)
+        return xs, den, B, P, None
     xs = xs if B else [[x] for x in xs]
     xs, E = zip(*[_reduce(x, P, f) if ties is None or i in ties else (x, f)
                   for i, (x, f) in enumerate(zip(xs, F))])
-    return _lazy(n, list(xs), den, 1, ring, P, list(E))
+    return list(xs), den, 1, P, list(E)
 
 
 def mul(a, b):
-    """Truncated Cauchy product: both operands viewed in one frame
-    (``_frame``), their product taken packed (``_product``) and each sum
-    reduced once (``_out``)."""
+    """Truncated Cauchy product (``_times``), each sum reduced once (``_out``)."""
     _check_orders(a, b)
-    n, ring = a.order, sc.join_ring(a.ring, b.ring)
-    va, vb = _view(a), _view(b)
+    return _out(a.order, *_times(_view(a), _view(b), a.order), sc.join_ring(a.ring, b.ring))
+
+
+def _times(va, vb, n):
+    """(sums, B, den, P, F): the truncated Cauchy product of the views va
+    and vb of order n, both viewed in one frame (``_frame``) and multiplied
+    packed (``_product``), sum i over den P^F[i]."""
     P = _join(va[3], vb[3])
     ea = eb = eo = None  # exponents of P, none for P = 1
     if len(P) > 1:
         w, (sa, sb) = _frame(va, vb)
         ea, eb, eo = _line(n, w, sa), _line(n, w, sb), _line(n, w, sa + sb)
-    return _out(n, *_product(_at(va, P, ea), _at(vb, P, eb), n), P, eo, ring)
+    return _product(_at(va, P, ea), _at(vb, P, eb), n) + (P, eo)
 
 
 def _product(a, b, n, v=0):
@@ -621,7 +641,7 @@ def derivative(a):
     """The derivative; its top coefficient is unknown and set to 0, so
     callers truncate as needed."""
     xs, den, deg, P, E = _view(a)
-    out = [[n * c for c in p] if deg else n * p for n, p in enumerate(xs[1:], 1)]
+    out = _muls(xs[1:], deg, range(1, a.order + 1))
     return _lazy(a.order, out + [[] if deg else 0], den, deg, a.ring, P, E and E[1:] + [0])
 
 
@@ -629,7 +649,7 @@ def integrate(a):
     """Antiderivative with zero constant term, same order (top coeff drops)."""
     xs, den, deg, P, E = _view(a)
     L = math.lcm(*range(1, a.order + 1))  # coefficient m is xs[m-1] (L/m) / (den L)
-    out = [[c * (L // m) for c in p] if deg else p * (L // m) for m, p in enumerate(xs[:-1], 1)]
+    out = _muls(xs[:-1], deg, [L // m for m in range(1, a.order + 1)])
     return _lazy(a.order, [[] if deg else 0] + out, den * L, deg, a.ring, P, E and [0] + E[:-1])
 
 
@@ -638,17 +658,13 @@ def compose(g, f):
     _check_orders(g, f)
     if f[0]:
         raise BadConstantTerm("inner series must have zero constant term")
-    return _eval_at_powers(g, f)
+    return _out(g.order, *_eval_at_powers(_view(g), _view(f)), sc.join_ring(g.ring, f.ring))
 
 
-def _degree(s):
-    """Index of the last nonzero coefficient; 0 for the zero series."""
-    return max((i for i, c in enumerate(_flags(s)) if c), default=0)
-
-
-def _eval_at_powers(g, f):
-    """g(f) by Paterson-Stockmeyer evaluation at the powers of f, in one
-    integer frame.
+def _eval_at_powers(vg, vf):
+    """(sums, B, den, P, F): g(f) for the views vg and vf of one order n,
+    by Paterson-Stockmeyer evaluation at the powers of f in one integer
+    frame; sum i is packed at width B over den P^F[i].
 
     Each block of k = isqrt(deg g + 1) coefficients of g is a linear
     combination of the baby steps 1, f, ..., f^(k-1); from the top block
@@ -659,21 +675,21 @@ def _eval_at_powers(g, f):
     between steps.  The powers of f and each step's r are int views
     (xs, den, deg) in that frame, each made by one truncated product and
     brought to the normal form of ``_norm`` (one gcd), which keeps r's den
-    from growing by den(f^k) at every step.  Only the result is unpacked,
-    reduced and made a Series (``_out``).
+    from growing by den(f^k) at every step.  Only the caller unpacks and
+    reduces the sums it reads.
     """
-    n, d = g.order, _degree(g)
+    n = len(vg[0]) - 1
+    pg = _points(vg)
+    d = pg[-1][0] if pg else 0  # the degree of g
     k = math.isqrt(d + 1)
-    ring = sc.join_ring(g.ring, f.ring)
-    vg, vf = _view(g), _view(f)
     P = _join(vg[3], vf[3])  # the powers of f need nothing more
-    eg = ef = None
+    eg = ef = eo = None
     if len(P) > 1:
         pf = _points(vf)
         w = _weight(pf)
         sig = _shift(pf, w)
-        sg = _shift(_points(vg), -sig)
-        eg, ef = _line(n, -sig, sg), _line(n, w, sig)
+        sg = _shift(pg, -sig)
+        eg, ef, eo = _line(n, -sig, sg), _line(n, w, sig), _line(n, w, sg)
     xg, gden, dg = _at(vg, P, eg)
     steps = [([1] + [0] * n, 1, 0), _at(vf, P, ef)]  # f^j over den P^(w i + j sig)
     while len(steps) <= k:
@@ -706,7 +722,7 @@ def _eval_at_powers(g, f):
             acc = [ma * s + mb * x for s, x in zip(_cauchy(_packs(xr, dr, W), _packs(xk, dk, W), n, k),
                                                     _packs(xb, B, W))]
         if not start:
-            return _out(n, acc, W, den, P, eg and _line(n, w, sg), ring)
+            return acc, W, den, P, eo
         r = _normal(acc, W, den)
 
 
@@ -775,40 +791,54 @@ def invert_newton(f):
     With g right through t^h and m = min(2h, order of f), f(g) - t is
     O(t^(h+1)) and 1/f'(g) = g' + O(t^h), as f'(g) g' = (f(g))' (Brent and
     Kung, J. ACM 25, 1978), so a step g - (f(g) - t) / f'(g) is
-    g - t^(h+1) (f(g)[h+1..m] g'): one evaluation, one short product."""
+    g - t^(h+1) (f(g)[h+1..m] g'): one evaluation, one short product.
+
+    The whole inversion runs on int views over one P, the lcm of f's and
+    that of 1/f[1]: g stays a view from step to step, and each step reads
+    f's prefix, evaluates f at g padded with zeros (``_eval_at_powers``),
+    reduces only the sums h+1..m of f(g), as the lower ones are t, and
+    appends the correction, whose support is disjoint from g's, over one
+    den.  Only the inverse is made a Series."""
     fs = f.series
-    g = Series(1, (_ZERO, sc.scalar_inv(fs[1])), fs.ring)
-    while g.order < f.order:
-        h = g.order
-        m = min(2 * h, f.order)
-        gm = g.pad(m)
-        err = _window(compose(fs.truncate(m), gm), h + 1, 0, m - h - 1)  # (f(g) - t) / t^(h+1)
-        g = sub(gm, _window(mul(err, derivative(g).truncate(m - h - 1)), 0, h + 1, m))
-    return DeltaSeries(g)
+    n, inv1 = fs.order, sc.scalar_inv(fs[1])
+    vf = _view(fs)
+    P = _join(vf[3], sc._base([inv1]))
+    xf, fd, df, _, ef = _rebase(vf, P)
+    xs, den, deg, _, E = _int_view((_ZERO, inv1), P)
+    while len(xs) <= n:
+        h = len(xs) - 1
+        m = min(2 * h, n)
+        z = m - h
+        sums, B, sd, _, F = _eval_at_powers((xf[:m + 1], fd, df, P, ef and ef[:m + 1]),
+                                            (xs + [[] if deg else 0] * z, den, deg, P, E and E + [0] * z))
+        err = _reduced(sums[h + 1:], B, sd, P, F and F[h + 1:])  # (f(g) - t) / t^(h+1)
+        err = _norm(*err[:3]) + err[3:]
+        # -g' up to t^(z-1), so the correction is err times it
+        dg = _muls(xs[1:], deg, range(-1, -z - 1, -1)), den, deg, P, E and E[1:z + 1]
+        c = _reduced(*_times(err, dg, z - 1))
+        L, D = math.lcm(den, c[1]), max(deg, c[2])
+        xs, den, deg = _norm(_lift((xs, den, deg), L, D) + _lift(c[:3], L, D), L, D)
+        E = E and E + c[4]
+    return DeltaSeries(_lazy(n, xs, den, deg, fs.ring, P, E))
 
 
-def _inverse_power_base(f, order):
-    """(t/f(t))^{-1} material: returns w with f = t*w, truncated to order."""
-    w = shift_down(f.series, 1)
-    return w.truncate(order) if order <= w.order else w.pad(order)
+def _inverse_power(f, order, n):
+    """(f(t)/t)^(-n) to order, whose coefficients Lagrange inversion reads."""
+    return pow_int(_window(f.series, 1, 0, order), -n)
 
 
 def lagrange_coeff_inverse(f, n):
     """[t^n] of the compositional inverse, by the single-coefficient formula."""
     if not 1 <= n <= f.order:
         raise IndexOutOfOrder("need 1 <= n <= %d, got %d" % (f.order, n))
-    w = _inverse_power_base(f, n - 1)
-    wn = pow_int(w, -n)
-    return wn[n - 1] * Fraction(1, n)
+    return _inverse_power(f, n - 1, n)[n - 1] * Fraction(1, n)
 
 
 def lagrange_coeff_power(f, k, n):
     """[t^n] of the k-th power of the compositional inverse."""
     if not 1 <= k <= n <= f.order:
         raise IndexOutOfOrder("need 1 <= k <= n <= %d" % f.order)
-    w = _inverse_power_base(f, n - k)
-    wn = pow_int(w, -n)
-    return wn[n - k] * Fraction(k, n)
+    return _inverse_power(f, n - k, n)[n - k] * Fraction(k, n)
 
 
 def lagrange_coeff_general(g, f, n):
@@ -817,11 +847,8 @@ def lagrange_coeff_general(g, f, n):
         raise IndexOutOfOrder("need 1 <= n <= %d, got %d" % (f.order, n))
     if g.order < n:
         raise IndexOutOfOrder("outer series order %d below n=%d" % (g.order, n))
-    w = _inverse_power_base(f, n - 1)
-    wn = pow_int(w, -n)
     gp = derivative(g.truncate(n)).truncate(n - 1)
-    prod = mul(gp, wn)
-    return prod[n - 1] * Fraction(1, n)
+    return mul(gp, _inverse_power(f, n - 1, n))[n - 1] * Fraction(1, n)
 
 
 def exp_series(f):
@@ -880,16 +907,17 @@ def pow_ratio(f, r):
 # EGF conversion
 
 def egf_coeff(series, n):
-    """n! times the ordinary coefficient of t^n."""
-    return series[n] * Fraction(math.factorial(n))
+    """n! times the ordinary coefficient of t^n, made from the view of the
+    series as one scalar n! xs[n] / (den P^E[n])."""
+    xs, den, deg, P, E = _view(series)
+    return _scalar(_muls(xs[n:], deg, [math.factorial(n)])[0], den, deg, P, E and E[n])
 
 
 def _egf_view(s, n):
     """The view of the EGF coefficients m! s[m], m <= n, of s."""
     xs, den, deg, P, E = _view(s)
     fs = accumulate(range(1, n + 1), operator.mul, initial=1)
-    xs = [[f * c for c in p] for f, p in zip(fs, xs)] if deg else list(map(operator.mul, fs, xs))
-    return _norm(xs, den, deg) + (P, E and E[:n + 1])
+    return _norm(_muls(xs, deg, fs), den, deg) + (P, E and E[:n + 1])
 
 
 def from_egf(coeffs, ring=None):

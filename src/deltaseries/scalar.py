@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -449,6 +450,58 @@ def scalar_pow(s, k):
     if k < 0:
         s, k = scalar_inv(s), -k
     return _as_frac(s) ** k if isinstance(s, int) else s ** k
+
+
+# Python's default limit on int-to-text conversion; on a Python before
+# 3.10.7, which has no such limit, it still bounds powers
+_DEFAULT_DIGITS = 4300
+
+
+def check_power_size(c, e, what):
+    """Refuse, with ScalarTooLarge, the scalar c to the rational power e when
+    a number in it certainly has more digits than any output can print
+    (``sys.get_int_max_str_digits()``): 1000 * bits >= 3322 * limit, for
+    3.322 > log2(10).  This takes a few evaluations of c, where c^e itself
+    takes time and memory that grow with |e|."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    limit = get() if get else _DEFAULT_DIGITS
+    if not limit:
+        return
+    if isinstance(c, Fraction):
+        # c^e's numerator and denominator have |e| times the digits of c's;
+        # with p >= 2^(bits-1), one of them has e * bits bits or more
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+        big = 1000 * abs(e.numerator) * bits >= 3322 * limit * e.denominator
+    elif isinstance(c, (LPoly, LRat)) and e.denominator == 1:
+        b, k = c, e.numerator
+        if k < 0 and b.__class__ is LRat:
+            b, k = scalar_inv(b), -k
+        # b^k of an LRat is num^k / den^k, both in normal form
+        parts = (b.num, b.den) if b.__class__ is LRat else (b,)
+        big = 1000 * max(_lpoly_power_bits(p, k) for p in parts) >= 3322 * limit
+    else:
+        return
+    if big:
+        raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
+                             % (what, format_scalar(c), limit))
+
+
+def _lpoly_power_bits(c, e):
+    """A number of bits that some l-coefficient of c^e reaches, for e < 0 of
+    its monic denominator (c / lead)^|e|: e log2|c(x)| - log2((de+1) M^(de))
+    with M = max(1, |x|), for |c(x)| <= (de+1) M^(de) max|coeff|, taken at
+    the x in +-1, +-2, +-1/2 that gives most."""
+    if e < 0:
+        c, e = c * scalar_inv(c.leading()), -e
+    de = c.degree * e
+    best = 0
+    for x in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)):
+        v = c.eval(x)
+        if v:
+            # log2|p/q| >= bits(p) - 1 - bits(q - 1); log2 M^(de) is de at |x| = 2
+            low = abs(v.numerator).bit_length() - 1 - (v.denominator - 1).bit_length()
+            best = max(best, e * (low - (c.degree if abs(x) == 2 else 0)) - (de + 1).bit_length())
+    return best
 
 
 def eval_lambda(s, value):

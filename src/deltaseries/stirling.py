@@ -206,6 +206,7 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
     gs = g.series.truncate(max_n + 1)
     w = fps.shift_down(fps.sub(fps.exp_series(gs), fps.one(max_n + 1, gs.ring)), 1)
     if alpha.denominator == 1:
+        sc.check_power_size(w[0], -alpha, "alpha = %s" % alpha)
         base = fps.pow_int(w, -int(alpha))
     else:
         if w[0] != 1:

@@ -296,7 +296,8 @@ class TestHostileInput:
         assert out.splitlines() == ["[t^0] %d" % 2 ** 1000, "[t^1] %d" % (1000 * 2 ** 999),
                                     "[t^2] %d" % (499500 * 2 ** 998)]
 
-    @pytest.mark.parametrize("expr", ["(1+lambda+t)^(100000)", "(1-lambda+t)^(-100000)", "(2*lambda+t)^(100000)"])
+    @pytest.mark.parametrize("expr", ["(1+lambda+t)^(100000)", "(1-lambda+t)^(-100000)", "(2*lambda+t)^(100000)",
+                                      "(1/(1+lambda)+t)^(100000)", "((2+lambda)/(1+lambda)+t)^(-100000)"])
     def test_huge_lambda_power_fails_at_once(self, capsys, int_digit_limit, expr):
         start = time.perf_counter()
         code, out, err = run(capsys, "eval", "--f", expr, "--lambda", "symbolic", "--order", "4")
@@ -311,6 +312,29 @@ class TestHostileInput:
         c = 1 + sc.LAMBDA
         assert out.splitlines() == ["[t^%d] %s" % (m, sc.format_scalar(math.comb(20, m) * c ** (20 - m)))
                                     for m in range(3)]
+
+    @pytest.mark.parametrize("f", ["2*t", "(1+lambda)*t", "t/(1+lambda)"])
+    @pytest.mark.parametrize("alpha", ["1000000000000", "-1000000000000"])
+    def test_huge_alpha_fails_at_once(self, capsys, int_digit_limit, f, alpha):
+        # B_0 = f1^(-alpha) is itself an output
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bernoulli", "--alpha", alpha, "--f", f, "--lambda", "symbolic", "--n", "2")
+        assert code == 2 and out == ""
+        assert "ScalarTooLarge" in err and "internal error" not in err
+        assert time.perf_counter() - start < 1
+
+    def test_small_alpha_is_exact(self, capsys, int_digit_limit):
+        # n! [t^n] (t / (e^(2t) - 1))^alpha: 2^(n-1) B_n at alpha = 1, 2^(n+1) / (n+1) at -1,
+        # and 2^14000 and 14000 2^14000, of at most 4220 digits, at -14000
+        for alpha, want in (("1", ["1/2", "-1/2", "1/3", "0", "-4/15"]), ("-1", ["2", "2", "8/3", "4", "32/5"])):
+            code, out, _ = run(capsys, "bernoulli", "--alpha", alpha, "--f", "2*t", "--n", "4")
+            assert code == 0 and out.splitlines() == ["B_%d = %s" % nv for nv in enumerate(want)]
+        code, out, _ = run(capsys, "bernoulli", "--alpha", "-14000", "--f", "2*t", "--n", "1")
+        assert code == 0 and out.splitlines() == ["B_0 = %d" % 2 ** 14000, "B_1 = %d" % (14000 * 2 ** 14000)]
+        c = 1 + sc.LAMBDA
+        code, out, _ = run(capsys, "bernoulli", "--alpha", "-1", "--f", "(1+lambda)*t", "--lambda", "symbolic", "--n", "2")
+        assert code == 0 and out.splitlines() == ["B_%d = %s" % (n, sc.format_scalar(c ** (n + 1) / (n + 1)))
+                                                  for n in range(3)]
 
     def test_long_lambda_power_is_fast(self, capsys):
         # l-degree 20000 with small coefficients: packing is n log n in the degree

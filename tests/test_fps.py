@@ -841,8 +841,13 @@ NEWTON_CASES = {
     "ql-f2-zero": (None, [0, 1, 0] + [L ** (i % 3) - i for i in range(3, 21)], 20, 12),
     "ql-dense": (None, [0, -2] + [(1 - L) ** (i % 2) * Fraction(1, i) for i in range(2, 21)], 20, 12),
     "qlrat-linear": (None, [0, (1 + L) ** 2], 20, 20),
-    "qlrat-f2-zero": (None, [0, (1 + L) ** 2, 0, 0, 1], 20, 8),
-    "qlrat-dense": (None, [0, (1 + L) ** 2, 1, 1, Fraction(-1, 2), L], 8, 6),
+    "qlrat-f2-zero": (None, [0, (1 + L) ** 2, 0, 0, 1], 20, 20),
+    "qlrat-dense": (None, [0, (1 + L) ** 2, 1, 1, Fraction(-1, 2), L], 20, 10),
+    # f1 = 1 + l with l-denominators coprime to it: the joint P is their product
+    "qlrat-coprime": (None, [0, 1 + L, 0, 1 / (2 - L), 0, 1 / (1 + L * L)], 20, 6),
+    "qlrat-f1-lambda": (None, [0, L, 1, Fraction(-1, 2), 1 - L], 20, 8),
+    # 1/f1 rational, so P comes from the later terms alone
+    "qlrat-f1-rational": (None, [0, Fraction(2, 3), 0, 1 / (1 + L), L, Fraction(1, 3) / (1 - L) ** 2], 20, 8),
 }
 
 
@@ -882,6 +887,27 @@ class TestNewtonStep:
                 fps.invert_newton(f)
                 # h = 1, 2, 4, ... : (n - 1).bit_length() steps reach n
                 assert calls == ["_eval_at_powers"] * (n - 1).bit_length(), (name, n)
+
+    @pytest.mark.parametrize("name", ["q-dense", "ql-dense", "qlrat-dense"])
+    def test_one_frame_and_one_series_an_inverse(self, monkeypatch, name):
+        # the iterate, f(g) and the correction stay int views: no Series
+        # kernel runs, and the inverse is the only Series made (every Series
+        # passes through _set)
+        names = ["compose", "mul", "sub", "_window", "derivative", "_set"]
+        calls = dict.fromkeys(names, 0)
+        for kernel in names:
+            real = getattr(fps, kernel)
+
+            def counted(*a, real=real, kernel=kernel):
+                calls[kernel] += 1
+                return real(*a)
+            monkeypatch.setattr(fps, kernel, counted)
+        f = newton_case(name, 20)
+        for c in calls:
+            calls[c] = 0
+        got = fps.invert_newton(f).series
+        assert calls["_set"] <= 2 and not any(calls[c] for c in names[:-1]), calls
+        assert got.ring == f.ring and got.order == 20
 
 
 @hst.composite
@@ -1187,6 +1213,21 @@ class TestEgfAndJson:
         e = fps.exp_series(fps.t_series(8))
         assert all(fps.egf_coeff(e, n) == 1 for n in range(9))
         assert fps.from_egf([Fraction(1)] * 9) == e
+
+    @pytest.mark.parametrize("kind", ["eager", "lazy"])
+    def test_egf_coeff_from_the_view(self, kind):
+        # n! [t^n] as one scalar from the view: the value and the type of
+        # s[n] n!, over Q, Q[l] and Q(l), with coefficients over P and P^3
+        n = 6
+        for cs in ([0, Fraction(3, 2), Fraction(-5, 7), 0, Fraction(1, 9), 2, Fraction(-1, 11)],
+                   [1, L / 3, 0, L * L - Fraction(1, 2), Fraction(2, 3), 1 - L, L],
+                   [Fraction(1, 4), 1 / (1 + L), (L + 2) / (1 + L) ** 3, 0, L, Fraction(1, 5), (1 - L) / (1 + L) ** 2]):
+            s = fps.Series(n, cs)
+            if kind == "lazy":
+                s = lazy(s)
+            for m in range(n + 1):
+                got, want = fps.egf_coeff(s, m), s[m] * Fraction(math.factorial(m))
+                assert got == want and type(got) is type(want), (cs, m)
 
     def test_json_round_trip_q(self):
         s = ser(0, 1, Fraction(-1, 2), Fraction(1, 3))

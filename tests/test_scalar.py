@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,14 @@ class TestText:
         for value in (Fraction(3) ** 10000, 1 + 3**10000 * L):
             with pytest.raises(ScalarTooLarge):
                 sc.format_scalar(value)
+
+    def test_power_size_without_a_digit_limit(self, monkeypatch):
+        # Pythons before 3.10.7 have no int-to-text limit: its default bounds powers there
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        for c, e in ((Fraction(2), Fraction(10**12)), (1 + L, Fraction(-10**12)), (sc.LRat(lp(1), 1 + L), Fraction(10**6))):
+            with pytest.raises(ScalarTooLarge):
+                sc.check_power_size(c, e, "t^(e)")
+        sc.check_power_size(Fraction(2), Fraction(14000), "t^(e)")
 
     def test_csv_cell_quotes(self):
         assert sc.csv_cell(Fraction(3)) == "3"
