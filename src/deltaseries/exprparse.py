@@ -425,7 +425,8 @@ def _eval_node(e, order, lam, memo):
     if isinstance(e, Div):
         return _eval_div(e, order, lam, memo)
     if isinstance(e, Pow):
-        return _eval_pow(_eval(e.base, order, lam, memo), e.exponent)
+        base = pretty(e.base) if _is_pow_atom(e.base) else "(%s)" % pretty(e.base)
+        return _eval_pow(_eval(e.base, order, lam, memo), e.exponent, "%s^(%s)" % (base, e.exponent))
     if isinstance(e, Call):
         arg = _eval(e.arg, order, lam, memo)
         if e.fn == "exp":
@@ -439,7 +440,7 @@ def _eval_node(e, order, lam, memo):
                     "log needs constant term 1, got %s" % sc.format_scalar(arg[0])
                 )
             return fps.log_series(arg)
-        return _eval_pow(arg, Fraction(1, 2), via_sqrt=True)
+        return _eval_pow(arg, Fraction(1, 2), "sqrt")
     raise TypeError("not an expression: %r" % (e,))
 
 
@@ -460,8 +461,8 @@ def _eval_div(e, order, lam, memo):
     return fps.div(num, den)
 
 
-def _eval_pow(base, exponent, via_sqrt=False):
-    what = "sqrt" if via_sqrt else "t^(%s)" % exponent
+def _eval_pow(base, exponent, what):
+    """The series base^exponent; `what` names the power in an error."""
     c = base[0]
     sc.check_power_size(c, exponent, what)
     if exponent.denominator == 1:

@@ -7,55 +7,24 @@ that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
 composition (``_eval_at_powers``), ``div``, ``exp_series``, ``add`` and
-``sub`` (``_sum``) read each operand's int view, in which coefficient i is
-an integer-coefficient polynomial in l over den P^E[i] (``_view``,
-``_int_view``).  P is the
-primitive squarefree polynomial whose powers every l-denominator divides
-(``scalar._base``; 1 over Q and Q[l]), den one integer and E[i] the least
-exponent; operands over different P are re-expressed over their lcm
-(``_rebase``).  A kernel views coefficient i of each operand over
-den P^(w i + s) (``_at``), for a weight w shared by the operands and a
-shift s of each, chosen together to carry the fewest surplus factors of P
-(``_frame``); sums take the larger exponent coefficientwise.  This is the
-substitution t -> t / P^w, which commutes with products, exp, composition
-and partial Bell polynomials (Comtet, *Advanced Combinatorics*, 1974, 3.3),
-so every result keeps that shape: the inverse fbar of f and e^fbar - 1
-have w = 2 and P the squarefree part of f1, as Lagrange inversion puts
-[t^n] fbar over a divisor of f1^(2n-1).  The kernels pack each polynomial
-into one int by Kronecker substitution l = 2^B (``scalar._pack``), run
-their inner loops on those ints, and unpack once per output coefficient;
-over Q(l) P is then stripped from it by trial division
-(``scalar._reduce``), which leaves its least exponent.  The result keeps
-only that view, divided through by its content g = gcd(den, every
-numerator) (``_norm``).  As lcm(d / g_i) = d / gcd(g_i), that is exactly
-the view ``_int_view`` makes of the canonical scalars, so the next kernel
-reads it as it is.  ``Fraction``, ``LPoly`` and ``LRat`` values are made
-only where a value leaves the series layer: when ``coeffs`` or one
-coefficient is read (for output, equality and the hash), for Triangle
-entries (``_out`` of each column) and Bernoulli values (``egf_coeff``).
-An LPoly keeps a view's ints (``scalar._poly``); an LRat takes a gcd only
-when P has degree 2 or more (``scalar._rat``).
-
-A rational coefficient is a polynomial of degree 0, whose packing is its
-own numerator, so Q runs the same loops with nothing to pack (width 0).
-The width B comes from the bit sizes of the actual operands and bounds
-every sum a kernel forms, so the balanced base-2^B digits of a packed sum
-are its l-coefficients.  The two recurrences (``_recurrence``) keep their
-outputs so far packed over a running lcm denominator and widen B as those
-outputs grow.
+``sub`` (``_sum``) read each operand's integer view and leave one on their
+result, in normal form, for the next kernel to read as it is; ``_packed``
+states what a view holds and keeps its algebra.  Over Q(l) the inverse
+fbar of f and e^fbar - 1 have weight w = 2 and P the squarefree part of
+f1, as Lagrange inversion puts [t^n] fbar over a divisor of f1^(2n-1).
+``Fraction``, ``LPoly`` and ``LRat`` values are made only where a value
+leaves the series layer: when ``coeffs`` or one coefficient is read (for
+output, equality and the hash), for Triangle entries and Bernoulli values
+(``egf_coeff``).
 
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
-degree d, instead of one per coefficient.  One composition runs in one
-frame of g and f: the powers of f and the Horner chain stay int views,
-each brought to normal form, and only the result is reduced
+degree d, instead of one per coefficient, in one integer frame of g and f
 (``_eval_at_powers``).  Compositional inversion runs by Newton iteration
-(order doubling); each step evaluates f(g) once, and g' stands in for
-1/f'(g).  One inversion runs in one frame too: the iterate g, f(g) and
-the correction stay int views over one P, and the inverse is the one
-Series it makes.  The Lagrange inversion formulas are provided as
-independent coefficient extractors so the two routes can be checked
-against each other.
+(order doubling), in one integer frame too; each step evaluates f(g) once,
+and g' stands in for 1/f'(g).  The Lagrange inversion formulas are
+provided as independent coefficient extractors so the two routes can be
+checked against each other.
 """
 
 from __future__ import annotations
@@ -64,10 +33,12 @@ import json
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, chain, zip_longest
+from itertools import zip_longest
 
 from . import scalar as sc
-from .scalar import _pack, _part, _pmul, _reduce, _unpack
+from ._packed import (NO_P, at, bits, cauchy, exps, frame, join, lift, line, muls, norm, pack, packs,
+                      points, pmul, polys, product, rebase, reduce, reduced, shift, unpack, weight, width)
+from .scalar import int_base, int_part, int_view, view_scalars
 from .errors import (
     BadConstantTerm,
     IndexOutOfOrder,
@@ -84,17 +55,10 @@ class Series:
     """Truncated power series of fixed order with exact coefficients.
 
     A Series made by a kernel, or by zero, one or t_series, holds only its
-    int view (xs, den, deg, P, E): coefficient i is xs[i] / (den P^E[i]).
-    P is a primitive squarefree int polynomial in l (``scalar._base``), 1
-    over Q and Q[l], where E is None and not read.  Over Q(l) E[i] is the
-    least exponent: P does not divide xs[i] when E[i] > 0 (``_reduce``),
-    and E[i] is 0 where xs[i] is 0.  The content g = gcd(den, every
-    numerator) is divided out (``_norm``).  As lcm(d / g_i) = d / gcd(g_i),
-    that is the view ``_int_view`` computes from the scalars at the same P.
-    ``coeffs``, the tuple of canonical scalars, is made from the view the
-    first time it is read, and ``s[n]`` makes just one.  A Series built
-    from scalars keeps the view a kernel first computes of them, over the P
-    of their l-denominators.  Neither changes once made.  Equality and
+    int view (``view``, in the normal form of ``_packed``); ``coeffs``, the
+    tuple of canonical scalars, is made from it the first time it is read,
+    and ``s[n]`` makes just one.  A Series built from scalars keeps the view
+    a kernel first reads of them.  Neither changes once made.  Equality and
     hashing read the scalars, so a lazy and an eager Series of one value
     are equal; the hash is kept once computed.
     """
@@ -125,15 +89,25 @@ class Series:
     def coeffs(self):
         cs = self._coeffs
         if cs is None:
-            xs, den, deg, P, E = self._view
-            cs = tuple([_scalar(x, den, deg, P, e) for x, e in zip(xs, _exps(self._view))])
+            cs = tuple(view_scalars(self._view))
             object.__setattr__(self, "_coeffs", cs)
         return cs
+
+    @property
+    def view(self):
+        """The int view (xs, den, deg, P, E) the kernels read; of a Series
+        built from scalars, made (``scalar.int_view``) when first read."""
+        v = self._view
+        if v is None:
+            cs = self._coeffs
+            v = int_view(cs, int_base(cs) if self.ring == sc.RING_QLRAT else NO_P)
+            object.__setattr__(self, "_view", v)
+        return v
 
     def __getitem__(self, n):
         if self._coeffs is None and n.__class__ is int:
             xs, den, deg, P, E = self._view
-            return _scalar(xs[n], den, deg, P, E and E[n])
+            return view_scalars(([xs[n]], den, deg, P, E and [E[n]]))[0]
         return self.coeffs[n]
 
     def __eq__(self, other):
@@ -203,44 +177,10 @@ def _set(s, order, ring, coeffs, view):
     return s
 
 
-def _scalar(x, den, deg, P=sc.NO_P, e=0):
-    """The canonical scalar of one polynomial x / (den P^e) of a view."""
-    if e:
-        return sc._rat(x if deg else [x], den, P, e)
-    return sc._poly(x, den) if deg else Fraction(x, den)
-
-
-def _norm(xs, den, deg):
-    """The polynomials xs / den in normal form: ints when no polynomial has
-    degree 1 or more, and divided through by g = gcd(den, every numerator).
-    As the lcm of the reduced denominators d / g_i is d / gcd(g_i), den is
-    then the lcm of the scalars' denominators, as in ``_int_view``.  The
-    lists carry no trailing zeros but for a lone [0]."""
-    if deg:
-        deg = max(map(len, xs)) - 1
-        if deg < 1:
-            xs, deg = [p[0] if p else 0 for p in xs], 0
-    g = math.gcd(den, *[c for p in xs for c in p]) if deg else math.gcd(den, *xs)
-    if g > 1:
-        xs, den = ([[c // g for c in p] for p in xs] if deg else [x // g for x in xs]), den // g
-    return xs, den, deg
-
-
-def _lazy(order, xs, den, deg, ring, P=sc.NO_P, E=None):
+def _lazy(order, xs, den, deg, ring, P=NO_P, E=None):
     """The Series of the view xs / (den P^E) (lists when deg): only its
     normal form is kept, and the scalars are made when read."""
-    return _set(object.__new__(Series), order, ring, None, _norm(xs, den, deg) + (P, E))
-
-
-def _view(s):
-    """The int view of s; for a Series built from scalars, the one
-    ``_int_view`` makes of them over the P of their l-denominators, kept on
-    s the first time a kernel reads it."""
-    v = s._view
-    if v is None:
-        v = _int_view(s._coeffs, sc._base(s._coeffs) if s.ring == sc.RING_QLRAT else sc.NO_P)
-        object.__setattr__(s, "_view", v)
-    return v
+    return _set(object.__new__(Series), order, ring, None, norm(xs, den, deg) + (P, E))
 
 
 def _flags(s):
@@ -262,8 +202,8 @@ def _window(a, lo, z, order):
         cs = ([zero] * z + list(cs[lo:]))[:order + 1]
         return cs + [zero] * (order + 1 - len(cs))
     coeffs = a._coeffs and tuple(cut(a._coeffs, _ZERO))
-    xs, den, deg, P, E = _view(a)
-    view = _norm(cut(xs, [] if deg else 0), den, deg) + (P, E and cut(E, 0))
+    xs, den, deg, P, E = a.view
+    view = norm(cut(xs, [] if deg else 0), den, deg) + (P, E and cut(E, 0))
     return _set(object.__new__(Series), order, a.ring, coeffs, view)
 
 
@@ -305,18 +245,18 @@ def _sum(a, b, sign):
     only where both terms lie over one such power: only those are reduced."""
     _check_orders(a, b)
     n, ring = a.order, sc.join_ring(a.ring, b.ring)
-    va, vb = _view(a), _view(b)
-    P = _join(va[3], vb[3])
+    va, vb = a.view, b.view
+    P = join(va[3], vb[3])
     F = ties = None
     if len(P) > 1:
-        ea, eb = _exps(va), _exps(vb)  # 0 at a zero polynomial
+        ea, eb = exps(va), exps(vb)  # 0 at a zero polynomial
         F = list(map(max, ea, eb))
         ties = {i for i, (e, f) in enumerate(zip(ea, eb)) if e and e == f}
-    xa, xb = _at(va, P, F), _at(vb, P, F)
+    xa, xb = at(va, P, F), at(vb, P, F)
     den, deg = math.lcm(xa[1], xb[1]), max(xa[2], xb[2])
-    xa, xb = _lift(xa, den, deg), _lift(xb, den, deg)
-    B = _width(max(_bits(xa, deg), _bits(xb, deg)), 2) if deg else 0
-    return _out(n, [x + sign * y for x, y in zip(_packs(xa, deg, B), _packs(xb, deg, B))], B, den, P, F, ring, ties)
+    xa, xb = lift(xa, den, deg), lift(xb, den, deg)
+    B = width(max(bits(xa, deg), bits(xb, deg)), 2) if deg else 0
+    return _out(n, [x + sign * y for x, y in zip(packs(xa, deg, B), packs(xb, deg, B))], B, den, P, F, ring, ties)
 
 
 def scale(a, v):
@@ -325,217 +265,41 @@ def scale(a, v):
     ring = sc.join_ring(a.ring, sc.ring_of(v))
     if not v:
         return zero(a.order, ring)
-    va = _view(a)
-    P = _join(va[3], sc._base([v]))
-    xs, den, deg, _, E = _rebase(va, P)
-    N, d, k = _part(v, P)
+    va = a.view
+    P = join(va[3], int_base([v]))
+    xs, den, deg, _, E = rebase(va, P)
+    N, d, k = int_part(v, P)
     if len(N) == 1 and not k:  # a rational multiple: P neither appears nor goes
-        p = N[0]
-        return _lazy(a.order, [[c * p for c in x] for x in xs] if deg else [x * p for x in xs],
-                     den * d, deg, ring, P, E)
-    xs = [_pmul(x, N) if any(x) else [] for x in _polys(xs, deg)]
+        return _lazy(a.order, muls(xs, deg, N * len(xs)), den * d, deg, ring, P, E)
+    xs = [pmul(x, N) if any(x) else [] for x in polys(xs, deg)]
     if len(P) > 1:
-        xs, E = map(list, zip(*[_reduce(x, P, e + k) for x, e in zip(xs, E)]))
+        xs, E = map(list, zip(*[reduce(x, P, e + k) for x, e in zip(xs, E)]))
     return _lazy(a.order, xs, den * d, 1, ring, P, E)
-
-
-def _join(*Ps):
-    """The P of a kernel whose operands lie over the Ps: their lcm."""
-    P = sc.NO_P
-    for Q in Ps:
-        if len(Q) > 1 and Q != P:
-            P = Q if len(P) == 1 else sc._plcm(P, Q)
-    return P
-
-
-def _rebase(v, P):
-    """The view v over P, a multiple of its own P: each polynomial times
-    (P / v's P)^E[i], which keeps E least, as the two are coprime."""
-    xs, den, deg, Q, E = v
-    if Q == P:
-        return v
-    if len(Q) == 1:
-        return xs, den, deg, P, [0] * len(xs)
-    R = sc._pdiv(P, Q)
-    xs = [_pmul(x, sc._ppow(R, e)) if e else x for x, e in zip(_polys(xs, deg), E)]
-    return _norm(xs, den, 1) + (P, E)
-
-
-def _polys(xs, deg):
-    """The polynomials of a view as lists."""
-    return xs if deg else [[x] for x in xs]
-
-
-def _exps(v):
-    """The exponents E of the view v, 0 for each polynomial over P = 1."""
-    return v[4] or [0] * len(v[0])
-
-
-def _points(v):
-    """(i, E[i]) for each nonzero polynomial i of the view v."""
-    xs, _, deg, _, _ = v
-    return [(i, e) for i, (x, e) in enumerate(zip(xs, _exps(v))) if (any(x) if deg else x)]
-
-
-def _weight(pts, a=0):
-    """The least w >= 0 with every point (i, e), i >= 1, at most w i - a."""
-    return max([0] + [-((-e - a) // i) for i, e in pts if i])
-
-
-def _shift(pts, w):
-    """The least s with every point (i, e) at most w i + s (0 when there is none)."""
-    return max((e - w * i for i, e in pts), default=0)
-
-
-def _line(n, w, s):
-    """The exponents w i + s of P for i = 0..n."""
-    return [w * i + s for i in range(n + 1)]
-
-
-def _frame(*vs, w=0, fixed=0):
-    """(w, shifts): a weight w, at least the one given, and for each view v
-    in vs its least shift s at w, so that every nonzero polynomial i of v
-    lies over P^(w i + s), with the least total excess: the sum of
-    w i + s - E[i] over those polynomials, the factors of P a kernel
-    carries through and ``_reduce`` strips again.  `fixed` is the sum of
-    the indices of the nonzero terms of an operand whose shift the kernel
-    fixes, whose excess grows by that much with each unit of w.  The excess
-    is convex in w, so the scan stops at its first minimum."""
-    pts = [_points(v) for v in vs]
-    tot = fixed + sum(i for p in pts for i, _ in p)
-
-    def excess(w):  # up to a constant
-        ss = [_shift(p, w) for p in pts]
-        return w * tot + sum(map(operator.mul, map(len, pts), ss)), ss
-
-    c, ss = excess(w)
-    while True:
-        c1, ss1 = excess(w + 1)
-        if c1 >= c:
-            return w, ss
-        w, c, ss = w + 1, c1, ss1
-
-
-def _int_view(coeffs, P=sc.NO_P):
-    """(xs, den, deg, P, E): coeffs[i] == xs[i] / (den P^E[i]) over one int
-    den, in the normal form of ``_norm``, each xs[i] an int polynomial of
-    degree at most deg.  At deg 0 the xs are ints, otherwise lists of
-    l-coefficients, low first.  P comes from _base, E[i] is the least
-    exponent of coeffs[i] (``scalar._part``) and 0 for a zero one; for
-    P = (1,) E is None, and den is the lcm of every l-coefficient's
-    denominator."""
-    parts = [_part(c, P) if c else None for c in coeffs]
-    den = math.lcm(*[p[1] for p in parts if p])
-    xs = [[x * (den // p[1]) for x in p[0]] if p else [0] for p in parts]
-    return _norm(xs, den, 1) + (P, [p[2] if p else 0 for p in parts] if len(P) > 1 else None)
-
-
-def _at(v, P, F):
-    """(xs, den, deg): the polynomials of the view v over den P^F[i], P a
-    multiple of v's own and F[i] at least E[i] wherever v is nonzero; the
-    view itself over P = 1 (F None)."""
-    if F is None:
-        return v[:3]
-    xs, den, deg, _, E = _rebase(v, P)
-    xs = [_pmul(x, sc._ppow(P, f - e)) if f > e and any(x) else x for x, f, e in zip(_polys(xs, deg), F, E)]
-    deg = max(map(len, xs)) - 1
-    return (xs, den, deg) if deg > 0 else ([x[0] if x else 0 for x in xs], den, 0)
-
-
-def _lift(v, den, deg):
-    """The polynomials of the view v over den, a multiple of its own; as
-    lists when deg."""
-    xs, d, dv = v
-    m = den // d
-    if not deg:
-        return [x * m for x in xs]
-    return [[c * m for c in p] for p in xs] if dv else [[x * m] for x in xs]
-
-
-def _bits(xs, deg):
-    """Bit length of the largest |l-coefficient| in xs."""
-    if not deg:
-        return max(map(abs, xs), default=0).bit_length()
-    return max(map(abs, chain.from_iterable(xs)), default=0).bit_length()
-
-
-def _norms(xs, deg):
-    """The l1 norm of each polynomial of a view."""
-    return [sum(map(abs, p)) for p in xs] if deg else list(map(abs, xs))
-
-
-def _muls(xs, deg, ms):
-    """The polynomials of a view, each times the int at its index in ms;
-    as many as there are ms."""
-    return [[m * c for c in p] for m, p in zip(ms, xs)] if deg else list(map(operator.mul, ms, xs))
-
-
-def _width(bits, terms):
-    """Digit width B for a sum of `terms` products of l-coefficients whose
-    bit lengths add up to at most bits: the sum lies in (-2^(B-1), 2^(B-1))."""
-    return bits + terms.bit_length() + 1
-
-
-def _packs(xs, deg, B):
-    """The polynomials of a view packed at width B; an int packs as itself."""
-    return [_pack(p, B) for p in xs] if deg else xs
 
 
 def _out(n, xs, B, den, P, F, ring, ties=None):
     """The Series of order n of the sums xs packed at width B over
-    den P^F[i]: only its view (``_reduced``)."""
-    xs, den, deg, P, E = _reduced(xs, B, den, P, F, ties)
+    den P^F[i]: only its view (``reduced``)."""
+    xs, den, deg, P, E = reduced(xs, B, den, P, F, ties)
     return _lazy(n, xs, den, deg, ring, P, E)
-
-
-def _reduced(xs, B, den, P, F, ties=None):
-    """The view (xs, den, deg, P, E) of the sums xs packed at width B over
-    den P^F[i], each polynomial over Q(l) reduced to its least exponent
-    (``scalar._reduce``), or only those at the indices in `ties` when given,
-    F[i] being least at the others.  It is not in normal form: its content
-    is not divided out, and its deg, B or 1, only says whether the
-    polynomials are lists, so it bounds no degree until ``_norm``."""
-    xs = [_unpack(x, B) for x in xs] if B else xs
-    if len(P) == 1:
-        return xs, den, B, P, None
-    xs = xs if B else [[x] for x in xs]
-    xs, E = zip(*[_reduce(x, P, f) if ties is None or i in ties else (x, f)
-                  for i, (x, f) in enumerate(zip(xs, F))])
-    return list(xs), den, 1, P, list(E)
 
 
 def mul(a, b):
     """Truncated Cauchy product (``_times``), each sum reduced once (``_out``)."""
     _check_orders(a, b)
-    return _out(a.order, *_times(_view(a), _view(b), a.order), sc.join_ring(a.ring, b.ring))
+    return _out(a.order, *_times(a.view, b.view, a.order), sc.join_ring(a.ring, b.ring))
 
 
 def _times(va, vb, n):
     """(sums, B, den, P, F): the truncated Cauchy product of the views va
-    and vb of order n, both viewed in one frame (``_frame``) and multiplied
-    packed (``_product``), sum i over den P^F[i]."""
-    P = _join(va[3], vb[3])
+    and vb of order n, both viewed in one frame (``frame``) and multiplied
+    packed (``product``), sum i over den P^F[i]."""
+    P = join(va[3], vb[3])
     ea = eb = eo = None  # exponents of P, none for P = 1
     if len(P) > 1:
-        w, (sa, sb) = _frame(va, vb)
-        ea, eb, eo = _line(n, w, sa), _line(n, w, sb), _line(n, w, sa + sb)
-    return _product(_at(va, P, ea), _at(vb, P, eb), n) + (P, eo)
-
-
-def _product(a, b, n, v=0):
-    """(sums, B, den): the truncated Cauchy product of the int views
-    a and b = (xs, den, deg), b of valuation at least v, packed at the
-    width B its sums need, over den."""
-    (xa, ad, da), (xb, bd, db) = a, b
-    B = _width(_bits(xa, da) + _bits(xb, db), (n + 1) * (min(da, db) + 1)) if da + db else 0
-    return _cauchy(_packs(xa, da, B), _packs(xb, db, B), n, v), B, ad * bd
-
-
-def _cauchy(an, bn, n, v=0):
-    """The n + 1 truncated Cauchy sums of the packed polynomials an and bn,
-    bn of valuation at least v."""
-    rb = bn[::-1]
-    return [sum(map(operator.mul, an[:m + 1 - v], rb[n - m:])) for m in range(n + 1)]
+        w, (sa, sb) = frame(va, vb)
+        ea, eb, eo = line(n, w, sa), line(n, w, sb), line(n, w, sa + sb)
+    return product(at(va, P, ea), at(vb, P, eb), n) + (P, eo)
 
 
 def _recurrence(u, c, g, e, P, E, ring):
@@ -554,33 +318,33 @@ def _recurrence(u, c, g, e, P, E, ring):
     packed outputs are the result's view.
     """
     (xu, ud, du), (xc, cd, dc), (gam, gd, _) = u, c, g
-    hc = _bits(xc, dc)
-    B = _width(hc, 1) if du + dc + len(gam) - 1 else 0
-    ck = _packs(xc, dc, B)
+    hc = bits(xc, dc)
+    B = width(hc, 1) if du + dc + len(gam) - 1 else 0
+    ck = packs(xc, dc, B)
     out, nums, den = [], [], 1
     dn, hn = 0, 0  # degree and height bits of nums
     for n, un in enumerate(xu):
         s = sum(map(operator.mul, ck[1:n + 1], reversed(nums)))
         cden, q = cd * den, ud * den * gd * e[n]
         if B or len(P) > 1:
-            x = [cden * ui - ud * si for ui, si in zip_longest(un if du else (un,), _unpack(s, B), fillvalue=0)]
-            x = _pmul(x, gam)
+            x = [cden * ui - ud * si for ui, si in zip_longest(un if du else (un,), unpack(s, B), fillvalue=0)]
+            x = pmul(x, gam)
             h = math.gcd(q, *x)
             x, dv = [y // h for y in x], q // h  # the new output is x / (dv P^E[n])
             if len(P) > 1:
-                out.append(_reduce(x, P, E[n]) + (dv,))
+                out.append(reduce(x, P, E[n]) + (dv,))
             m = dv // math.gcd(den, dv)
             if B:
                 # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
                 hn = max(hn + (m - 1).bit_length(), (max(map(abs, x), default=0) * (den * m // dv)).bit_length())
                 dn = max(dn, len(x) - 1)
-                need = _width(hc + hn, (n + 1) * (min(dc, dn) + 1))
+                need = width(hc + hn, (n + 1) * (min(dc, dn) + 1))
                 if need > B:
                     W = need + (need >> 2)
-                    nums = [_pack(_unpack(y, B), W) for y in nums]
-                    ck = _packs(xc, dc, W)
+                    nums = [pack(unpack(y, B), W) for y in nums]
+                    ck = packs(xc, dc, W)
                     B = W
-            x = _pack(x, B)
+            x = pack(x, B)
         else:
             x = (cden * un - ud * s) * gam[0]
             h = math.gcd(q, x)
@@ -593,7 +357,7 @@ def _recurrence(u, c, g, e, P, E, ring):
     if len(P) > 1:  # den is now the lcm of the outputs' dv
         return _lazy(len(out) - 1, [[y * (den // dv) for y in x] for x, _, dv in out], den, 1, ring,
                      P, [k for _, k, _ in out])
-    return _lazy(len(nums) - 1, [_unpack(y, B) for y in nums] if B else nums, den, B, ring)
+    return _lazy(len(nums) - 1, [unpack(y, B) for y in nums] if B else nums, den, B, ring)
 
 
 def div(a, b):
@@ -606,18 +370,18 @@ def div(a, b):
     ring = sc.join_ring(sc.join_ring(a.ring, b.ring), sc.ring_of(inv0))
     # out[n] = (a[n] - sum_k b[k] out[n-k]) / b[0]; b[0]'s factors are in P,
     # so 1/b[0] is a polynomial over a power of P
-    va, vb = _view(a), _view(b)
-    P = _join(va[3], vb[3], sc._base([inv0]))
-    gam, gd, ag = _part(inv0, P)
+    va, vb = a.view, b.view
+    P = join(va[3], vb[3], int_base([inv0]))
+    gam, gd, ag = int_part(inv0, P)
     E = None
     xb, bd, db, Pb, eb = vb
-    cv = _norm([[] if db else 0] + xb[1:], bd, db) + (Pb, eb and [0] + eb[1:])  # b's tail
+    cv = norm([[] if db else 0] + xb[1:], bd, db) + (Pb, eb and [0] + eb[1:])  # b's tail
     if len(P) > 1:
         # c[k] over P^(w k - ag), a over P^(w i + s): the recurrence fixes c's shift
-        pc = _points(cv)
-        w, (s,) = _frame(va, w=_weight(pc, ag), fixed=sum(i for i, _ in pc))
-        E = _line(n, w, s + ag)
-        av, cv = _at(va, P, _line(n, w, s)), _at(cv, P, _line(n, w, -ag))
+        pc = points(cv)
+        w, (s,) = frame(va, w=weight(pc, ag), fixed=sum(i for i, _ in pc))
+        E = line(n, w, s + ag)
+        av, cv = at(va, P, line(n, w, s)), at(cv, P, line(n, w, -ag))
     else:
         av, cv = va[:3], cv[:3]
     h = math.gcd(cv[1], *gam)  # the recurrence's factor is inv0 / cd
@@ -640,16 +404,16 @@ def shift_up(a, k):
 def derivative(a):
     """The derivative; its top coefficient is unknown and set to 0, so
     callers truncate as needed."""
-    xs, den, deg, P, E = _view(a)
-    out = _muls(xs[1:], deg, range(1, a.order + 1))
+    xs, den, deg, P, E = a.view
+    out = muls(xs[1:], deg, range(1, a.order + 1))
     return _lazy(a.order, out + [[] if deg else 0], den, deg, a.ring, P, E and E[1:] + [0])
 
 
 def integrate(a):
     """Antiderivative with zero constant term, same order (top coeff drops)."""
-    xs, den, deg, P, E = _view(a)
+    xs, den, deg, P, E = a.view
     L = math.lcm(*range(1, a.order + 1))  # coefficient m is xs[m-1] (L/m) / (den L)
-    out = _muls(xs[:-1], deg, [L // m for m in range(1, a.order + 1)])
+    out = muls(xs[:-1], deg, [L // m for m in range(1, a.order + 1)])
     return _lazy(a.order, [[] if deg else 0] + out, den * L, deg, a.ring, P, E and [0] + E[:-1])
 
 
@@ -658,7 +422,7 @@ def compose(g, f):
     _check_orders(g, f)
     if f[0]:
         raise BadConstantTerm("inner series must have zero constant term")
-    return _out(g.order, *_eval_at_powers(_view(g), _view(f)), sc.join_ring(g.ring, f.ring))
+    return _out(g.order, *_eval_at_powers(g.view, f.view), sc.join_ring(g.ring, f.ring))
 
 
 def _eval_at_powers(vg, vf):
@@ -674,35 +438,35 @@ def _eval_at_powers(vg, vf):
     both lie over P^(w i + sg - sig start): no factor of P is stripped
     between steps.  The powers of f and each step's r are int views
     (xs, den, deg) in that frame, each made by one truncated product and
-    brought to the normal form of ``_norm`` (one gcd), which keeps r's den
+    brought to the normal form of ``norm`` (one gcd), which keeps r's den
     from growing by den(f^k) at every step.  Only the caller unpacks and
     reduces the sums it reads.
     """
     n = len(vg[0]) - 1
-    pg = _points(vg)
+    pg = points(vg)
     d = pg[-1][0] if pg else 0  # the degree of g
     k = math.isqrt(d + 1)
-    P = _join(vg[3], vf[3])  # the powers of f need nothing more
+    P = join(vg[3], vf[3])  # the powers of f need nothing more
     eg = ef = eo = None
     if len(P) > 1:
-        pf = _points(vf)
-        w = _weight(pf)
-        sig = _shift(pf, w)
-        sg = _shift(pg, -sig)
-        eg, ef, eo = _line(n, -sig, sg), _line(n, w, sig), _line(n, w, sg)
-    xg, gden, dg = _at(vg, P, eg)
-    steps = [([1] + [0] * n, 1, 0), _at(vf, P, ef)]  # f^j over den P^(w i + j sig)
+        pf = points(vf)
+        w = weight(pf)
+        sig = shift(pf, w)
+        sg = shift(pg, -sig)
+        eg, ef, eo = line(n, -sig, sg), line(n, w, sig), line(n, w, sg)
+    xg, gden, dg = at(vg, P, eg)
+    steps = [([1] + [0] * n, 1, 0), at(vf, P, ef)]  # f^j over den P^(w i + j sig)
     while len(steps) <= k:
-        steps.append(_normal(*_product(steps[-1], steps[1], n, 1)))
+        steps.append(norm(*reduced(*product(steps[-1], steps[1], n, 1))[:3]))
     # g and the baby steps each over one denominator, packed at one width
     sden, ds = math.lcm(*[v[1] for v in steps[:k]]), max(v[2] for v in steps[:k])
-    xs = [x for v in steps[:k] for x in _lift(v, sden, ds)]
-    B = _width(_bits(xg, dg) + _bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
-    sk = _packs(xs, ds, B)
-    gk, sk = _packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)]
+    xs = [x for v in steps[:k] for x in lift(v, sden, ds)]
+    B = width(bits(xg, dg) + bits(xs, ds), k * (min(dg, ds) + 1)) if dg + ds else 0
+    sk = packs(xs, ds, B)
+    gk, sk = packs(xg, dg, B), [sk[j * (n + 1):(j + 1) * (n + 1)] for j in range(k)]
     bden = gden * sden  # the blocks' den
     xk, kd, dk = steps[k]
-    hk = _bits(xk, dk)
+    hk = bits(xk, dk)
     r = None
     for start in range(d - d % k, -1, -k):
         acc = [0] * (n + 1)
@@ -712,24 +476,18 @@ def _eval_at_powers(vg, vf):
                 acc[j:] = [x + gk[start + j] * y for x, y in zip(acc[j:], sk[j][j:])]
         W, den = B, bden
         if r is not None:  # r f^k + block over one den, at the width W that sum needs
-            (xr, rd, dr), xb = r, ([_unpack(x, B) for x in acc] if B else acc)
+            (xr, rd, dr), xb = r, ([unpack(x, B) for x in acc] if B else acc)
             den = math.lcm(rd * kd, bden)
             ma, mb = den // (rd * kd), den // bden
             W = 0
             if dr + dk + B:  # ma times each product of r and f^k, and one term mb block[i]
-                bits = max(_bits(xr, dr) + hk + ma.bit_length(), _bits(xb, B) + mb.bit_length())
-                W = _width(bits, (n + 1) * (min(dr, dk) + 1) + 1)
-            acc = [ma * s + mb * x for s, x in zip(_cauchy(_packs(xr, dr, W), _packs(xk, dk, W), n, k),
-                                                    _packs(xb, B, W))]
+                top = max(bits(xr, dr) + hk + ma.bit_length(), bits(xb, B) + mb.bit_length())
+                W = width(top, (n + 1) * (min(dr, dk) + 1) + 1)
+            acc = [ma * s + mb * x for s, x in zip(cauchy(packs(xr, dr, W), packs(xk, dk, W), n, k),
+                                                    packs(xb, B, W))]
         if not start:
             return acc, W, den, P, eo
-        r = _normal(acc, W, den)
-
-
-def _normal(sums, B, den):
-    """The int view (xs, den, deg) of the sums packed at width B over den,
-    in the normal form of ``_norm``."""
-    return _norm([_unpack(x, B) for x in sums], den, 1) if B else _norm(sums, den, 0)
+        r = norm(*reduced(acc, W, den)[:3])
 
 
 class DeltaSeries:
@@ -801,23 +559,23 @@ def invert_newton(f):
     den.  Only the inverse is made a Series."""
     fs = f.series
     n, inv1 = fs.order, sc.scalar_inv(fs[1])
-    vf = _view(fs)
-    P = _join(vf[3], sc._base([inv1]))
-    xf, fd, df, _, ef = _rebase(vf, P)
-    xs, den, deg, _, E = _int_view((_ZERO, inv1), P)
+    vf = fs.view
+    P = join(vf[3], int_base([inv1]))
+    xf, fd, df, _, ef = rebase(vf, P)
+    xs, den, deg, _, E = int_view((_ZERO, inv1), P)
     while len(xs) <= n:
         h = len(xs) - 1
         m = min(2 * h, n)
         z = m - h
         sums, B, sd, _, F = _eval_at_powers((xf[:m + 1], fd, df, P, ef and ef[:m + 1]),
                                             (xs + [[] if deg else 0] * z, den, deg, P, E and E + [0] * z))
-        err = _reduced(sums[h + 1:], B, sd, P, F and F[h + 1:])  # (f(g) - t) / t^(h+1)
-        err = _norm(*err[:3]) + err[3:]
+        err = reduced(sums[h + 1:], B, sd, P, F and F[h + 1:])  # (f(g) - t) / t^(h+1)
+        err = norm(*err[:3]) + err[3:]
         # -g' up to t^(z-1), so the correction is err times it
-        dg = _muls(xs[1:], deg, range(-1, -z - 1, -1)), den, deg, P, E and E[1:z + 1]
-        c = _reduced(*_times(err, dg, z - 1))
+        dg = muls(xs[1:], deg, range(-1, -z - 1, -1)), den, deg, P, E and E[1:z + 1]
+        c = reduced(*_times(err, dg, z - 1))
         L, D = math.lcm(den, c[1]), max(deg, c[2])
-        xs, den, deg = _norm(_lift((xs, den, deg), L, D) + _lift(c[:3], L, D), L, D)
+        xs, den, deg = norm(lift((xs, den, deg), L, D) + lift(c[:3], L, D), L, D)
         E = E and E + c[4]
     return DeltaSeries(_lazy(n, xs, den, deg, fs.ring, P, E))
 
@@ -857,12 +615,12 @@ def exp_series(f):
         raise BadConstantTerm("exp needs zero constant term")
     # out[n] = sum_k k f[k] out[n-k] / n, f[k] over P^(w k): out[n] over P^(w n)
     n = f.order
-    v = _view(f)
+    v = f.view
     P, E = v[3], None
     if len(P) > 1:
-        E = _line(n, _weight(_points(v)), 0)
-    xs, fd, deg = _at(v, P, E)
-    kf = [[-k * x for x in p] for k, p in enumerate(xs)] if deg else [-k * x for k, x in enumerate(xs)]
+        E = line(n, weight(points(v)), 0)
+    xs, fd, deg = at(v, P, E)
+    kf = muls(xs, deg, range(0, -n - 1, -1))
     one = [1] + [0] * n, 1, 0
     e = [fd] + [fd * m for m in range(1, n + 1)]
     return _recurrence(one, (kf, fd, deg), ([1], 1, 0), e, P, E, f.ring)
@@ -909,15 +667,8 @@ def pow_ratio(f, r):
 def egf_coeff(series, n):
     """n! times the ordinary coefficient of t^n, made from the view of the
     series as one scalar n! xs[n] / (den P^E[n])."""
-    xs, den, deg, P, E = _view(series)
-    return _scalar(_muls(xs[n:], deg, [math.factorial(n)])[0], den, deg, P, E and E[n])
-
-
-def _egf_view(s, n):
-    """The view of the EGF coefficients m! s[m], m <= n, of s."""
-    xs, den, deg, P, E = _view(s)
-    fs = accumulate(range(1, n + 1), operator.mul, initial=1)
-    return _norm(_muls(xs, deg, fs), den, deg) + (P, E and E[:n + 1])
+    xs, den, deg, P, E = series.view
+    return view_scalars((muls(xs[n:], deg, [math.factorial(n)]), den, deg, P, E and E[n:]))[0]
 
 
 def from_egf(coeffs, ring=None):

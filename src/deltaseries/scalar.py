@@ -14,19 +14,17 @@ read, and an LRat is reduced, with a monic denominator.
 
 Every ``LPoly``/``LRat`` operator (``+ - * / **`` and negation) runs on
 those ints, packing nothing (products are schoolbook loops, and every LRat
-is reduced by ``_igcd`` and ``_pdiv``), and returns its result in its
-simplest type: a ``Fraction`` when it is constant, an ``LPoly`` when its
-denominator is 1, a reduced ``LRat`` otherwise.  So arithmetic on
+is reduced by ``igcd`` and ``pdiv`` of ``_packed``), and returns its result
+in its simplest type: a ``Fraction`` when it is constant, an ``LPoly`` when
+its denominator is 1, a reduced ``LRat`` otherwise.  So arithmetic on
 canonical scalars stays canonical, and :func:`simplify` is only needed for
 values built outside that arithmetic (ints, or ``LPoly`` and ``LRat`` made
 by their constructors).  All three types define ``__bool__``, so ``not c``
 tests a scalar for zero.
 
-The series kernels see scalars as integer polynomials in l (``_part``):
-a scalar is N / (d P^k) for an int polynomial N, an int d and the power k
-of one squarefree polynomial P (``_base``).  ``_reduce`` strips P from a
-kernel's output by trial division, not by a gcd, and ``_rat`` and
-``_poly`` build the canonical scalar from what is left when it is read.
+The series kernels run on the integer views of ``_packed``, which states
+their invariants; ``int_view`` makes one of scalars, and ``view_scalars``
+the canonical scalars of one.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ import re
 import sys
 from fractions import Fraction
 
+from ._packed import NO_P, cofactor, igcd, norm, pdiv, plcm, pmul, polys, ppow
 from .errors import (
     BothZero,
     DivisionByZero,
@@ -278,8 +277,8 @@ class LRat:
             else:
                 # num / den == (N den.den / (num.den D[-1])) / (D / D[-1]) for the
                 # cofactors N and D of G = gcd(num.xs, den.xs)
-                G = _igcd(num.xs, den.xs)
-                N, D = _pdiv(num.xs, G), _pdiv(den.xs, G)
+                G = igcd(num.xs, den.xs)
+                N, D = pdiv(num.xs, G), pdiv(den.xs, G)
                 num = _lpoly([x * den.den for x in N], num.den * D[-1])
                 den = _lpoly(D, D[-1])
         object.__setattr__(self, "num", num)
@@ -425,11 +424,11 @@ def simplify(s):
 
 def lpoly_gcd(a, b):
     """Monic gcd over Q, by a primitive remainder sequence over the ints
-    (``_igcd``); the monic gcd is unique, so any route gives the same one."""
+    (``_packed.igcd``); the monic gcd is unique, so any route gives the same one."""
     a, b = as_lpoly(a), as_lpoly(b)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    G = _igcd(a.xs, b.xs)
+    G = igcd(a.xs, b.xs)
     return _lpoly(G, G[-1])
 
 
@@ -513,181 +512,66 @@ def eval_lambda(s, value):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials in l (lists of ints, low first), and the scalars they
-# give over powers of one polynomial P
+# the bridge between scalars and the integer views of ``_packed``
 
-def _pack(p, B):
-    """The int polynomial p (a list, low first) at l = 2^B: Kronecker
-    substitution, halving long polynomials so the time is n log n in the
-    degree."""
-    if len(p) > 16:
-        m = len(p) >> 1
-        return _pack(p[:m], B) + (_pack(p[m:], B) << B * m)
-    x = 0
-    for c in reversed(p):
-        x = (x << B) + c
-    return x
-
-
-def _unpack(x, B):
-    """The balanced base-2^B digits of x, low first, each in
-    [-2^(B-1), 2^(B-1)), up to the last nonzero one; [x] at width 0.
-    Long numbers split in halves, as in _pack."""
-    if not B:
-        return [x]
-    m = (x.bit_length() + 1) // B >> 1  # half the digits of a long x
-    if m > 8:
-        H = ((1 << B * m) - 1) // ((1 << B) - 1) << (B - 1)  # m digits 2^(B-1)
-        lo = ((x + H) & ((1 << B * m) - 1)) - H  # the low m balanced digits
-        hi = _unpack((x - lo) >> B * m, B)
-        lo = _unpack(lo, B)
-        return lo + [0] * (m - len(lo)) + hi if hi else lo
-    mask, half = (1 << B) - 1, 1 << (B - 1)
-    out = []
-    while x:
-        d = x & mask
-        if d >= half:
-            d -= mask + 1  # a negative digit borrows from the next one
-        out.append(d)
-        x = (x - d) >> B
-    return out
-
-
-def _pmul(a, b):
-    """The product of two int polynomials (lists, low first)."""
-    if len(b) == 1:
-        return [x * b[0] for x in a]
-    # a coefficient of the product is a sum of at most min(len) products;
-    # the zero polynomial may come as []
-    bits = max(map(abs, a), default=0).bit_length() + max(map(abs, b), default=0).bit_length()
-    B = bits + min(len(a), len(b)).bit_length() + 1
-    return _unpack(_pack(a, B) * _pack(b, B), B)
-
-
-def _ppow(P, e):
-    """P^e for an int polynomial P and e >= 0; its coefficients lie below l1(P)^e."""
-    B = e * sum(map(abs, P)).bit_length() + 2
-    return _unpack(_pack(P, B) ** e, B)
-
-
-def _pdiv(a, b):
-    """a / b for int polynomials, b primitive; None unless b divides a.
-    By Gauss's lemma the quotient of a primitive divisor has int coefficients."""
-    a, db = list(a), len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c, r = divmod(a[i], b[-1])
-        if r:
-            return None
-        if c:
-            q[i - db] = c
-            for j in range(db):
-                a[i - db + j] -= c * b[j]
-    return None if any(a[:db]) else q
-
-
-def _prem(a, b):
-    """A remainder of the int polynomial a by b, with its content divided
-    out: a mod b times a nonzero int, found on ints alone by eliminating
-    the leading term of a with a multiple of b at each step."""
-    a, db, lb = list(a), len(b) - 1, b[-1]
-    while len(a) > db:
-        c = a.pop()
-        if c:
-            g = math.gcd(lb, c)
-            m, c, k = lb // g, c // g, len(a) - db
-            a = [m * x for x in a[:k]] + [m * x - c * y for x, y in zip(a[k:], b)]
-    while a and not a[-1]:
-        a.pop()
-    g = math.gcd(*a)
-    return [x // g for x in a] if g > 1 else a
-
-
-def _igcd(a, b):
-    """The gcd of the int polynomials a and b, not both zero, as a primitive
-    polynomial with a positive leading coefficient: a primitive remainder
-    sequence (Knuth, TAOCP vol. 2, 4.6.1), which keeps the remainders'
-    coefficients small without any rational arithmetic."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _prem(a, b)
-    g = math.gcd(*a)
-    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
-
-
-def _cofactor(D, P):
-    """(q, k): 1/den == q / P^k for the monic denominator den = D / D[-1]
-    of an LRat, whose ints D are primitive, the int polynomial q and the
-    least k; None when den divides no power of P."""
-    for k in range(-((1 - len(D)) // (len(P) - 1)) if len(P) > 1 else len(D), len(D)):
-        q = _pdiv(_ppow(P, k), D)  # 1/D == q / P^k
-        if q is not None:
-            return [x * D[-1] for x in q], k
-    return None
-
-
-def _part(c, P):
+def int_part(c, P):
     """(N, d, k): the nonzero scalar c == N / (d P^k) for the int polynomial N,
-    the int d and the least k, for P from _base.  When k > 0, P does not
+    the int d and the least k, for P from int_base.  When k > 0, P does not
     divide N."""
     if c.__class__ is Fraction:
         return [c.numerator], c.denominator, 0
     if c.__class__ is LPoly:
         return c.xs, c.den, 0
-    q, k = _cofactor(c.den.xs, P)
-    return _pmul(c.num.xs, q), c.num.den, k
+    q, k = cofactor(c.den.xs, P)
+    return pmul(c.num.xs, q), c.num.den, k
 
 
-NO_P = (1,)  # P (see _base) when no scalar has a denominator in l
-
-
-def _base(scalars):
+def int_base(scalars):
     """P for the scalars: the primitive squarefree int polynomial, with a
     positive leading coefficient, whose powers every l-denominator among
-    them divides; (1,) when there is none."""
+    them divides; NO_P when there is none."""
     P = NO_P
     # the lowest degrees first: most denominators are powers of the first one
     for D in sorted([c.den.xs for c in scalars if c.__class__ is LRat], key=len):
-        if _cofactor(D, P) is None:
+        if cofactor(D, P) is None:
             if len(D) > 2:  # its squarefree part
-                D = _pdiv(D, _igcd(D, [i * x for i, x in enumerate(D)][1:]))
-            P = tuple(D) if len(P) == 1 else _plcm(P, D)
+                D = pdiv(D, igcd(D, [i * x for i, x in enumerate(D)][1:]))
+            P = tuple(D) if len(P) == 1 else plcm(P, D)
     return P
 
 
-def _plcm(P, Q):
-    """The lcm of two primitive squarefree int polynomials with positive
-    leading coefficients, as one of the same kind (a tuple)."""
-    return tuple(_pmul(list(P), _pdiv(Q, _igcd(list(P), list(Q)))))
+def int_view(coeffs, P):
+    """The view (xs, den, deg, P, E) of the scalars coeffs over P from
+    int_base, in normal form: E[i] is the least exponent of coeffs[i]
+    (``int_part``) and 0 for a zero one."""
+    parts = [int_part(c, P) if c else None for c in coeffs]
+    den = math.lcm(*[p[1] for p in parts if p])
+    xs = [[x * (den // p[1]) for x in p[0]] if p else [0] for p in parts]
+    return norm(xs, den, 1) + (P, [p[2] if p else 0 for p in parts] if len(P) > 1 else None)
 
 
-def _reduce(cs, P, e):
-    """(cs, e) for the int polynomial cs / P^e with every factor P that
-    divides cs stripped, by exact trial division: e is then the least
-    exponent, and P does not divide cs unless e is 0."""
-    if not any(cs):
-        return cs, 0
-    while e > 0:
-        q = _pdiv(cs, P)
-        if q is None:
-            break
-        cs, e = q, e - 1
-    return cs, e
+def view_scalars(v):
+    """The canonical scalars of the view v, in or out of normal form: an
+    LPoly keeps the view's ints (``_poly``), and an LRat takes a gcd only
+    when P has degree 2 or more (``_rat``)."""
+    xs, den, deg, P, E = v
+    if E is None:
+        return [_poly(x, den) for x in xs] if deg else [Fraction(x, den) for x in xs]
+    return [_rat(x, den, P, e) if e else _poly(x, den) for x, e in zip(polys(xs, deg), E)]
 
 
 def _rat(cs, den, P, e):
-    """The canonical scalar cs / (den P^e), for (cs, e) from _reduce.
+    """The canonical scalar cs / (den P^e), for (cs, e) from ``reduce``.
 
     When P has degree 2 or more, a proper factor of it may still divide cs:
     then each round strips G = gcd(cs, P), of degree below P's, from cs and
     from P^e."""
-    D = _ppow(P, e)
+    D = ppow(P, e)
     for _ in range(e if len(P) > 2 else 0):
-        G = _igcd(list(P), cs)
+        G = igcd(list(P), cs)
         if len(G) == 1:
             break
-        cs, D = _pdiv(cs, G), _pdiv(D, G)
+        cs, D = pdiv(cs, G), pdiv(D, G)
     if len(D) == 1:
         return _poly(cs, den * D[-1])
     return LRat(_lpoly(cs, den * D[-1]), _lpoly(D, D[-1]), _reduced=True)

@@ -17,6 +17,8 @@ import random
 from . import classical as cl
 from . import fps
 from . import scalar as sc
+from ._packed import at, egf_view, frame, join, line, norms, packs, reduced
+from .scalar import view_scalars
 from .errors import (
     ArityTooSmall,
     InsufficientOrder,
@@ -84,34 +86,32 @@ def _power_rows(start, base, max_n):
         B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
 
     a start other than 1 is one binomial convolution with its EGF
-    coefficients s_m.  Both run on ints in every ring: s_m and b_j come
-    from the views the two series keep, as m! x_m / den (``fps._egf_view``),
-    over P^E[m] of their least exponents, and are viewed as integer
-    polynomials in l over e P^(w m + ss) and d P^(w j + sb) for the frame
-    of least excess (``fps._frame``), each packed into one int
-    (``fps._pack``).  B_{n,k} is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) =
-    a^n B_{n,k}(x) (Comtet, 3.3), so entry (n, k) is the unpacked result
-    over e d^k P^(w n + k sb + ss).  Over Q and Q[l] P is 1.  The entries
-    are the only scalars made here.  The width bounds every sum because the
-    same recurrence, run first on the l1 norms of those polynomials, bounds
-    the l1 norm of each sum (the norm of a product is at most the product of
-    the norms).  Over Q the norms are not needed: nothing is packed.
+    coefficients s_m.  Both run on the integer views of ``_packed`` in
+    every ring: s_m and b_j are m! x_m / den of the views the two series
+    keep (``egf_view``), viewed over e P^(w m + ss) and d P^(w j + sb) for
+    the frame of least excess (``frame``) and packed.  B_{n,k} is
+    homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x) (Comtet,
+    3.3), so entry (n, k) is the unpacked result over e d^k
+    P^(w n + k sb + ss).  The entries are the only scalars made here.  The
+    width bounds every sum because the same recurrence, run first on the l1
+    norms of those polynomials, bounds the l1 norm of each sum (the norm of
+    a product is at most the product of the norms).  Over Q the norms are
+    not needed: nothing is packed.
     """
-    vs, vb = fps._egf_view(start, max_n), fps._egf_view(base, max_n)
-    P = fps._join(vs[3], vb[3])
+    vs, vb = egf_view(start.view, max_n), egf_view(base.view, max_n)
+    P = join(vs[3], vb[3])
     es = None  # exponents of P, none for P = 1
     if len(P) > 1:
-        w, (ss, sb) = fps._frame(vs, vb)
-        es = fps._line(max_n, w, ss)
-    (xs, e, ds), (xb, d, db) = fps._at(vs, P, es), fps._at(vb, P, es and fps._line(max_n, w, sb))
+        w, (ss, sb) = frame(vs, vb)
+        es = line(max_n, w, ss)
+    (xs, e, ds), (xb, d, db) = at(vs, P, es), at(vb, P, es and line(max_n, w, sb))
     B = 0
     if ds + db:
-        bell = _bell_columns(fps._norms(xb, db))
-        B = max(max(col) for col in bell + _convolve(fps._norms(xs, ds), bell)).bit_length() + 1
-    cols = _convolve(fps._packs(xs, ds, B), _bell_columns(fps._packs(xb, db, B)))
-    ring = sc.join_ring(start.ring, base.ring)
-    cols = [fps._out(max_n - k, col[k:], B, e * d**k, P, es and fps._line(max_n - k, w, (w + sb) * k + ss),
-                     ring).coeffs for k, col in enumerate(cols)]
+        bell = _bell_columns(norms(xb, db))
+        B = max(max(col) for col in bell + _convolve(norms(xs, ds), bell)).bit_length() + 1
+    cols = _convolve(packs(xs, ds, B), _bell_columns(packs(xb, db, B)))
+    cols = [view_scalars(reduced(col[k:], B, e * d**k, P, es and line(max_n - k, w, (w + sb) * k + ss)))
+            for k, col in enumerate(cols)]
     return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
 
 

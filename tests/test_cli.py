@@ -305,6 +305,15 @@ class TestHostileInput:
         assert "ScalarTooLarge" in err and "internal error" not in err
         assert time.perf_counter() - start < 0.25
 
+    @pytest.mark.parametrize("expr, label, const", [
+        ("(1/(1+lambda)+t)^(100000)", "(1/(1+lambda)+t)^(100000)", "(1)/(1 + 1*l)"),
+        ("(2+t)^(-1000000000)", "(2+t)^(-1000000000)", "2"),
+        ("t+(2*lambda)^100000", "(2*lambda)^(100000)", "2*l")])
+    def test_refused_power_names_its_base(self, capsys, int_digit_limit, expr, label, const):
+        code, out, err = run(capsys, "eval", "--f", expr, "--lambda", "symbolic", "--order", "4")
+        assert code == 2 and out == ""
+        assert "%s: the constant term %s to that power has over 4300 digits" % (label, const) in err
+
     def test_lambda_power_below_the_limit_is_exact(self, capsys, int_digit_limit):
         code, out, _ = run(capsys, "eval", "--f", "(1+lambda+t)^(20)", "--lambda", "symbolic", "--order", "2")
         assert code == 0

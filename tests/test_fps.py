@@ -2,12 +2,14 @@ import ast
 import json
 import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as hst
 
+from deltaseries import _packed as pk
 from deltaseries import exprparse as ep
 from deltaseries import fps
 from deltaseries import presets as pr
@@ -301,6 +303,30 @@ class TestComposeAgainstHorner:
         assert got.coeffs == (0,) * 10 + (Lr ** 5,) and got._view[4][10] == 5
 
 
+def patch_everywhere(monkeypatch, name, wrap):
+    """Replace the function `name` by wrap(it) in every package module that
+    binds it, as each module looks it up in its own globals."""
+    mods = [m for m in (pk, sc, fps, st) if hasattr(m, name)]
+    assert mods, name
+    real = getattr(mods[0], name)
+    for m in mods:
+        assert getattr(m, name) is real, (m.__name__, name)
+        monkeypatch.setattr(m, name, wrap(real))
+
+
+def count_calls(monkeypatch, names):
+    """A dict of the calls to each of the functions `names`, wherever looked up."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrap(real, name=name):
+            def counted(*a, **k):
+                calls[name] += 1
+                return real(*a, **k)
+            return counted
+        patch_everywhere(monkeypatch, name, wrap)
+    return calls
+
+
 class TestComposeInOneFrame:
     """A composition runs in one integer frame: the powers of f and the
     Horner chain are int views, not Series, and the chain is brought to
@@ -315,44 +341,33 @@ class TestComposeInOneFrame:
                      ([c * (1 + L * i) for i, c in enumerate(dense)], inner_series("deg_falling", n)),
                      ([c / (1 + L) ** (i % 3) for i, c in enumerate(dense)], inner_series("qlrat_den", n))):
             g = fps.Series(n, g)
-            fps._view(g), fps._view(f)
+            g.view, f.view
             yield g, f
-
-    def count(self, monkeypatch, names):
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            real = getattr(fps, name, None)
-
-            def counted(*a, real=real, name=name):
-                calls[name] += 1
-                return real(*a)
-            monkeypatch.setattr(fps, name, counted, raising=False)
-        return calls
 
     def test_no_series_between_steps(self, monkeypatch):
         pairs = list(self.pairs(20))
         assert [f.ring for _, f in pairs] == [sc.RING_Q, sc.RING_QL, sc.RING_QLRAT]
-        calls = self.count(monkeypatch, ["mul", "_mul_add", "_frame", "_out", "_lazy"])
+        calls = count_calls(monkeypatch, ["mul", "frame", "_out", "_lazy"])
         for g, f in pairs:
             for c in calls:
                 calls[c] = 0
             got = fps.compose(g, f)
             # no series product, no frame scan, one Series made, for the result
-            assert calls == {"mul": 0, "_mul_add": 0, "_frame": 0, "_out": 1, "_lazy": 1}, f.ring
+            assert calls == {"mul": 0, "frame": 0, "_out": 1, "_lazy": 1}, f.ring
             assert_same(got, ref.horner_compose(g, f))
 
     def test_the_chain_is_normalised_every_step(self, monkeypatch):
         # k = isqrt(d + 1) is 4 for d = 15 and d = 23: the same powers of f,
         # and 15 // 4 = 3 against 23 // 4 = 5 Horner steps
-        calls = self.count(monkeypatch, ["_norm"])
+        calls = count_calls(monkeypatch, ["norm"])
         for g23, f in self.pairs(23):
             g15 = fps.Series(23, g23.coeffs[:16] + (0,) * 8, g23.ring)
-            fps._view(g15)
+            g15.view
             norms = []
             for g in (g15, g23):
-                calls["_norm"] = 0
+                calls["norm"] = 0
                 fps.compose(g, f)
-                norms.append(calls["_norm"])
+                norms.append(calls["norm"])
             assert norms[1] - norms[0] >= 2 and norms[1] >= 5, (f.ring, norms)
 
 
@@ -711,7 +726,7 @@ class TestRationalFunctionKernels:
         # a sum's zero terms are empty polynomials in its view, and
         # 1/b[0] = l/2 is not constant, so the recurrence multiplies []
         a = fps.add(fps.Series(3, [L, 0, 0, 0]), fps.one(3))
-        assert fps._view(a)[0][1:] == [[], [], []]
+        assert a.view[0][1:] == [[], [], []]
         b = fps.Series(3, [sc.LRat(sc.LPoly((2,)), L), 0, 0, 0])
         q = fps.div(a, b)
         assert_same(q, ref.div(a, b))
@@ -765,10 +780,9 @@ class TestRationalFunctionKernels:
         b = fps.Series(4, [0, (3 + L) / P**2, 0, 1 / P, 0])
         c = fps.Series(4, [L / P, 0, (1 - L) / P**2, 0, 2 / P**2])
         for s in (a, b, c):
-            fps._view(s)
+            s.view
         calls = []
-        pdiv = sc._pdiv
-        monkeypatch.setattr(sc, "_pdiv", lambda *args: calls.append(args) or pdiv(*args))
+        patch_everywhere(monkeypatch, "pdiv", lambda pdiv: lambda *args: calls.append(args) or pdiv(*args))
         got = [fps.add(a, b), fps.sub(b, a)]
         assert not calls
         # the tie at index 0 cancels P, the one at index 4 does not, and
@@ -810,16 +824,16 @@ class TestLambdaDenominators:
 
 
 class TestTightFrames:
-    """_frame chooses the weight w and the shifts together, so a series
+    """frame chooses the weight w and the shifts together, so a series
     whose constant term carries powers of P is not viewed over a frame
     much steeper than its exponents."""
 
     def test_frame_fits_weight_and_shift_together(self):
         n = 6
         x = fps.pow_int(fps.div(fps.one(n), fps.Series(n, [(1 + L) ** 2, 1] + [0] * (n - 1))), 8)
-        v = fps._view(x)
+        v = x.view
         assert v[3] == (1, 1) and v[4] == [2 * i + 16 for i in range(n + 1)]
-        assert fps._frame(v) == (2, [16])
+        assert pk.frame(v) == (2, [16])
 
     def test_lagrange_coefficient_with_a_square_linear_term(self):
         import time
@@ -926,43 +940,101 @@ def balanced_digits(draw):
 @given(balanced_digits())
 @settings(max_examples=100, deadline=None)
 def test_pack_round_trip(pB):
-    # long polynomials take the halving path of _pack and _unpack
+    # long polynomials take the halving path of pack and unpack
     p, B = pB
-    assert fps._pack(p, B) == sum(c << B * i for i, c in enumerate(p))
-    assert fps._unpack(fps._pack(p, B), B) == p
+    assert pk.pack(p, B) == sum(c << B * i for i, c in enumerate(p))
+    assert pk.unpack(pk.pack(p, B), B) == p
 
 
 def test_reference_shares_no_kernel():
     """tests/reference.py reads nothing of fps or stirling but the Series
-    and DeltaSeries types, so no kernel can become part of its own oracle."""
-    allowed = {"Series", "DeltaSeries"}
-    guarded = {"deltaseries.fps", "deltaseries.stirling"}
+    and DeltaSeries types, nothing of _packed, and neither the int view a
+    Series keeps nor scalar's bridge to views, so no kernel can become part
+    of its own oracle."""
+    kinds = {"Series", "DeltaSeries"}
+    allowed = {"deltaseries.fps": kinds, "deltaseries.stirling": kinds, "deltaseries._packed": set()}
     tree = ast.parse(pathlib.Path(ref.__file__).read_text())
-    names = set()  # local names bound to a guarded module
+    names = {}  # local names bound to a guarded module, and the module
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            assert not any(a.name in guarded for a in node.names), ast.unparse(node)
+            # `import deltaseries...` would reach every module by attribute
+            assert not any(a.name.split(".")[0] == "deltaseries" for a in node.names), ast.unparse(node)
         elif isinstance(node, ast.ImportFrom):
-            if node.module in guarded:
-                assert all(a.name in allowed for a in node.names), ast.unparse(node)
+            if node.module in allowed:
+                assert all(a.name in allowed[node.module] for a in node.names), ast.unparse(node)
             elif node.module == "deltaseries":
-                names |= {a.asname or a.name for a in node.names if "deltaseries." + a.name in guarded}
-    assert "fps" in names  # the check below sees the module
+                names.update({a.asname or a.name: "deltaseries." + a.name for a in node.names
+                              if "deltaseries." + a.name in allowed})
+    assert "deltaseries.fps" in names.values()  # the check below sees the module
     used = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
             and isinstance(n.value, ast.Name) and n.value.id in names]
-    assert {n.attr for n in used} <= allowed, sorted({n.attr for n in used} - allowed)
+    wrong = sorted({n.attr for n in used if n.attr not in allowed[names[n.value.id]]})
+    assert not wrong, wrong
     # every other use of the module name (getattr(fps, ...), an alias) is refused
     bare = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names]
     assert len(bare) == len(used)
-    # nor does it read the int view a Series keeps, or the ints of an LPoly,
-    # by attribute or by name
-    private = {"_view", "_coeffs", "xs"}
+    # nor does it read the int view a Series keeps, the ints of an LPoly or
+    # scalar's bridge between scalars and views, by attribute or by name
+    private = {"_view", "view", "_coeffs", "xs", "int_view", "int_part", "int_base", "view_scalars"}
     assert not [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in private]
+    assert not [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in private]
     assert not [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in private]
 
 
+def test_modules_read_no_private_names_of_each_other():
+    """No module of the package imports an underscore name of another, or
+    reads one as an attribute (or by getattr) of a module it imported; the
+    packed-integer layer lives behind the public names of ``_packed``.  The
+    imports between the modules go one way, and ``_packed`` imports only
+    the standard library."""
+    pkg = pathlib.Path(fps.__file__).parent
+    deps, wrong = {}, []
+    for path in sorted(pkg.glob("*.py")):
+        tree, name = ast.parse(path.read_text()), path.stem
+        mods = {}  # local names bound to a package module
+        deps[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                wrong += [(name, a.name) for a in node.names if a.name.split(".")[0] == "deltaseries"]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1, ast.unparse(node)
+                if node.module is None:  # from . import fps
+                    mods.update({a.asname or a.name: a.name for a in node.names})
+                    deps[name] |= {a.name for a in node.names}
+                else:
+                    deps[name].add(node.module)
+                    wrong += [(name, node.module + "." + a.name) for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "deltaseries":
+                wrong.append((name, node.module))  # the package by its absolute name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in mods and node.attr.startswith("_"):
+                wrong.append((name, mods[node.value.id] + "." + node.attr))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr") \
+                    and getattr(node.args[0], "id", None) in mods:
+                wrong.append((name, ast.unparse(node)))
+    assert not wrong, wrong
+    assert deps["_packed"] == set()
+    stdlib = set(sys.stdlib_module_names) | {"__future__"}
+    packed = ast.parse((pkg / "_packed.py").read_text())
+    for node in ast.walk(packed):
+        if isinstance(node, ast.Import):
+            assert {a.name.split(".")[0] for a in node.names} <= stdlib, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in stdlib, ast.unparse(node)
+    # no cycle: every module can be put after all it imports
+    del deps["__init__"]
+    done = set()
+    while deps:
+        ready = [m for m, d in deps.items() if d <= done]
+        assert ready, deps
+        done |= set(ready)
+        for m in ready:
+            del deps[m]
+
+
 def assert_view(s):
-    """A view kept on s is the one _int_view makes of its scalars at the
+    """A view kept on s is the one int_view makes of its scalars at the
     view's P, and the one plain arithmetic gives: over P = 1 lcm arithmetic
     on the scalars, over Q(l) scalar arithmetic with the exponents least
     (no factor of P in a numerator whose exponent is positive, 0 for a zero
@@ -972,7 +1044,7 @@ def assert_view(s):
     def zeros_as_0(v):
         return ([p or [0] for p in v[0]] if v[2] else v[0],) + v[1:]
     xs, den, deg, P, E = s._view
-    assert zeros_as_0(s._view) == zeros_as_0(fps._int_view(s.coeffs, P))
+    assert zeros_as_0(s._view) == zeros_as_0(sc.int_view(s.coeffs, P))
     if len(P) > 1:
         Q = sc.LPoly(P)
         assert math.gcd(den, *[c for x in (xs if deg else [[x] for x in xs]) for c in x]) == 1
@@ -1008,7 +1080,7 @@ def lazy(s):
 
 class TestViews:
     """Series kept as int views between kernels in all three rings: every
-    view is in the normal form of _int_view, over Q(l) with the least
+    view is in the normal form of int_view, over Q(l) with the least
     exponents of P, lazy and eager operands give the same results, and the
     scalars are made only when read."""
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from deltaseries import _packed as pk
 from deltaseries import presets as pr
 from deltaseries import scalar as sc
 from deltaseries import stirling as st
@@ -119,8 +120,12 @@ class TestOps:
         # nor the gcd that reduces an LRat may share the packing it checks
         def refuse(*args):
             raise AssertionError("scalar arithmetic packed")
-        for name in ("_pack", "_unpack", "_pmul"):
-            monkeypatch.setattr(sc, name, refuse)
+        for name in ("pack", "unpack", "pmul"):
+            # wherever the name is looked up: _packed, and scalar's bridge
+            bound = [m for m in (pk, sc) if hasattr(m, name)]
+            assert pk in bound
+            for m in bound:
+                monkeypatch.setattr(m, name, refuse)
         assert sc.lpoly_gcd((L**2 - 1) * (3 * L + 2) ** 3, (L + 1) * (3 * L + 2) ** 2 * (L**2 + 7)) \
             == (L + 1) * (L + Fraction(2, 3)) ** 2
         p, q = (3 * L + 2) ** 3 / 7 - L, (L**2 - 1) * (3 * L + 2) / 5
@@ -133,8 +138,8 @@ class TestOps:
 
     def test_pmul_of_zero(self):
         # the zero polynomial comes as [] from an unpacked 0
-        assert sc._pmul([], [0, 1]) == [] and sc._pmul([0, 1], []) == []
-        assert not any(sc._pmul([0, 0], [3, 1]))
+        assert pk.pmul([], [0, 1]) == [] and pk.pmul([0, 1], []) == []
+        assert not any(pk.pmul([0, 0], [3, 1]))
 
     def test_lrat_reduce_demotes(self):
         assert sc.lrat_reduce(L**2 - 1, L - 1) == L + 1
