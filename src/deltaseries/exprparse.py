@@ -465,19 +465,14 @@ def _eval_pow(base, exponent, what):
     """The series base^exponent; `what` names the power in an error."""
     c = base[0]
     sc.check_power_size(c, exponent, what)
-    if exponent.denominator == 1:
-        return fps.pow_int(base, int(exponent))
-    if not c:
-        raise BadConstantTerm("%s needs a nonzero constant term" % what)
-    if c == 1:
-        return fps.pow_ratio(base, exponent)
-    if not isinstance(c, Fraction):
-        raise NoExactRoot("%s: constant term %s has no exact rational root" % (what, sc.format_scalar(c)))
-    root = sc.rat_nth_root(c, exponent.denominator)
-    if root is None:
-        raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, sc.format_scalar(c), exponent.denominator))
-    unit = fps.scale(base, sc.scalar_inv(c))
-    return fps.scale(fps.pow_ratio(unit, exponent), root ** exponent.numerator)
+    if exponent.denominator > 1 and c != 1:
+        if not c:
+            raise BadConstantTerm("%s needs a nonzero constant term" % what)
+        if not isinstance(c, Fraction):
+            raise NoExactRoot("%s: constant term %s has no exact rational root" % (what, sc.format_scalar(c)))
+        if sc.rat_nth_root(c, exponent.denominator) is None:
+            raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, sc.format_scalar(c), exponent.denominator))
+    return fps.power(base, exponent)
 
 
 def require_delta(s):

@@ -6,10 +6,10 @@ are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
-composition (``_eval_at_powers``), ``div``, ``exp_series``, ``add`` and
-``sub`` (``_sum``) read each operand's integer view and leave one on their
-result, in normal form, for the next kernel to read as it is; ``_packed``
-states what a view holds and keeps its algebra.  Over Q(l) the inverse
+composition (``_eval_at_powers``), ``div``, ``exp_series``, ``power``,
+``add`` and ``sub`` (``_sum``) read each operand's integer view and leave
+one on their result, in normal form, for the next kernel to read as it
+is; ``_packed`` states what a view holds and keeps its algebra.  Over Q(l) the inverse
 fbar of f and e^fbar - 1 have weight w = 2 and P the squarefree part of
 f1, as Lagrange inversion puts [t^n] fbar over a divisor of f1^(2n-1).
 ``Fraction``, ``LPoly`` and ``LRat`` values are made only where a value
@@ -25,6 +25,12 @@ degree d, instead of one per coefficient, in one integer frame of g and f
 and g' stands in for 1/f'(g).  The Lagrange inversion formulas are
 provided as independent coefficient extractors so the two routes can be
 checked against each other.
+
+Every power f^alpha, alpha rational, is one kernel, ``power``: J.C.P.
+Miller's recurrence, run like ``div`` and ``exp_series`` by ``_recurrence``,
+whose cost does not grow with |alpha| and which refuses an output that
+cannot be printed.  The exp(alpha log f) route kept below it is no kernel
+of the package, only the independent check of ``power``.
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ from itertools import zip_longest
 from . import scalar as sc
 from ._packed import (NO_P, at, bits, cauchy, exps, frame, join, lift, line, muls, norm, pack, packs,
                       points, pmul, polys, product, rebase, reduce, reduced, shift, unpack, weight, width)
-from .scalar import int_base, int_part, int_view, view_scalars
+from .scalar import check_printable, int_base, int_part, int_view, view_scalars
 from .errors import (
     BadConstantTerm,
     IndexOutOfOrder,
+    NoExactRoot,
     NonUnitConstantTerm,
     NotDelta,
     OrderMismatch,
@@ -302,29 +309,39 @@ def _times(va, vb, n):
     return product(at(va, P, ea), at(vb, P, eb), n) + (P, eo)
 
 
-def _recurrence(u, c, g, e, P, E, ring):
-    """The Series out[n] = (u[n] - sum_{k=1}^{n} c[k] out[n-k]) cd g / e[n]
+def _recurrence(u, c, g, e, P, E, ring, tail=None):
+    """The Series out[n] = (u[n] - sum_{k=1}^{n} (c[k] + m[n] d[k]) out[n-k]) cd g / e[n]
     for the int views u = (xs, ud, deg) over P^(E[n] - a) and
     c = (xs, cd, deg) over P^(w k - a), the factor g = (gam, gd, a) ==
     gam / (gd P^a) and the ints e[n]; out[n] lies over P^E[n],
-    E[n] = w n + s.
+    E[n] = w n + s.  The term of weight m[n] comes with tail = (xd, m), d
+    the polynomials xd in c's frame; without it m is 0.
 
     The outputs so far are kept packed at one width B over their lcm den and
     P^E[n]: the terms of each sum then share the exponent of u[n].  Each
-    step forms the packed sum, unpacks it, multiplies by gam, reduces the new
-    output once for the result's view and packs its numerator.  Before the
-    next sum could overflow B, B grows and everything so far is repacked.
-    B is 0 (nothing packed) when u, c and gam are constants.  For P = 1 the
-    packed outputs are the result's view.
+    step forms the packed sum, and the one of d beside it, unpacks it,
+    multiplies by gam, reduces the new output once for the result's view and
+    packs its numerator.  Before the next sum could overflow B, B grows and
+    everything so far is repacked.  B is 0 (nothing packed) when u, c and
+    gam are constants.  For P = 1 the packed outputs are the result's view.
+    The tail's weights can make the outputs grow without bound (the power
+    kernel's exponent), so with it each output is refused once certainly too
+    long to print (``scalar.check_printable``).
     """
     (xu, ud, du), (xc, cd, dc), (gam, gd, _) = u, c, g
+    xd, m = tail or ((), ())
+    cap = m and sc.print_cap()  # the bits of an output that cannot be printed
     hc = bits(xc, dc)
+    if m:  # |c[k] + m[n] d[k]| < 2^hc
+        hc = max(hc, bits(xd, dc) + max(m).bit_length()) + 1
     B = width(hc, 1) if du + dc + len(gam) - 1 else 0
-    ck = packs(xc, dc, B)
+    ck, dk = packs(xc, dc, B), packs(xd, dc, B)
     out, nums, den = [], [], 1
     dn, hn = 0, 0  # degree and height bits of nums
     for n, un in enumerate(xu):
         s = sum(map(operator.mul, ck[1:n + 1], reversed(nums)))
+        if m:
+            s += m[n] * sum(map(operator.mul, dk[1:n + 1], reversed(nums)))
         cden, q = cd * den, ud * den * gd * e[n]
         if B or len(P) > 1:
             x = [cden * ui - ud * si for ui, si in zip_longest(un if du else (un,), unpack(s, B), fillvalue=0)]
@@ -333,26 +350,30 @@ def _recurrence(u, c, g, e, P, E, ring):
             x, dv = [y // h for y in x], q // h  # the new output is x / (dv P^E[n])
             if len(P) > 1:
                 out.append(reduce(x, P, E[n]) + (dv,))
-            m = dv // math.gcd(den, dv)
+            if cap:  # over Q(l) once P is stripped
+                check_printable(*(out[-1] if len(P) > 1 else (x, 0, dv)), P, cap)
+            r = dv // math.gcd(den, dv)
             if B:
-                # after this step nums lie below 2^hn, for |y m| < 2^hn 2^ceil(log2 m)
-                hn = max(hn + (m - 1).bit_length(), (max(map(abs, x), default=0) * (den * m // dv)).bit_length())
+                # after this step nums lie below 2^hn, for |y r| < 2^hn 2^ceil(log2 r)
+                hn = max(hn + (r - 1).bit_length(), (max(map(abs, x), default=0) * (den * r // dv)).bit_length())
                 dn = max(dn, len(x) - 1)
                 need = width(hc + hn, (n + 1) * (min(dc, dn) + 1))
                 if need > B:
                     W = need + (need >> 2)
                     nums = [pack(unpack(y, B), W) for y in nums]
-                    ck = packs(xc, dc, W)
+                    ck, dk = packs(xc, dc, W), packs(xd, dc, W)
                     B = W
             x = pack(x, B)
         else:
             x = (cden * un - ud * s) * gam[0]
             h = math.gcd(q, x)
             x, dv = x // h, q // h
-            m = dv // math.gcd(den, dv)
-        if m > 1:
-            nums = [y * m for y in nums]
-            den *= m
+            if cap and max(abs(x), dv).bit_length() > cap:  # its first test, inline on this short path
+                check_printable([x], 0, dv, NO_P, cap)
+            r = dv // math.gcd(den, dv)
+        if r > 1:
+            nums = [y * r for y in nums]
+            den *= r
         nums.append(x * (den // dv))
     if len(P) > 1:  # den is now the lcm of the outputs' dv
         return _lazy(len(out) - 1, [[y * (den // dv) for y in x] for x, _, dv in out], den, 1, ring,
@@ -582,7 +603,7 @@ def invert_newton(f):
 
 def _inverse_power(f, order, n):
     """(f(t)/t)^(-n) to order, whose coefficients Lagrange inversion reads."""
-    return pow_int(_window(f.series, 1, 0, order), -n)
+    return power(_window(f.series, 1, 0, order), -n)
 
 
 def lagrange_coeff_inverse(f, n):
@@ -605,8 +626,9 @@ def lagrange_coeff_general(g, f, n):
         raise IndexOutOfOrder("need 1 <= n <= %d, got %d" % (f.order, n))
     if g.order < n:
         raise IndexOutOfOrder("outer series order %d below n=%d" % (g.order, n))
-    gp = derivative(g.truncate(n)).truncate(n - 1)
-    return mul(gp, _inverse_power(f, n - 1, n))[n - 1] * Fraction(1, n)
+    # [t^(n-1)] of g' (f/t)^(-n), one sum of scalar products
+    gp, inv = derivative(g.truncate(n)).coeffs, _inverse_power(f, n - 1, n).coeffs
+    return sc.simplify(sum(map(operator.mul, gp[:n], reversed(inv)), _ZERO)) * Fraction(1, n)
 
 
 def exp_series(f):
@@ -635,26 +657,58 @@ def log_series(g):
     return integrate(div(derivative(g), g))
 
 
-def pow_int(f, k):
-    """Integer power; negative k requires an invertible constant term."""
-    if k == 0:
-        return one(f.order, f.ring)
-    if k < 0:
-        f = div(one(f.order, f.ring), f)
-        k = -k
-    result = None
-    base = f
-    while k:
-        if k & 1:
-            result = base if result is None else mul(result, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return result
+def power(f, alpha):
+    """f^alpha for a rational alpha = p/q, by J.C.P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, 4.7), the one power kernel.
+
+    For u = f / f[0], whose constant term is 1, b = u^alpha has b[0] = 1 and
+    q n b[n] = sum_{j=1}^{n} ((p + q) j - q n) u[j] b[n-j], as u b' = alpha u' b:
+    one ``_recurrence``, in exp_series's frame, whose term of weight q n is
+    the second sum.  Its time does not grow with |alpha|, and it refuses an
+    output that is certainly too long to print.  Then f^alpha = f[0]^alpha b,
+    which needs an exact root of a rational f[0] when q > 1.  A zero constant
+    term takes an integer alpha >= 0: f = t^v u gives t^(v alpha) u^alpha."""
+    alpha = Fraction(alpha)
+    n, a0 = f.order, f[0]
+    if not alpha:
+        return one(n, f.ring)
+    if alpha == 1:
+        return f
+    p, q = alpha.numerator, alpha.denominator
+    if not a0:
+        if q > 1:
+            raise BadConstantTerm("a rational power needs a nonzero constant term")
+        if p < 0:
+            raise NonUnitConstantTerm("division by a series with zero constant term")
+        v = f.valuation()
+        if v * p > n:
+            return zero(n, f.ring)
+        return _window(power(_window(f, v, 0, n - v * p), p), 0, v * p, n)
+    root = a0 if q == 1 else sc.rat_nth_root(a0, q) if a0.__class__ is Fraction else None
+    if root is None:
+        raise NoExactRoot("the constant term %s has no exact %d-th root" % (sc.format_scalar(a0), q))
+    lead = sc.scalar_pow(root, p)  # f[0]^alpha
+    v = (f if a0 == 1 else scale(f, sc.scalar_inv(a0))).view
+    P, E = v[3], None
+    if len(P) > 1:
+        E = line(n, weight(points(v)), 0)
+    xs, ud, deg = at(v, P, E)
+    m = [q * i for i in range(n + 1)]
+    kx = muls(xs, deg, [-(p + q) * i for i in range(n + 1)]) if p + q else []  # no sum at alpha = -1
+    b = _recurrence(([1] + [0] * n, 1, 0), (kx, ud, deg), ([1], 1, 0), [ud] + [ud * w for w in m[1:]], P, E,
+                    sc.join_ring(f.ring, sc.ring_of(lead)), (xs, m))
+    if lead == 1:
+        return b
+    b = scale(b, lead)
+    if b.ring == sc.RING_QL and len(P) > 1:  # the P of 1/f[0] cancelled: over Q[l] it is 1
+        b = _lazy(n, *b.view[:3], b.ring)
+    return b
 
 
 def pow_ratio(f, r):
-    """Rational power exp(r*log f); constant term must be exactly 1."""
+    """Rational power exp(r*log f); constant term must be exactly 1.  Not a
+    kernel of the package: it is the independent exp-log route that checks
+    ``power`` (an oracle in ``presets``, the benchmark's Bernoulli check)."""
     r = Fraction(r)
     if f[0] != 1:
         raise NonUnitConstantTerm("rational power needs constant term 1")

@@ -75,7 +75,7 @@ def _central_bell_w(order, inner=None):
     """w = (u + sqrt(u^2 + 4)) / 2 with w(0) = 1, for u = t or a given series."""
     u = inner if inner is not None else fps.t_series(order)
     u2 = fps.mul(u, u)
-    s = fps.pow_ratio(fps.add(fps.one(order, u.ring), fps.scale(u2, Fraction(1, 4))), Fraction(1, 2))
+    s = fps.power(fps.add(fps.one(order, u.ring), fps.scale(u2, Fraction(1, 4))), Fraction(1, 2))
     return fps.add(fps.scale(u, Fraction(1, 2)), s)
 
 
@@ -545,7 +545,7 @@ def uniform_s1_multinomial(n, lam):
     if n < 1:
         raise ValueError("n must be at least 1")
     a = a2_series(max(n - 1, 1))
-    an = fps.pow_int(a, n)
+    an = fps.power(a, n)
     acc = 0
     for m in range(n):
         acc = acc + math.comb(n - 1, m) * fps.egf_coeff(an, m) * lam ** (n - m - 1)

@@ -456,33 +456,68 @@ def scalar_pow(s, k):
 _DEFAULT_DIGITS = 4300
 
 
+def digit_limit():
+    """The most digits an output int can have in text,
+    ``sys.get_int_max_str_digits()``, 0 for no limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else _DEFAULT_DIGITS
+
+
+def print_cap(per=1):
+    """The least b for which a number of at least 2^(b / per) certainly has
+    more digits than ``digit_limit()``: 1000 b >= 3322 limit per, for
+    3.322 > log2(10); None for no limit.  Every size guard reads it."""
+    limit = digit_limit()
+    return -(-3322 * limit * per // 1000) if limit else None
+
+
+def _frac_bits(c):
+    """log2 of the larger of |numerator| and denominator of the Fraction c,
+    rounded down: a number of at least 2^bits is in its text."""
+    return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+
+
 def check_power_size(c, e, what):
     """Refuse, with ScalarTooLarge, the scalar c to the rational power e when
     a number in it certainly has more digits than any output can print
-    (``sys.get_int_max_str_digits()``): 1000 * bits >= 3322 * limit, for
-    3.322 > log2(10).  This takes a few evaluations of c, where c^e itself
+    (``print_cap``).  This takes a few evaluations of c, where c^e itself
     takes time and memory that grow with |e|."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    limit = get() if get else _DEFAULT_DIGITS
-    if not limit:
+    cap = print_cap(e.denominator)
+    if cap is None:
         return
     if isinstance(c, Fraction):
         # c^e's numerator and denominator have |e| times the digits of c's;
         # with p >= 2^(bits-1), one of them has e * bits bits or more
-        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-        big = 1000 * abs(e.numerator) * bits >= 3322 * limit * e.denominator
+        big = abs(e.numerator) * _frac_bits(c) >= cap
     elif isinstance(c, (LPoly, LRat)) and e.denominator == 1:
         b, k = c, e.numerator
         if k < 0 and b.__class__ is LRat:
             b, k = scalar_inv(b), -k
         # b^k of an LRat is num^k / den^k, both in normal form
         parts = (b.num, b.den) if b.__class__ is LRat else (b,)
-        big = 1000 * max(_lpoly_power_bits(p, k) for p in parts) >= 3322 * limit
+        big = max(_lpoly_power_bits(p, k) for p in parts) >= cap
     else:
         return
     if big:
         raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
-                             % (what, format_scalar(c), limit))
+                             % (what, format_scalar(c), digit_limit()))
+
+
+def check_printable(x, e, dv, P, cap):
+    """Refuse, with ScalarTooLarge, the scalar x / (dv P^e) of a view, x the
+    ints of one polynomial, when a number in its text certainly has more
+    digits than any output can print, cap = ``print_cap()`` bits or more.
+    Its text holds each x[i] / dv in lowest terms, so only a long x or dv
+    can make one: the scalar is made only then."""
+    if max(max(map(abs, x), default=0), dv).bit_length() <= cap:
+        return
+    c = view_scalars(([x], dv, 1, P, [e] if len(P) > 1 else None))[0]
+    if c.__class__ is Fraction:
+        parts = (c,)
+    else:
+        parts = c.coeffs if c.__class__ is LPoly else c.num.coeffs + c.den.coeffs
+    if max(map(_frac_bits, parts)) >= cap:
+        raise ScalarTooLarge("a coefficient is too long to print: it has over %d digits" % digit_limit())
 
 
 def _lpoly_power_bits(c, e):

@@ -205,15 +205,12 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
         raise InsufficientOrder("base order %d < max_n+1 = %d" % (g.order, max_n + 1))
     gs = g.series.truncate(max_n + 1)
     w = fps.shift_down(fps.sub(fps.exp_series(gs), fps.one(max_n + 1, gs.ring)), 1)
-    if alpha.denominator == 1:
-        sc.check_power_size(w[0], -alpha, "alpha = %s" % alpha)
-        base = fps.pow_int(w, -int(alpha))
-    else:
-        if w[0] != 1:
-            raise NonUnitBaseForRationalPower(
-                "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
-            )
-        base = fps.pow_ratio(w, -alpha)
+    if alpha.denominator > 1 and w[0] != 1:
+        raise NonUnitBaseForRationalPower(
+            "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
+        )
+    sc.check_power_size(w[0], -alpha, "alpha = %s" % alpha)
+    base = fps.power(w, -alpha)
     values = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
     xpolys = None
     if with_x:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import classical as cl
 from . import fps
 from . import presets as pr
 from . import scalar as sc

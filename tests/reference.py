@@ -6,7 +6,9 @@ baby-step/giant-step evaluation, and calls none of the kernels it checks
 (``lpoly_gcd`` is Euclid over Fractions, against the integer remainder
 sequence of ``scalar.lpoly_gcd``):
 not fps.mul, fps.div, fps.add, fps.exp_series, fps.log_series, fps.compose,
-fps.invert_newton or stirling._power_rows.  Only the Series constructor,
+fps.invert_newton, fps.power or stirling._power_rows.  The two routes that
+fps.power replaced, repeated squaring and exp(r log f), are kept here as
+its oracles.  Only the Series constructor,
 its coeffs, truncate and pad are shared; nothing here reads the int view a
 Series may keep.
 """
@@ -126,3 +128,24 @@ def lpoly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic()
+
+
+def pow_int(f, k):
+    """f^k for an integer k by repeated squaring, after a division for k < 0."""
+    one = fps.Series(f.order, [1] + [0] * f.order, f.ring)
+    if k < 0:
+        f, k = div(one, f), -k
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, f)
+        k >>= 1
+        if k:
+            f = mul(f, f)
+    return result
+
+
+def pow_ratio(f, r):
+    """f^r = exp(r log f) for a rational r; f[0] must be 1."""
+    lg = log_series(f)
+    return exp_series(fps.Series(f.order, [c * r for c in lg.coeffs], lg.ring))

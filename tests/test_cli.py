@@ -354,6 +354,27 @@ class TestHostileInput:
                                     "[t^2] %d*l^19998" % math.comb(20000, 2)]
         assert time.perf_counter() - start < 4
 
+    HUGE = "1" + "0" * 3000
+
+    @pytest.mark.parametrize("order", ["8", "128"])
+    @pytest.mark.parametrize("expr, lam", [("(1+t)^" + HUGE, []), ("(1+t)^(-" + HUGE + ")", []),
+                                           ("(1+lambda*t)^" + HUGE, ["--lambda", "symbolic"])],
+                             ids=["positive", "negative", "lambda"])
+    def test_huge_power_of_a_unit_fails_at_once(self, capsys, int_digit_limit, expr, lam, order):
+        # a constant term of 1 passes the constant-term guard: the power
+        # kernel refuses its first output that is too long to print
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--f", expr, *lam, "--order", order)
+        assert code == 2 and out == ""
+        assert "ScalarTooLarge" in err and "internal error" not in err
+        assert time.perf_counter() - start < 1
+
+    def test_huge_power_with_printable_coefficients_is_exact(self, capsys, int_digit_limit):
+        # (1 + t^5)^(10^3000) to order 8 is 1 + 10^3000 t^5: every output prints
+        code, out, _ = run(capsys, "eval", "--f", "(1+t^5)^" + self.HUGE, "--order", "8")
+        assert code == 0
+        assert out.splitlines() == ["[t^%d] %s" % (m, {0: "1", 5: self.HUGE}.get(m, "0")) for m in range(9)]
+
     def test_huge_root_index_fails_at_once(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "eval", "--f", "(4+t)^(1/100000000)", "--order", "3")

@@ -18,9 +18,11 @@ from deltaseries import stirling as st
 from deltaseries.errors import (
     BadConstantTerm,
     IndexOutOfOrder,
+    NoExactRoot,
     NonUnitConstantTerm,
     NotDelta,
     OrderMismatch,
+    ScalarTooLarge,
 )
 import reference as ref
 
@@ -166,7 +168,7 @@ class TestDeltaAndInversion:
         for n in range(1, 13):
             assert fps.lagrange_coeff_inverse(f, n) == g.coeffs[n]
         for k in range(1, 7):
-            gk = fps.pow_int(g, k)
+            gk = fps.power(g, k)
             for n in range(k, 13):
                 assert fps.lagrange_coeff_power(f, k, n) == gk.coeffs[n]
         outer = ser(2, 1, -1, 3, 0, 1, 1, 0, 2, 1, 0, 1, 4)
@@ -830,7 +832,7 @@ class TestTightFrames:
 
     def test_frame_fits_weight_and_shift_together(self):
         n = 6
-        x = fps.pow_int(fps.div(fps.one(n), fps.Series(n, [(1 + L) ** 2, 1] + [0] * (n - 1))), 8)
+        x = fps.power(fps.div(fps.one(n), fps.Series(n, [(1 + L) ** 2, 1] + [0] * (n - 1))), 8)
         v = x.view
         assert v[3] == (1, 1) and v[4] == [2 * i + 16 for i in range(n + 1)]
         assert pk.frame(v) == (2, [16])
@@ -1031,6 +1033,24 @@ def test_modules_read_no_private_names_of_each_other():
         done |= set(ready)
         for m in ready:
             del deps[m]
+
+
+def test_modules_import_nothing_unused():
+    """Every name a module of the package imports is read in it, or, in
+    ``__init__``, exported through ``__all__``."""
+    pkg = pathlib.Path(fps.__file__).parent
+    unused = []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                 for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                used |= set(ast.literal_eval(node.value))
+        unused += [(path.stem, name) for name in bound if name not in used]
+    assert not unused, unused
 
 
 def assert_view(s):
@@ -1262,11 +1282,11 @@ class TestTranscendental:
         with pytest.raises(BadConstantTerm):
             fps.log_series(ser(2, 1))
 
-    def test_pow_int(self):
+    def test_power(self):
         s = ser(1, 1, 0, 0, 0)
-        assert fps.pow_int(s, 4).coeffs == (Fraction(1), Fraction(4), Fraction(6), Fraction(4), Fraction(1))
-        assert fps.pow_int(s, 0) == fps.one(4)
-        inv = fps.pow_int(s, -1)
+        assert fps.power(s, 4).coeffs == (Fraction(1), Fraction(4), Fraction(6), Fraction(4), Fraction(1))
+        assert fps.power(s, 0) == fps.one(4)
+        inv = fps.power(s, -1)
         assert fps.mul(inv, s) == fps.one(4)
 
     def test_pow_ratio_sqrt(self):
@@ -1278,6 +1298,145 @@ class TestTranscendental:
     def test_pow_ratio_needs_unit(self):
         with pytest.raises(NonUnitConstantTerm):
             fps.pow_ratio(ser(2, 1), Fraction(1, 2))
+
+
+POWER_EXPONENTS = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4)]
+# over Q and Q[l] to order 20; over Q(l), one base a denominator family, to
+# order 8, as the reference loops on LRats are slow; and a constant term in l
+POWER_BASES = ["q", "ql"] + ["qlrat-" + name for name in sorted(DEN_FAMILIES)] + ["ql-lead"]
+
+
+def power_base(name):
+    """(u, b): a base of the power kernel whose constant term is b^12, so
+    that it has the root each of POWER_EXPONENTS needs (b is None for a
+    constant term in l, which has none)."""
+    if name == "q":
+        b, cs = Fraction(2, 3), [Fraction((-1) ** i * (i + 2), i + 1) if i % 4 else 0 for i in range(1, 21)]
+    elif name == "ql":
+        b, cs = Fraction(2), [L ** (i % 3) - Fraction(i, 3) if i % 5 else 0 for i in range(1, 21)]
+    elif name == "ql-lead":
+        return fps.Series(6, [1 + L, 1, L, 0, 2 - L, 0, Fraction(1, 2)]), None
+    else:
+        fs = DEN_FAMILIES[name[len("qlrat-"):]]
+        b, cs = Fraction(1), [1 / fs[0], 0, L / fs[-1], 0, (2 - L) / fs[0] ** 2, 0, 0, 1 + L]
+    return fps.Series(len(cs), [b ** 12] + cs), b
+
+
+class TestPower:
+    """fps.power, Miller's recurrence, against the two routes it replaced,
+    kept in tests/reference.py: repeated squaring for every integer k in
+    -20..20 and exp(alpha log f) for rational alpha, at every order up to
+    the base's, in all three rings."""
+
+    @pytest.mark.parametrize("name", POWER_BASES)
+    def test_integer_powers(self, name):
+        u, _ = power_base(name)
+        for k in range(-20, 21):
+            want = ref.pow_int(u, k)
+            for n in range(u.order + 1):
+                got = fps.power(u.truncate(n), k)
+                assert_same(got, want.truncate(n))
+                assert got.ring == sc.RING_QLRAT or got.view[3] == (1,)  # over Q[l] P is 1
+            assert_view(got)
+
+    @pytest.mark.parametrize("name", POWER_BASES[:-1])
+    def test_rational_powers(self, name):
+        u, b = power_base(name)
+        unit = fps.Series(u.order, [c / b ** 12 for c in u.coeffs], u.ring)
+        for alpha in POWER_EXPONENTS:
+            lead = b ** int(12 * alpha)
+            want = ref.pow_ratio(unit, alpha)
+            want = fps.Series(u.order, [c * lead for c in want.coeffs], want.ring)
+            for n in range(u.order + 1):
+                assert_same(fps.power(u.truncate(n), alpha), want.truncate(n))
+
+    def test_rational_power_needs_a_rational_root(self):
+        u, _ = power_base("ql-lead")
+        with pytest.raises(NoExactRoot):
+            fps.power(u, Fraction(1, 2))
+        with pytest.raises(NoExactRoot):
+            fps.power(ser(2, 1), Fraction(1, 2))
+
+    @pytest.mark.parametrize("name", POWER_BASES)
+    def test_zero_constant_term(self, name):
+        # t^v u: a non-negative integer power shifts u^k up by v k, any other is refused
+        u, _ = power_base(name)
+        for v in (1, 3):
+            f = fps.Series(u.order, ([0] * v + list(u.coeffs))[:u.order + 1], u.ring)
+            for k in range(21):
+                want = ref.pow_int(f, k)
+                for n in range(f.order + 1):
+                    assert_same(fps.power(f.truncate(n), k), want.truncate(n))
+            for k in (-1, -20):
+                with pytest.raises(NonUnitConstantTerm):
+                    fps.power(f, k)
+            with pytest.raises(BadConstantTerm):
+                fps.power(f, Fraction(1, 2))
+        assert_same(fps.power(fps.zero(4, u.ring), 3), fps.zero(4, u.ring))
+
+    def test_size_guard_reads_outputs_after_p_is_stripped(self, monkeypatch):
+        # u = 1 + t^2/(1+l) has weight 1, so b[2j] = C(alpha, j)/(1+l)^j lies
+        # over (1+l)^(2j) until reduced: at j = 64 its numerator C(alpha, 64)
+        # (1+l)^64 reaches 2132 bits, past the 2127 of 640 digits, and the
+        # reduced C(alpha, 64), of 2073 bits, is printable
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no limit on int-to-text conversion")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        alpha = 2**37
+        u = fps.Series(128, [1, 0, 1 / (1 + L)] + [0] * 126)
+        assert fps.power(u, alpha)[128] == math.comb(alpha, 64) / (1 + L) ** 64
+        with pytest.raises(ScalarTooLarge):
+            fps.power(u, 2 * alpha)
+
+
+def test_every_power_takes_the_one_kernel(monkeypatch):
+    """With the exp-log route (pow_ratio, log_series) and the series product
+    refused, Bernoulli families, the parser's powers and the three Lagrange
+    extractors still give the reference values: each power they take runs
+    through fps.power alone."""
+    n = 8
+    g = fps.Series(n + 1, [0, 1, Fraction(1, 2), -1, 0, Fraction(1, 3)] + [0] * (n - 4))
+    w = fps.Series(n, ref.exp_series(g).coeffs[1:])  # (e^g - 1)/t
+    bern = {}
+    for alpha in (Fraction(-3), Fraction(2), Fraction(1, 2), Fraction(-3, 2)):
+        p = ref.pow_int(w, int(-alpha)) if alpha.denominator == 1 else ref.pow_ratio(w, -alpha)
+        bern[alpha] = [math.factorial(m) * c for m, c in enumerate(p.coeffs)]
+    t = [0, 1] + [0] * (n - 1)
+    exprs = {"(1+2*t)^3": ref.pow_int(fps.Series(n, [1, 2] + [0] * (n - 1)), 3),
+             "sqrt(1+t)": ref.pow_ratio(fps.Series(n, [1, 1] + [0] * (n - 1)), Fraction(1, 2)),
+             "(4+t)^(-3/2)": fps.Series(n, [c / 8 for c in ref.pow_ratio(
+                 fps.Series(n, [1, Fraction(1, 4)] + [0] * (n - 1)), Fraction(-3, 2)).coeffs]),
+             "t^3": ref.pow_int(fps.Series(n, t), 3),
+             "(t+t^2)^2": ref.pow_int(fps.Series(n, [0, 1, 1] + [0] * (n - 2)), 2)}
+    f = fps.DeltaSeries(fps.Series(n, [0, 1 + L, 2, 0, L, Fraction(-1, 2), 0, 0, 1]))
+    inv = ref.horner_invert(f).series
+    outer = fps.Series(n, [Fraction(1, m + 1) for m in range(n + 1)])
+    comp = ref.horner_compose(outer, inv)
+    powers = {k: ref.pow_int(inv, k) for k in (1, 2, 5)}
+    # the parser's bases are made before the product is refused: 2*t is one
+    trees, memo = {}, {}
+    for text in exprs:
+        trees[text] = e = ep.parse(text)
+        ep._eval(e.arg if isinstance(e, ep.Call) else e.base, n, None, memo)
+
+    def refuse(real):
+        def refused(*args):
+            raise AssertionError("%s runs outside the power kernel" % real.__name__)
+        return refused
+    for name in ("pow_ratio", "log_series", "mul"):
+        patch_everywhere(monkeypatch, name, refuse)
+    st.bernoulli_assoc.cache_clear()
+    for alpha, want in bern.items():
+        assert list(st.bernoulli_assoc(fps.DeltaSeries(g), alpha, n).values) == want, alpha
+    for text, want in exprs.items():
+        assert_same(ep._eval(trees[text], n, None, memo), want)
+    for m in range(1, n + 1):
+        assert fps.lagrange_coeff_inverse(f, m) == inv[m]
+        assert fps.lagrange_coeff_general(outer, f, m) == comp[m]
+        for k, pk_ in powers.items():
+            if k <= m:
+                assert fps.lagrange_coeff_power(f, k, m) == pk_[m]
+    st.bernoulli_assoc.cache_clear()
 
 
 class TestEgfAndJson:

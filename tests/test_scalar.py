@@ -214,6 +214,24 @@ class TestText:
             with pytest.raises(ScalarTooLarge):
                 sc.format_scalar(value)
 
+    def test_check_printable_at_the_limit(self, int_digit_limit):
+        # 2^14284 has 4300 digits and 2^14285 has 4301.  The text of the
+        # view's scalar x / (dv P^e) holds each x[i] / dv in lowest terms:
+        # 1/2^8000 + l/3^4000 prints, though dv has 14341 bits
+        for big, refused in ((2**14284, False), (2**14285, True)):
+            for x, e, dv, P in (([big], 0, 1, (1,)), ([1], 0, big, (1,)), ([3, big], 0, 3, (1,)),
+                                ([big, 1], 2, 1, (1, 1))):
+                scalar = sc.view_scalars(([x], dv, 1, P, [e] if len(P) > 1 else None))[0]
+                if refused:
+                    with pytest.raises(ScalarTooLarge):
+                        sc.check_printable(x, e, dv, P, sc.print_cap())
+                    with pytest.raises(ScalarTooLarge):
+                        sc.format_scalar(scalar)
+                else:
+                    sc.check_printable(x, e, dv, P, sc.print_cap())
+                    sc.format_scalar(scalar)
+        sc.check_printable([3**4000, 2**8000], 0, 2**8000 * 3**4000, (1,), sc.print_cap())
+
     def test_power_size_without_a_digit_limit(self, monkeypatch):
         # Pythons before 3.10.7 have no int-to-text limit: its default bounds powers there
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)

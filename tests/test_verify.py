@@ -53,5 +53,5 @@ class TestSharedTables:
             raise AssertionError("a Bell term built its own series power")
 
         monkeypatch.setattr(st, "partial_bell", refuse)
-        monkeypatch.setattr(fps, "pow_int", refuse)
+        monkeypatch.setattr(fps, "power", refuse)
         assert vf.suite_lemmas(f, "test", 5).ok
