@@ -22,6 +22,7 @@ from . import fps
 from . import scalar as sc
 from .errors import (
     BadConstantTerm,
+    DeltaSeriesError,
     DivisionByZero,
     ExprSyntaxError,
     LambdaModeRequired,
@@ -447,18 +448,24 @@ def _eval_node(e, order, lam, memo):
 def _eval_div(e, order, lam, memo):
     """Division with exact cancellation of the maximal shared power of t.
 
-    Both sides are re-evaluated with enough extra head-room that cancelling
-    t^s still yields all coefficients up to the requested order.
+    The divisor's valuation v bounds that power t^s by s <= v, so the dividend
+    is evaluated once, at order + v, and only the divisor again, at order + s.
+    Errors come as if the dividend were evaluated first, division by zero last.
     """
-    num = _eval(e.left, order, lam, memo)
-    den = _eval(e.right, order, lam, memo)
-    if den.is_zero():
+    try:
+        den = _eval(e.right, order, lam, memo)
+    except DeltaSeriesError:
+        _eval(e.left, order, lam, memo)
+        raise
+    v = den.valuation()
+    num = _eval(e.left, order + v if v <= order else order, lam, memo)
+    if v > order:
         raise DivisionByZero("division by the zero series")
-    s = min(num.valuation(), den.valuation())
-    if s > 0:
-        num = fps.shift_down(_eval(e.left, order + s, lam, memo), s)
+    s = min(num.valuation(), v)
+    if s:
+        num = fps.shift_down(num, s)
         den = fps.shift_down(_eval(e.right, order + s, lam, memo), s)
-    return fps.div(num, den)
+    return fps.div(num.truncate(order) if s < v else num, den)
 
 
 def _eval_pow(base, exponent, what):

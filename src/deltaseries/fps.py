@@ -567,10 +567,11 @@ class DeltaSeries:
 def invert_newton(f):
     """Compositional inverse of a delta series by order-doubling Newton steps.
 
-    With g right through t^h and m = min(2h, order of f), f(g) - t is
-    O(t^(h+1)) and 1/f'(g) = g' + O(t^h), as f'(g) g' = (f(g))' (Brent and
-    Kung, J. ACM 25, 1978), so a step g - (f(g) - t) / f'(g) is
-    g - t^(h+1) (f(g)[h+1..m] g'): one evaluation, one short product.
+    With g right through t^h and m <= 2h, f(g) - t is O(t^(h+1)) and
+    1/f'(g) = g' + O(t^h), as f'(g) g' = (f(g))' (Brent and Kung, J. ACM
+    25, 1978), so a step g - (f(g) - t) / f'(g) is g - t^(h+1) (f(g)[h+1..m] g'):
+    one evaluation, one short product.  The precisions m climb ..., ceil(n/4),
+    ceil(n/2), n (2, 3, 6, 12 for n = 12), never above the doubling 2, 4, 8, ...
 
     The whole inversion runs on int views over one P, the lcm of f's and
     that of 1/f[1]: g stays a view from step to step, and each step reads
@@ -584,9 +585,8 @@ def invert_newton(f):
     P = join(vf[3], int_base([inv1]))
     xf, fd, df, _, ef = rebase(vf, P)
     xs, den, deg, _, E = int_view((_ZERO, inv1), P)
-    while len(xs) <= n:
-        h = len(xs) - 1
-        m = min(2 * h, n)
+    for k in range((n - 1).bit_length() - 1, -1, -1):
+        h, m = len(xs) - 1, -(-n >> k)  # m = ceil(n / 2^k)
         z = m - h
         sums, B, sd, _, F = _eval_at_powers((xf[:m + 1], fd, df, P, ef and ef[:m + 1]),
                                             (xs + [[] if deg else 0] * z, den, deg, P, E and E + [0] * z))

@@ -43,19 +43,11 @@ def _log1p(order):
 def deg_log1p_of(u, lam):
     """log_lam(1 + u(t)) for a series u with zero constant term.
 
-    Expanded as sum_{k>=1} lam^{k-1} L^k / k! with L = log(1+u), which stays
-    polynomial in lam.
+    With L = log(1+u), (e^{lam L} - 1)/lam is the integral of L' e^{lam L}:
+    no division by lam, so lam = 0 needs no case.  Below t^2 it is L, in L's ring.
     """
-    order = u.order
-    one = fps.one(order, u.ring)
-    L = fps.log_series(fps.add(one, u))
-    acc = L
-    p = L
-    for k in range(2, order + 1):
-        p = fps.mul(p, L)
-        w = (lam ** (k - 1)) * Fraction(1, math.factorial(k))
-        acc = fps.add(acc, fps.scale(p, w))
-    return acc
+    L = fps.log_series(fps.add(fps.one(u.order, u.ring), u))
+    return L if u.order < 2 else fps.integrate(fps.mul(fps.derivative(L), fps.exp_series(fps.scale(L, lam))))
 
 
 def deg_log1p_direct(order, lam):

@@ -8,7 +8,8 @@ sequence of ``scalar.lpoly_gcd``):
 not fps.mul, fps.div, fps.add, fps.exp_series, fps.log_series, fps.compose,
 fps.invert_newton, fps.power or stirling._power_rows.  The two routes that
 fps.power replaced, repeated squaring and exp(r log f), are kept here as
-its oracles.  Only the Series constructor,
+its oracles, and the power sum that presets.deg_log1p_of replaced as
+that one's.  Only the Series constructor,
 its coeffs, truncate and pad are shared; nothing here reads the int view a
 Series may keep.
 """
@@ -143,6 +144,19 @@ def pow_int(f, k):
         if k:
             f = mul(f, f)
     return result
+
+
+def deg_log1p_of(u, lam):
+    """log_lam(1 + u) as sum_{k>=1} lam^(k-1) L^k / k!, L = log(1 + u),
+    one product per term; its ring gains lam's from the t^2 term on."""
+    n = u.order
+    L = log_series(add(constant(Fraction(1), n), u))
+    acc, p = L, L
+    for k in range(2, n + 1):
+        p = mul(p, L)
+        w = lam ** (k - 1) * Fraction(1, math.factorial(k))
+        acc = add(acc, fps.Series(n, [c * w for c in p.coeffs], sc.join_ring(p.ring, sc.ring_of(w))))
+    return acc
 
 
 def pow_ratio(f, r):

@@ -375,6 +375,17 @@ class TestHostileInput:
         assert code == 0
         assert out.splitlines() == ["[t^%d] %s" % (m, {0: "1", 5: self.HUGE}.get(m, "0")) for m in range(9)]
 
+    @pytest.mark.parametrize("expr, want", [
+        ("log(2+t)/(0*t)", "BadConstantTerm: log needs constant term 1, got 2"),
+        ("log(2+t)/log(3+t)", "BadConstantTerm: log needs constant term 1, got 2"),
+        ("(0*t)/log(3+t)", "BadConstantTerm: log needs constant term 1, got 3"),
+        ("t/(0*t)", "DivisionByZero: division by the zero series")])
+    def test_division_reports_the_dividend_error_first(self, capsys, expr, want):
+        # the divisor is evaluated first, but its error, or the zero
+        # divisor, is reported only once the dividend has evaluated
+        code, out, err = run(capsys, "eval", "--f", expr, "--order", "4")
+        assert code == 2 and out == "" and want in err
+
     def test_huge_root_index_fails_at_once(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "eval", "--f", "(4+t)^(1/100000000)", "--order", "3")

@@ -200,6 +200,57 @@ class TestEval:
         assert s.coeffs == (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
 
 
+class TestDivision:
+    """Each division evaluates its divisor at the order asked, its dividend
+    once at that order plus the divisor's valuation, and its divisor again
+    only where a power of t cancels."""
+
+    @staticmethod
+    def chains(depth, k, symbolic):
+        """Nested divisions that cancel t^k at every level, and the same
+        expression with the t^k cancelled by hand."""
+        cancelling = plain = "t"
+        for i in range(depth):
+            a = "(lambda+%d)" % (i % 3 + 1) if symbolic else str(i % 3 + 1)
+            b = "%s%d*t" % ("lambda*" if symbolic and i % 2 else "", i % 4 + 1)
+            cancelling = "(t^%d*(%s+%s))/(t^%d*(1+%s))" % (k, a, cancelling, k, b)
+            plain = "(%s+%s)/(1+%s)" % (a, plain, b)
+        return cancelling, plain
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["q", "lambda"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nested_chains_equal_their_cancelled_form(self, k, symbolic):
+        mode = pr.LAMBDA_SYMBOLIC if symbolic else pr.LAMBDA_ABSENT
+        for depth in range(1, 13):
+            cancelling, plain = self.chains(depth, k, symbolic)
+            e, want = ep.parse(cancelling), ep.eval_expr(ep.parse(plain), 10, mode)
+            for order in range(1, 11):
+                if order < k:  # the truncated divisor t^k (1 + ...) is the zero series
+                    with pytest.raises(DivisionByZero):
+                        ep.eval_expr(e, order, mode)
+                else:
+                    assert ep.eval_expr(e, order, mode) == want.truncate(order), (depth, order)
+
+    @pytest.mark.parametrize("text", ["t/t^2", "(t^2*(1+t))/(t^3*(1+t))", "((t*(1+t))/(t*(2+t)))/t",
+                                      "(t*(1+t))/(t^2*(2+t)/(1+t))"])
+    def test_dividend_of_lower_valuation(self, text):
+        for order in range(3, 7):
+            with pytest.raises(NonUnitConstantTerm):
+                ep.eval_expr(ep.parse(text), order)
+
+    def test_nodes_evaluated_grow_linearly_in_depth(self, monkeypatch):
+        calls = []
+        real = ep._eval_node
+        monkeypatch.setattr(ep, "_eval_node", lambda *a: calls.append(1) or real(*a))
+        counts = []
+        for depth in range(1, 13):
+            calls.clear()
+            ep.eval_expr(ep.parse(self.chains(depth, 2, False)[0]), 6)
+            counts.append(len(calls))
+        # the same number of evaluations for every level added
+        assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
+
+
 class TestRequireDelta:
     def test_examples(self):
         with pytest.raises(NotDelta):

@@ -901,8 +901,41 @@ class TestNewtonStep:
                 f = newton_case(name, n)
                 calls.clear()
                 fps.invert_newton(f)
-                # h = 1, 2, 4, ... : (n - 1).bit_length() steps reach n
+                # (n - 1).bit_length() steps reach n from h = 1
                 assert calls == ["_eval_at_powers"] * (n - 1).bit_length(), (name, n)
+
+    @staticmethod
+    def precisions(monkeypatch, f):
+        """The precision m of each step, read from the prefix of f it evaluates."""
+        ms = []
+        real = fps._eval_at_powers
+        monkeypatch.setattr(fps, "_eval_at_powers", lambda vg, vf: ms.append(len(vg[0]) - 1) or real(vg, vf))
+        fps.invert_newton(f)
+        return ms
+
+    @pytest.mark.parametrize("n, ladder", [(12, [2, 3, 6, 12]), (17, [2, 3, 5, 9, 17]), (2, [2]), (1, [])]
+                             + [(2 ** j, [2 ** i for i in range(1, j + 1)]) for j in range(2, 7)])
+    def test_halving_ladder(self, monkeypatch, n, ladder):
+        # the steps climb ..., ceil(n/4), ceil(n/2), n; at a power of two
+        # that is the doubling schedule 2, 4, 8, ...
+        assert self.precisions(monkeypatch, newton_case("q-dense", n)) == ladder
+
+    def test_no_step_above_the_doubling_schedule(self, monkeypatch):
+        for n in range(1, 80):
+            ms = self.precisions(monkeypatch, newton_case("q-linear", n))
+            assert len(ms) == (n - 1).bit_length() and (n == 1 or ms[-1] == n), n
+            # each step at most doubles, and none is above min(2^(i+1), n)
+            assert all(m <= 2 * h for h, m in zip([1] + ms, ms)), (n, ms)
+            assert all(m <= min(2 ** (i + 1), n) for i, m in enumerate(ms)), (n, ms)
+
+    @pytest.mark.parametrize("pid, n", [("deg_falling", 17), ("deg_falling", 33), ("bell", 65)])
+    def test_ladder_against_lagrange(self, pid, n):
+        # orders just above a power of two, where the ladder and the doubling
+        # schedule part most
+        f = pr.make_preset(pid, n, pr.LAMBDA_SYMBOLIC if pr.is_degenerate(pid) else pr.LAMBDA_ABSENT).f
+        got = fps.invert_newton(f).series
+        assert list(got.coeffs) == [0] + [fps.lagrange_coeff_inverse(f, m) for m in range(1, n + 1)]
+        assert got.ring == f.ring
 
     @pytest.mark.parametrize("name", ["q-dense", "ql-dense", "qlrat-dense"])
     def test_one_frame_and_one_series_an_inverse(self, monkeypatch, name):

@@ -9,6 +9,7 @@ from deltaseries import presets as pr
 from deltaseries import scalar as sc
 from deltaseries import stirling as st
 from deltaseries.errors import LambdaModeRequired, NoOracle, UnknownPreset, ZeroFirstMoment
+import reference as ref
 
 L = sc.LAMBDA
 ORACLE_N = 8
@@ -73,6 +74,37 @@ class TestOracleAgreement:
             sym = _preset(pid, order=8).f.series
             num = pr.make_preset(pid, 8, r).f.series
             assert [sc.eval_lambda(c, r) for c in sym.coeffs] == list(num.coeffs)
+
+
+class TestDegLog1p:
+    """deg_log1p_of, (e^{lam L} - 1)/lam as the integral of L' e^{lam L},
+    against the power sum of tests/reference.py: the coefficients and the
+    ring label at every order, for the three inner series the presets use."""
+
+    @pytest.mark.parametrize("lam", [L, Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(2)], ids=str)
+    @pytest.mark.parametrize("inner", ["t", "deg_falling", "w2m1"])
+    def test_against_power_sum(self, inner, lam):
+        for n in range(1, 21):
+            if inner == "t":
+                u = fps.t_series(n)
+            elif inner == "deg_falling":  # (e^{lam t} - 1)/lam
+                u = pr.make_preset("deg_falling", n, lam).f.series
+            else:  # w^2 - 1 of deg_central_bell
+                w = pr._central_bell_w(n)
+                u = fps.sub(fps.mul(w, w), fps.one(n))
+            got, want = pr.deg_log1p_of(u, lam), ref.deg_log1p_of(u, lam)
+            assert got == want and got.ring == want.ring, (n, got.ring, want.ring)
+
+    def test_degenerate_oracles_read_no_compose(self, monkeypatch):
+        # assoc_log, which these logarithms check, is a composition
+        pids = ("deg_central_bell", "partial_deg_bell", "full_deg_bell")
+        logs = [st.assoc_log(_preset(pid, 12).f) for pid in pids]
+
+        def refused(*a):
+            raise AssertionError("compose")
+        monkeypatch.setattr(fps, "compose", refused)
+        for pid, lg in zip(pids, logs):
+            assert pr.oracle_log(pid, 12, L) == lg, pid
 
 
 class TestKnownCoefficients:
