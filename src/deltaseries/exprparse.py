@@ -20,21 +20,13 @@ from fractions import Fraction
 
 from . import fps
 from . import scalar as sc
-from .errors import (
-    BadConstantTerm,
-    DeltaSeriesError,
-    DivisionByZero,
-    ExprSyntaxError,
-    LambdaModeRequired,
-    NoExactRoot,
-    UnknownFunction,
-)
+from .errors import DeltaSeriesError, DivisionByZero, ExprSyntaxError, LambdaModeRequired, UnknownFunction
 
 FUNCTIONS = ("exp", "log", "sqrt")
 
 # Deepest nesting (parentheses, calls, unary minus) and tree height accepted.
 # The parser spends five Python frames per nesting level and the tree walkers
-# (_eval, uses_lambda, pretty, ==) at most four per level: at 150 parsing needs
+# (_eval, pretty, ==) at most four per level: at 150 parsing needs
 # about 760, under the default recursion limit, and 128-term sums still parse.
 MAX_DEPTH = 150
 
@@ -381,25 +373,10 @@ def _wrap(e, kinds):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def uses_lambda(e):
-    if isinstance(e, Var):
-        return e.name == "lambda"
-    if isinstance(e, Neg):
-        return uses_lambda(e.arg)
-    if isinstance(e, _BinOp):
-        return uses_lambda(e.left) or uses_lambda(e.right)
-    if isinstance(e, Pow):
-        return uses_lambda(e.base)
-    if isinstance(e, Call):
-        return uses_lambda(e.arg)
-    return False
-
-
 def eval_expr(e, order, lambda_mode=sc.LAMBDA_ABSENT):
-    lam = sc.resolve_lambda_mode(lambda_mode)
-    if lam is None and uses_lambda(e):
-        raise LambdaModeRequired("expression uses lambda; pass a lambda mode")
-    return _eval(e, order, lam, {})
+    """The series of e at the given order; without a lambda mode, a lambda
+    node raises LambdaModeRequired once it is reached."""
+    return _eval(e, order, sc.resolve_lambda_mode(lambda_mode), {})
 
 
 def _eval(e, order, lam, memo):
@@ -414,6 +391,8 @@ def _eval_node(e, order, lam, memo):
     if isinstance(e, Number):
         return fps.constant(e.value, order)
     if isinstance(e, Var):
+        if e.name == "lambda" and lam is None:
+            raise LambdaModeRequired("expression uses lambda; pass a lambda mode")
         return fps.t_series(order) if e.name == "t" else fps.constant(lam, order)
     if isinstance(e, Neg):
         return fps.scale(_eval(e.arg, order, lam, memo), -1)
@@ -426,60 +405,63 @@ def _eval_node(e, order, lam, memo):
     if isinstance(e, Div):
         return _eval_div(e, order, lam, memo)
     if isinstance(e, Pow):
-        base = pretty(e.base) if _is_pow_atom(e.base) else "(%s)" % pretty(e.base)
-        return _eval_pow(_eval(e.base, order, lam, memo), e.exponent, "%s^(%s)" % (base, e.exponent))
+        return _eval_pow(e, _eval(e.base, order, lam, memo), e.exponent)
     if isinstance(e, Call):
         arg = _eval(e.arg, order, lam, memo)
         if e.fn == "exp":
-            c = arg[0]
-            if c:
-                raise BadConstantTerm("exp needs a zero constant term, got %s" % sc.format_scalar(c))
             return fps.exp_series(arg)
         if e.fn == "log":
-            if arg[0] != 1:
-                raise BadConstantTerm(
-                    "log needs constant term 1, got %s" % sc.format_scalar(arg[0])
-                )
             return fps.log_series(arg)
-        return _eval_pow(arg, Fraction(1, 2), "sqrt")
+        return _eval_pow(e, arg, Fraction(1, 2))
     raise TypeError("not an expression: %r" % (e,))
+
+
+# The highest order at which a divisor that reads as zero is evaluated again
+_MAX_DIVISOR_ORDER = 64
 
 
 def _eval_div(e, order, lam, memo):
     """Division with exact cancellation of the maximal shared power of t.
 
-    The divisor's valuation v bounds that power t^s by s <= v, so the dividend
-    is evaluated once, at order + v, and only the divisor again, at order + s.
-    Errors come as if the dividend were evaluated first, division by zero last.
+    The divisor is evaluated at the order n asked and, while it reads as
+    zero, again at 2n, 4n, ..., up to order 64 (``_MAX_DIVISOR_ORDER``): a
+    divisor with no nonzero term up to there is refused as zero.  Its
+    valuation v bounds the power t^s that cancels by s <= v, so the dividend
+    is evaluated once, at n + v, and the divisor again only at n + s.
+    Errors come as if the dividend were evaluated first, at n, and division
+    by zero last.
     """
     try:
-        den = _eval(e.right, order, lam, memo)
+        den, m = _eval(e.right, order, lam, memo), order
+        while den.is_zero() and m < _MAX_DIVISOR_ORDER:
+            m = min(2 * m, _MAX_DIVISOR_ORDER)
+            den = _eval(e.right, m, lam, memo)
+        v = den.valuation()
+        if v > m:
+            raise DivisionByZero("division by the zero series")
     except DeltaSeriesError:
         _eval(e.left, order, lam, memo)
         raise
-    v = den.valuation()
-    num = _eval(e.left, order + v if v <= order else order, lam, memo)
-    if v > order:
-        raise DivisionByZero("division by the zero series")
+    num = _eval(e.left, order + v, lam, memo)
     s = min(num.valuation(), v)
+    den = _eval(e.right, order + s, lam, memo)  # the divisor at the order asked when s = 0
     if s:
-        num = fps.shift_down(num, s)
-        den = fps.shift_down(_eval(e.right, order + s, lam, memo), s)
+        num, den = fps.shift_down(num, s), fps.shift_down(den, s)
     return fps.div(num.truncate(order) if s < v else num, den)
 
 
-def _eval_pow(base, exponent, what):
-    """The series base^exponent; `what` names the power in an error."""
-    c = base[0]
-    sc.check_power_size(c, exponent, what)
-    if exponent.denominator > 1 and c != 1:
-        if not c:
-            raise BadConstantTerm("%s needs a nonzero constant term" % what)
-        if not isinstance(c, Fraction):
-            raise NoExactRoot("%s: constant term %s has no exact rational root" % (what, sc.format_scalar(c)))
-        if sc.rat_nth_root(c, exponent.denominator) is None:
-            raise NoExactRoot("%s: %s is not an exact %d-th power" % (what, sc.format_scalar(c), exponent.denominator))
-    return fps.power(base, exponent)
+def _eval_pow(e, base, exponent):
+    """The series base^exponent of the node e (a power, or sqrt).  The
+    kernel ``fps.power`` checks the power; its refusal is raised again with
+    the power's label in front, "sqrt" or the base's text to the exponent."""
+    try:
+        return fps.power(base, exponent)
+    except DeltaSeriesError as exc:
+        if isinstance(e, Call):
+            what = e.fn
+        else:
+            what = "%s^(%s)" % (pretty(e.base) if _is_pow_atom(e.base) else "(%s)" % pretty(e.base), exponent)
+        raise type(exc)("%s: %s" % (what, exc)) from None
 
 
 def require_delta(s):

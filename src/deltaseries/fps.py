@@ -28,9 +28,11 @@ checked against each other.
 
 Every power f^alpha, alpha rational, is one kernel, ``power``: J.C.P.
 Miller's recurrence, run like ``div`` and ``exp_series`` by ``_recurrence``,
-whose cost does not grow with |alpha| and which refuses an output that
-cannot be printed.  The exp(alpha log f) route kept below it is no kernel
-of the package, only the independent check of ``power``.
+whose cost does not grow with |alpha|.  It makes every refusal of a power
+itself, whoever calls it: first a constant term whose power cannot be
+printed, then a zero or rootless one, then an output that cannot be
+printed.  The exp(alpha log f) route kept below it is no kernel of the
+package, only the independent check of ``power``.
 """
 
 from __future__ import annotations
@@ -634,7 +636,7 @@ def lagrange_coeff_general(g, f, n):
 def exp_series(f):
     """exp of a series with zero constant term."""
     if f[0]:
-        raise BadConstantTerm("exp needs zero constant term")
+        raise BadConstantTerm("exp needs a zero constant term, got %s" % sc.format_scalar(f[0]))
     # out[n] = sum_k k f[k] out[n-k] / n, f[k] over P^(w k): out[n] over P^(w n)
     n = f.order
     v = f.view
@@ -653,7 +655,7 @@ def log_series(g):
     the unknown top coefficient of g' is never read, as the integral drops
     the top coefficient of the quotient."""
     if g[0] != 1:
-        raise BadConstantTerm("log needs constant term 1")
+        raise BadConstantTerm("log needs constant term 1, got %s" % sc.format_scalar(g[0]))
     return integrate(div(derivative(g), g))
 
 
@@ -667,9 +669,12 @@ def power(f, alpha):
     the second sum.  Its time does not grow with |alpha|, and it refuses an
     output that is certainly too long to print.  Then f^alpha = f[0]^alpha b,
     which needs an exact root of a rational f[0] when q > 1.  A zero constant
-    term takes an integer alpha >= 0: f = t^v u gives t^(v alpha) u^alpha."""
+    term takes an integer alpha >= 0: f = t^v u gives t^(v alpha) u^alpha.
+    Before any of it, f[0]^alpha is refused when it cannot be printed
+    (``scalar.check_power_size``), as its time and memory grow with |alpha|."""
     alpha = Fraction(alpha)
     n, a0 = f.order, f[0]
+    sc.check_power_size(a0, alpha)
     if not alpha:
         return one(n, f.ring)
     if alpha == 1:

@@ -49,8 +49,6 @@ RING_QL = "QL"
 RING_QLRAT = "QLrat"
 _RING_RANK = {RING_Q: 0, RING_QL: 1, RING_QLRAT: 2}
 
-Rat = Fraction  # the Q scalar type is just stdlib Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -359,7 +357,9 @@ class LRat:
             if self.is_zero():
                 raise DivisionByZero("zero has no negative power")
             return LRat(self.den, self.num) ** (-k)
-        return lrat_reduce(self.num ** k, self.den ** k)
+        if not k or not self.den.degree:  # 1, or an LRat over 1 made by its constructor
+            return self.num ** k
+        return LRat(self.num ** k, self.den ** k, _reduced=True)  # coprime, den monic
 
     def eval(self, value):
         value = _as_frac(value)
@@ -477,11 +477,12 @@ def _frac_bits(c):
     return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
 
 
-def check_power_size(c, e, what):
+def check_power_size(c, e):
     """Refuse, with ScalarTooLarge, the scalar c to the rational power e when
     a number in it certainly has more digits than any output can print
     (``print_cap``).  This takes a few evaluations of c, where c^e itself
-    takes time and memory that grow with |e|."""
+    takes time and memory that grow with |e|.  Its one caller is
+    ``fps.power``, which checks the constant term of every power here."""
     cap = print_cap(e.denominator)
     if cap is None:
         return
@@ -499,8 +500,8 @@ def check_power_size(c, e, what):
     else:
         return
     if big:
-        raise ScalarTooLarge("%s: the constant term %s to that power has over %d digits"
-                             % (what, format_scalar(c), digit_limit()))
+        raise ScalarTooLarge("the constant term %s to that power has over %d digits"
+                             % (format_scalar(c), digit_limit()))
 
 
 def check_printable(x, e, dv, P, cap):

@@ -209,7 +209,6 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
         raise NonUnitBaseForRationalPower(
             "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
         )
-    sc.check_power_size(w[0], -alpha, "alpha = %s" % alpha)
     base = fps.power(w, -alpha)
     values = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
     xpolys = None

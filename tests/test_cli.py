@@ -314,6 +314,30 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert "%s: the constant term %s to that power has over 4300 digits" % (label, const) in err
 
+    @pytest.mark.parametrize("expr, lam, want", [
+        ("sqrt(2+t)", [], "NoExactRoot: sqrt: the constant term 2 has no exact 2-th root"),
+        ("(1+lambda+t)^(1/2)", ["--lambda", "symbolic"],
+         "NoExactRoot: (1+lambda+t)^(1/2): the constant term 1 + 1*l has no exact 2-th root"),
+        ("t^(1/2)", [], "BadConstantTerm: t^(1/2): a rational power needs a nonzero constant term"),
+        ("t^(-1)", [], "NonUnitConstantTerm: t^(-1): division by a series with zero constant term")])
+    def test_power_kernel_refusal_names_the_power(self, capsys, expr, lam, want):
+        code, out, err = run(capsys, "eval", "--f", expr, *lam, "--order", "4")
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % want
+
+    def test_rational_alpha_needs_a_unit_base(self, capsys):
+        code, out, err = run(capsys, "bernoulli", "--alpha", "1/2", "--f", "2*t", "--n", "3")
+        assert code == 2 and out == ""
+        assert "NonUnitBaseForRationalPower: rational order needs g'(0) = 1, got 2" in err
+
+    @pytest.mark.parametrize("expr, want", [
+        ("lambda*t", "LambdaModeRequired"),
+        # the tree is evaluated in order: log's refusal comes before the lambda node
+        ("log(2+t)+lambda*t", "BadConstantTerm"), ("lambda*t+log(2+t)", "LambdaModeRequired")])
+    def test_lambda_without_a_mode(self, capsys, expr, want):
+        code, out, err = run(capsys, "eval", "--f", expr, "--order", "4")
+        assert code == 2 and out == "" and want in err
+
     def test_lambda_power_below_the_limit_is_exact(self, capsys, int_digit_limit):
         code, out, _ = run(capsys, "eval", "--f", "(1+lambda+t)^(20)", "--lambda", "symbolic", "--order", "2")
         assert code == 0

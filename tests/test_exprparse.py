@@ -201,9 +201,10 @@ class TestEval:
 
 
 class TestDivision:
-    """Each division evaluates its divisor at the order asked, its dividend
-    once at that order plus the divisor's valuation, and its divisor again
-    only where a power of t cancels."""
+    """Each division evaluates its divisor at the order asked (at doubling
+    orders while it reads as zero), its dividend once at that order plus the
+    divisor's valuation, and its divisor again only where a power of t
+    cancels."""
 
     @staticmethod
     def chains(depth, k, symbolic):
@@ -224,19 +225,43 @@ class TestDivision:
         for depth in range(1, 13):
             cancelling, plain = self.chains(depth, k, symbolic)
             e, want = ep.parse(cancelling), ep.eval_expr(ep.parse(plain), 10, mode)
+            # below order k the truncated divisor t^k (1 + ...) reads as zero
+            # and is evaluated again at twice the order
             for order in range(1, 11):
-                if order < k:  # the truncated divisor t^k (1 + ...) is the zero series
-                    with pytest.raises(DivisionByZero):
-                        ep.eval_expr(e, order, mode)
-                else:
-                    assert ep.eval_expr(e, order, mode) == want.truncate(order), (depth, order)
+                assert ep.eval_expr(e, order, mode) == want.truncate(order), (depth, order)
 
     @pytest.mark.parametrize("text", ["t/t^2", "(t^2*(1+t))/(t^3*(1+t))", "((t*(1+t))/(t*(2+t)))/t",
-                                      "(t*(1+t))/(t^2*(2+t)/(1+t))"])
+                                      "(t*(1+t))/(t^2*(2+t)/(1+t))", "(1+t)/t^2", "(t^6/t^5)/t^2"])
     def test_dividend_of_lower_valuation(self, text):
-        for order in range(3, 7):
+        # at every order: below the divisor's valuation it reads as zero and is evaluated again
+        for order in range(1, 7):
             with pytest.raises(NonUnitConstantTerm):
                 ep.eval_expr(ep.parse(text), order)
+
+    def test_divisor_that_vanishes_at_the_order_asked(self):
+        # t^5 reads as zero below order 5: it is evaluated again at 2, 4, 8
+        t = fps.t_series(6)
+        for order in range(1, 7):
+            assert ep.eval_expr(ep.parse("t^6/t^5"), order) == t.truncate(order), order
+            assert ep.eval_expr(ep.parse("(t^3+t^4)/(t^2*(t-t^2))"), order) == \
+                fps.div(fps.add(fps.one(6), t), fps.sub(fps.one(6), t)).truncate(order)
+
+    def test_zero_divisor_in_bounded_time(self, monkeypatch):
+        orders = []
+        real = ep._eval_node
+        monkeypatch.setattr(ep, "_eval_node", lambda e, order, *a: orders.append(order) or real(e, order, *a))
+        for order in (1, 3, 5, 64, 100):
+            orders.clear()
+            start = time.perf_counter()
+            with pytest.raises(DivisionByZero):
+                ep.eval_expr(ep.parse("t/(0*t)"), order)
+            assert time.perf_counter() - start < 1
+            assert max(orders) == max(order, 64), order
+
+    def test_dividend_error_comes_first(self):
+        for divisor in ("t^5", "(0*t)", "log(3+t)"):
+            with pytest.raises(BadConstantTerm, match="got 2$"):
+                ep.eval_expr(ep.parse("log(2+t)/" + divisor), 3)
 
     def test_nodes_evaluated_grow_linearly_in_depth(self, monkeypatch):
         calls = []

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -1068,6 +1069,27 @@ def test_modules_read_no_private_names_of_each_other():
             del deps[m]
 
 
+def test_one_module_checks_a_power():
+    """fps.power owns every refusal of a power: no other module of the
+    package reads scalar.check_power_size or scalar.rat_nth_root, by
+    attribute, name or import, and the parser imports none of the errors
+    of a power's constant term."""
+    pkg = pathlib.Path(fps.__file__).parent
+    owned = {"check_power_size", "rat_nth_root"}
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        if path.stem == "fps":
+            assert read >= owned  # the check below sees how fps reads them
+        else:
+            assert not read & owned, (path.stem, read & owned)
+    tree = ast.parse((pkg / "exprparse.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & {"BadConstantTerm", "NoExactRoot"}
+
+
 def test_modules_import_nothing_unused():
     """Every name a module of the package imports is read in it, or, in
     ``__init__``, exported through ``__all__``."""
@@ -1310,9 +1332,9 @@ class TestTranscendental:
         assert fps.exp_series(fps.log_series(g)) == g
 
     def test_exp_needs_zero_constant(self):
-        with pytest.raises(BadConstantTerm):
+        with pytest.raises(BadConstantTerm, match="^exp needs a zero constant term, got 1$"):
             fps.exp_series(ser(1, 1))
-        with pytest.raises(BadConstantTerm):
+        with pytest.raises(BadConstantTerm, match="^log needs constant term 1, got 2$"):
             fps.log_series(ser(2, 1))
 
     def test_power(self):
@@ -1406,6 +1428,19 @@ class TestPower:
             with pytest.raises(BadConstantTerm):
                 fps.power(f, Fraction(1, 2))
         assert_same(fps.power(fps.zero(4, u.ring), 3), fps.zero(4, u.ring))
+
+    @pytest.mark.parametrize("digits, f, alpha, const", [
+        (4300, ser(2, 1), 10**5, "2"),
+        # (2 l)^2200 = 2^2200 l^2200, of 663 digits: past a limit of 640
+        (640, fps.Series(2, [2 * L, 1, 0]), 2200, "2*l")], ids=["rational", "lambda"])
+    def test_unprintable_constant_term_is_refused_at_once(self, monkeypatch, digits, f, alpha, const):
+        # the kernel checks f[0]^alpha itself, whoever calls it
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits, raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ScalarTooLarge, match="^the constant term %s to that power has over %d digits$"
+                           % (const.replace("*", "\\*"), digits)):
+            fps.power(f, alpha)
+        assert time.perf_counter() - start < 0.25
 
     def test_size_guard_reads_outputs_after_p_is_stripped(self, monkeypatch):
         # u = 1 + t^2/(1+l) has weight 1, so b[2j] = C(alpha, j)/(1+l)^j lies
