@@ -100,9 +100,17 @@ def bits(xs, deg):
 
 
 def pmul(a, b):
-    """The product of two int polynomials; the zero polynomial may come as []."""
+    """The product of two int polynomials; the zero polynomial may come as [].
+    By a monomial b = c l^m it is a shift and a scale, with no m zero digits
+    packed; the product comes out as from unpack, up to its last nonzero
+    coefficient, and [] when it is zero."""
     if len(b) == 1:
         return [x * b[0] for x in a]
+    if b and not b[0] and not any(b[1:-1]):
+        a = [x * b[-1] for x in a]
+        while a and not a[-1]:
+            a.pop()
+        return [0] * (len(b) - 1) + a if a else []
     # a coefficient of the product is a sum of at most min(len) products
     B = width(bits(a, 0) + bits(b, 0), min(len(a), len(b)))
     return unpack(pack(a, B) * pack(b, B), B)

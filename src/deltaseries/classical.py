@@ -31,21 +31,15 @@ def binom_shift(n, k):
 
 
 def binom_general(upper, k):
-    """C(upper, k) for scalar upper via a falling-factorial product."""
+    """C(upper, k) for scalar upper: (upper)_k / k!."""
     if k < 0:
         return Fraction(0)
-    acc = Fraction(1)
-    for i in range(k):
-        acc = acc * (upper - i)
-    return acc * Fraction(1, math.factorial(k))
+    return falling_factorial(upper, k) * Fraction(1, math.factorial(k))
 
 
 def falling_factorial(x, n):
-    """(x)_n = x(x-1)...(x-n+1) for a scalar or integer x."""
-    acc = 1
-    for i in range(n):
-        acc = acc * (x - i)
-    return acc
+    """(x)_n = x(x-1)...(x-n+1) for a scalar or integer x: (x)_{n,1}."""
+    return deg_falling_value(x, n, 1)
 
 
 @lru_cache(maxsize=None)

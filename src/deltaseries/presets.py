@@ -3,10 +3,14 @@
 Each preset pairs a programmatic construction of its delta series f with
 independent evaluators for the first/second-kind triangles and for the
 associated logarithm, so the core machinery can be checked against stated
-closed forms.  Oracles use only classical recurrences, direct products,
-and the raw series primitives -- never the triangle builders themselves.
-The central factorial oracles read their Bell tables from stirling.bell_rows,
-never from Comtet's kernel (stirling._power_rows) that the builders run.
+closed forms.  The registry states each preset's S2 once, as a product of
+at most two classical triangles (Stirling, Lah, degenerate Stirling,
+central factorial, a diagonal); by orthogonality S1 is the product of
+their inverses in reverse order, which ``TRIANGLES`` names.  The triangles
+come from classical recurrences and direct products, the central factorial
+ones from their Bell tables by stirling.bell_rows; the logarithms from the
+raw series primitives.  No oracle reads the triangle builders, Comtet's
+kernel (stirling._power_rows), composition or Newton inversion.
 """
 
 from __future__ import annotations
@@ -180,23 +184,24 @@ class Preset:
         return oracle_log(self.id, order, self.lam)
 
 
-# id -> (letter, degenerate?, builder, grammar expr or None, display formula, classical partner)
+# id -> (letter, degenerate?, builder, grammar expr or None, display formula, classical partner,
+#        S2 as a product of TRIANGLES, left to right; () when there is no closed form)
 _REGISTRY = {
-    "identity": ("b", False, _build_identity, "t", "t", None),
-    "deg_falling": ("c", True, _build_deg_falling, "(exp(lambda*t)-1)/lambda", "(e^(lambda*t)-1)/lambda", "identity"),
-    "rising": ("d", False, _build_rising, "1-exp(-t)", "1-e^(-t)", None),
-    "deg_rising": ("e", True, _build_deg_rising, "(1-exp(-lambda*t))/lambda", "(1-e^(-lambda*t))/lambda", "identity"),
-    "central": ("f", False, _build_central, "exp(t/2)-exp(-t/2)", "e^(t/2)-e^(-t/2)", None),
-    "central_bell": ("g", False, _build_central_bell, "2*log((t+sqrt(t^2+4))/2)", "2*log((t+sqrt(t^2+4))/2)", None),
-    "deg_central_bell": ("h", True, _build_deg_central_bell, None, "log_lambda(((t+sqrt(t^2+4))/2)^2)", "central_bell"),
-    "lah_bell": ("i", False, _build_lah_bell, "t/(1+t)", "t/(1+t)", None),
-    "deg_lah_bell": ("j", True, _build_deg_lah_bell, "(exp(lambda*t)-1)/(lambda+exp(lambda*t)-1)", "(e^(lambda*t)-1)/(lambda+e^(lambda*t)-1)", "lah_bell"),
-    "bell": ("k", False, _build_bell, "log(1+t)", "log(1+t)", None),
-    "partial_deg_bell": ("l", True, _build_partial_deg_bell, None, "log_lambda(1+t)", "bell"),
-    "full_deg_bell": ("m", True, _build_full_deg_bell, None, "log_lambda(1+(e^(lambda*t)-1)/lambda)", "bell"),
-    "mittag_leffler": ("n", False, _build_mittag_leffler, "(exp(t)-1)/(exp(t)+1)", "(e^t-1)/(e^t+1)", None),
-    "laguerre_m1": ("o", False, _build_laguerre_m1, "t/(t-1)", "t/(t-1)", None),
-    "probabilistic": ("a", True, _build_probabilistic, None, "inverse of log E[e_lambda^Y(t)], Y ~ U[0,1]", None),
+    "identity": ("b", False, _build_identity, "t", "t", None, ("s2",)),
+    "deg_falling": ("c", True, _build_deg_falling, "(exp(lambda*t)-1)/lambda", "(e^(lambda*t)-1)/lambda", "identity", ("deg_s2",)),
+    "rising": ("d", False, _build_rising, "1-exp(-t)", "1-e^(-t)", None, ("lah",)),
+    "deg_rising": ("e", True, _build_deg_rising, "(1-exp(-lambda*t))/lambda", "(1-e^(-lambda*t))/lambda", "identity", ("deg_lah",)),
+    "central": ("f", False, _build_central, "exp(t/2)-exp(-t/2)", "e^(t/2)-e^(-t/2)", None, ("t1", "s2")),
+    "central_bell": ("g", False, _build_central_bell, "2*log((t+sqrt(t^2+4))/2)", "2*log((t+sqrt(t^2+4))/2)", None, ("t2", "s2")),
+    "deg_central_bell": ("h", True, _build_deg_central_bell, None, "log_lambda(((t+sqrt(t^2+4))/2)^2)", "central_bell", ("t2_deg", "s2")),
+    "lah_bell": ("i", False, _build_lah_bell, "t/(1+t)", "t/(1+t)", None, ("lah", "s2")),
+    "deg_lah_bell": ("j", True, _build_deg_lah_bell, "(exp(lambda*t)-1)/(lambda+exp(lambda*t)-1)", "(e^(lambda*t)-1)/(lambda+e^(lambda*t)-1)", "lah_bell", ("lah", "deg_s2")),
+    "bell": ("k", False, _build_bell, "log(1+t)", "log(1+t)", None, ("s2", "s2")),
+    "partial_deg_bell": ("l", True, _build_partial_deg_bell, None, "log_lambda(1+t)", "bell", ("deg_s2", "s2")),
+    "full_deg_bell": ("m", True, _build_full_deg_bell, None, "log_lambda(1+(e^(lambda*t)-1)/lambda)", "bell", ("deg_s2", "deg_s2")),
+    "mittag_leffler": ("n", False, _build_mittag_leffler, "(exp(t)-1)/(exp(t)+1)", "(e^t-1)/(e^t+1)", None, ("lah", "2^k")),
+    "laguerre_m1": ("o", False, _build_laguerre_m1, "t/(t-1)", "t/(t-1)", None, ("(-1)^k lah", "s2")),
+    "probabilistic": ("a", True, _build_probabilistic, None, "inverse of log E[e_lambda^Y(t)], Y ~ U[0,1]", None, ()),
 }
 
 PRESET_IDS = tuple(_REGISTRY)
@@ -214,7 +219,7 @@ def make_preset(pid, order, lambda_mode=LAMBDA_ABSENT):
         raise UnknownPreset(pid)
     if order < 1:
         raise ValueError("order must be at least 1")
-    letter, degenerate, builder, expr, formula, partner = _REGISTRY[pid]
+    letter, degenerate, builder, expr, formula, partner, _ = _REGISTRY[pid]
     lam = resolve_lambda_mode(lambda_mode)
     if degenerate and lam is None:
         raise LambdaModeRequired("preset %r needs a lambda mode" % pid)
@@ -229,22 +234,23 @@ def registry_json():
     """Machine-readable registry: id -> example letter and formula."""
     return {
         pid: {"letter": letter, "formula": formula, "degenerate": degenerate, "expr": expr}
-        for pid, (letter, degenerate, _b, expr, formula, _p) in _REGISTRY.items()
+        for pid, (letter, degenerate, _b, expr, formula, _p, _f) in _REGISTRY.items()
     }
 
 
 # ---------------------------------------------------------------------------
-# central factorial numbers: direct expansions of their generating functions
+# closed-form oracles
 
 @lru_cache(maxsize=None)
-def _powers_table(pid, max_n, lam=None):
-    """EGF triangle of base^k/k! for the named generating function."""
+def _central_table(name, max_n, lam=None):
+    """The central factorial triangle t1, t2, t1_deg or t2_deg up to row
+    max_n: the Bell table (base^k/k! as EGFs) of its generating function."""
     max_n = max(max_n, 1)
-    if pid == "t2":
+    if name == "t2":
         base = _build_central(max_n, None)
-    elif pid == "t1":
+    elif name == "t1":
         base = _build_central_bell(max_n, None)
-    elif pid == "t2_deg":
+    elif name == "t2_deg":
         base = _series_from_coeff_fn(
             max_n,
             lambda n: (
@@ -253,154 +259,73 @@ def _powers_table(pid, max_n, lam=None):
             )
             * Fraction(1, math.factorial(n)),
         )
-    elif pid == "t1_deg":
-        base = _build_deg_central_bell(max_n, lam)
     else:
-        raise ValueError(pid)
+        base = _build_deg_central_bell(max_n, lam)
     return st.bell_rows(base, max_n)
 
 
-def central_t2(n, k):
+def _central(name, deg):
+    return lambda n, k, lam: _central_table(name, n, lam if deg else None)[n][k]
+
+
+# name -> (entry(n, k, lam) for 0 <= k <= n, name of the inverse triangle)
+TRIANGLES = {
+    "s2": (lambda n, k, lam: Fraction(cl.classical_s2(n, k)), "s1"),
+    "s1": (lambda n, k, lam: Fraction(cl.classical_s1(n, k)), "s2"),
+    "lah": (lambda n, k, lam: Fraction(cl.lah(n, k)), "(-1)^(n-k) lah"),
+    "(-1)^(n-k) lah": (lambda n, k, lam: Fraction((-1) ** (n - k) * cl.lah(n, k)), "lah"),
+    "(-1)^k lah": (lambda n, k, lam: Fraction((-1) ** k * cl.lah(n, k)), "(-1)^k lah"),
+    "deg_s2": (cl.deg_s2, "deg_s1"),
+    "deg_s1": (cl.deg_s1, "deg_s2"),
+    "deg_lah": (cl.deg_lah, "deg_s1(-l)"),
+    "deg_s1(-l)": (lambda n, k, lam: cl.deg_s1(n, k, -lam), "deg_lah"),
+    "t1": (_central("t1", False), "t2"),
+    "t2": (_central("t2", False), "t1"),
+    "t1_deg": (_central("t1_deg", True), "t2_deg"),
+    "t2_deg": (_central("t2_deg", True), "t1_deg"),
+    "2^k": (lambda n, k, lam: Fraction(2 ** k if n == k else 0), "2^-k"),
+    "2^-k": (lambda n, k, lam: Fraction(1 if n == k else 0, 2 ** k), "2^k"),
+}
+
+
+def triangle(names, n, k, lam=None):
+    """Entry (n, k) of the product of the named triangles, left to right;
+    0 off the triangle."""
     if k < 0 or k > n:
         return Fraction(0)
-    return _powers_table("t2", n)[n][k]
+    entry = TRIANGLES[names[0]][0]
+    if len(names) == 1:
+        return entry(n, k, lam)
+    return sum((entry(n, l, lam) * triangle(names[1:], l, k, lam) for l in range(k, n + 1)), Fraction(0))
 
 
-def central_t1(n, k):
-    if k < 0 or k > n:
-        return Fraction(0)
-    return _powers_table("t1", n)[n][k]
-
-
-def central_t2_deg(n, k, lam):
-    if k < 0 or k > n:
-        return Fraction(0)
-    return _powers_table("t2_deg", n, lam)[n][k]
-
-
-def central_t1_deg(n, k, lam):
-    if k < 0 or k > n:
-        return Fraction(0)
-    return _powers_table("t1_deg", n, lam)[n][k]
-
-
-# ---------------------------------------------------------------------------
-# closed-form triangle oracles
-
-def _sum_prod(outer, inner, n, k):
-    acc = Fraction(0)
-    for l in range(k, n + 1):
-        acc = acc + outer(n, l) * inner(l, k)
-    return acc
-
-
-def _need_lambda(pid, lam):
-    if lam is None:
+def _check_lambda(pid, lam):
+    if lam is None and _REGISTRY[pid][1]:
         raise LambdaModeRequired("oracle for %r needs lambda" % pid)
-    return lam
+
+
+def _oracle(pid, n, k, lam, kind):
+    if pid not in _REGISTRY:
+        raise UnknownPreset(pid)
+    if k < 0 or k > n:
+        return Fraction(0)
+    names = _REGISTRY[pid][6]
+    if not names:
+        raise NoOracle("no %s-kind closed form for preset %r" % (kind, pid))
+    _check_lambda(pid, lam)
+    if kind == "first":  # S1 is the inverse of S2: the inverse factors, reversed
+        names = [TRIANGLES[name][1] for name in reversed(names)]
+    return triangle(names, n, k, lam)
 
 
 def oracle_s2(pid, n, k, lam=None):
-    """The independent closed form for S2(n, k; f) of the given preset."""
-    if pid not in _REGISTRY:
-        raise UnknownPreset(pid)
-    if k < 0 or k > n:
-        return Fraction(0)
-    if pid == "identity":
-        return Fraction(cl.classical_s2(n, k))
-    if pid == "deg_falling":
-        return cl.deg_s2(n, k, _need_lambda(pid, lam))
-    if pid == "rising":
-        return Fraction(cl.lah(n, k))
-    if pid == "deg_rising":
-        return cl.deg_lah(n, k, _need_lambda(pid, lam))
-    if pid == "central":
-        return _sum_prod(central_t1, lambda a, b: Fraction(cl.classical_s2(a, b)), n, k)
-    if pid == "central_bell":
-        return _sum_prod(central_t2, lambda a, b: Fraction(cl.classical_s2(a, b)), n, k)
-    if pid == "deg_central_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(
-            lambda a, b: central_t2_deg(a, b, lam), lambda a, b: Fraction(cl.classical_s2(a, b)), n, k
-        )
-    if pid == "lah_bell":
-        return _sum_prod(lambda a, b: Fraction(cl.lah(a, b)), lambda a, b: Fraction(cl.classical_s2(a, b)), n, k)
-    if pid == "deg_lah_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(lambda a, b: Fraction(cl.lah(a, b)), lambda a, b: cl.deg_lah(a, b, -lam), n, k)
-    if pid == "bell":
-        return _sum_prod(
-            lambda a, b: Fraction(cl.classical_s2(a, b)), lambda a, b: Fraction(cl.classical_s2(a, b)), n, k
-        )
-    if pid == "partial_deg_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(lambda a, b: cl.deg_s2(a, b, lam), lambda a, b: Fraction(cl.classical_s2(a, b)), n, k)
-    if pid == "full_deg_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(lambda a, b: cl.deg_s2(a, b, lam), lambda a, b: cl.deg_lah(a, b, -lam), n, k)
-    if pid == "mittag_leffler":
-        return Fraction(2 ** k * cl.lah(n, k))
-    if pid == "laguerre_m1":
-        return _sum_prod(
-            lambda a, b: Fraction((-1) ** b * cl.lah(a, b)), lambda a, b: Fraction(cl.classical_s2(a, b)), n, k
-        )
-    raise NoOracle("no second-kind closed form for preset %r" % pid)
+    """S2(n, k; f) of the preset: the product of its classical triangles."""
+    return _oracle(pid, n, k, lam, "second")
 
 
 def oracle_s1(pid, n, k, lam=None):
-    """The independent closed form for S1(n, k; f) of the given preset."""
-    if pid not in _REGISTRY:
-        raise UnknownPreset(pid)
-    if k < 0 or k > n:
-        return Fraction(0)
-    if pid == "identity":
-        return Fraction(cl.classical_s1(n, k))
-    if pid == "deg_falling":
-        return cl.deg_s1(n, k, _need_lambda(pid, lam))
-    if pid == "rising":
-        return Fraction((-1) ** (n - k) * cl.lah(n, k))
-    if pid == "deg_rising":
-        return cl.deg_s1(n, k, -_need_lambda(pid, lam))
-    if pid == "central":
-        return _sum_prod(lambda a, b: Fraction(cl.classical_s1(a, b)), central_t2, n, k)
-    if pid == "central_bell":
-        return _sum_prod(lambda a, b: Fraction(cl.classical_s1(a, b)), central_t1, n, k)
-    if pid == "deg_central_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(
-            lambda a, b: Fraction(cl.classical_s1(a, b)), lambda a, b: central_t1_deg(a, b, lam), n, k
-        )
-    if pid == "lah_bell":
-        return _signed_sum_s1_lah(lambda a, b: Fraction(cl.classical_s1(a, b)), n, k)
-    if pid == "deg_lah_bell":
-        lam = _need_lambda(pid, lam)
-        return _signed_sum_s1_lah(lambda a, b: cl.deg_s1(a, b, lam), n, k)
-    if pid == "bell":
-        return _sum_prod(
-            lambda a, b: Fraction(cl.classical_s1(a, b)), lambda a, b: Fraction(cl.classical_s1(a, b)), n, k
-        )
-    if pid == "partial_deg_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(lambda a, b: Fraction(cl.classical_s1(a, b)), lambda a, b: cl.deg_s1(a, b, lam), n, k)
-    if pid == "full_deg_bell":
-        lam = _need_lambda(pid, lam)
-        return _sum_prod(lambda a, b: cl.deg_s1(a, b, lam), lambda a, b: cl.deg_s1(a, b, lam), n, k)
-    if pid == "mittag_leffler":
-        return Fraction((-1) ** (n - k) * cl.lah(n, k), 2 ** n)
-    if pid == "laguerre_m1":
-        acc = Fraction(0)
-        for l in range(k, n + 1):
-            acc += Fraction(cl.classical_s1(n, l) * cl.lah(l, k))
-        return Fraction((-1) ** k) * acc
-    raise NoOracle("no first-kind closed form for preset %r" % pid)
-
-
-def _signed_sum_s1_lah(s1_fn, n, k):
-    """sum_l (-1)^{l-k} S1-like(n, l) L(l, k)."""
-    acc = Fraction(0)
-    for l in range(k, n + 1):
-        acc = acc + ((-1) ** (l - k)) * s1_fn(n, l) * cl.lah(l, k)
-    return acc
+    """S1(n, k; f) of the preset: the product of the inverse triangles."""
+    return _oracle(pid, n, k, lam, "first")
 
 
 def oracle_log(pid, order, lam=None):
@@ -409,14 +334,17 @@ def oracle_log(pid, order, lam=None):
         raise UnknownPreset(pid)
     one = fps.one(order)
     u = _log1p(order)
+    if not _REGISTRY[pid][6]:
+        raise NoOracle("no closed-form logarithm for preset %r" % pid)
+    _check_lambda(pid, lam)
     if pid == "identity":
         return u
     if pid == "deg_falling":
-        return deg_log1p_direct(order, _need_lambda(pid, lam))
+        return deg_log1p_direct(order, lam)
     if pid == "rising":
         return _series_from_coeff_fn(order, lambda n: Fraction(0) if n == 0 else Fraction((-1) ** (n - 1)))
     if pid == "deg_rising":
-        return deg_log1p_direct(order, -_need_lambda(pid, lam))
+        return deg_log1p_direct(order, -lam)
     if pid == "central":
         g = fps.add(one, fps.t_series(order))
         return fps.sub(fps.pow_ratio(g, Fraction(1, 2)), fps.pow_ratio(g, Fraction(-1, 2)))
@@ -424,27 +352,23 @@ def oracle_log(pid, order, lam=None):
         return fps.scale(fps.log_series(_central_bell_w(order, inner=u)), 2)
     if pid == "deg_central_bell":
         w = _central_bell_w(order, inner=u)
-        return deg_log1p_of(fps.sub(fps.mul(w, w), one), _need_lambda(pid, lam))
+        return deg_log1p_of(fps.sub(fps.mul(w, w), one), lam)
     if pid == "lah_bell":
         return fps.div(u, fps.add(one, u))
     if pid == "deg_lah_bell":
-        dl = deg_log1p_direct(order, _need_lambda(pid, lam))
+        dl = deg_log1p_direct(order, lam)
         return fps.div(dl, fps.add(fps.one(order, dl.ring), dl))
     if pid == "bell":
         return fps.log_series(fps.add(one, u))
     if pid == "partial_deg_bell":
-        return deg_log1p_of(u, _need_lambda(pid, lam))
+        return deg_log1p_of(u, lam)
     if pid == "full_deg_bell":
-        lam = _need_lambda(pid, lam)
-        inner = deg_log1p_direct(order, lam)
-        return deg_log1p_of(inner, lam)
+        return deg_log1p_of(deg_log1p_direct(order, lam), lam)
     if pid == "mittag_leffler":
         return _series_from_coeff_fn(
             order, lambda n: Fraction(0) if n == 0 else Fraction((-1) ** (n - 1), 2 ** n)
         )
-    if pid == "laguerre_m1":
-        return fps.scale(fps.div(u, fps.sub(one, u)), -1)
-    raise NoOracle("no closed-form logarithm for preset %r" % pid)
+    return fps.scale(fps.div(u, fps.sub(one, u)), -1)  # laguerre_m1
 
 
 # ---------------------------------------------------------------------------

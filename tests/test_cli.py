@@ -305,6 +305,18 @@ class TestHostileInput:
         assert "ScalarTooLarge" in err and "internal error" not in err
         assert time.perf_counter() - start < 0.25
 
+    @pytest.mark.parametrize("expr, code", [("(2*lambda+t)^(10000)", 0), ("(3*lambda^2+lambda*t)^(10000)", 2)])
+    def test_power_of_a_monomial_constant_is_fast(self, capsys, int_digit_limit, expr, code):
+        # the constant term's power is a monomial in lambda, which multiplies with no zero digits
+        start = time.perf_counter()
+        got, out, err = run(capsys, "eval", "--f", expr, "--lambda", "symbolic", "--order", "4")
+        assert time.perf_counter() - start < 1
+        assert got == code and "internal error" not in err
+        if code:
+            assert out == "" and "ScalarTooLarge" in err
+        else:
+            assert out.startswith("[t^0] %d*l^10000\n" % 2 ** 10000)
+
     @pytest.mark.parametrize("expr, label, const", [
         ("(1/(1+lambda)+t)^(100000)", "(1/(1+lambda)+t)^(100000)", "(1)/(1 + 1*l)"),
         ("(2+t)^(-1000000000)", "(2+t)^(-1000000000)", "2"),

@@ -13,6 +13,8 @@ import reference as ref
 
 L = sc.LAMBDA
 ORACLE_N = 8
+DEGENERATE = [p for p in pr.PRESET_IDS if pr.is_degenerate(p) and p != "probabilistic"]
+RATIONAL_LAMBDAS = (Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2))
 
 
 def _preset(pid, order=18):
@@ -62,11 +64,66 @@ class TestOracleAgreement:
         p = _preset(pid)
         assert st.assoc_log(p.f).truncate(ORACLE_N) == p.oracle_log(p.f.order).truncate(ORACLE_N)
 
+    @pytest.mark.parametrize("lam", RATIONAL_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("pid", DEGENERATE)
+    def test_triangles_match_oracles_at_rational_lambda(self, pid, lam):
+        p = pr.make_preset(pid, ORACLE_N, lam)
+        s2 = st.s2_assoc(p.f, ORACLE_N)
+        s1 = st.s1_assoc(p.f, ORACLE_N)
+        for n in range(ORACLE_N + 1):
+            for k in range(n + 1):
+                assert s2.entry(n, k) == p.oracle_s2(n, k), (pid, "s2", n, k)
+                assert s1.entry(n, k) == p.oracle_s1(n, k), (pid, "s1", n, k)
+        assert st.assoc_log(p.f) == p.oracle_log(ORACLE_N)
+
     def test_probabilistic_has_no_closed_form(self):
         with pytest.raises(NoOracle):
             pr.oracle_s2("probabilistic", 3, 2, L)
         with pytest.raises(NoOracle):
             pr.oracle_log("probabilistic", 6, L)
+
+    def test_refusal_order(self):
+        # UnknownPreset, then 0 off the triangle, then NoOracle, then LambdaModeRequired
+        for oracle in (pr.oracle_s2, pr.oracle_s1):
+            with pytest.raises(UnknownPreset):
+                oracle("nope", 2, 5)
+            assert oracle("probabilistic", 2, 5) == 0 and oracle("deg_falling", 2, -1) == 0
+        for lam in (None, L):
+            with pytest.raises(NoOracle, match=r"^no second-kind closed form for preset 'probabilistic'$"):
+                pr.oracle_s2("probabilistic", 3, 2, lam)
+            with pytest.raises(NoOracle, match=r"^no first-kind closed form for preset 'probabilistic'$"):
+                pr.oracle_s1("probabilistic", 3, 2, lam)
+            with pytest.raises(NoOracle, match=r"^no closed-form logarithm for preset 'probabilistic'$"):
+                pr.oracle_log("probabilistic", 6, lam)
+        for pid in DEGENERATE:
+            for call in (lambda: pr.oracle_s2(pid, 3, 2), lambda: pr.oracle_s1(pid, 3, 2),
+                         lambda: pr.oracle_log(pid, 6)):
+                with pytest.raises(LambdaModeRequired, match=r"^oracle for '%s' needs lambda$" % pid):
+                    call()
+
+    def test_oracles_read_no_builder(self, monkeypatch):
+        # the oracles check these kernels, so they may not run on them
+        lams = (L, Fraction(-1, 2))
+        closed = [p for p in pr.PRESET_IDS if p != "probabilistic"]
+
+        def values():
+            pr._central_table.cache_clear()
+            out = []
+            for pid in closed:
+                for lam in lams:
+                    out.append(pr.oracle_log(pid, ORACLE_N, lam))
+                    out += [oracle(pid, n, k, lam) for oracle in (pr.oracle_s2, pr.oracle_s1)
+                            for n in range(ORACLE_N + 1) for k in range(n + 1)]
+            return out
+
+        want = values()
+
+        def refuse(*args):
+            raise AssertionError("an oracle read a kernel it checks")
+        for mod, name in ((st, "s2_assoc"), (st, "s1_assoc"), (st, "compositional_inverse"), (st, "assoc_log"),
+                          (st, "_power_rows"), (fps, "compose"), (fps, "invert_newton")):
+            monkeypatch.setattr(mod, name, refuse)
+        assert values() == want
 
     def test_rational_lambda_specializes_symbolic(self):
         r = Fraction(2, 5)
@@ -74,6 +131,24 @@ class TestOracleAgreement:
             sym = _preset(pid, order=8).f.series
             num = pr.make_preset(pid, 8, r).f.series
             assert [sc.eval_lambda(c, r) for c in sym.coeffs] == list(num.coeffs)
+
+
+class TestTriangles:
+    """The classical triangles the oracles multiply, and their inverses."""
+
+    def test_registry_names_only_tabled_triangles(self):
+        names = {name for pid in pr.PRESET_IDS for name in pr._REGISTRY[pid][6]}
+        assert names <= set(pr.TRIANGLES)
+        assert [pid for pid in pr.PRESET_IDS if not pr._REGISTRY[pid][6]] == ["probabilistic"]
+
+    @pytest.mark.parametrize("name", list(pr.TRIANGLES))
+    def test_each_times_its_inverse_is_the_identity(self, name):
+        inverse = pr.TRIANGLES[name][1]
+        assert pr.TRIANGLES[inverse][1] == name
+        for lam in (L,) + RATIONAL_LAMBDAS:
+            for n in range(11):
+                for k in range(n + 1):
+                    assert pr.triangle((name, inverse), n, k, lam) == (1 if n == k else 0), (lam, n, k)
 
 
 class TestDegLog1p:
@@ -124,17 +199,12 @@ class TestKnownCoefficients:
         p = _preset("laguerre_m1")
         assert st.compositional_inverse(p.f).series == p.f.series
 
-    def test_central_factorial_triangles_invert(self):
-        for n in range(7):
-            for l in range(n + 1):
-                tot = sum(pr.central_t1(n, k) * pr.central_t2(k, l) for k in range(l, n + 1))
-                assert tot == (1 if n == l else 0)
-
     def test_deg_central_at_zero_lambda(self):
         for n in range(6):
             for k in range(n + 1):
-                assert sc.eval_lambda(pr.central_t2_deg(n, k, L), Fraction(0)) == pr.central_t2(n, k)
-                assert sc.eval_lambda(pr.central_t1_deg(n, k, L), Fraction(0)) == pr.central_t1(n, k)
+                for name in ("t1", "t2"):
+                    deg = pr.triangle((name + "_deg",), n, k, L)
+                    assert sc.eval_lambda(deg, Fraction(0)) == pr.triangle((name,), n, k)
 
     def test_partial_deg_bell_closed_form(self):
         # log_l(1+t) has EGF (l-1)_{n-1}

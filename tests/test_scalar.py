@@ -141,6 +141,13 @@ class TestOps:
         assert pk.pmul([], [0, 1]) == [] and pk.pmul([0, 1], []) == []
         assert not any(pk.pmul([0, 0], [3, 1]))
 
+    @given(hst.lists(hst.integers(-99, 99), max_size=5), hst.integers(-99, 99), hst.integers(1, 40))
+    def test_pmul_by_a_monomial_is_the_packed_product(self, a, c, m):
+        # b = c l^m is a shift and a scale, read off as unpack reads the packed product
+        b = [0] * m + [c]
+        B = pk.width(pk.bits(a, 0) + pk.bits(b, 0), len(b))
+        assert pk.pmul(a, b) == pk.unpack(pk.pack(a, B) * pk.pack(b, B), B)
+
     def test_lrat_reduce_demotes(self):
         assert sc.lrat_reduce(L**2 - 1, L - 1) == L + 1
         assert isinstance(sc.lrat_reduce(L**2 - 1, L - 1), sc.LPoly)

@@ -193,11 +193,11 @@ class TestBellRows:
         def calls():
             rows = [st.bell_rows(bell_base(ring, 5), 5) for ring in BELL_RINGS]
             bells = [st.partial_bell(5, k, [1 + L, 2, L, Fraction(1, 3), 7]) for k in range(6)]
-            central = [(pr.central_t1(n, k), pr.central_t2(n, k), pr.central_t1_deg(n, k, L),
-                        pr.central_t2_deg(n, k, Fraction(1, 3))) for n in range(7) for k in range(n + 1)]
+            central = [(pr.triangle(("t1",), n, k), pr.triangle(("t2",), n, k), pr.triangle(("t1_deg",), n, k, L),
+                        pr.triangle(("t2_deg",), n, k, Fraction(1, 3))) for n in range(7) for k in range(n + 1)]
             return rows, bells, central
 
-        pr._powers_table.cache_clear()
+        pr._central_table.cache_clear()
         want = calls()
 
         def refuse(*args):
@@ -205,7 +205,7 @@ class TestBellRows:
 
         for name in ("_power_rows", "_bell_columns", "_convolve"):
             monkeypatch.setattr(st, name, refuse)
-        pr._powers_table.cache_clear()
+        pr._central_table.cache_clear()
         assert calls() == want
 
 
