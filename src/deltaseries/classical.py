@@ -133,12 +133,16 @@ def deg_s2(n, k, lam):
 
 
 @lru_cache(maxsize=None)
+def _deg_s1_row(n, lam):
+    return tuple(to_deg_falling_basis([Fraction(classical_s1(n, m)) for m in range(n + 1)], lam))
+
+
 def deg_s1(n, k, lam):
-    """Degenerate first-kind Stirling numbers from (x)_n = sum S (x)_{k,lam}."""
+    """Degenerate first-kind Stirling numbers from (x)_n = sum S (x)_{k,lam};
+    row n is rewritten in that basis once."""
     if k < 0 or k > n:
         return Fraction(0)
-    mono = [Fraction(classical_s1(n, m)) for m in range(n + 1)]
-    return to_deg_falling_basis(mono, lam)[k]
+    return _deg_s1_row(n, lam)[k]
 
 
 def deg_lah(n, k, lam):

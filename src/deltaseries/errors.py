@@ -85,10 +85,6 @@ class UnknownPreset(DeltaSeriesError):
     pass
 
 
-class NoOracle(DeltaSeriesError):
-    pass
-
-
 class ZeroFirstMoment(DeltaSeriesError):
     pass
 

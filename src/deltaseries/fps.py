@@ -713,7 +713,7 @@ def power(f, alpha):
 def pow_ratio(f, r):
     """Rational power exp(r*log f); constant term must be exactly 1.  Not a
     kernel of the package: it is the independent exp-log route that checks
-    ``power`` (an oracle in ``presets``, the benchmark's Bernoulli check)."""
+    ``power`` (in the tests and the benchmark's Bernoulli check)."""
     r = Fraction(r)
     if f[0] != 1:
         raise NonUnitConstantTerm("rational power needs constant term 1")

@@ -4,13 +4,15 @@ Each preset pairs a programmatic construction of its delta series f with
 independent evaluators for the first/second-kind triangles and for the
 associated logarithm, so the core machinery can be checked against stated
 closed forms.  The registry states each preset's S2 once, as a product of
-at most two classical triangles (Stirling, Lah, degenerate Stirling,
-central factorial, a diagonal); by orthogonality S1 is the product of
-their inverses in reverse order, which ``TRIANGLES`` names.  The triangles
-come from classical recurrences and direct products, the central factorial
-ones from their Bell tables by stirling.bell_rows; the logarithms from the
-raw series primitives.  No oracle reads the triangle builders, Comtet's
-kernel (stirling._power_rows), composition or Newton inversion.
+at most two tabled triangles (Stirling, Lah, degenerate Stirling, central
+factorial, a diagonal, the probabilistic one of Adell and Lekuona); by
+orthogonality S1 is the product of their inverses in reverse order, which
+``TRIANGLES`` names, and the associated logarithm is the EGF of column 1
+of S1.  The triangles come from classical recurrences and direct
+products, the central factorial ones from their Bell tables by
+stirling.bell_rows, the probabilistic ones from Irwin-Hall moments.  No
+oracle reads the triangle builders, Comtet's kernel
+(stirling._power_rows), composition, Newton inversion or moment_delta.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import classical as cl
 from . import fps
 from . import scalar as sc
 from . import stirling as st
-from .errors import LambdaModeRequired, NoOracle, UnknownPreset, ZeroFirstMoment
+from .errors import LambdaModeRequired, UnknownPreset, ZeroFirstMoment
 
 LAMBDA_ABSENT = sc.LAMBDA_ABSENT
 LAMBDA_SYMBOLIC = sc.LAMBDA_SYMBOLIC
@@ -37,42 +39,29 @@ def _series_from_coeff_fn(order, fn):
     return fps.Series(order, [fn(n) for n in range(order + 1)])
 
 
-def _log1p(order):
-    """log(1+t) by the series logarithm, a route apart from the closed form
-    the triangle builders use."""
-    one = fps.one(order)
-    return fps.log_series(fps.add(one, fps.shift_up(one, 1)))
-
-
 def deg_log1p_of(u, lam):
-    """log_lam(1 + u(t)) for a series u with zero constant term.
-
-    With L = log(1+u), (e^{lam L} - 1)/lam is the integral of L' e^{lam L}:
-    no division by lam, so lam = 0 needs no case.  Below t^2 it is L, in L's ring.
-    """
-    L = fps.log_series(fps.add(fps.one(u.order, u.ring), u))
-    return L if u.order < 2 else fps.integrate(fps.mul(fps.derivative(L), fps.exp_series(fps.scale(L, lam))))
+    """log_lam(1 + u(t)) for a series u with zero constant term."""
+    return _deg_exp_m1(fps.log_series(fps.add(fps.one(u.order, u.ring), u)), lam)
 
 
-def deg_log1p_direct(order, lam):
-    """log_lam(1+t) from the closed product: EGF coefficient (lam-1)_{n-1}."""
-    egf = [Fraction(0)]
-    for n in range(1, order + 1):
-        egf.append(sc.simplify(cl.falling_factorial(lam - 1, n - 1)))
-    return fps.from_egf(egf)
+def _deg_exp_m1(L, lam):
+    """(e^{lam L} - 1)/lam for a series L with zero constant term, as the
+    integral of L' e^{lam L}: no division by lam, so lam = 0 needs no case.
+    Below t^2 it is L, in L's ring."""
+    return L if L.order < 2 else fps.integrate(fps.mul(fps.derivative(L), fps.exp_series(fps.scale(L, lam))))
+
+
+def _two_asinh_half(order):
+    """2 asinh(t/2) = 2 log((t + sqrt(t^2 + 4))/2) as the integral of
+    (1 + t^2/4)^(-1/2): no logarithm, no division."""
+    t = fps.t_series(order)
+    d = fps.power(fps.add(fps.one(order), fps.scale(fps.mul(t, t), Fraction(1, 4))), Fraction(-1, 2))
+    return fps.integrate(d)
 
 
 def _exp_am1(order, a):
     """e^{a t} - 1 as a series: coefficients a^n / n!."""
     return _series_from_coeff_fn(order, lambda n: Fraction(0) if n == 0 else (a ** n) * Fraction(1, math.factorial(n)))
-
-
-def _central_bell_w(order, inner=None):
-    """w = (u + sqrt(u^2 + 4)) / 2 with w(0) = 1, for u = t or a given series."""
-    u = inner if inner is not None else fps.t_series(order)
-    u2 = fps.mul(u, u)
-    s = fps.power(fps.add(fps.one(order, u.ring), fps.scale(u2, Fraction(1, 4))), Fraction(1, 2))
-    return fps.add(fps.scale(u, Fraction(1, 2)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +98,11 @@ def _build_central(order, lam):
 
 
 def _build_central_bell(order, lam):
-    return fps.scale(fps.log_series(_central_bell_w(order)), 2)
+    return _two_asinh_half(order)
 
 
 def _build_deg_central_bell(order, lam):
-    w = _central_bell_w(order)
-    w2m1 = fps.sub(fps.mul(w, w), fps.one(order))
-    return deg_log1p_of(w2m1, lam)
+    return _deg_exp_m1(_two_asinh_half(order), lam)
 
 
 def _build_lah_bell(order, lam):
@@ -130,7 +117,8 @@ def _build_deg_lah_bell(order, lam):
 
 
 def _build_bell(order, lam):
-    return _log1p(order)
+    one = fps.one(order)
+    return fps.log_series(fps.add(one, fps.shift_up(one, 1)))
 
 
 def _build_partial_deg_bell(order, lam):
@@ -158,7 +146,7 @@ def _build_probabilistic(order, lam):
 # registry
 
 class Preset:
-    """A ready-made delta series family with optional closed-form oracles."""
+    """A ready-made delta series family with its closed-form oracles."""
 
     __slots__ = ("id", "letter", "lam", "f", "expr", "formula", "classical_partner")
 
@@ -185,7 +173,7 @@ class Preset:
 
 
 # id -> (letter, degenerate?, builder, grammar expr or None, display formula, classical partner,
-#        S2 as a product of TRIANGLES, left to right; () when there is no closed form)
+#        S2 as a product of TRIANGLES, left to right)
 _REGISTRY = {
     "identity": ("b", False, _build_identity, "t", "t", None, ("s2",)),
     "deg_falling": ("c", True, _build_deg_falling, "(exp(lambda*t)-1)/lambda", "(e^(lambda*t)-1)/lambda", "identity", ("deg_s2",)),
@@ -201,7 +189,7 @@ _REGISTRY = {
     "full_deg_bell": ("m", True, _build_full_deg_bell, None, "log_lambda(1+(e^(lambda*t)-1)/lambda)", "bell", ("deg_s2", "deg_s2")),
     "mittag_leffler": ("n", False, _build_mittag_leffler, "(exp(t)-1)/(exp(t)+1)", "(e^t-1)/(e^t+1)", None, ("lah", "2^k")),
     "laguerre_m1": ("o", False, _build_laguerre_m1, "t/(t-1)", "t/(t-1)", None, ("(-1)^k lah", "s2")),
-    "probabilistic": ("a", True, _build_probabilistic, None, "inverse of log E[e_lambda^Y(t)], Y ~ U[0,1]", None, ()),
+    "probabilistic": ("a", True, _build_probabilistic, None, "inverse of log E[e_lambda^Y(t)], Y ~ U[0,1]", None, ("prob_s2",)),
 }
 
 PRESET_IDS = tuple(_REGISTRY)
@@ -241,11 +229,44 @@ def registry_json():
 # ---------------------------------------------------------------------------
 # closed-form oracles
 
+def _uniform_s2_rows(max_n, lam):
+    """S2 of the uniform preset (Adell and Lekuona): with S_j the sum of j
+    iid U[0,1], S2(n, k) = (1/k!) sum_j (-1)^(k-j) C(k, j) E[(S_j)_{n,lam}],
+    from the Irwin-Hall moments E[S_j^m] = m!/(m+j)! sum_i (-1)^i C(j, i) (j-i)^(m+j)."""
+    moments = [[Fraction(math.factorial(m) * sum((-1) ** i * math.comb(j, i) * (j - i) ** (m + j)
+                                                 for i in range(j + 1)), math.factorial(m + j))
+                for m in range(max_n + 1)] for j in range(max_n + 1)]
+    rows = []
+    for n in range(max_n + 1):
+        c = cl.deg_falling_coeffs(n, lam)
+        e = [sum((cm * mj[m] for m, cm in enumerate(c)), Fraction(0)) for mj in moments[:n + 1]]
+        rows.append([sum(((-1) ** (k - j) * math.comb(k, j) * e[j] for j in range(k + 1)), Fraction(0))
+                     * Fraction(1, math.factorial(k)) for k in range(n + 1)])
+    return rows
+
+
+def _inverse_rows(rows):
+    """The inverse of a lower triangle with a nonzero diagonal, by forward
+    substitution."""
+    inv = []
+    for n, row in enumerate(rows):
+        d = sc.scalar_inv(row[n])
+        inv.append([(int(n == k) - sum((row[l] * inv[l][k] for l in range(k, n)), Fraction(0))) * d
+                    for k in range(n + 1)])
+    return inv
+
+
 @lru_cache(maxsize=None)
-def _central_table(name, max_n, lam=None):
-    """The central factorial triangle t1, t2, t1_deg or t2_deg up to row
-    max_n: the Bell table (base^k/k! as EGFs) of its generating function."""
+def _table(name, max_n, lam=None):
+    """Rows 0..max_n of a triangle made as a whole: the central factorial
+    t1, t2, t1_deg and t2_deg as the Bell tables (base^k/k! as EGFs) of
+    their generating functions, the probabilistic prob_s2 and its inverse
+    prob_s1."""
     max_n = max(max_n, 1)
+    if name == "prob_s2":
+        return _uniform_s2_rows(max_n, lam)
+    if name == "prob_s1":
+        return _inverse_rows(_table("prob_s2", max_n, lam))
     if name == "t2":
         base = _build_central(max_n, None)
     elif name == "t1":
@@ -264,8 +285,8 @@ def _central_table(name, max_n, lam=None):
     return st.bell_rows(base, max_n)
 
 
-def _central(name, deg):
-    return lambda n, k, lam: _central_table(name, n, lam if deg else None)[n][k]
+def _tabled(name, deg):
+    return lambda n, k, lam: _table(name, n, lam if deg else None)[n][k]
 
 
 # name -> (entry(n, k, lam) for 0 <= k <= n, name of the inverse triangle)
@@ -279,12 +300,14 @@ TRIANGLES = {
     "deg_s1": (cl.deg_s1, "deg_s2"),
     "deg_lah": (cl.deg_lah, "deg_s1(-l)"),
     "deg_s1(-l)": (lambda n, k, lam: cl.deg_s1(n, k, -lam), "deg_lah"),
-    "t1": (_central("t1", False), "t2"),
-    "t2": (_central("t2", False), "t1"),
-    "t1_deg": (_central("t1_deg", True), "t2_deg"),
-    "t2_deg": (_central("t2_deg", True), "t1_deg"),
+    "t1": (_tabled("t1", False), "t2"),
+    "t2": (_tabled("t2", False), "t1"),
+    "t1_deg": (_tabled("t1_deg", True), "t2_deg"),
+    "t2_deg": (_tabled("t2_deg", True), "t1_deg"),
     "2^k": (lambda n, k, lam: Fraction(2 ** k if n == k else 0), "2^-k"),
     "2^-k": (lambda n, k, lam: Fraction(1 if n == k else 0, 2 ** k), "2^k"),
+    "prob_s2": (_tabled("prob_s2", True), "prob_s1"),
+    "prob_s1": (_tabled("prob_s1", True), "prob_s2"),
 }
 
 
@@ -304,71 +327,37 @@ def _check_lambda(pid, lam):
         raise LambdaModeRequired("oracle for %r needs lambda" % pid)
 
 
-def _oracle(pid, n, k, lam, kind):
+def _oracle(pid, n, k, lam, first):
     if pid not in _REGISTRY:
         raise UnknownPreset(pid)
     if k < 0 or k > n:
         return Fraction(0)
-    names = _REGISTRY[pid][6]
-    if not names:
-        raise NoOracle("no %s-kind closed form for preset %r" % (kind, pid))
     _check_lambda(pid, lam)
-    if kind == "first":  # S1 is the inverse of S2: the inverse factors, reversed
+    names = _REGISTRY[pid][6]
+    if first:  # S1 is the inverse of S2: the inverse factors, reversed
         names = [TRIANGLES[name][1] for name in reversed(names)]
     return triangle(names, n, k, lam)
 
 
 def oracle_s2(pid, n, k, lam=None):
-    """S2(n, k; f) of the preset: the product of its classical triangles."""
-    return _oracle(pid, n, k, lam, "second")
+    """S2(n, k; f) of the preset: the product of its tabled triangles."""
+    return _oracle(pid, n, k, lam, False)
 
 
 def oracle_s1(pid, n, k, lam=None):
     """S1(n, k; f) of the preset: the product of the inverse triangles."""
-    return _oracle(pid, n, k, lam, "first")
+    return _oracle(pid, n, k, lam, True)
 
 
 def oracle_log(pid, order, lam=None):
-    """The independent closed form of the associated logarithm."""
+    """The associated logarithm of the preset: the EGF of column 1 of its
+    S1, S1(n, 1) for 1 <= n <= order; the zero series at order 0."""
     if pid not in _REGISTRY:
         raise UnknownPreset(pid)
-    one = fps.one(order)
-    u = _log1p(order)
-    if not _REGISTRY[pid][6]:
-        raise NoOracle("no closed-form logarithm for preset %r" % pid)
     _check_lambda(pid, lam)
-    if pid == "identity":
-        return u
-    if pid == "deg_falling":
-        return deg_log1p_direct(order, lam)
-    if pid == "rising":
-        return _series_from_coeff_fn(order, lambda n: Fraction(0) if n == 0 else Fraction((-1) ** (n - 1)))
-    if pid == "deg_rising":
-        return deg_log1p_direct(order, -lam)
-    if pid == "central":
-        g = fps.add(one, fps.t_series(order))
-        return fps.sub(fps.pow_ratio(g, Fraction(1, 2)), fps.pow_ratio(g, Fraction(-1, 2)))
-    if pid == "central_bell":
-        return fps.scale(fps.log_series(_central_bell_w(order, inner=u)), 2)
-    if pid == "deg_central_bell":
-        w = _central_bell_w(order, inner=u)
-        return deg_log1p_of(fps.sub(fps.mul(w, w), one), lam)
-    if pid == "lah_bell":
-        return fps.div(u, fps.add(one, u))
-    if pid == "deg_lah_bell":
-        dl = deg_log1p_direct(order, lam)
-        return fps.div(dl, fps.add(fps.one(order, dl.ring), dl))
-    if pid == "bell":
-        return fps.log_series(fps.add(one, u))
-    if pid == "partial_deg_bell":
-        return deg_log1p_of(u, lam)
-    if pid == "full_deg_bell":
-        return deg_log1p_of(deg_log1p_direct(order, lam), lam)
-    if pid == "mittag_leffler":
-        return _series_from_coeff_fn(
-            order, lambda n: Fraction(0) if n == 0 else Fraction((-1) ** (n - 1), 2 ** n)
-        )
-    return fps.scale(fps.div(u, fps.sub(one, u)), -1)  # laguerre_m1
+    if order < 0:
+        raise ValueError("order must be at least 0")
+    return fps.from_egf([Fraction(0)] + [oracle_s1(pid, n, 1, lam) for n in range(1, order + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -656,9 +656,10 @@ def _fmt_lpoly(p):
     if p.is_zero():
         return "0"
     parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
+    for i, x in enumerate(p.xs):
+        if not x:
             continue
+        c = Fraction(x, p.den)
         if i == 0:
             parts.append(str(c))
         elif i == 1:

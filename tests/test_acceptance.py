@@ -87,8 +87,6 @@ def test_criterion_06_bernoulli_lemmas(corpus_targets):
 def test_criterion_07_preset_closed_forms():
     ok = True
     for pid in pr.PRESET_IDS:
-        if pid == "probabilistic":
-            continue
         mode = pr.LAMBDA_SYMBOLIC if pr.is_degenerate(pid) else pr.LAMBDA_ABSENT
         p = pr.make_preset(pid, 16, mode)
         s2 = st.s2_assoc(p.f, 8)

@@ -8,12 +8,12 @@ from deltaseries import fps
 from deltaseries import presets as pr
 from deltaseries import scalar as sc
 from deltaseries import stirling as st
-from deltaseries.errors import LambdaModeRequired, NoOracle, UnknownPreset, ZeroFirstMoment
+from deltaseries.errors import LambdaModeRequired, UnknownPreset, ZeroFirstMoment
 import reference as ref
 
 L = sc.LAMBDA
 ORACLE_N = 8
-DEGENERATE = [p for p in pr.PRESET_IDS if pr.is_degenerate(p) and p != "probabilistic"]
+DEGENERATE = [p for p in pr.PRESET_IDS if pr.is_degenerate(p)]
 RATIONAL_LAMBDAS = (Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2))
 
 
@@ -49,7 +49,7 @@ class TestRegistry:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("pid", [p for p in pr.PRESET_IDS if p != "probabilistic"])
+    @pytest.mark.parametrize("pid", pr.PRESET_IDS)
     def test_triangles_match_oracles(self, pid):
         p = _preset(pid)
         s2 = st.s2_assoc(p.f, ORACLE_N)
@@ -59,7 +59,7 @@ class TestOracleAgreement:
                 assert s2.entry(n, k) == p.oracle_s2(n, k), (pid, "s2", n, k)
                 assert s1.entry(n, k) == p.oracle_s1(n, k), (pid, "s1", n, k)
 
-    @pytest.mark.parametrize("pid", [p for p in pr.PRESET_IDS if p != "probabilistic"])
+    @pytest.mark.parametrize("pid", pr.PRESET_IDS)
     def test_log_matches_oracle(self, pid):
         p = _preset(pid)
         assert st.assoc_log(p.f).truncate(ORACLE_N) == p.oracle_log(p.f.order).truncate(ORACLE_N)
@@ -76,40 +76,42 @@ class TestOracleAgreement:
                 assert s1.entry(n, k) == p.oracle_s1(n, k), (pid, "s1", n, k)
         assert st.assoc_log(p.f) == p.oracle_log(ORACLE_N)
 
-    def test_probabilistic_has_no_closed_form(self):
-        with pytest.raises(NoOracle):
-            pr.oracle_s2("probabilistic", 3, 2, L)
-        with pytest.raises(NoOracle):
-            pr.oracle_log("probabilistic", 6, L)
+    def test_probabilistic_log_is_the_multinomial_sum(self):
+        # S1(n, 1) of the uniform preset by the paper's multinomial sum over A_2 numbers
+        for n in range(1, 9):
+            assert pr.oracle_s1("probabilistic", n, 1, L) == pr.uniform_s1_multinomial(n, L), n
 
     def test_refusal_order(self):
-        # UnknownPreset, then 0 off the triangle, then NoOracle, then LambdaModeRequired
+        # UnknownPreset, then 0 off the triangle, then LambdaModeRequired
         for oracle in (pr.oracle_s2, pr.oracle_s1):
             with pytest.raises(UnknownPreset):
                 oracle("nope", 2, 5)
             assert oracle("probabilistic", 2, 5) == 0 and oracle("deg_falling", 2, -1) == 0
-        for lam in (None, L):
-            with pytest.raises(NoOracle, match=r"^no second-kind closed form for preset 'probabilistic'$"):
-                pr.oracle_s2("probabilistic", 3, 2, lam)
-            with pytest.raises(NoOracle, match=r"^no first-kind closed form for preset 'probabilistic'$"):
-                pr.oracle_s1("probabilistic", 3, 2, lam)
-            with pytest.raises(NoOracle, match=r"^no closed-form logarithm for preset 'probabilistic'$"):
-                pr.oracle_log("probabilistic", 6, lam)
+        with pytest.raises(UnknownPreset):
+            pr.oracle_log("nope", -1)
         for pid in DEGENERATE:
             for call in (lambda: pr.oracle_s2(pid, 3, 2), lambda: pr.oracle_s1(pid, 3, 2),
-                         lambda: pr.oracle_log(pid, 6)):
+                         lambda: pr.oracle_log(pid, 6), lambda: pr.oracle_log(pid, -1)):
                 with pytest.raises(LambdaModeRequired, match=r"^oracle for '%s' needs lambda$" % pid):
                     call()
+
+    @pytest.mark.parametrize("pid", pr.PRESET_IDS)
+    def test_log_at_orders_below_one(self, pid):
+        # one rule for every preset: the zero series at order 0, a ValueError below
+        lam = L if pr.is_degenerate(pid) else None
+        zero = pr.oracle_log(pid, 0, lam)
+        assert zero == fps.Series(0, [0]) and zero.ring == sc.RING_Q
+        with pytest.raises(ValueError, match=r"^order must be at least 0$"):
+            pr.oracle_log(pid, -1, lam)
 
     def test_oracles_read_no_builder(self, monkeypatch):
         # the oracles check these kernels, so they may not run on them
         lams = (L, Fraction(-1, 2))
-        closed = [p for p in pr.PRESET_IDS if p != "probabilistic"]
 
         def values():
-            pr._central_table.cache_clear()
+            pr._table.cache_clear()
             out = []
-            for pid in closed:
+            for pid in pr.PRESET_IDS:
                 for lam in lams:
                     out.append(pr.oracle_log(pid, ORACLE_N, lam))
                     out += [oracle(pid, n, k, lam) for oracle in (pr.oracle_s2, pr.oracle_s1)
@@ -121,7 +123,8 @@ class TestOracleAgreement:
         def refuse(*args):
             raise AssertionError("an oracle read a kernel it checks")
         for mod, name in ((st, "s2_assoc"), (st, "s1_assoc"), (st, "compositional_inverse"), (st, "assoc_log"),
-                          (st, "_power_rows"), (fps, "compose"), (fps, "invert_newton")):
+                          (st, "_power_rows"), (fps, "compose"), (fps, "invert_newton"), (pr, "moment_delta"),
+                          (fps, "pow_ratio"), (fps, "div")):
             monkeypatch.setattr(mod, name, refuse)
         assert values() == want
 
@@ -139,7 +142,7 @@ class TestTriangles:
     def test_registry_names_only_tabled_triangles(self):
         names = {name for pid in pr.PRESET_IDS for name in pr._REGISTRY[pid][6]}
         assert names <= set(pr.TRIANGLES)
-        assert [pid for pid in pr.PRESET_IDS if not pr._REGISTRY[pid][6]] == ["probabilistic"]
+        assert all(pr._REGISTRY[pid][6] for pid in pr.PRESET_IDS)
 
     @pytest.mark.parametrize("name", list(pr.TRIANGLES))
     def test_each_times_its_inverse_is_the_identity(self, name):
@@ -154,7 +157,9 @@ class TestTriangles:
 class TestDegLog1p:
     """deg_log1p_of, (e^{lam L} - 1)/lam as the integral of L' e^{lam L},
     against the power sum of tests/reference.py: the coefficients and the
-    ring label at every order, for the three inner series the presets use."""
+    ring label at every order, for the inner series t and (e^{lam t} - 1)/lam
+    the presets use and for w^2 - 1, whose logarithm 2 asinh(t/2) the
+    deg_central_bell builder takes from its derivative instead."""
 
     @pytest.mark.parametrize("lam", [L, Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(2)], ids=str)
     @pytest.mark.parametrize("inner", ["t", "deg_falling", "w2m1"])
@@ -164,11 +169,16 @@ class TestDegLog1p:
                 u = fps.t_series(n)
             elif inner == "deg_falling":  # (e^{lam t} - 1)/lam
                 u = pr.make_preset("deg_falling", n, lam).f.series
-            else:  # w^2 - 1 of deg_central_bell
-                w = pr._central_bell_w(n)
+            else:  # w^2 - 1 for w = (t + sqrt(t^2 + 4))/2
+                t = fps.t_series(n)
+                root = fps.power(fps.add(fps.one(n), fps.scale(fps.mul(t, t), Fraction(1, 4))), Fraction(1, 2))
+                w = fps.add(fps.scale(t, Fraction(1, 2)), root)
                 u = fps.sub(fps.mul(w, w), fps.one(n))
             got, want = pr.deg_log1p_of(u, lam), ref.deg_log1p_of(u, lam)
             assert got == want and got.ring == want.ring, (n, got.ring, want.ring)
+            if inner == "w2m1":
+                got = pr._build_deg_central_bell(n, lam)
+                assert got == want and got.ring == want.ring, (n, got.ring, want.ring)
 
     def test_degenerate_oracles_read_no_compose(self, monkeypatch):
         # assoc_log, which these logarithms check, is a composition

@@ -206,10 +206,23 @@ class TestText:
             (lp(1, -1), "1 - 1*l"),
             (lp(0, 0, Fraction(5, 2)), "5/2*l^2"),
             (lp(1, -3, 2), "1 - 3*l + 2*l^2"),
+            (lp(Fraction(-1, 6), 0, 0, Fraction(3, 4), 0, -2), "-1/6 + 3/4*l^3 - 2*l^5"),
+            (lp(0, Fraction(-1, 2), 0, 0, Fraction(1, 3)), "-1/2*l + 1/3*l^4"),
+            (sc.LRat(lp(0, -1, 0, 2), lp(3, 0, 0, -1)), "(1*l - 2*l^3)/(-3 + 1*l^3)"),
         ],
     )
     def test_format_examples(self, value, text):
         assert sc.format_scalar(value) == text
+
+    @given(hst.lists(hst.sampled_from([Fraction(0), Fraction(0), Fraction(-7, 3), Fraction(5, 4), Fraction(-1)]),
+                     min_size=2, max_size=7).map(sc.LPoly))
+    @settings(max_examples=60, deadline=None)
+    def test_format_from_ints_matches_the_coefficients(self, p):
+        # the text read from the Fraction coefficients, zeros skipped
+        terms = [str(c) if i == 0 else "%s*l" % c if i == 1 else "%s*l^%d" % (c, i)
+                 for i, c in enumerate(p.coeffs) if c]
+        want = " + ".join(terms).replace("+ -", "- ") or "0"
+        assert sc.format_scalar(p) == want
 
     def test_lrat_format(self):
         r = sc.LRat(lp(1), L)

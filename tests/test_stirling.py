@@ -197,7 +197,7 @@ class TestBellRows:
                         pr.triangle(("t2_deg",), n, k, Fraction(1, 3))) for n in range(7) for k in range(n + 1)]
             return rows, bells, central
 
-        pr._central_table.cache_clear()
+        pr._table.cache_clear()
         want = calls()
 
         def refuse(*args):
@@ -205,7 +205,7 @@ class TestBellRows:
 
         for name in ("_power_rows", "_bell_columns", "_convolve"):
             monkeypatch.setattr(st, name, refuse)
-        pr._central_table.cache_clear()
+        pr._table.cache_clear()
         assert calls() == want
 
 
