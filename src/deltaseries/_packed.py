@@ -105,7 +105,10 @@ def pmul(a, b):
     packed; the product comes out as from unpack, up to its last nonzero
     coefficient, and [] when it is zero."""
     if len(b) == 1:
-        return [x * b[0] for x in a]
+        a = [x * b[0] for x in a]
+        while a and not a[-1]:
+            a.pop()
+        return a
     if b and not b[0] and not any(b[1:-1]):
         a = [x * b[-1] for x in a]
         while a and not a[-1]:

@@ -285,8 +285,18 @@ def _table(name, max_n, lam=None):
     return st.bell_rows(base, max_n)
 
 
+def _table_size(n):
+    """The least of 1, 2, ..., 8, 10, 12, 14, 16, 20, 24, ... (four steps a
+    doubling) at or above n."""
+    step = 1 << max((n - 1).bit_length() - 3, 0)
+    return max(-(-n // step) * step, 1)
+
+
 def _tabled(name, deg):
-    return lambda n, k, lam: _table(name, n, lam if deg else None)[n][k]
+    # rows are prefixes, so a column of n rows reads O(log n) tables of at
+    # most 5n/4 rows; a table costs more than the cube of its size, so the
+    # next power of two could cost ten times the table to n
+    return lambda n, k, lam: _table(name, _table_size(n), lam if deg else None)[n][k]
 
 
 # name -> (entry(n, k, lam) for 0 <= k <= n, name of the inverse triangle)

@@ -197,14 +197,21 @@ class BernoulliFamily:
         raise AttributeError("BernoulliFamily is immutable")
 
 
+@lru_cache(maxsize=8)
+def _bernoulli_base(g, max_n):
+    """w = (e^{g(t)} - 1)/t to order max_n, the base every order alpha of
+    bernoulli_assoc(g, alpha, max_n) raises to -alpha."""
+    gs = g.series.truncate(max_n + 1)
+    return fps.shift_down(fps.sub(fps.exp_series(gs), fps.one(max_n + 1, gs.ring)), 1)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_assoc(g, alpha, max_n, with_x=False):
     """Numbers n! [t^n] (t/(e^{g(t)}-1))^alpha, optionally with e^{x g(t)}."""
     alpha = Fraction(alpha)
     if g.order < max_n + 1:
         raise InsufficientOrder("base order %d < max_n+1 = %d" % (g.order, max_n + 1))
-    gs = g.series.truncate(max_n + 1)
-    w = fps.shift_down(fps.sub(fps.exp_series(gs), fps.one(max_n + 1, gs.ring)), 1)
+    w = _bernoulli_base(g, max_n)
     if alpha.denominator > 1 and w[0] != 1:
         raise NonUnitBaseForRationalPower(
             "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
@@ -213,7 +220,8 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
     values = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
     xpolys = None
     if with_x:
-        xpolys = [XPoly(row, BASIS_MONOMIAL) for row in _power_rows(base.truncate(max_n), gs.truncate(max_n), max_n)]
+        gs = g.series.truncate(max_n)
+        xpolys = [XPoly(row, BASIS_MONOMIAL) for row in _power_rows(base.truncate(max_n), gs, max_n)]
     return BernoulliFamily(g, alpha, values, xpolys)
 
 
@@ -284,88 +292,127 @@ def lemma_bell_moments(ps, max_n):
     return bell_rows(fps.from_egf([0] + [ps[m] * Fraction(1, m) for m in range(2, max_n + 2)]), max_n)
 
 
-def lemma_bell_moments_sum(f, n, k, s2):
-    """Right side of the Bell-moment lemma, from f's triangle s2 (rows to n + k)."""
-    p1 = sc.scalar_inv(f[1])
-    acc = Fraction(0)
-    ratio = Fraction(math.factorial(n), math.factorial(n + k))
-    for j in range(k + 1):
-        c = cl.comb0(n + k, k - j)
-        if c == 0:
-            continue
-        acc = acc + (c * ratio) * sc.scalar_pow(-p1, k - j) * s2.entry(n + j, j)
-    return acc
+# Each formula route below makes its whole table in one call: it regroups
+# its own sums and hoists its own products, but reads no kernel and no other
+# route's table.  A short s2 raises InsufficientOrder from Triangle.entry.
 
 
-def bernoulli_via_lemma24(ps, bell, alpha, n):
-    """Order-alpha Bernoulli number from the Bell-moment expansion, from the
-    moments ps of f and their rows bell = lemma_bell_moments(ps, m), m >= n."""
+def _powers(c, m):
+    """[c^0, c^1, ..., c^m], one product each."""
+    out = [Fraction(1)]
+    for _ in range(m):
+        out.append(out[-1] * c)
+    return out
+
+
+def _scaled_diagonals(s2, c, max_m, max_j):
+    """rows[m][j] = c^j S2(m + j, j) for m <= max_m and j <= min(m, max_j)."""
+    pw = _powers(c, min(max_m, max_j))
+    return [[pw[j] * s2.entry(m + j, j) for j in range(min(m, max_j) + 1)] for m in range(max_m + 1)]
+
+
+def lemma_bell_moments_sums(f, max_n, s2):
+    """Right side of the Bell-moment lemma to max_n, rows[n][k] =
+    n!/(n+k)! sum_{j<=k} C(n+k, k-j) (-p1)^(k-j) S2(n+j, j), p1 = 1/f1, from
+    f's triangle s2 (rows to 2 max_n), with (-p1)^(k-j) = (-p1)^k (-f1)^j."""
+    lead = _powers(-sc.scalar_inv(f[1]), max_n)
+    g = _scaled_diagonals(s2, -f[1], max_n, max_n)
+    rows = []
+    for n in range(max_n + 1):
+        row = []
+        for k in range(n + 1):
+            acc = sum((math.comb(n + k, k - j) * g[n][j] for j in range(k + 1)), Fraction(0))
+            row.append(Fraction(math.factorial(n), math.factorial(n + k)) * lead[k] * acc)
+        rows.append(row)
+    return rows
+
+
+def bernoulli_table_via_lemma24(ps, bell, alphas, max_n):
+    """Order-alpha Bernoulli numbers to max_n, a list for each of alphas, by
+    B_n = p1^(-alpha) sum_{k<=n} (-alpha)_k p1^(-k) bell[n][k] from the
+    moments ps of f and bell = lemma_bell_moments(ps, m), m >= max_n; the
+    alpha-free p1^(-k) bell[n][k] is taken once."""
     p1 = ps[1]
-    acc = Fraction(0)
-    for k in range(n + 1):
-        fk = cl.falling_factorial(-alpha, k)
-        if fk == 0:
-            continue
-        acc = acc + fk * scalar_rat_pow(p1, -alpha - k) * bell[n][k]
-    return acc
+    alphas = [Fraction(a) for a in alphas]
+    leads = [scalar_rat_pow(p1, -a) for a in alphas]
+    inv = _powers(sc.scalar_inv(p1), max_n)
+    terms = [[inv[k] * bell[n][k] for k in range(n + 1)] for n in range(max_n + 1)]
+    out = []
+    for a, lead in zip(alphas, leads):
+        ff = [Fraction(1)]  # (-alpha)_k
+        for k in range(max_n):
+            ff.append(ff[-1] * (-a - k))
+        out.append([lead * sum((ff[k] * t for k, t in enumerate(row) if ff[k]), Fraction(0)) for row in terms])
+    return out
 
 
-def bernoulli_via_s2(f, alpha, n, s2):
-    """Order-alpha Bernoulli number from the double sum over s2 (rows to 2n)."""
-    alpha = Fraction(alpha)
+def bernoulli_table_via_s2(f, alphas, max_n, s2):
+    """Order-alpha Bernoulli numbers to max_n, a list for each of alphas, by
+    the double sum over f's triangle s2 (rows to 2 max_n)
+    B_n = sum_{k<=n} C(alpha+k-1, k) sum_{j<=k} (-1)^j C(k, j) f1^(alpha+j) S2(n+j, j) / C(n+j, j),
+    regrouped as f1^alpha sum_{j<=n} c(n, j) (-1)^j f1^j S2(n+j, j) / C(n+j, j)
+    with the prefix sums c(n, j) = sum_{k=j}^{n} C(alpha+k-1, k) C(k, j) and
+    the alpha-free products taken once.  At an integer alpha <= 0, c(n, j)
+    vanishes for j > -alpha, and those entries of s2 are not read."""
     p1 = sc.scalar_inv(f[1])
-    pows = [scalar_rat_pow(p1, -alpha - j) for j in range(n + 1)]  # f1^(alpha + j), j alone
-    acc = Fraction(0)
-    for k in range(n + 1):
-        bk = cl.binom_general(alpha + k - 1, k)
-        if not bk:
-            continue
-        for j in range(k + 1):
-            c = cl.comb0(k, j)
-            if c == 0:
-                continue
-            coef = bk * Fraction(c * (-1) ** j, cl.comb0(n + j, j))
-            acc = acc + coef * pows[j] * s2.entry(n + j, j)
-    return acc
+    alphas = [Fraction(a) for a in alphas]
+    leads = [scalar_rat_pow(p1, -a) for a in alphas]
+    last_j = max((int(-a) if a.denominator == 1 and a <= 0 else max_n for a in alphas), default=0)
+    g = [[Fraction((-1) ** j, math.comb(n + j, j)) * x for j, x in enumerate(row)]
+         for n, row in enumerate(_scaled_diagonals(s2, f[1], max_n, last_j))]
+    out = []
+    for a, lead in zip(alphas, leads):
+        b, c, vals = Fraction(1), [], []  # b = C(alpha+n-1, n), c[j] = c(n, j)
+        for n in range(max_n + 1):
+            if n:
+                b = b * (a + n - 1) / n
+            c.append(Fraction(0))
+            if b:
+                for j in range(n + 1):
+                    c[j] += b * math.comb(n, j)
+            vals.append(lead * sum((c[j] * x for j, x in enumerate(g[n]) if c[j]), Fraction(0)))
+        out.append(vals)
+    return out
 
 
-def bernoulli_via_s2_alpha1(f, n, s2):
-    """Order-1 Bernoulli number from the single-sum corollary over s2 (rows to 2n)."""
-    p1 = sc.scalar_inv(f[1])
-    acc = Fraction(0)
-    for j in range(n + 1):
-        coef = Fraction(cl.comb0(n + 1, j + 1) * (-1) ** j, cl.comb0(n + j, j))
-        acc = acc + coef * sc.scalar_pow(p1, -1 - j) * s2.entry(n + j, j)
-    return acc
+def bernoulli_table_via_s2_alpha1(f, max_n, s2):
+    """Order-1 Bernoulli numbers to max_n by the single-sum corollary over
+    f's triangle s2 (rows to 2 max_n),
+    B_n = f1 sum_{j<=n} (-1)^j C(n+1, j+1) / C(n+j, j) f1^j S2(n+j, j)."""
+    f1 = f[1]
+    g = _scaled_diagonals(s2, f1, max_n, max_n)
+    return [f1 * sum((Fraction((-1) ** j * math.comb(n + 1, j + 1), math.comb(n + j, j)) * g[n][j]
+                      for j in range(n + 1)), Fraction(0)) for n in range(max_n + 1)]
 
 
-def schloemilch_s1(f, n, k, s2):
-    """First-kind entry by the Schloemilch-type sum over s2 (rows to 2(n - k))."""
-    if k < 0 or k > n:
-        return Fraction(0)
-    p1 = sc.scalar_inv(f[1])
-    acc = Fraction(0)
-    for j in range(n - k + 1):
-        c = cl.comb0(n + j - 1, n + j - k) * cl.comb0(2 * n - k, n - k - j)
-        if c == 0:
-            continue
-        acc = acc + Fraction(c * (-1) ** j) * sc.scalar_pow(p1, -(n + j)) * s2.entry(n - k + j, j)
-    return acc
+def schloemilch_table(f, max_n, s2):
+    """The first-kind triangle to max_n, rows[n][k], by the Schloemilch-type
+    sum over f's triangle s2 (rows to 2 max_n - 2), S1(n, k) =
+    f1^n sum_{j<=n-k} (-1)^j C(n+j-1, n+j-k) C(2n-k, n-k-j) f1^j S2(n-k+j, j);
+    column 0 is 0 below row 0, where C(n+j-1, n+j) vanishes."""
+    f1 = f[1]
+    lead = _powers(f1, max_n)
+    g = _scaled_diagonals(s2, f1, max(max_n - 1, 0), max_n)
+    rows = []
+    for n in range(max_n + 1):
+        row = [Fraction(0)] * (n + 1)
+        for k in range(1 if n else 0, n + 1):
+            m = n - k
+            row[k] = lead[n] * sum(((-1) ** j * cl.comb0(n + j - 1, m + j) * math.comb(2 * n - k, m - j) * g[m][j]
+                                    for j in range(m + 1)), Fraction(0))
+        rows.append(row)
+    return rows
 
 
 def assoc_log_expansion(f, max_n, s2):
-    """The associated logarithm rebuilt from s2 alone (rows to 2 max_n - 2)."""
-    p1 = sc.scalar_inv(f[1])
-    egf = [Fraction(0)]
-    for n in range(1, max_n + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            c = cl.comb0(2 * n - 1, n - 1 - j)
-            if c == 0:
-                continue
-            acc = acc + Fraction(c * (-1) ** j) * sc.scalar_pow(p1, -(n + j)) * s2.entry(n - 1 + j, j)
-        egf.append(acc)
-    return fps.from_egf(egf)
+    """The associated logarithm rebuilt from s2 alone (rows to 2 max_n - 2),
+    n! [t^n] = f1^n sum_{j<n} (-1)^j C(2n-1, n-1-j) f1^j S2(n-1+j, j)."""
+    f1 = f[1]
+    lead = _powers(f1, max_n)
+    g = _scaled_diagonals(s2, f1, max_n - 1, max_n)
+    return fps.from_egf([Fraction(0)] + [
+        lead[n] * sum(((-1) ** j * math.comb(2 * n - 1, n - 1 - j) * g[n - 1][j] for j in range(n)), Fraction(0))
+        for n in range(1, max_n + 1)])
 
 
 # ---------------------------------------------------------------------------

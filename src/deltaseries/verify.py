@@ -43,16 +43,19 @@ def _fail(where, lhs, rhs):
 
 def suite_orthogonality(f, label, max_n):
     rep = st.orthogonality_check(f, max_n)
-    return SuiteReport("orthogonality", label, rep.ok, rep.failures)
+    failures = [_fail("%s (n=%d)" % (rel, n) if l is None else "%s (n=%d,l=%d)" % (rel, n, l), got, want)
+                for rel, n, l, got, want in rep.failures]
+    return SuiteReport("orthogonality", label, rep.ok, failures)
 
 
 def suite_schloemilch(f, label, max_n):
     s2 = st.s2_assoc(f, 2 * max_n)
     s1 = st.s1_assoc(f, max_n)
+    sch = st.schloemilch_table(f, max_n, s2)
     failures = []
     for n in range(max_n + 1):
         for k in range(n + 1):
-            lhs = st.schloemilch_s1(f, n, k, s2)
+            lhs = sch[n][k]
             rhs = s1.entry(n, k)
             if lhs != rhs:
                 failures.append(_fail("(n=%d,k=%d)" % (n, k), lhs, rhs))
@@ -66,13 +69,14 @@ def suite_theorem22(f, label, max_n):
     s1 = st.s1_assoc(f, max_n)
     s2 = st.s2_assoc(f, 2 * max_n)
     bell = st.bell_rows(fps.from_egf([0] + [s1.entry(m, 1) for m in range(1, max_n + 1)]), max_n)
+    sch = st.schloemilch_table(f, max_n, s2)
     failures = []
     for n in range(max_n + 1):
         for k in range(n + 1):
             direct = s1.entry(n, k)
             via_b = st.s1_via_bernoulli(f, n, k)
             via_bell = bell[n][k]
-            via_sch = st.schloemilch_s1(f, n, k, s2)
+            via_sch = sch[n][k]
             for name, other in (("bernoulli", via_b), ("bell", via_bell), ("schloemilch", via_sch)):
                 if other != direct:
                     failures.append(_fail("(n=%d,k=%d) %s" % (n, k, name), other, direct))
@@ -86,26 +90,24 @@ def suite_lemmas(f, label, max_n):
     s2 = st.s2_assoc(f, 2 * max_n)
     ps = st.moment_sequence(f, max_n + 1)  # every moment both lemma routes read
     bell = st.lemma_bell_moments(ps, max_n)
+    sums = st.lemma_bell_moments_sums(f, max_n, s2)
     for n in range(max_n + 1):
         for k in range(n + 1):
-            lhs = bell[n][k]
-            rhs = st.lemma_bell_moments_sum(f, n, k, s2)
-            if lhs != rhs:
-                failures.append(_fail("bell-moments (n=%d,k=%d)" % (n, k), lhs, rhs))
+            if bell[n][k] != sums[n][k]:
+                failures.append(_fail("bell-moments (n=%d,k=%d)" % (n, k), bell[n][k], sums[n][k]))
     fb = st.compositional_inverse(f)
-    for alpha in _LEMMA_ALPHAS:
+    via24 = st.bernoulli_table_via_lemma24(ps, bell, _LEMMA_ALPHAS, max_n)
+    via_s2 = st.bernoulli_table_via_s2(f, _LEMMA_ALPHAS, max_n, s2)
+    via_c = st.bernoulli_table_via_s2_alpha1(f, max_n, s2)
+    for i, alpha in enumerate(_LEMMA_ALPHAS):
         fam = st.bernoulli_assoc(fb, Fraction(alpha), max_n)
         for n in range(max_n + 1):
             direct = fam.values[n]
-            via24 = st.bernoulli_via_lemma24(ps, bell, Fraction(alpha), n)
-            via_s2 = st.bernoulli_via_s2(f, Fraction(alpha), n, s2)
-            for name, other in (("lemma", via24), ("double-sum", via_s2)):
+            for name, other in (("lemma", via24[i][n]), ("double-sum", via_s2[i][n])):
                 if other != direct:
                     failures.append(_fail("alpha=%d n=%d %s" % (alpha, n, name), other, direct))
-            if alpha == 1:
-                via_c = st.bernoulli_via_s2_alpha1(f, n, s2)
-                if via_c != direct:
-                    failures.append(_fail("alpha=1 n=%d corollary" % n, via_c, direct))
+            if alpha == 1 and via_c[n] != direct:
+                failures.append(_fail("alpha=1 n=%d corollary" % n, via_c[n], direct))
     return SuiteReport("lemmas", label, not failures, failures)
 
 

@@ -9,16 +9,19 @@ not fps.mul, fps.div, fps.add, fps.exp_series, fps.log_series, fps.compose,
 fps.invert_newton, fps.power or stirling._power_rows.  The two routes that
 fps.power replaced, repeated squaring and exp(r log f), are kept here as
 its oracles, and the power sum that presets.deg_log1p_of replaced as
-that one's.  Only the Series constructor,
-its coeffs, truncate and pad are shared; nothing here reads the int view a
-Series may keep.
+that one's, and the per-cell formulas of the stirling theorem routes, one
+sum a cell, as the oracles of their whole-table forms.  Only the Series
+constructor, its coeffs, truncate and pad are shared; nothing here reads
+the int view a Series may keep.
 """
 
 import math
 from fractions import Fraction
 
+from deltaseries import classical as cl
 from deltaseries import fps
 from deltaseries import scalar as sc
+from deltaseries.errors import NonRepresentablePower
 
 _ZERO = Fraction(0)
 
@@ -163,3 +166,101 @@ def pow_ratio(f, r):
     """f^r = exp(r log f) for a rational r; f[0] must be 1."""
     lg = log_series(f)
     return exp_series(fps.Series(f.order, [c * r for c in lg.coeffs], lg.ring))
+
+
+# ---------------------------------------------------------------------------
+# the stirling theorem routes, one cell a call
+
+
+def scalar_rat_pow(s, e):
+    """s**e for rational e; only integer e or base 1 are representable."""
+    e = Fraction(e)
+    if e.denominator == 1:
+        return sc.scalar_pow(s, int(e))
+    if s == 1:
+        return Fraction(1)
+    raise NonRepresentablePower("cannot raise %s to power %s exactly" % (sc.format_scalar(s), e))
+
+
+def lemma_bell_moments_sum(f, n, k, s2):
+    """Right side of the Bell-moment lemma, from f's triangle s2 (rows to n + k)."""
+    p1 = sc.scalar_inv(f[1])
+    acc = Fraction(0)
+    ratio = Fraction(math.factorial(n), math.factorial(n + k))
+    for j in range(k + 1):
+        c = cl.comb0(n + k, k - j)
+        if c == 0:
+            continue
+        acc = acc + (c * ratio) * sc.scalar_pow(-p1, k - j) * s2.entry(n + j, j)
+    return acc
+
+
+def bernoulli_via_lemma24(ps, bell, alpha, n):
+    """Order-alpha Bernoulli number from the Bell-moment expansion, from the
+    moments ps of f and their rows bell = lemma_bell_moments(ps, m), m >= n."""
+    p1 = ps[1]
+    acc = Fraction(0)
+    for k in range(n + 1):
+        fk = cl.falling_factorial(-alpha, k)
+        if fk == 0:
+            continue
+        acc = acc + fk * scalar_rat_pow(p1, -alpha - k) * bell[n][k]
+    return acc
+
+
+def bernoulli_via_s2(f, alpha, n, s2):
+    """Order-alpha Bernoulli number from the double sum over s2 (rows to 2n)."""
+    alpha = Fraction(alpha)
+    p1 = sc.scalar_inv(f[1])
+    pows = [scalar_rat_pow(p1, -alpha - j) for j in range(n + 1)]  # f1^(alpha + j), j alone
+    acc = Fraction(0)
+    for k in range(n + 1):
+        bk = cl.binom_general(alpha + k - 1, k)
+        if not bk:
+            continue
+        for j in range(k + 1):
+            c = cl.comb0(k, j)
+            if c == 0:
+                continue
+            coef = bk * Fraction(c * (-1) ** j, cl.comb0(n + j, j))
+            acc = acc + coef * pows[j] * s2.entry(n + j, j)
+    return acc
+
+
+def bernoulli_via_s2_alpha1(f, n, s2):
+    """Order-1 Bernoulli number from the single-sum corollary over s2 (rows to 2n)."""
+    p1 = sc.scalar_inv(f[1])
+    acc = Fraction(0)
+    for j in range(n + 1):
+        coef = Fraction(cl.comb0(n + 1, j + 1) * (-1) ** j, cl.comb0(n + j, j))
+        acc = acc + coef * sc.scalar_pow(p1, -1 - j) * s2.entry(n + j, j)
+    return acc
+
+
+def schloemilch_s1(f, n, k, s2):
+    """First-kind entry by the Schloemilch-type sum over s2 (rows to 2(n - k))."""
+    if k < 0 or k > n:
+        return Fraction(0)
+    p1 = sc.scalar_inv(f[1])
+    acc = Fraction(0)
+    for j in range(n - k + 1):
+        c = cl.comb0(n + j - 1, n + j - k) * cl.comb0(2 * n - k, n - k - j)
+        if c == 0:
+            continue
+        acc = acc + Fraction(c * (-1) ** j) * sc.scalar_pow(p1, -(n + j)) * s2.entry(n - k + j, j)
+    return acc
+
+
+def assoc_log_expansion(f, max_n, s2):
+    """The associated logarithm rebuilt from s2 alone (rows to 2 max_n - 2)."""
+    p1 = sc.scalar_inv(f[1])
+    egf = [Fraction(0)]
+    for n in range(1, max_n + 1):
+        acc = Fraction(0)
+        for j in range(n):
+            c = cl.comb0(2 * n - 1, n - 1 - j)
+            if c == 0:
+                continue
+            acc = acc + Fraction(c * (-1) ** j) * sc.scalar_pow(p1, -(n + j)) * s2.entry(n - 1 + j, j)
+        egf.append(acc)
+    return fps.Series(max_n, [c * Fraction(1, math.factorial(n)) for n, c in enumerate(egf)])

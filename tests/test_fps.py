@@ -1187,6 +1187,16 @@ class TestViews:
             for s in (x, g):
                 assert_view(s)
 
+    def test_quotient_that_cancels_to_constants_keeps_an_int_view(self):
+        # a / a over Q(l): every recurrence output cancels to a constant, so the
+        # zero polynomials are trimmed and the view is one of ints
+        q = L * L + L + Fraction(1, 4)
+        a = fps.Series(4, [Fraction(1, 2), 0, 0, Fraction(70, 73) / q, 4 / q])
+        quotient = fps.div(a, a)
+        assert quotient._view[2] == 0
+        assert_view(quotient)
+        assert quotient == fps.one(4)
+
     @given(qlrat_operands(2, max_order=4, constant=nonzero_constant), hst.sampled_from([1 + 2 * L, L**2 - L]))
     @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     def test_qlrat_kernels_keep_reduced_views(self, pair, f1):

@@ -154,6 +154,32 @@ class TestTriangles:
                     assert pr.triangle((name, inverse), n, k, lam) == (1 if n == k else 0), (lam, n, k)
 
 
+class TestTabledRows:
+    """A tabled triangle is read from tables to powers of two; their rows are
+    the rows of the table built to that row alone."""
+
+    @pytest.mark.parametrize("name,lams", [("t1", (None,)), ("t2", (None,))] + [
+        (name, (L, Fraction(-1, 2))) for name in ("t1_deg", "t2_deg", "prob_s2", "prob_s1")])
+    def test_rows_are_prefixes(self, name, lams):
+        for lam in lams:
+            big = pr._table(name, 16, lam)
+            for n in range(1, 17):
+                assert big[:n + 1] == pr._table(name, n, lam), (lam, n)
+
+    def test_table_sizes(self):
+        sizes = [pr._table_size(n) for n in range(41)]
+        assert sorted(set(sizes)) == [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40]
+        assert all(n <= size <= max(5 * n / 4, 1) for n, size in enumerate(sizes))
+
+    def test_one_column_builds_few_tables(self):
+        pr._table.cache_clear()
+        log = pr.oracle_log("probabilistic", 20, L)
+        # prob_s1 and the prob_s2 it inverts, each to 1, ..., 8, 10, 12, 14, 16 and 20
+        assert pr._table.cache_info().currsize <= 26
+        pr._table.cache_clear()
+        assert log.truncate(12) == fps.from_egf([0] + [pr._table("prob_s1", n, L)[n][1] for n in range(1, 13)])
+
+
 class TestDegLog1p:
     """deg_log1p_of, (e^{lam L} - 1)/lam as the integral of L' e^{lam L},
     against the power sum of tests/reference.py: the coefficients and the

@@ -141,9 +141,10 @@ class TestOps:
         assert pk.pmul([], [0, 1]) == [] and pk.pmul([0, 1], []) == []
         assert not any(pk.pmul([0, 0], [3, 1]))
 
-    @given(hst.lists(hst.integers(-99, 99), max_size=5), hst.integers(-99, 99), hst.integers(1, 40))
+    @given(hst.lists(hst.integers(-99, 99), max_size=5), hst.integers(-99, 99), hst.integers(0, 40))
     def test_pmul_by_a_monomial_is_the_packed_product(self, a, c, m):
-        # b = c l^m is a shift and a scale, read off as unpack reads the packed product
+        # b = c l^m, a constant at m = 0, is a shift and a scale, read off as
+        # unpack reads the packed product: trailing zeros of a are trimmed
         b = [0] * m + [c]
         B = pk.width(pk.bits(a, 0) + pk.bits(b, 0), len(b))
         assert pk.pmul(a, b) == pk.unpack(pk.pack(a, B) * pk.pack(b, B), B)

@@ -397,23 +397,26 @@ class TestRingKeys:
         assert build(f_ql).ring == sc.RING_QL
 
 
+ALPHAS = (-2, -1, 1, 2, 3)
+
+
 class TestTheoremPaths:
     def test_short_triangle_is_an_error(self):
         # t + t^2: each S2 formula reads rows past max_n = 4 of this triangle
         f = delta(0, 1, 1, 0, 0, 0, 0, 0, 0)
         short = st.s2_assoc(f, 4)
         calls = [
-            lambda s2: st.schloemilch_s1(f, 4, 1, s2),
-            lambda s2: st.bernoulli_via_s2(f, 2, 4, s2),
-            lambda s2: st.bernoulli_via_s2_alpha1(f, 4, s2),
-            lambda s2: st.lemma_bell_moments_sum(f, 4, 2, s2),
+            lambda s2: st.schloemilch_table(f, 4, s2),
+            lambda s2: st.bernoulli_table_via_s2(f, [2], 4, s2),
+            lambda s2: st.bernoulli_table_via_s2_alpha1(f, 4, s2),
+            lambda s2: st.lemma_bell_moments_sums(f, 4, s2),
             lambda s2: st.assoc_log_expansion(f, 4, s2),
         ]
         for call in calls:
             with pytest.raises(InsufficientOrder):
                 call(short)
             call(st.s2_assoc(f, 8))
-        assert st.schloemilch_s1(f, 4, 1, st.s2_assoc(f, 8)) == st.s1_assoc(f, 4).entry(4, 1) == 16
+        assert st.schloemilch_table(f, 4, st.s2_assoc(f, 8))[4][1] == st.s1_assoc(f, 4).entry(4, 1) == 16
 
     def test_s1_via_bernoulli(self):
         f = f_identity()
@@ -425,22 +428,22 @@ class TestTheoremPaths:
     def test_schloemilch(self):
         f = delta(*([0, 1, 1] + [0] * 14))
         s1 = st.s1_assoc(f, 7)
-        s2 = st.s2_assoc(f, 14)
+        table = st.schloemilch_table(f, 7, st.s2_assoc(f, 14))
         for n in range(8):
             for k in range(n + 1):
-                assert st.schloemilch_s1(f, n, k, s2) == s1.entry(n, k)
+                assert table[n][k] == s1.entry(n, k)
 
     def test_moment_sequence_identity(self):
         assert st.moment_sequence(f_identity(), 5) == [Fraction(1)] * 6
 
     def test_bell_moment_lemma(self):
         f = f_deg()
-        s2 = st.s2_assoc(f, 12)
         ps = st.moment_sequence(f, 8)
         bell = st.lemma_bell_moments(ps, 6)
+        sums = st.lemma_bell_moments_sums(f, 6, st.s2_assoc(f, 12))
         for n in range(7):
             for k in range(n + 1):
-                assert bell[n][k] == st.lemma_bell_moments_sum(f, n, k, s2)
+                assert bell[n][k] == sums[n][k]
 
     def test_bernoulli_three_ways(self):
         f = delta(*([0, 2, 1, -1] + [0] * 13))
@@ -448,35 +451,129 @@ class TestTheoremPaths:
         s2 = st.s2_assoc(f, 12)
         ps = st.moment_sequence(f, 8)
         bell = st.lemma_bell_moments(ps, 6)
-        for alpha in (-2, -1, 1, 2, 3):
+        via24 = st.bernoulli_table_via_lemma24(ps, bell, ALPHAS, 6)
+        via_s2 = st.bernoulli_table_via_s2(f, ALPHAS, 6, s2)
+        for i, alpha in enumerate(ALPHAS):
             fam = st.bernoulli_assoc(fb, Fraction(alpha), 6)
             for n in range(7):
-                assert st.bernoulli_via_lemma24(ps, bell, Fraction(alpha), n) == fam.values[n]
-                assert st.bernoulli_via_s2(f, Fraction(alpha), n, s2) == fam.values[n]
+                assert via24[i][n] == fam.values[n]
+                assert via_s2[i][n] == fam.values[n]
         fam1 = st.bernoulli_assoc(fb, Fraction(1), 6)
-        for n in range(7):
-            assert st.bernoulli_via_s2_alpha1(f, n, s2) == fam1.values[n]
+        assert st.bernoulli_table_via_s2_alpha1(f, 6, s2) == list(fam1.values)
 
     def test_bernoulli_via_s2_takes_each_power_once(self, monkeypatch):
-        # f1^(alpha + j) depends on j alone: n + 1 powers a call, not one per (k, j)
+        # f1^(alpha + j) = f1^alpha f1^j: one rational power an alpha a table,
+        # the powers f1^j by products
         calls = []
         real = st.scalar_rat_pow
         monkeypatch.setattr(st, "scalar_rat_pow", lambda s, e: calls.append(e) or real(s, e))
         for f in (delta(*([0, 2, 1, -1] + [0] * 9)), f_deg(12), delta(*([0, 1 + L, 2, L] + [0] * 9))):
             s2 = st.s2_assoc(f, 10)
             fb = st.compositional_inverse(f)
-            for alpha in (-1, 2, 3):
-                fam = st.bernoulli_assoc(fb, Fraction(alpha), 5)
-                for n in range(6):
+            for alphas in ((-1,), (2, 3), (-1, 2, 3)):
+                for max_n in range(6):
                     calls.clear()
-                    assert st.bernoulli_via_s2(f, Fraction(alpha), n, s2) == fam.values[n]
-                    assert len(calls) == n + 1, (f.ring, alpha, n)
+                    table = st.bernoulli_table_via_s2(f, alphas, max_n, s2)
+                    assert len(calls) == len(alphas), (f.ring, alphas, max_n)
+                    for alpha, values in zip(alphas, table):
+                        assert values == list(st.bernoulli_assoc(fb, Fraction(alpha), max_n).values)
         assert {f.ring for f in (f_deg(12), delta(0, 1 + L))} == {sc.RING_QL, sc.RING_QLRAT}
 
     def test_log_expansion(self):
         f = f_deg()
         got = st.assoc_log_expansion(f, 8, st.s2_assoc(f, 14))
         assert got == st.assoc_log(f).truncate(8)
+
+
+# one series a ring: f1 = 2 over Q, f1 = 1 over Q[l], f1 = 1 + l over Q(l),
+# and f1 = 1 over Q for a rational alpha
+TABLE_SERIES = {
+    "Q": lambda: delta(*([0, 2, 1, -1] + [0] * 13)),
+    "Q[l]": lambda: f_deg(16),
+    "Q(l)": lambda: delta(*([0, 1 + L, 2, L] + [0] * 13)),
+    "Q-unit": lambda: delta(*([0, 1, 1] + [0] * 14)),
+}
+
+
+def _cells(route, f, max_n, s2, alphas=ALPHAS, bell=None, ps=None):
+    """A whole table, cell by cell through the per-cell formula of reference."""
+    if route == "schloemilch":
+        return [[ref.schloemilch_s1(f, n, k, s2) for k in range(n + 1)] for n in range(max_n + 1)]
+    if route == "bell-moments":
+        return [[ref.lemma_bell_moments_sum(f, n, k, s2) for k in range(n + 1)] for n in range(max_n + 1)]
+    if route == "double-sum":
+        return [[ref.bernoulli_via_s2(f, Fraction(a), n, s2) for n in range(max_n + 1)] for a in alphas]
+    if route == "corollary":
+        return [ref.bernoulli_via_s2_alpha1(f, n, s2) for n in range(max_n + 1)]
+    if route == "lemma":
+        return [[ref.bernoulli_via_lemma24(ps, bell, Fraction(a), n) for n in range(max_n + 1)] for a in alphas]
+    return ref.assoc_log_expansion(f, max_n, s2)
+
+
+def _table(route, f, max_n, s2, alphas=ALPHAS, bell=None, ps=None):
+    if route == "schloemilch":
+        return st.schloemilch_table(f, max_n, s2)
+    if route == "bell-moments":
+        return st.lemma_bell_moments_sums(f, max_n, s2)
+    if route == "double-sum":
+        return st.bernoulli_table_via_s2(f, alphas, max_n, s2)
+    if route == "corollary":
+        return st.bernoulli_table_via_s2_alpha1(f, max_n, s2)
+    if route == "lemma":
+        return st.bernoulli_table_via_lemma24(ps, bell, alphas, max_n)
+    return st.assoc_log_expansion(f, max_n, s2)
+
+
+ROUTES = ("schloemilch", "bell-moments", "double-sum", "corollary", "lemma", "expansion")
+
+
+class TestTableRoutes:
+    """Each whole-table route equals its per-cell formula, cell for cell,
+    also on a corrupted triangle, and fails where the cells fail."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("ring", sorted(TABLE_SERIES))
+    def test_equals_the_cells(self, route, ring):
+        f = TABLE_SERIES[ring]()
+        s2 = st.s2_assoc(f, 12)
+        ps = st.moment_sequence(f, 7)
+        bell = st.lemma_bell_moments(ps, 6)
+        alphas = ALPHAS + ((Fraction(1, 2), Fraction(-5, 3)) if f[1] == 1 else ())
+        for max_n in range(7):
+            args = (route, f, max_n, s2, alphas, bell, ps)
+            assert _table(*args) == _cells(*args), (max_n, alphas)
+        bad = s2.with_entry(3, 1, s2.entry(3, 1) + L)
+        assert _table(route, f, 6, bad, alphas, bell, ps) == _cells(route, f, 6, bad, alphas, bell, ps)
+
+    @pytest.mark.parametrize("route", ("lemma", "double-sum"))
+    def test_rational_alpha_needs_a_unit_lead(self, route):
+        f = TABLE_SERIES["Q"]()
+        s2 = st.s2_assoc(f, 8)
+        ps = st.moment_sequence(f, 5)
+        bell = st.lemma_bell_moments(ps, 4)
+        for alphas in ((Fraction(1, 2),), (1, Fraction(1, 2))):
+            with pytest.raises(NonRepresentablePower) as cell_err:
+                _cells(route, f, 4, s2, alphas, bell, ps)
+            with pytest.raises(NonRepresentablePower) as table_err:
+                _table(route, f, 4, s2, alphas, bell, ps)
+            assert str(table_err.value) == str(cell_err.value)
+
+    @pytest.mark.parametrize("route", ("schloemilch", "bell-moments", "double-sum", "corollary", "expansion"))
+    def test_short_triangles_fail_where_the_cells_fail(self, route):
+        f = TABLE_SERIES["Q(l)"]()
+        full = st.s2_assoc(f, 10)
+        for alphas in ((-2,), (-1,), (0,), (-1, -2), (1,), ALPHAS):
+            for max_n in range(6):
+                for rows in range(2 * max_n + 1):
+                    s2 = st.Triangle("s2", rows, full.rows[:rows + 1], full.ring)
+                    try:
+                        want = _cells(route, f, max_n, s2, alphas)
+                    except InsufficientOrder as exc:
+                        with pytest.raises(InsufficientOrder) as err:
+                            _table(route, f, max_n, s2, alphas)
+                        assert str(err.value) == str(exc), (alphas, max_n, rows)
+                    else:
+                        assert _table(route, f, max_n, s2, alphas) == want, (alphas, max_n, rows)
 
 
 class TestXPoly:

@@ -1,6 +1,15 @@
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from deltaseries import cli
 from deltaseries import fps
+from deltaseries import scalar as sc
 from deltaseries import stirling as st
 from deltaseries import verify as vf
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_f():
@@ -55,3 +64,46 @@ class TestSharedTables:
         monkeypatch.setattr(st, "partial_bell", refuse)
         monkeypatch.setattr(fps, "power", refuse)
         assert vf.suite_lemmas(f, "test", 5).ok
+
+
+def corrupt_s2(monkeypatch, when=lambda f: True):
+    """Every second-kind triangle of a series f with when(f), from row 3 on,
+    gets S2(3, 1) + 1."""
+    real = st.s2_assoc
+
+    def corrupt(f, max_n):
+        tri = real(f, max_n)
+        if max_n < 3 or not when(f):
+            return tri
+        return tri.with_entry(3, 1, tri.entry(3, 1) + 1)
+
+    monkeypatch.setattr(st, "s2_assoc", corrupt)
+
+
+class TestCorruptedTriangle:
+    """One wrong S2 entry: every suite reports it, and the whole-table
+    routes fail at the cells where the per-cell routes failed."""
+
+    @pytest.mark.parametrize("suite", vf.SUITES)
+    def test_each_suite_reports_a_failure(self, monkeypatch, capsys, suite):
+        # only the triangles over Q[l], so lambda-limit's classical partner stays right
+        corrupt_s2(monkeypatch, lambda f: f.ring == sc.RING_QL)
+        code = cli.main(["verify", suite, "--preset", "deg_falling", "--lambda", "symbolic", "--n", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1 and "internal error" not in err
+        status, first = out.splitlines()
+        assert status.endswith(" FAIL") and first.startswith("  first failure: "), out
+
+    def test_corpus_failures_are_pinned(self, monkeypatch, capsys):
+        # recorded with the per-cell routes, before the whole-table ones
+        corrupt_s2(monkeypatch)
+        code = cli.main(["verify", "all", "--preset", "all", "--n", "3"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert out == (DATA / "verify_all_n3_s2_3_1_plus_1.txt").read_text()
+        reports = vf.run_suites(("all",), vf.corpus_targets(8), 3)
+        every = "".join("%s %s %s\n" % (r.suite, r.label, x) for r in reports for x in r.failures)
+        assert len(every.splitlines()) == 224
+        assert hashlib.sha256(every.encode()).hexdigest() == (
+            "ad74d66fbccaf771d5287b430e15493d3c3e7c60a277dbc0361e842c5aeac92a")
+
