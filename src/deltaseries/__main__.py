@@ -1,0 +1,7 @@
+"""``python -m deltaseries ...``: the command line, with its exit code."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

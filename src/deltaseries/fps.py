@@ -22,9 +22,15 @@ evaluation: about 2*sqrt(d) series products for an outer series g of
 degree d, instead of one per coefficient, in one integer frame of g and f
 (``_eval_at_powers``).  Compositional inversion runs by Newton iteration
 (order doubling), in one integer frame too; each step evaluates f(g) once,
-and g' stands in for 1/f'(g).  The Lagrange inversion formulas are
-provided as independent coefficient extractors so the two routes can be
-checked against each other.
+and g' stands in for 1/f'(g).  Over Q and Q[l], where neither f nor 1/f1
+has an l-denominator (P = 1), the iteration starts at the first rung of
+its halving ladder at or below order 32, made by Lagrange inversion in
+baby and giant steps (Johansson, arXiv:1108.4772, 2011): about 2 sqrt(m)
+series products and one dot product a coefficient, on int views.  Over
+Q(l) Newton starts from t/f1: one P-frame over all the powers of t/f
+would carry extra factors of P, which trial division strips again.  The
+Lagrange inversion formulas are provided as independent coefficient
+extractors so the two routes can be checked against each other.
 
 Every power f^alpha, alpha rational, is one kernel, ``power``: J.C.P.
 Miller's recurrence, run like ``div`` and ``exp_series`` by ``_recurrence``,
@@ -147,6 +153,8 @@ class Series:
 
     def pad(self, order):
         """Zero-extend; the added coefficients are *not* claimed correct."""
+        if 0 <= order < self.order:  # a negative order is _window's to refuse
+            raise OrderMismatch("cannot pad order %d to %d" % (self.order, order))
         return _window(self, 0, 0, order)
 
     def valuation(self):
@@ -566,6 +574,45 @@ class DeltaSeries:
         return DeltaSeries(self.series.truncate(order))
 
 
+# The highest order _lagrange_base makes.  Over Q, Lagrange inversion alone to
+# order n ties with climbing by Newton above 32 at n = 32-48 and is 18-54% slower
+# at 64-128 (best of 5-50 runs a point, four presets).
+_LAGRANGE_TOP = 32
+
+
+def _lagrange_base(xf, fd, df, inv1, m):
+    """(xs, den, deg): the inverse to order m of f, viewed as (xf, fd, df)
+    over P = 1, by Lagrange inversion [t^k] = [t^(k-1)] h^k / k, h = t/f,
+    in baby and giant steps (Johansson, arXiv:1108.4772, 2011): h by one
+    ``_recurrence`` on f's shifted view, the baby steps h, ..., h^s and the
+    giant steps h^(s j), s = isqrt(m), each by one truncated product brought
+    to ``norm``, all packed once at one width, and coefficient s j + i read
+    as one dot product of h^i and h^(s j); a zero is [0], as in Newton."""
+    a, q = inv1.numerator, math.gcd(fd, inv1.numerator)
+    one = [1] + [0] * (m - 1), 1, 0
+    h = _recurrence(one, ([[] if df else 0] + xf[2:m + 1], fd, df), ([a // q], inv1.denominator * (fd // q), 0),
+                    [1] * m, NO_P, None, None).view[:3]
+    s = math.isqrt(m)
+    baby = [one, h]
+    while len(baby) <= s:
+        baby.append(norm(*reduced(*product(baby[-1], h, m - 1))[:3]))
+    giant = [one, baby[s]]
+    while s * len(giant) < m:
+        giant.append(norm(*reduced(*product(giant[-1], baby[s], m - 1))[:3]))
+    hb, hg = [max(bits(v[0], v[2]) for v in vs) for vs in (baby, giant)]
+    db, dg = [max(v[2] for v in vs) for vs in (baby, giant)]
+    B = width(hb + hg, m * (min(db, dg) + 1)) if db + dg else 0
+    pb, pg = [packs(v[0], v[2], B) for v in baby], [packs(v[0], v[2], B) for v in giant]
+    xs, dens = [], []
+    for k in range(1, m + 1):
+        j, i = divmod(k - 1, s)
+        xs.append(sum(map(operator.mul, pb[i + 1][:k], pg[j][k - 1::-1])))
+        dens.append(k * baby[i + 1][1] * giant[j][1])
+    den = math.lcm(*dens)
+    xs = muls([unpack(x, B) or [0] for x in xs] if B else xs, B, [den // d for d in dens])
+    return norm([[0] if B else 0] + xs, den, B)
+
+
 def invert_newton(f):
     """Compositional inverse of a delta series by order-doubling Newton steps.
 
@@ -574,20 +621,27 @@ def invert_newton(f):
     25, 1978), so a step g - (f(g) - t) / f'(g) is g - t^(h+1) (f(g)[h+1..m] g'):
     one evaluation, one short product.  The precisions m climb ..., ceil(n/4),
     ceil(n/2), n (2, 3, 6, 12 for n = 12), never above the doubling 2, 4, 8, ...
+    Over Q(l) they start from g = t/f[1]; over Q and Q[l] (P = 1) the first
+    rung at or below 32 is made by Lagrange inversion (``_lagrange_base``).
 
     The whole inversion runs on int views over one P, the lcm of f's and
     that of 1/f[1]: g stays a view from step to step, and each step reads
     f's prefix, evaluates f at g padded with zeros (``_eval_at_powers``),
     reduces only the sums h+1..m of f(g), as the lower ones are t, and
     appends the correction, whose support is disjoint from g's, over one
-    den.  Only the inverse is made a Series."""
+    den.  Only the inverse is made a Series, and in the base case h = t/f
+    by its recurrence."""
     fs = f.series
     n, inv1 = fs.order, sc.scalar_inv(fs[1])
     vf = fs.view
     P = join(vf[3], int_base([inv1]))
     xf, fd, df, _, ef = rebase(vf, P)
-    xs, den, deg, _, E = int_view((_ZERO, inv1), P)
-    for k in range((n - 1).bit_length() - 1, -1, -1):
+    K = (-(-n // (_LAGRANGE_TOP if len(P) == 1 else 1)) - 1).bit_length()  # the steps: rungs above the base
+    if len(P) > 1:
+        xs, den, deg, _, E = int_view((_ZERO, inv1), P)
+    else:
+        (xs, den, deg), E = _lagrange_base(xf, fd, df, inv1, -(-n >> K)), None
+    for k in range(K - 1, -1, -1):
         h, m = len(xs) - 1, -(-n >> k)  # m = ceil(n / 2^k)
         z = m - h
         sums, B, sd, _, F = _eval_at_powers((xf[:m + 1], fd, df, P, ef and ef[:m + 1]),

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -528,3 +532,24 @@ class TestPresetsList:
         obj = json.loads(out)
         assert len(obj) == 15
         assert obj["laguerre_m1"]["letter"] == "o"
+
+
+class TestRunAsModule:
+    """`python -m deltaseries` runs cli.main in a fresh interpreter and
+    exits with its code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "deltaseries", *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+
+    def test_presets_list(self, capsys):
+        done = self.run_module("presets-list")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == run(capsys, "presets-list")[1]
+
+    def test_exit_code_of_a_usage_error(self):
+        done = self.run_module("table", "--kind", "s2", "--preset", "nosuch", "--n", "3")
+        assert done.returncode == 2 and "nosuch" in done.stderr

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as hst
 
 from deltaseries import _packed as pk
@@ -67,6 +67,16 @@ class TestSeriesBasics:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             fps.add(ser(1, 2), ser(1, 2, 3))
+
+    def test_pad_refuses_a_lower_order(self):
+        # truncate refuses to raise the order, pad to lower it; both keep
+        # the order they are given when it is the series' own
+        for s in (pr.make_preset("bell", 6).f.series, ser(1, 2, 3, 4, 5, 6, 7)):
+            with pytest.raises(OrderMismatch, match="cannot pad order 6 to 3"):
+                s.pad(3)
+            with pytest.raises(OrderMismatch, match="cannot truncate order 6 to 7"):
+                s.truncate(7)
+            assert s.pad(6) == s == s.truncate(6)
 
     def test_valuation(self):
         assert ser(0, 0, 5).valuation() == 2
@@ -874,10 +884,27 @@ def newton_case(name, n):
     return fps.DeltaSeries(fps.Series(n, cs, ring))
 
 
+def over_p1(f):
+    """Whether neither f nor 1/f[1] has an l-denominator (P = 1)."""
+    return f[1].__class__ is Fraction and not any(c.__class__ is sc.LRat for c in f.series.coeffs)
+
+
+def rungs(n, top):
+    """The precisions that climb to n by halving, ceil(m/2) below each m,
+    down to but not including the first one at or below top."""
+    ms = []
+    while n > top:
+        ms.append(n)
+        n = -(-n // 2)
+    return ms[::-1]
+
+
 class TestNewtonStep:
     """The step g - t^(h+1) (f(g)[h+1..m] g') of invert_newton at every
     order, so that the last step often has m < 2h, against the
-    f'(g)-and-division step of tests/reference.py and Lagrange inversion."""
+    f'(g)-and-division step of tests/reference.py and Lagrange inversion.
+    Over Q and Q[l] (P = 1) the steps start at the first rung at or below
+    32, made by Lagrange inversion; over Q(l) they start at t/f[1]."""
 
     @pytest.mark.parametrize("name", sorted(NEWTON_CASES))
     def test_every_order(self, name):
@@ -894,40 +921,64 @@ class TestNewtonStep:
 
     def test_one_evaluation_and_no_division_a_step(self, monkeypatch):
         calls = []
-        for kernel in ("_eval_at_powers", "div"):
+        for kernel in ("_eval_at_powers", "div", "mul", "_window", "_recurrence"):
             real = getattr(fps, kernel)
             monkeypatch.setattr(fps, kernel, lambda *a, real=real, kernel=kernel: calls.append(kernel) or real(*a))
         for name, (_, _, top, _) in NEWTON_CASES.items():
-            for n in (1, 2, 3, 5, 8, top):
+            # two steps above the base case at 65
+            for n in (1, 2, 3, 5, 8, top, 33) + ((65,) if over_p1(newton_case(name, top)) else ()):
                 f = newton_case(name, n)
                 calls.clear()
                 fps.invert_newton(f)
-                # (n - 1).bit_length() steps reach n from h = 1
-                assert calls == ["_eval_at_powers"] * (n - 1).bit_length(), (name, n)
+                if over_p1(f):
+                    # one recurrence (h = t/f) for the base case, then one
+                    # evaluation for each rung above it
+                    assert calls == ["_recurrence"] + ["_eval_at_powers"] * len(rungs(n, 32)), (name, n)
+                else:
+                    # (n - 1).bit_length() steps reach n from h = 1
+                    assert calls == ["_eval_at_powers"] * (n - 1).bit_length(), (name, n)
 
     @staticmethod
     def precisions(monkeypatch, f):
-        """The precision m of each step, read from the prefix of f it evaluates."""
-        ms = []
-        real = fps._eval_at_powers
+        """The order m0 of the base case (0 when there is none) and the
+        precision m of each step, read from the length of h = t/f and from
+        the prefix of f each step evaluates."""
+        m0, ms = [], []
+        real, rec = fps._eval_at_powers, fps._recurrence
         monkeypatch.setattr(fps, "_eval_at_powers", lambda vg, vf: ms.append(len(vg[0]) - 1) or real(vg, vf))
+        monkeypatch.setattr(fps, "_recurrence", lambda u, *a: m0.append(len(u[0])) or rec(u, *a))
         fps.invert_newton(f)
-        return ms
+        assert len(m0) <= 1
+        return sum(m0), ms
 
     @pytest.mark.parametrize("n, ladder", [(12, [2, 3, 6, 12]), (17, [2, 3, 5, 9, 17]), (2, [2]), (1, [])]
                              + [(2 ** j, [2 ** i for i in range(1, j + 1)]) for j in range(2, 7)])
     def test_halving_ladder(self, monkeypatch, n, ladder):
-        # the steps climb ..., ceil(n/4), ceil(n/2), n; at a power of two
-        # that is the doubling schedule 2, 4, 8, ...
-        assert self.precisions(monkeypatch, newton_case("q-dense", n)) == ladder
+        # over Q(l) the steps climb ..., ceil(n/4), ceil(n/2), n; at a power
+        # of two that is the doubling schedule 2, 4, 8, ...
+        assert self.precisions(monkeypatch, newton_case("qlrat-linear", n)) == (0, ladder)
+
+    @pytest.mark.parametrize("n, m0, ladder", [(1, 1, []), (12, 12, []), (32, 32, []), (33, 17, [33]),
+                                               (64, 32, [64]), (65, 17, [33, 65]), (100, 25, [50, 100]),
+                                               (128, 32, [64, 128]), (129, 17, [33, 65, 129])])
+    def test_halving_ladder_above_the_base_case(self, monkeypatch, n, m0, ladder):
+        # over Q and Q[l] Lagrange inversion makes the first rung at or
+        # below 32, and the steps climb the rungs above it
+        for name in ("q-dense",) + (("ql-dense",) if n <= 65 else ()):
+            assert self.precisions(monkeypatch, newton_case(name, n)) == (m0, ladder), name
 
     def test_no_step_above_the_doubling_schedule(self, monkeypatch):
         for n in range(1, 80):
-            ms = self.precisions(monkeypatch, newton_case("q-linear", n))
-            assert len(ms) == (n - 1).bit_length() and (n == 1 or ms[-1] == n), n
+            m0, ms = self.precisions(monkeypatch, newton_case("qlrat-linear", n))
+            assert not m0 and len(ms) == (n - 1).bit_length() and (n == 1 or ms[-1] == n), n
             # each step at most doubles, and none is above min(2^(i+1), n)
             assert all(m <= 2 * h for h, m in zip([1] + ms, ms)), (n, ms)
             assert all(m <= min(2 ** (i + 1), n) for i, m in enumerate(ms)), (n, ms)
+        for n in range(1, 140):
+            m0, ms = self.precisions(monkeypatch, newton_case("q-linear", n))
+            # exactly the rungs above the base case, and each step at most doubles
+            assert ms == rungs(n, 32) and m0 == (-(-ms[0] // 2) if ms else n) <= 32, (n, m0, ms)
+            assert all(m <= 2 * h for h, m in zip([m0] + ms, ms)), (n, m0, ms)
 
     @pytest.mark.parametrize("pid, n", [("deg_falling", 17), ("deg_falling", 33), ("bell", 65)])
     def test_ladder_against_lagrange(self, pid, n):
@@ -942,8 +993,10 @@ class TestNewtonStep:
     def test_one_frame_and_one_series_an_inverse(self, monkeypatch, name):
         # the iterate, f(g) and the correction stay int views: no Series
         # kernel runs, and the inverse is the only Series made (every Series
-        # passes through _set)
-        names = ["compose", "mul", "sub", "_window", "derivative", "_set"]
+        # passes through _set); over P = 1 the base case makes one more, h =
+        # t/f from one _recurrence, and its powers are views too; at order
+        # 40 one step climbs above it
+        names = ["compose", "mul", "sub", "_window", "derivative", "div", "_recurrence", "_eval_at_powers", "_set"]
         calls = dict.fromkeys(names, 0)
         for kernel in names:
             real = getattr(fps, kernel)
@@ -952,12 +1005,83 @@ class TestNewtonStep:
                 calls[kernel] += 1
                 return real(*a)
             monkeypatch.setattr(fps, kernel, counted)
-        f = newton_case(name, 20)
-        for c in calls:
-            calls[c] = 0
-        got = fps.invert_newton(f).series
-        assert calls["_set"] <= 2 and not any(calls[c] for c in names[:-1]), calls
-        assert got.ring == f.ring and got.order == 20
+        for n in (20, 40) if over_p1(newton_case(name, 20)) else (20,):
+            f = newton_case(name, n)
+            for c in calls:
+                calls[c] = 0
+            got = fps.invert_newton(f).series
+            assert calls["_set"] <= 2 and not any(calls[c] for c in names[:6]), calls
+            steps = rungs(n, 32) if over_p1(f) else rungs(n, 1)
+            assert (calls["_recurrence"], calls["_eval_at_powers"]) == (over_p1(f), len(steps)), calls
+            assert got.ring == f.ring and got.order == n
+
+
+# P = 1 families for the Lagrange base case: coefficient i >= 1 of f
+BASE_CASES = {
+    "q-f1-one": lambda i: Fraction((-1) ** (i - 1), i),  # log(1 + t)
+    "q-f1-rational": lambda i: Fraction(-5, 3) if i == 1 else Fraction(i % 5 - 2, i + 1),
+    "ql-f1-one": lambda i: L ** (i - 1) * Fraction(1, math.factorial(i)),  # (e^(l t) - 1) / l
+    "ql-f1-rational": lambda i: Fraction(2, 3) if i == 1 else (1 - i * L) * Fraction(1, i),
+}
+
+
+def base_case(name, n):
+    return fps.DeltaSeries(fps.Series(n, [0] + [BASE_CASES[name](i) for i in range(1, n + 1)]))
+
+
+@hst.composite
+def p1_delta(draw):
+    """A delta series over Q or Q[l] with a rational f1 (so P = 1), of order 1..34."""
+    n = draw(hst.integers(min_value=1, max_value=34))
+    s = draw(l_series(order=n, max_deg=draw(hst.sampled_from([0, 1])), constant=hst.just(Fraction(0))))
+    cs = list(s.coeffs)
+    cs[1] = draw(nonzero_rational)
+    return fps.DeltaSeries(fps.Series(n, cs, s.ring))
+
+
+class TestLagrangeBase:
+    """The base case of invert_newton over Q and Q[l], Lagrange inversion in
+    baby and giant steps up to order 32, against routes that share no part
+    of it: the reference's scalar Newton step, which keeps f'(g) and the
+    division, and the single-coefficient formula, which reads Miller's power."""
+
+    @pytest.mark.parametrize("name", sorted(BASE_CASES))
+    def test_against_horner(self, name):
+        for n in range(1, 21):
+            f = base_case(name, n)
+            assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
+
+    @pytest.mark.parametrize("name", sorted(BASE_CASES))
+    def test_against_miller(self, name):
+        # through the cutoff 32 and the rungs 33 and 65 just above it; the
+        # dense Q[l] family's Newton steps at 64 and 65 take seconds, so it
+        # stops at 40
+        orders = list(range(1, 41)) + ([] if name == "ql-f1-rational" else [64, 65])
+        top = orders[-1]
+        lag = [fps.lagrange_coeff_inverse(base_case(name, top), m) for m in range(1, top + 1)]
+        for n in orders:
+            f = base_case(name, n)
+            got = fps.invert_newton(f).series
+            assert list(got.coeffs) == [0] + lag[:n] and got.ring == f.ring, (name, n)
+
+    def test_the_view_newton_leaves(self, monkeypatch):
+        # the base case leaves the very view that Newton's steps from t/f1
+        # leave, a zero as [0] included, so every later kernel reads the
+        # same ints
+        for name in [m for m in NEWTON_CASES if not m.startswith("qlrat")]:
+            for n in range(1, 21):
+                f = newton_case(name, n)
+                monkeypatch.setattr(fps, "_LAGRANGE_TOP", 1)
+                want = fps.invert_newton(f).series.view
+                monkeypatch.setattr(fps, "_LAGRANGE_TOP", 32)
+                assert fps.invert_newton(f).series.view == want, (name, n)
+
+    @given(p1_delta())
+    @seed(24)
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_composes_to_t(self, f):
+        g = fps.invert_newton(f).series
+        assert fps.compose(f.series, g) == fps.t_series(f.order)
 
 
 @hst.composite
