@@ -122,8 +122,6 @@ def _lambda_mode(args):
 def _series_source(args, order, need_delta=True):
     """Build the working series from --preset or --f at the given order."""
     mode = _lambda_mode(args)
-    if args.preset and args.expr:
-        raise UsageError("give exactly one of --preset / --f")
     if args.preset:
         if args.preset not in pr.PRESET_IDS:
             raise UsageError("unknown preset %r (see presets-list)" % args.preset)
@@ -225,8 +223,6 @@ def run_invert(args):
 def run_eval(args):
     _, order = _resolve_orders(args)
     s, _label = _series_source(args, order, need_delta=False)
-    if isinstance(s, fps.DeltaSeries):
-        s = s.series
     _emit(_series_text(s, args.fmt), args.out)
     return 0
 

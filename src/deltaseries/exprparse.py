@@ -12,6 +12,12 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
 Binary operators are left-associative and "^" binds tighter than unary
 minus, so "-t^2" is -(t^2).  "2t" is a syntax error; write "2*t".
+
+A tree is made of plain values.  A leaf is a ``Fraction`` (a number), "t"
+or "lambda"; a node is a tuple tagged by its first item: ``("neg", a)``,
+``(op, a, b)`` for op in "+ - * /", ``("^", a, q)`` with q a ``Fraction``
+and ``(fn, a)`` for fn in ``FUNCTIONS``.  Equality and hashing are the
+tuples' own, so "t - 1" and "t-1" parse to equal trees.
 """
 
 from __future__ import annotations
@@ -25,109 +31,24 @@ from .errors import DeltaSeriesError, DivisionByZero, ExprSyntaxError, LambdaMod
 FUNCTIONS = ("exp", "log", "sqrt")
 
 # Deepest nesting (parentheses, calls, unary minus) and tree height accepted.
-# The parser spends five Python frames per nesting level and the tree walkers
-# (_eval, pretty, ==) at most four per level: at 150 parsing needs
-# about 760, under the default recursion limit, and 128-term sums still parse.
+# The parser spends four Python frames per level of parentheses or calls
+# (binary at both levels, unary, atom) and one per unary minus.  The tree
+# walkers spend at most three per level (_eval, _eval_node, _eval_div) and
+# pretty two; no Python walker compares trees, as == is the tuples' own and
+# takes one level of the recursion limit per tree level.  At 150 parsing
+# needs about 600 frames, under the default recursion limit, and 128-term
+# sums still parse.
 MAX_DEPTH = 150
 
-
-# ---------------------------------------------------------------------------
-# expression tree
-
-class Expr:
-    __slots__ = ()
-
-    def _fields(self):
-        # binary nodes keep their fields in _BinOp's slots, not their own
-        return tuple(
-            getattr(self, f) for cls in type(self).__mro__ for f in cls.__dict__.get("__slots__", ())
-        )
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self).__name__,) + self._fields())
-
-
-class Number(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", Fraction(value))
-
-
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        if name not in ("t", "lambda"):
-            raise ValueError("unknown variable %r" % name)
-        object.__setattr__(self, "name", name)
-
-
-class Neg(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
-
-
-class _BinOp(Expr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
-class Add(_BinOp):
-    __slots__ = ()
-
-
-class Sub(_BinOp):
-    __slots__ = ()
-
-
-class Mul(_BinOp):
-    __slots__ = ()
-
-
-class Div(_BinOp):
-    __slots__ = ()
-
-
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", Fraction(exponent))
-
-
-class Call(Expr):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn, arg):
-        if fn not in FUNCTIONS:
-            raise UnknownFunction("unknown function %r" % fn)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
+_SUMS = ("+", "-")
+_PRODUCTS = ("*", "/")
+_BINARY = _SUMS + _PRODUCTS
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# tokenizer / parser: a token is (kind, text, offset)
 
 _SYMBOLS = "+-*/^()"
-
-
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind, text, offset):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
 
 
 def _tokenize(src):
@@ -140,7 +61,7 @@ def _tokenize(src):
             i += 1
             continue
         if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
             continue
         if ch.isdigit():
@@ -154,30 +75,29 @@ def _tokenize(src):
             except ValueError:  # longer than sys.get_int_max_str_digits()
                 raise ExprSyntaxError("integer literal of %d digits is too long" % (j - i), i,
                                       ("shorter integer",)) from None
-            tokens.append(_Token("int", src[i:j], i))
+            tokens.append(("int", src[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", src[i:j], i))
+            tokens.append(("name", src[i:j], i))
             i = j
             continue
         raise ExprSyntaxError("unexpected character %r" % ch, i, ("token",))
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, src):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[self.pos][0]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -185,121 +105,88 @@ class _Parser:
         return tok
 
     def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                "expected %r, found %r" % (kind, tok.text or "end of input"), tok.offset, (kind,)
-            )
-        return self.advance()
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExprSyntaxError("expected %r, found %r" % (kind, tok[1] or "end of input"), tok[2], (kind,))
+        return tok
 
-    def parse(self):
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError("trailing input %r" % tok.text, tok.offset, ("end",))
-        return e
-
-    def expr(self):
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
-
-    def term(self):
-        e = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+    def binary(self, level=0):
+        """A sum of terms (level 0) or a product of unaries (level 1),
+        left-associative."""
+        ops = _SUMS if level == 0 else _PRODUCTS
+        e = self.binary(1) if level == 0 else self.unary()
+        while self.peek() in ops:
+            op = self.advance()[0]
+            e = (op, e, self.binary(1) if level == 0 else self.unary())
         return e
 
     def unary(self):
         # every recursive rule passes through here, so this bounds the recursion
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ExprSyntaxError("nested deeper than %d levels" % MAX_DEPTH, self.peek().offset, ("shallower nesting",))
-        if self.peek().kind == "-":
-            self.advance()
-            e = Neg(self.unary())
+            raise ExprSyntaxError("nested deeper than %d levels" % MAX_DEPTH, self.tokens[self.pos][2],
+                                  ("shallower nesting",))
+        if self.peek() == "-":
+            self.pos += 1
+            e = ("neg", self.unary())
         else:
-            e = self.power()
+            e = self.atom()
+            if self.peek() == "^":
+                self.pos += 1
+                e = ("^", e, self.exponent())
         self.depth -= 1
         return e
 
-    def power(self):
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
-
     def exponent(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            return Fraction(self.advance().text)
-        if tok.kind == "-":
-            self.advance()
-            return -Fraction(self.expect("int").text)
-        if tok.kind == "(":
-            self.advance()
-            value = self.rational()
-            self.expect(")")
-            return value
-        raise ExprSyntaxError(
-            "expected exponent, found %r" % (tok.text or "end of input"),
-            tok.offset,
-            ("int", "("),
-        )
-
-    def rational(self):
-        sign = 1
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1
-        num = Fraction(self.expect("int").text)
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("int")
-            den = int(den_tok.text)
-            if den == 0:
-                raise ExprSyntaxError("zero denominator", den_tok.offset, ("nonzero integer",))
-            return sign * num / den
-        return sign * num
+        kind, text, offset = self.advance()
+        if kind == "int":
+            return Fraction(text)
+        if kind == "-":
+            return -Fraction(self.expect("int")[1])
+        if kind != "(":
+            raise ExprSyntaxError("expected exponent, found %r" % (text or "end of input"), offset, ("int", "("))
+        negative = self.peek() == "-"
+        if negative:
+            self.pos += 1
+        q = Fraction(self.expect("int")[1])
+        if self.peek() == "/":
+            self.pos += 1
+            _, text, offset = self.expect("int")
+            if int(text) == 0:
+                raise ExprSyntaxError("zero denominator", offset, ("nonzero integer",))
+            q /= int(text)
+        self.expect(")")
+        return -q if negative else q
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            return Number(self.advance().text)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in ("t", "lambda"):
-                return Var(tok.text)
-            if self.peek().kind == "(":
-                if tok.text not in FUNCTIONS:
-                    raise UnknownFunction("unknown function %r" % tok.text)
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return Call(tok.text, arg)
-            raise ExprSyntaxError("unknown name %r" % tok.text, tok.offset, ("t", "lambda") + FUNCTIONS)
-        if tok.kind == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ExprSyntaxError(
-            "expected a value, found %r" % (tok.text or "end of input"),
-            tok.offset,
-            ("int", "name", "("),
-        )
+        kind, text, offset = self.advance()
+        fn = None
+        if kind == "name" and text not in ("t", "lambda"):
+            if self.peek() != "(":
+                raise ExprSyntaxError("unknown name %r" % text, offset, ("t", "lambda") + FUNCTIONS)
+            if text not in FUNCTIONS:
+                raise UnknownFunction("unknown function %r" % text)
+            fn, (kind, text, offset) = text, self.advance()
+        if kind == "int":
+            return Fraction(text)
+        if kind == "name":
+            return text
+        if kind != "(":
+            raise ExprSyntaxError("expected a value, found %r" % (text or "end of input"), offset,
+                                  ("int", "name", "("))
+        e = self.binary()
+        self.expect(")")
+        return (fn, e) if fn else e
 
 
 def parse(src):
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0, ("expression",))
-    tree = _Parser(src).parse()
+    p = _Parser(src)
+    tree = p.binary()
+    kind, text, offset = p.advance()
+    if kind != "end":
+        raise ExprSyntaxError("trailing input %r" % text, offset, ("end",))
     if _height(tree) > MAX_DEPTH:
         raise ExprSyntaxError("expression tree deeper than %d levels" % MAX_DEPTH, 0, ("shallower expression",))
     return tree
@@ -311,8 +198,7 @@ def _height(e):
     height, level = 0, [e]
     while level:
         height += 1
-        kids = (getattr(node, a, None) for node in level for a in ("arg", "left", "right", "base"))
-        level = [k for k in kids if isinstance(k, Expr)]
+        level = [k for node in level if isinstance(node, tuple) for k in node[1:2 if node[0] == "^" else 3]]
     return height
 
 
@@ -320,54 +206,45 @@ def _height(e):
 # pretty printer
 
 def _is_pow_atom(e):
-    return isinstance(e, (Var, Call)) or (
-        isinstance(e, Number) and e.value >= 0 and e.value.denominator == 1
-    )
+    if isinstance(e, tuple):
+        return e[0] in FUNCTIONS
+    return isinstance(e, str) or (e >= 0 and e.denominator == 1)
 
 
 def pretty(e):
     """Render a tree back to source; reparsing gives the same tree."""
-    if isinstance(e, Number):
-        if e.value < 0:
-            return "-" + _frac_text(-e.value)
-        return _frac_text(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = pretty(e.arg)
-        if isinstance(e.arg, (Add, Sub, Mul, Div)):
-            inner = "(" + inner + ")"
-        return "-" + inner
-    if isinstance(e, Add):
-        return "%s+%s" % (pretty(e.left), _wrap(e.right, (Add, Sub)))
-    if isinstance(e, Sub):
-        return "%s-%s" % (pretty(e.left), _wrap(e.right, (Add, Sub)))
-    if isinstance(e, Mul):
-        return "%s*%s" % (_wrap(e.left, (Add, Sub)), _wrap(e.right, (Add, Sub, Mul, Div)))
-    if isinstance(e, Div):
-        return "%s/%s" % (_wrap(e.left, (Add, Sub)), _wrap(e.right, (Add, Sub, Mul, Div)))
-    if isinstance(e, Pow):
-        base = pretty(e.base)
-        if not _is_pow_atom(e.base):
-            base = "(" + base + ")"
-        exp = e.exponent
-        if exp.denominator == 1 and exp >= 0:
-            return "%s^%d" % (base, exp)
-        return "%s^(%s)" % (base, _frac_text(exp))
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.fn, pretty(e.arg))
-    raise TypeError("not an expression: %r" % (e,))
+    if isinstance(e, Fraction):
+        return "-" + _frac_text(-e) if e < 0 else _frac_text(e)
+    if isinstance(e, str):
+        return e
+    tag = e[0]
+    if tag == "neg":
+        return "-" + _wrap(e[1], _BINARY)
+    if tag in _SUMS:
+        return pretty(e[1]) + tag + _wrap(e[2], _SUMS)
+    if tag in _PRODUCTS:
+        return _wrap(e[1], _SUMS) + tag + _wrap(e[2], _BINARY)
+    if tag == "^":
+        q = e[2]
+        if q.denominator == 1 and q >= 0:
+            return "%s^%d" % (_pow_base(e[1]), q.numerator)
+        return "%s^(%s)" % (_pow_base(e[1]), _frac_text(q))
+    return "%s(%s)" % (tag, pretty(e[1]))
 
 
 def _frac_text(q):
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def _wrap(e, kinds):
+def _wrap(e, tags):
     text = pretty(e)
-    if isinstance(e, kinds):
+    if isinstance(e, tuple) and e[0] in tags:
         return "(" + text + ")"
     return text
+
+
+def _pow_base(e):
+    return pretty(e) if _is_pow_atom(e) else "(" + pretty(e) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -388,32 +265,30 @@ def _eval(e, order, lam, memo):
 
 
 def _eval_node(e, order, lam, memo):
-    if isinstance(e, Number):
-        return fps.constant(e.value, order)
-    if isinstance(e, Var):
-        if e.name == "lambda" and lam is None:
+    if isinstance(e, Fraction):
+        return fps.constant(e, order)
+    if e == "t":
+        return fps.t_series(order)
+    if e == "lambda":
+        if lam is None:
             raise LambdaModeRequired("expression uses lambda; pass a lambda mode")
-        return fps.t_series(order) if e.name == "t" else fps.constant(lam, order)
-    if isinstance(e, Neg):
-        return fps.scale(_eval(e.arg, order, lam, memo), -1)
-    if isinstance(e, Add):
-        return fps.add(_eval(e.left, order, lam, memo), _eval(e.right, order, lam, memo))
-    if isinstance(e, Sub):
-        return fps.sub(_eval(e.left, order, lam, memo), _eval(e.right, order, lam, memo))
-    if isinstance(e, Mul):
-        return fps.mul(_eval(e.left, order, lam, memo), _eval(e.right, order, lam, memo))
-    if isinstance(e, Div):
+        return fps.constant(lam, order)
+    tag = e[0]
+    if tag == "/":
         return _eval_div(e, order, lam, memo)
-    if isinstance(e, Pow):
-        return _eval_pow(e, _eval(e.base, order, lam, memo), e.exponent)
-    if isinstance(e, Call):
-        arg = _eval(e.arg, order, lam, memo)
-        if e.fn == "exp":
-            return fps.exp_series(arg)
-        if e.fn == "log":
-            return fps.log_series(arg)
-        return _eval_pow(e, arg, Fraction(1, 2))
-    raise TypeError("not an expression: %r" % (e,))
+    a = _eval(e[1], order, lam, memo)
+    if tag == "neg":
+        return fps.scale(a, -1)
+    if tag == "^":
+        return _eval_pow(e, a, e[2])
+    if tag == "exp":
+        return fps.exp_series(a)
+    if tag == "log":
+        return fps.log_series(a)
+    if tag == "sqrt":
+        return _eval_pow(e, a, Fraction(1, 2))
+    b = _eval(e[2], order, lam, memo)
+    return fps.add(a, b) if tag == "+" else fps.sub(a, b) if tag == "-" else fps.mul(a, b)
 
 
 # The highest order at which a divisor that reads as zero is evaluated again
@@ -431,20 +306,21 @@ def _eval_div(e, order, lam, memo):
     Errors come as if the dividend were evaluated first, at n, and division
     by zero last.
     """
+    _, left, right = e
     try:
-        den, m = _eval(e.right, order, lam, memo), order
+        den, m = _eval(right, order, lam, memo), order
         while den.is_zero() and m < _MAX_DIVISOR_ORDER:
             m = min(2 * m, _MAX_DIVISOR_ORDER)
-            den = _eval(e.right, m, lam, memo)
+            den = _eval(right, m, lam, memo)
         v = den.valuation()
         if v > m:
             raise DivisionByZero("division by the zero series")
     except DeltaSeriesError:
-        _eval(e.left, order, lam, memo)
+        _eval(left, order, lam, memo)
         raise
-    num = _eval(e.left, order + v, lam, memo)
+    num = _eval(left, order + v, lam, memo)
     s = min(num.valuation(), v)
-    den = _eval(e.right, order + s, lam, memo)  # the divisor at the order asked when s = 0
+    den = _eval(right, order + s, lam, memo)  # the divisor at the order asked when s = 0
     if s:
         num, den = fps.shift_down(num, s), fps.shift_down(den, s)
     return fps.div(num.truncate(order) if s < v else num, den)
@@ -457,10 +333,7 @@ def _eval_pow(e, base, exponent):
     try:
         return fps.power(base, exponent)
     except DeltaSeriesError as exc:
-        if isinstance(e, Call):
-            what = e.fn
-        else:
-            what = "%s^(%s)" % (pretty(e.base) if _is_pow_atom(e.base) else "(%s)" % pretty(e.base), exponent)
+        what = e[0] if e[0] == "sqrt" else "%s^(%s)" % (_pow_base(e[1]), exponent)
         raise type(exc)("%s: %s" % (what, exc)) from None
 
 

@@ -166,23 +166,6 @@ class Series:
     def is_zero(self):
         return not any(_flags(self))
 
-    # operator sugar; the module-level functions are the primary API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1)
-
 
 def _set(s, order, ring, coeffs, view):
     """Fill the slots of s, which __setattr__ refuses."""
@@ -793,12 +776,9 @@ def from_egf(coeffs, ring=None):
 # ---------------------------------------------------------------------------
 # serialization
 
-def series_to_json(series, egf=False):
-    if egf:
-        coeffs = [sc.format_scalar(egf_coeff(series, n)) for n in range(series.order + 1)]
-    else:
-        coeffs = [sc.format_scalar(c) for c in series.coeffs]
-    return {"order": series.order, "ring": series.ring, "coeffs": coeffs, "egf": egf}
+def series_to_json(series):
+    coeffs = [sc.format_scalar(c) for c in series.coeffs]
+    return {"order": series.order, "ring": series.ring, "coeffs": coeffs, "egf": False}
 
 
 def series_from_json(obj):
@@ -808,5 +788,5 @@ def series_from_json(obj):
     return Series(obj["order"], vals, obj["ring"])
 
 
-def series_to_json_str(series, egf=False):
-    return json.dumps(series_to_json(series, egf=egf))
+def series_to_json_str(series):
+    return json.dumps(series_to_json(series))

@@ -471,12 +471,11 @@ def uniform_s1_multinomial(n, lam):
 # the verification corpus
 
 class CorpusEntry:
-    __slots__ = ("label", "f", "preset")
+    __slots__ = ("label", "f")
 
-    def __init__(self, label, f, preset=None):
+    def __init__(self, label, f):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "preset", preset)
 
     def __setattr__(self, name, value):
         raise AttributeError("CorpusEntry is immutable")
@@ -492,7 +491,7 @@ def corpus(order):
             continue
         mode = LAMBDA_SYMBOLIC if is_degenerate(pid) else LAMBDA_ABSENT
         p = make_preset(pid, order, mode)
-        entries.append(CorpusEntry(pid, p.f, p))
+        entries.append(CorpusEntry(pid, p.f))
     entries.append(CorpusEntry("prob_uniform", moment_delta(uniform_moments(sc.LAMBDA), order)))
     entries.append(CorpusEntry("prob_one", moment_delta(point_mass_moments(1, sc.LAMBDA), order)))
     return tuple(entries)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from deltaseries import cli
 from deltaseries import exprparse as ep
 from deltaseries import presets as pr
 from deltaseries import scalar as sc
+from deltaseries import stirling as st
 from deltaseries import verify as vf
 from deltaseries.errors import DeltaSeriesError
 
@@ -136,6 +138,48 @@ class TestSeriesCommands:
         code, _, err = run(capsys, "eval", "--f", "t/(", "--order", "4")
         assert code == 2
         assert "error" in err
+
+
+MACHINE_OUTPUTS = [(command, fmt, lam) for command, fmt in [("log", "csv"), ("invert", "csv"), ("eval", "csv"),
+                                                          ("bernoulli", "csv"), ("bernoulli", "json")]
+                   for lam in (None, "symbolic")] + [("presets-list", "csv", None)]
+
+
+@pytest.mark.parametrize("command,fmt,lam", MACHINE_OUTPUTS)
+def test_machine_outputs_read_back(capsys, command, fmt, lam):
+    """The csv and json outputs, read back with the csv module or json and
+    scalar.parse_scalar, give the library's values."""
+    if command == "presets-list":
+        code, out, _ = run(capsys, command, "--format", fmt)
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["id", "letter", "degenerate", "formula"]] + [
+            [pid, info["letter"], str(info["degenerate"]), info["formula"]] for pid, info in pr.registry_json().items()]
+        return
+    expr, mode = ("(exp(lambda*t)-1)/lambda+t^2", pr.LAMBDA_SYMBOLIC) if lam else ("log(1+t)+t^3/2", pr.LAMBDA_ABSENT)
+    order = 5
+    argv = [command, "--f", expr, "--format", fmt] + (["--lambda", lam] if lam else [])
+    argv += ["--alpha", "1/2", "--n", str(order)] if command == "bernoulli" else ["--order", str(order)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    f = ep.eval_expr(ep.parse(expr), order + (command == "bernoulli"), mode)
+    if command == "eval":
+        want = f.coeffs
+    elif command == "log":
+        want = st.assoc_log(ep.require_delta(f)).coeffs
+    elif command == "invert":
+        want = st.compositional_inverse(ep.require_delta(f)).series.coeffs
+    else:
+        want = st.bernoulli_assoc(ep.require_delta(f), Fraction(1, 2), order).values
+    if fmt == "json":
+        obj = json.loads(out)
+        assert (obj["alpha"], obj["f"]) == ("1/2", expr)
+        got = [sc.parse_scalar(v) for v in obj["values"]]
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "value"] and [n for n, _ in rows[1:]] == [str(n) for n in range(order + 1)]
+        got = [sc.parse_scalar(v) for _, v in rows[1:]]
+    assert got == list(want)
+    assert [type(v) for v in got] == [type(v) for v in want]
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -23,24 +24,25 @@ L = sc.LAMBDA
 
 class TestParsing:
     def test_tree_shapes(self):
-        e = ep.parse("t + 2*t - 3")
-        assert isinstance(e, ep.Sub)
-        assert isinstance(e.left, ep.Add)
-        assert ep.parse("-t^2") == ep.Neg(ep.Pow(ep.Var("t"), 2))
-        assert ep.parse("(t+1)^2") == ep.Pow(ep.Add(ep.Var("t"), ep.Number(1)), 2)
-        assert ep.parse("t^(1/2)") == ep.Pow(ep.Var("t"), Fraction(1, 2))
-        assert ep.parse("t^-2") == ep.Pow(ep.Var("t"), -2)
+        assert ep.parse("t + 2*t - 3") == ("-", ("+", "t", ("*", 2, "t")), 3)
+        assert ep.parse("-t^2") == ("neg", ("^", "t", 2))
+        assert ep.parse("(t+1)^2") == ("^", ("+", "t", 1), 2)
+        assert ep.parse("t^(1/2)") == ("^", "t", Fraction(1, 2))
+        assert ep.parse("t^-2") == ("^", "t", -2)
+        assert ep.parse("sqrt(lambda)") == ("sqrt", "lambda")
+        _, two, (_, _, three) = ep.parse("2*t^3")
+        assert type(two) is Fraction and type(three) is Fraction
 
     def test_left_associativity(self):
-        assert ep.parse("1-2-3") == ep.Sub(ep.Sub(ep.Number(1), ep.Number(2)), ep.Number(3))
-        assert ep.parse("8/4/2") == ep.Div(ep.Div(ep.Number(8), ep.Number(4)), ep.Number(2))
+        assert ep.parse("1-2-3") == ("-", ("-", 1, 2), 3)
+        assert ep.parse("8/4/2") == ("/", ("/", 8, 4), 2)
 
     def test_whitespace_insensitive(self):
         assert ep.parse(" t / ( 1 + t ) ") == ep.parse("t/(1+t)")
 
     def test_unary_rhs(self):
-        assert ep.parse("2*-t") == ep.Mul(ep.Number(2), ep.Neg(ep.Var("t")))
-        assert ep.parse("t- -t") == ep.Sub(ep.Var("t"), ep.Neg(ep.Var("t")))
+        assert ep.parse("2*-t") == ("*", 2, ("neg", "t"))
+        assert ep.parse("t- -t") == ("-", "t", ("neg", "t"))
 
     def test_binary_nodes_compare_their_operands(self):
         assert ep.parse("t+1") != ep.parse("2+3")
@@ -81,7 +83,7 @@ class TestParsing:
         flat = ep.parse("+".join(["t"] * 128))
         assert ep.eval_expr(flat, 3).coeffs[1] == 128
         deep = "(" * (ep.MAX_DEPTH - 1) + "t" + ")" * (ep.MAX_DEPTH - 1)
-        assert ep.parse(deep) == ep.Var("t")
+        assert ep.parse(deep) == "t"
         with pytest.raises(ExprSyntaxError):
             ep.parse("(" + deep + ")")
         neg = ep.parse("-" * (ep.MAX_DEPTH - 1) + "t")
@@ -120,6 +122,44 @@ class TestPretty:
         text = ep.pretty(e)
         assert ep.parse(text) == e
         assert ep.pretty(ep.parse(text)) == text
+
+    @staticmethod
+    def random_tree(rng, depth):
+        """A tree of height at most depth + 1 with integer leaves >= 0."""
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice([Fraction(rng.randint(0, 12)), "t", "lambda"])
+        tag = rng.choice(("neg", "+", "-", "*", "/", "^") + ep.FUNCTIONS)
+        if tag == "^":
+            return (tag, TestPretty.random_tree(rng, depth - 1), Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        return (tag,) + tuple(TestPretty.random_tree(rng, depth - 1) for _ in range(1 + (tag in "+-*/")))
+
+    @staticmethod
+    def kinds(e):
+        """The node kinds in e; nested unary minus and negative and rational
+        exponents count as kinds of their own."""
+        if not isinstance(e, tuple):
+            return set()
+        tag, a = e[0], e[1]
+        found = {tag} | TestPretty.kinds(a)
+        if tag == "neg" and isinstance(a, tuple) and a[0] == "neg":
+            found.add("neg neg")
+        if tag == "^":
+            found |= {"^ negative"} if e[2] < 0 else set()
+            found |= {"^ rational"} if e[2].denominator > 1 else set()
+        elif tag in "+-*/":
+            found |= TestPretty.kinds(e[2])
+        return found
+
+    def test_random_trees_round_trip(self):
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(1000):
+            e = self.random_tree(rng, 7)
+            text = ep.pretty(e)
+            assert ep.parse(text) == e, text
+            assert ep.pretty(ep.parse(text)) == text
+            seen |= self.kinds(e)
+        assert seen == {"neg", "neg neg", "+", "-", "*", "/", "^", "^ negative", "^ rational"} | set(ep.FUNCTIONS)
 
 
 class TestEval:
