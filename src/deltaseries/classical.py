@@ -30,18 +30,6 @@ def binom_shift(n, k):
     return math.comb(n - 1, k - 1)
 
 
-def binom_general(upper, k):
-    """C(upper, k) for scalar upper: (upper)_k / k!."""
-    if k < 0:
-        return Fraction(0)
-    return falling_factorial(upper, k) * Fraction(1, math.factorial(k))
-
-
-def falling_factorial(x, n):
-    """(x)_n = x(x-1)...(x-n+1) for a scalar or integer x: (x)_{n,1}."""
-    return deg_falling_value(x, n, 1)
-
-
 @lru_cache(maxsize=None)
 def classical_s2(n, k):
     """Stirling numbers of the second kind by the standard recurrence

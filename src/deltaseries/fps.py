@@ -781,12 +781,5 @@ def series_to_json(series):
     return {"order": series.order, "ring": series.ring, "coeffs": coeffs, "egf": False}
 
 
-def series_from_json(obj):
-    vals = [sc.parse_scalar(s) for s in obj["coeffs"]]
-    if obj.get("egf"):
-        vals = [v * Fraction(1, math.factorial(n)) for n, v in enumerate(vals)]
-    return Series(obj["order"], vals, obj["ring"])
-
-
 def series_to_json_str(series):
     return json.dumps(series_to_json(series))

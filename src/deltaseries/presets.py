@@ -418,18 +418,6 @@ def point_mass_moments(c, lam=None):
     return MomentSeq(fn, "point_mass(%s)" % c)
 
 
-def two_point_moments(a, pa, b, lam=None):
-    """Y = a with probability pa, else b."""
-    a, b, pa = Fraction(a), Fraction(b), Fraction(pa)
-
-    def fn(n):
-        if lam is None:
-            return pa * a ** n + (1 - pa) * b ** n
-        return pa * cl.deg_falling_value(a, n, lam) + (1 - pa) * cl.deg_falling_value(b, n, lam)
-
-    return MomentSeq(fn, "two_point")
-
-
 def moment_delta(m, order):
     """The delta series whose second-kind triangle gives the probabilistic
     Stirling numbers of the supplied moment sequence."""

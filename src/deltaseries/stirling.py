@@ -17,7 +17,7 @@ import random
 from . import classical as cl
 from . import fps
 from . import scalar as sc
-from ._packed import at, egf_view, frame, join, line, norms, packs, reduced
+from ._packed import at, egf_view, frame, line, norms, packs, reduced
 from .scalar import view_scalars
 from .errors import (
     ArityTooSmall,
@@ -75,43 +75,37 @@ class Triangle:
         return "\n".join(lines) + "\n"
 
 
-def _power_rows(start, base, max_n):
-    """Rows of EGF coefficients of start * base^k / k!: rows[n][k] for k <= n <= max_n.
+def _power_rows(base, max_n):
+    """Rows of EGF coefficients of base^k / k!: rows[n][k] for k <= n <= max_n.
 
-    base has zero constant term.  Column k of base^k / k! holds the partial
-    Bell polynomials B_{n,k}(b_1, b_2, ...) of the EGF coefficients b_j of
-    base, built with no division by Comtet's recurrence (Advanced
-    Combinatorics, 1974, 3.3)
+    base has zero constant term.  Column k holds the partial Bell
+    polynomials B_{n,k}(b_1, b_2, ...) of the EGF coefficients b_j of base,
+    built with no division by Comtet's recurrence (Advanced Combinatorics,
+    1974, 3.3)
 
-        B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1};
+        B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) b_j B_{n-j,k-1}.
 
-    a start other than 1 is one binomial convolution with its EGF
-    coefficients s_m.  Both run on the integer views of ``_packed`` in
-    every ring: s_m and b_j are m! x_m / den of the views the two series
-    keep (``egf_view``), viewed over e P^(w m + ss) and d P^(w j + sb) for
-    the frame of least excess (``frame``) and packed.  B_{n,k} is
-    homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x) (Comtet,
-    3.3), so entry (n, k) is the unpacked result over e d^k
-    P^(w n + k sb + ss).  The entries are the only scalars made here.  The
+    It runs on the integer views of ``_packed`` in every ring: b_j is
+    j! x_j / den of the view base keeps (``egf_view``), viewed over
+    d P^(w j + s) for the frame of least excess (``frame``) and packed.
+    B_{n,k} is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x)
+    (Comtet, 3.3), so entry (n, k) is the unpacked sum over
+    d^k P^(w n + k s).  The entries are the only scalars made here.  The
     width bounds every sum because the same recurrence, run first on the l1
     norms of those polynomials, bounds the l1 norm of each sum (the norm of
     a product is at most the product of the norms).  Over Q the norms are
     not needed: nothing is packed.
     """
-    vs, vb = egf_view(start.view, max_n), egf_view(base.view, max_n)
-    P = join(vs[3], vb[3])
-    es = None  # exponents of P, none for P = 1
+    v = egf_view(base.view, max_n)
+    P = v[3]
+    F = None  # exponents of P, none for P = 1
     if len(P) > 1:
-        w, (ss, sb) = frame(vs, vb)
-        es = line(max_n, w, ss)
-    (xs, e, ds), (xb, d, db) = at(vs, P, es), at(vb, P, es and line(max_n, w, sb))
-    B = 0
-    if ds + db:
-        bell = _bell_columns(norms(xb, db))
-        B = max(max(col) for col in bell + _convolve(norms(xs, ds), bell)).bit_length() + 1
-    cols = _convolve(packs(xs, ds, B), _bell_columns(packs(xb, db, B)))
-    cols = [view_scalars(reduced(col[k:], B, e * d**k, P, es and line(max_n - k, w, (w + sb) * k + ss)))
-            for k, col in enumerate(cols)]
+        w, (s,) = frame(v)
+        F = line(max_n, w, s)
+    xs, d, deg = at(v, P, F)
+    B = max(map(max, _bell_columns(norms(xs, deg)))).bit_length() + 1 if deg else 0
+    cols = [view_scalars(reduced(col[k:], B, d**k, P, F and line(max_n - k, w, (w + s) * k)))
+            for k, col in enumerate(_bell_columns(packs(xs, deg, B)))]
     return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
 
 
@@ -126,15 +120,6 @@ def _bell_columns(b):
         cols.append([0] * k + [sum(map(operator.mul, w[n][1:n - k + 2], reversed(prev[k - 1:n])))
                                for n in range(k, max_n + 1)])
     return cols
-
-
-def _convolve(s, cols):
-    """The EGF product of s with each column: sum_m C(n, m) s_m cols[k][n - m]."""
-    if s[0] == 1 and not any(s[1:]):
-        return cols
-    ms = [m for m, x in enumerate(s) if x]
-    return [[sum(math.comb(n, m) * s[m] * col[n - m] for m in ms if m <= n - k)
-             for n in range(len(s))] for k, col in enumerate(cols)]
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +142,7 @@ def s2_assoc(f, max_n):
         raise InsufficientOrder("delta series order %d < max_n %d" % (f.order, max_n))
     fb = compositional_inverse(f).series.truncate(max_n)
     base = fps.sub(fps.exp_series(fb), fps.one(max_n, fb.ring))
-    return Triangle("s2", max_n, _power_rows(fps.one(max_n, base.ring), base, max_n), base.ring)
+    return Triangle("s2", max_n, _power_rows(base, max_n), base.ring)
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +154,7 @@ def s1_assoc(f, max_n):
     if f.order < max_n:
         raise InsufficientOrder("delta series order %d < max_n %d" % (f.order, max_n))
     base = assoc_log(f).truncate(max_n)
-    return Triangle("s1", max_n, _power_rows(fps.one(max_n, base.ring), base, max_n), base.ring)
+    return Triangle("s1", max_n, _power_rows(base, max_n), base.ring)
 
 
 @lru_cache(maxsize=None)
@@ -183,15 +168,14 @@ def assoc_log(f):
 
 
 class BernoulliFamily:
-    """Order-alpha Bernoulli numbers (and optional x-polynomials) for a base."""
+    """Order-alpha Bernoulli numbers for a base."""
 
-    __slots__ = ("base", "order_alpha", "values", "xpolys")
+    __slots__ = ("base", "order_alpha", "values")
 
-    def __init__(self, base, order_alpha, values, xpolys=None):
+    def __init__(self, base, order_alpha, values):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "order_alpha", order_alpha)
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "xpolys", tuple(xpolys) if xpolys is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BernoulliFamily is immutable")
@@ -206,8 +190,8 @@ def _bernoulli_base(g, max_n):
 
 
 @lru_cache(maxsize=None)
-def bernoulli_assoc(g, alpha, max_n, with_x=False):
-    """Numbers n! [t^n] (t/(e^{g(t)}-1))^alpha, optionally with e^{x g(t)}."""
+def bernoulli_assoc(g, alpha, max_n):
+    """Numbers n! [t^n] (t/(e^{g(t)}-1))^alpha."""
     alpha = Fraction(alpha)
     if g.order < max_n + 1:
         raise InsufficientOrder("base order %d < max_n+1 = %d" % (g.order, max_n + 1))
@@ -217,12 +201,7 @@ def bernoulli_assoc(g, alpha, max_n, with_x=False):
             "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
         )
     base = fps.power(w, -alpha)
-    values = [fps.egf_coeff(base, n) for n in range(max_n + 1)]
-    xpolys = None
-    if with_x:
-        gs = g.series.truncate(max_n)
-        xpolys = [XPoly(row, BASIS_MONOMIAL) for row in _power_rows(base.truncate(max_n), gs, max_n)]
-    return BernoulliFamily(g, alpha, values, xpolys)
+    return BernoulliFamily(g, alpha, [fps.egf_coeff(base, n) for n in range(max_n + 1)])
 
 
 def scalar_rat_pow(s, e):
@@ -413,117 +392,6 @@ def assoc_log_expansion(f, max_n, s2):
     return fps.from_egf([Fraction(0)] + [
         lead[n] * sum(((-1) ** j * math.comb(2 * n - 1, n - 1 - j) * g[n - 1][j] for j in range(n)), Fraction(0))
         for n in range(1, max_n + 1)])
-
-
-# ---------------------------------------------------------------------------
-# polynomials in x
-
-BASIS_MONOMIAL = "monomial"
-BASIS_FALLING = "falling"
-BASIS_FALLING_LAMBDA = "falling_l"
-
-
-class XPoly:
-    """Polynomial in x with scalar coefficients, in a tagged basis.
-
-    The falling_l basis always refers to the symbolic parameter l.
-    """
-
-    __slots__ = ("coeffs", "basis")
-
-    def __init__(self, coeffs, basis=BASIS_MONOMIAL):
-        cs = list(coeffs)
-        while len(cs) > 1 and not cs[-1]:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def to_monomial(self):
-        if self.basis == BASIS_MONOMIAL:
-            return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if self.basis == BASIS_FALLING:
-                base = [Fraction(cl.classical_s1(k, m)) for m in range(k + 1)]
-            else:
-                base = cl.deg_falling_coeffs(k, sc.LAMBDA)
-            for m, b in enumerate(base):
-                out[m] = out[m] + c * b
-        return XPoly(out, BASIS_MONOMIAL)
-
-    def convert(self, target):
-        if target == self.basis:
-            return self
-        mono = self.to_monomial().coeffs
-        if target == BASIS_MONOMIAL:
-            return XPoly(mono, BASIS_MONOMIAL)
-        if target == BASIS_FALLING:
-            out = [Fraction(0)] * len(mono)
-            for m, c in enumerate(mono):
-                if not c:
-                    continue
-                for k in range(m + 1):
-                    s = cl.classical_s2(m, k)
-                    if s:
-                        out[k] = out[k] + c * s
-            return XPoly(out, BASIS_FALLING)
-        if target == BASIS_FALLING_LAMBDA:
-            return XPoly(cl.to_deg_falling_basis(list(mono), sc.LAMBDA), BASIS_FALLING_LAMBDA)
-        raise ValueError("unknown basis %r" % (target,))
-
-    def eval(self, x):
-        mono = self.to_monomial().coeffs
-        acc = Fraction(0)
-        for c in reversed(mono):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        a, b = self.to_monomial().coeffs, other.to_monomial().coeffs
-        if len(a) != len(b):
-            return False
-        return all(x == y for x, y in zip(a, b))
-
-    def __hash__(self):
-        return hash(self.to_monomial().coeffs)
-
-    def __repr__(self):
-        return "XPoly(%s, basis=%s)" % (
-            [sc.format_scalar(c) for c in self.coeffs],
-            self.basis,
-        )
-
-
-def basis_convert(p, target):
-    """Exact change of basis for an XPoly; round trips are identities."""
-    return p.convert(target)
-
-
-def poly_seq(f, max_n):
-    """The associated sequence p_n(x): EGF coefficients of e^{x fbar(t)}."""
-    if f.order < max_n:
-        raise InsufficientOrder("order %d < max_n %d" % (f.order, max_n))
-    fb = compositional_inverse(f).series.truncate(max_n)
-    return [XPoly(row, BASIS_MONOMIAL) for row in _power_rows(fps.one(max_n, fb.ring), fb, max_n)]
-
-
-def bell_assoc(f, max_n):
-    """Bell polynomials associated with f: rows of the second-kind triangle."""
-    tri = s2_assoc(f, max_n)
-    return [XPoly(tri.rows[n], BASIS_MONOMIAL) for n in range(max_n + 1)]
 
 
 # ---------------------------------------------------------------------------

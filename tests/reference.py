@@ -116,9 +116,9 @@ def horner_invert(f):
     return fps.DeltaSeries(g)
 
 
-def power_rows(start, base, max_n):
-    """EGF coefficients of start * base^k / k! by repeated series products."""
-    cols = [start]
+def power_rows(base, max_n):
+    """EGF coefficients of base^k / k! by repeated series products, from 1."""
+    cols = [fps.Series(max_n, [1] + [0] * max_n, base.ring)]
     for k in range(1, max_n + 1):
         p = mul(cols[-1], base)
         cols.append(fps.Series(max_n, [c * Fraction(1, k) for c in p.coeffs], p.ring))
@@ -201,7 +201,7 @@ def bernoulli_via_lemma24(ps, bell, alpha, n):
     p1 = ps[1]
     acc = Fraction(0)
     for k in range(n + 1):
-        fk = cl.falling_factorial(-alpha, k)
+        fk = cl.deg_falling_value(-alpha, k, 1)
         if fk == 0:
             continue
         acc = acc + fk * scalar_rat_pow(p1, -alpha - k) * bell[n][k]
@@ -215,7 +215,7 @@ def bernoulli_via_s2(f, alpha, n, s2):
     pows = [scalar_rat_pow(p1, -alpha - j) for j in range(n + 1)]  # f1^(alpha + j), j alone
     acc = Fraction(0)
     for k in range(n + 1):
-        bk = cl.binom_general(alpha + k - 1, k)
+        bk = cl.deg_falling_value(alpha + k - 1, k, 1) * Fraction(1, math.factorial(k))
         if not bk:
             continue
         for j in range(k + 1):

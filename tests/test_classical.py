@@ -23,13 +23,6 @@ def test_binom_shift():
     assert cl.binom_shift(4, 5) == 0
 
 
-def test_binom_general_symbolic():
-    # C(l+1, 2) = (l+1)l/2
-    assert cl.binom_general(L + 1, 2) == (L**2 + L) * Fraction(1, 2)
-    assert cl.binom_general(Fraction(1, 2), 3) == Fraction(1, 16)
-    assert cl.binom_general(L, 0) == 1
-
-
 def test_classical_triangles():
     # second kind row 5: 1, 15, 25, 10, 1
     assert [cl.classical_s2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
@@ -63,8 +56,8 @@ def test_lah_numbers():
 
 
 def test_falling_factorials():
-    assert cl.falling_factorial(5, 3) == 60
-    assert cl.falling_factorial(L, 2) == L**2 - L
+    assert cl.deg_falling_value(5, 3, 1) == 60
+    assert cl.deg_falling_value(L, 2, 1) == L**2 - L
 
 
 def test_deg_falling_coeffs():

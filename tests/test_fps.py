@@ -596,13 +596,12 @@ class TestPackedKernels:
         f = fps.DeltaSeries(fps.Series(s.order, (0, f1) + s.coeffs[2:], sc.join_ring(s.ring, sc.ring_of(f1))))
         assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
 
-    @given(operands(2, max_deg=3))
+    @given(operands(1, max_deg=3))
     @settings(max_examples=40, deadline=None)
-    def test_power_rows(self, pair):
-        start, base = pair
-        base = fps.Series(base.order, (0,) + base.coeffs[1:], base.ring)
-        got = st._power_rows(start, base, start.order)
-        want = ref.power_rows(start, base, start.order)
+    def test_power_rows(self, one):
+        base = fps.Series(one[0].order, (0,) + one[0].coeffs[1:], one[0].ring)
+        got = st._power_rows(base, base.order)
+        want = ref.power_rows(base, base.order)
         assert got == want
         assert [[type(c) for c in r] for r in got] == [[type(c) for c in r] for r in want]
 
@@ -625,9 +624,7 @@ class TestPackedKernels:
         # every sum equals its l1 norm
         for n in (1, 4, 9):
             for base in (fps.Series(n, [0] + [h * L] * n), fps.Series(n, [0] + [-h * L**2] * n)):
-                for start in (fps.one(n), fps.Series(n, [h * L] * (n + 1))):
-                    want = ref.power_rows(start, base, n)
-                    assert st._power_rows(start, base, n) == want
+                assert st._power_rows(base, n) == ref.power_rows(base, n)
 
     def test_recurrence_sums_at_the_edge_of_the_width(self):
         # a / b = x for b = 1 + h t + h t^2 + ... and a[n] = x (1 + h n): the
@@ -768,13 +765,12 @@ class TestRationalFunctionKernels:
         f = fps.DeltaSeries(fps.Series(s.order, (0, f1) + s.coeffs[2:]))
         assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
 
-    @given(qlrat_operands(2, max_order=5))
+    @given(qlrat_operands(1, max_order=5))
     @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
-    def test_power_rows(self, pair):
-        start, base = pair
-        base = fps.Series(base.order, (0,) + base.coeffs[1:], base.ring)
-        got = st._power_rows(start, base, start.order)
-        want = ref.power_rows(start, base, start.order)
+    def test_power_rows(self, one):
+        base = fps.Series(one[0].order, (0,) + one[0].coeffs[1:], one[0].ring)
+        got = st._power_rows(base, base.order)
+        want = ref.power_rows(base, base.order)
         assert got == want
         assert [[type(c) for c in r] for r in got] == [[type(c) for c in r] for r in want]
 
@@ -859,14 +855,16 @@ class TestTightFrames:
 
 
 # name: (declared ring, coefficients from t^0 on, top order, highest order
-# also checked against horner_invert, whose scalar loops slow down over Q(l))
+# also checked against horner_invert, whose scalar loops slow down over Q(l));
+# over Q and Q[l] the top lies above the Lagrange base case at 32, so that
+# the orders past it take Newton steps
 NEWTON_CASES = {
-    "q-linear": (None, [0, Fraction(-3, 2)], 20, 20),
-    "q-f2-zero": (None, [0, 2, 0] + [Fraction((-1) ** i, i) for i in range(3, 21)], 20, 20),
-    "q-dense": (None, [0, Fraction(3, 2)] + [Fraction((-1) ** i * (i + 2), i + 1) for i in range(2, 21)], 20, 20),
-    "ql-linear": (sc.RING_QL, [0, 3], 20, 20),
-    "ql-f2-zero": (None, [0, 1, 0] + [L ** (i % 3) - i for i in range(3, 21)], 20, 12),
-    "ql-dense": (None, [0, -2] + [(1 - L) ** (i % 2) * Fraction(1, i) for i in range(2, 21)], 20, 12),
+    "q-linear": (None, [0, Fraction(-3, 2)], 40, 20),
+    "q-f2-zero": (None, [0, 2, 0] + [Fraction((-1) ** i, i) for i in range(3, 41)], 40, 20),
+    "q-dense": (None, [0, Fraction(3, 2)] + [Fraction((-1) ** i * (i + 2), i + 1) for i in range(2, 41)], 40, 20),
+    "ql-linear": (sc.RING_QL, [0, 3], 40, 20),
+    "ql-f2-zero": (None, [0, 1, 0] + [L ** (i % 3) - i for i in range(3, 41)], 40, 12),
+    "ql-dense": (None, [0, -2] + [(1 - L) ** (i % 2) * Fraction(1, i) for i in range(2, 41)], 40, 12),
     "qlrat-linear": (None, [0, (1 + L) ** 2], 20, 20),
     "qlrat-f2-zero": (None, [0, (1 + L) ** 2, 0, 0, 1], 20, 20),
     "qlrat-dense": (None, [0, (1 + L) ** 2, 1, 1, Fraction(-1, 2), L], 20, 10),
@@ -1232,6 +1230,35 @@ def test_modules_import_nothing_unused():
     assert not unused, unused
 
 
+# Read by no module of the package: the oracles the tests check the kernels
+# against, pow_ratio (read by the benchmark's checks) and the README API.
+UNREAD_KEPT = {("fps", "lagrange_coeff_general"), ("fps", "lagrange_coeff_inverse"),
+               ("fps", "lagrange_coeff_power"), ("fps", "pow_ratio"),
+               ("presets", "uniform_s1_multinomial"), ("scalar", "lpoly_gcd")}
+
+
+def test_modules_define_nothing_unread():
+    """Every top-level function or class of the package is read by some
+    module of it, as a name, an attribute, an imported name or a string,
+    or is one of UNREAD_KEPT, each of which no module reads."""
+    pkg = pathlib.Path(fps.__file__).parent
+    defined, read = set(), set()
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert {(m, name) for m, name in defined if name not in read} == UNREAD_KEPT
+
+
 def assert_view(s):
     """A view kept on s is the one int_view makes of its scalars at the
     view's P, and the one plain arithmetic gives: over P = 1 lcm arithmetic
@@ -1306,10 +1333,8 @@ class TestViews:
             for s, w in zip(got, want):
                 assert_same(s, w)
                 assert_view(s)
-            rows = st._power_rows(x, g, n)
-            assert rows == ref.power_rows(a, f, n)
-            for s in (x, g):
-                assert_view(s)
+            assert st._power_rows(g, n) == ref.power_rows(f, n)
+            assert_view(g)
 
     def test_quotient_that_cancels_to_constants_keeps_an_int_view(self):
         # a / a over Q(l): every recurrence output cancels to a constant, so the
@@ -1352,7 +1377,7 @@ class TestViews:
             assert_same(s, w)
         for s in (a, b, f):
             assert_view(s)
-        assert st._power_rows(a, f, n) == ref.power_rows(a, f, n)
+        assert st._power_rows(f, n) == ref.power_rows(f, n)
 
     @given(view_pair())
     @settings(max_examples=40, deadline=None)
@@ -1666,15 +1691,11 @@ class TestEgfAndJson:
         s = ser(0, 1, Fraction(-1, 2), Fraction(1, 3))
         obj = fps.series_to_json(s)
         assert obj["ring"] == "Q" and obj["order"] == 3 and obj["egf"] is False
-        assert fps.series_from_json(json.loads(json.dumps(obj))) == s
+        obj = json.loads(json.dumps(obj))
+        assert fps.Series(obj["order"], [sc.parse_scalar(c) for c in obj["coeffs"]], obj["ring"]) == s
 
     def test_json_round_trip_symbolic(self):
         s = fps.Series(2, [Fraction(0), Fraction(1), 1 - L])
-        obj = fps.series_to_json(s)
-        back = fps.series_from_json(json.loads(json.dumps(obj)))
+        obj = json.loads(json.dumps(fps.series_to_json(s)))
+        back = fps.Series(obj["order"], [sc.parse_scalar(c) for c in obj["coeffs"]], obj["ring"])
         assert back == s and back.ring == sc.RING_QL
-
-    def test_json_egf_flag(self):
-        s = ser(1, 1, Fraction(1, 2), Fraction(1, 6))
-        obj = {"order": 3, "ring": "Q", "coeffs": ["1", "1", "1", "1"], "egf": True}
-        assert fps.series_from_json(obj) == s

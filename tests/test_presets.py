@@ -246,7 +246,7 @@ class TestKnownCoefficients:
         # log_l(1+t) has EGF (l-1)_{n-1}
         f = _preset("partial_deg_bell", order=8).f.series
         for n in range(1, 9):
-            assert fps.egf_coeff(f, n) == sc.simplify(cl.falling_factorial(L - 1, n - 1))
+            assert fps.egf_coeff(f, n) == sc.simplify(cl.deg_falling_value(L - 1, n - 1, 1))
 
 
 class TestA2AndMoments:
@@ -274,14 +274,9 @@ class TestA2AndMoments:
         f = pr.moment_delta(pr.point_mass_moments(1, L), 10)
         assert f == _preset("deg_falling", order=10).f
 
-    def test_two_point_moments(self):
-        tp = pr.two_point_moments(0, Fraction(1, 2), 2)
-        assert tp.moments(1) == 1
-        assert tp.moments(3) == 4
-
     def test_zero_first_moment(self):
         with pytest.raises(ZeroFirstMoment):
-            pr.moment_delta(pr.two_point_moments(-1, Fraction(1, 2), 1), 6)
+            pr.moment_delta(pr.point_mass_moments(0), 6)
 
     def test_moment_seq_validates(self):
         with pytest.raises(ValueError):

@@ -203,7 +203,7 @@ class TestBellRows:
         def refuse(*args):
             raise AssertionError("an oracle read Comtet's kernel")
 
-        for name in ("_power_rows", "_bell_columns", "_convolve"):
+        for name in ("_power_rows", "_bell_columns"):
             monkeypatch.setattr(st, name, refuse)
         pr._table.cache_clear()
         assert calls() == want
@@ -220,15 +220,6 @@ class TestBernoulli:
             Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0),
             Fraction(-1, 30), Fraction(0), Fraction(1, 42),
         ]
-
-    def test_x_polynomials(self):
-        fam = st.bernoulli_assoc(f_identity(), Fraction(1), 4, with_x=True)
-        b1 = fam.xpolys[1]
-        assert b1.coeffs == (Fraction(-1, 2), Fraction(1))  # B_1(x) = x - 1/2
-        # B_n(1) - B_n(0) vanishes for n >= 2
-        for n in range(2, 5):
-            p = fam.xpolys[n]
-            assert p.eval(Fraction(1)) - p.eval(Fraction(0)) == 0
 
     def test_rational_alpha(self):
         fam = st.bernoulli_assoc(f_identity(), Fraction(1, 2), 4)
@@ -248,38 +239,6 @@ class TestBernoulli:
             st.scalar_rat_pow(Fraction(2), Fraction(1, 2))
 
 
-# poly_seq and the Bernoulli x-polynomials share the column-powers kernel;
-# partial_bell reads bell_rows, the series-power route (successive
-# products), so it checks both.
-KERNEL_PRESETS = [("mittag_leffler", pr.LAMBDA_ABSENT), ("deg_falling", pr.LAMBDA_SYMBOLIC)]
-
-
-class TestPowerKernel:
-    @pytest.mark.parametrize("pid,mode", KERNEL_PRESETS)
-    def test_poly_seq_is_partial_bell_of_inverse(self, pid, mode):
-        n = 6
-        f = pr.make_preset(pid, n, mode).f
-        fb = st.compositional_inverse(f).series
-        xs = [fps.egf_coeff(fb, j) for j in range(1, n + 1)]
-        seq = st.poly_seq(f, n)
-        for m in range(n + 1):
-            assert seq[m] == st.XPoly([st.partial_bell(m, k, xs) for k in range(m + 1)])
-
-    @pytest.mark.parametrize("pid,mode", KERNEL_PRESETS)
-    def test_bernoulli_xpolys_are_bell_convolutions(self, pid, mode):
-        n = 6
-        g = pr.make_preset(pid, n + 1, mode).f
-        xs = [fps.egf_coeff(g.series, j) for j in range(1, n + 1)]
-        fam = st.bernoulli_assoc(g, Fraction(2), n, with_x=True)
-        for m in range(n + 1):
-            want = [
-                sum((math.comb(m, j) * fam.values[m - j] * st.partial_bell(j, k, xs) for j in range(k, m + 1)),
-                    Fraction(0))
-                for k in range(m + 1)
-            ]
-            assert fam.xpolys[m] == st.XPoly(want)
-
-
 def comtet_case(name, n):
     if name == "qlrat":  # (l+1)t + 2t^2: a non-constant linear term puts it over Q(l)
         return fps.DeltaSeries(fps.Series(n, [0, L + 1, 2] + [0] * (n - 2)))
@@ -295,13 +254,16 @@ def assert_rows(got, want):
 
 
 COMTET_CASES = [("identity", 8), ("mittag_leffler", 8), ("bell", 8), ("laguerre_m1", 8),
-                ("deg_falling@1/3", 8), ("deg_falling@symbolic", 8), ("qlrat", 5)]
+                ("deg_falling@1/3", 8), ("deg_falling@symbolic", 8), ("qlrat", 5),
+                # EGF coefficients over distinct denominators d_j
+                ("probabilistic@symbolic", 16), ("deg_central_bell@symbolic", 16)]
 
 
 class TestComtetKernel:
-    """_power_rows (Comtet's recurrence) through its four callers, against
-    repeated series products in the reference module and against
-    partial_bell; every base is built by the reference loops too."""
+    """_power_rows (Comtet's recurrence) through s2_assoc and s1_assoc, and
+    the Bernoulli numbers, against repeated series products in the
+    reference module and against partial_bell; every base is built by the
+    reference loops too."""
 
     @pytest.mark.parametrize("name,n", COMTET_CASES)
     def test_s2_and_s1(self, name, n):
@@ -311,33 +273,23 @@ class TestComtetKernel:
         log1p = fps.Series(n, [0] + [Fraction((-1) ** (j - 1), j) for j in range(1, n + 1)])
         base1 = ref.horner_compose(f.series, log1p)
         for tri, base in ((st.s2_assoc(f, n), base2), (st.s1_assoc(f, n), base1)):
-            assert_rows(tri.rows, ref.power_rows(fps.one(n, base.ring), base, n))
+            assert_rows(tri.rows, ref.power_rows(base, n))
             assert tri.ring == base.ring
             xs = [fps.egf_coeff(base, j) for j in range(1, n + 1)]
             for m in range(n + 1):
                 assert list(tri.rows[m]) == [st.partial_bell(m, k, xs) for k in range(m + 1)]
 
     @pytest.mark.parametrize("name,n", COMTET_CASES)
-    def test_poly_seq(self, name, n):
-        f = comtet_case(name, n)
-        fb = ref.horner_invert(f).series
-        want = ref.power_rows(fps.one(n, fb.ring), fb, n)
-        assert_rows([p.coeffs for p in st.poly_seq(f, n)], [st.XPoly(r).coeffs for r in want])
-
-    @pytest.mark.parametrize("name,n", COMTET_CASES)
     @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(-1)])
-    def test_bernoulli_xpolys(self, name, n, alpha):
+    def test_bernoulli_values(self, name, n, alpha):
         g = comtet_case(name, n + 1)
-        fam = st.bernoulli_assoc(g, alpha, n, with_x=True)
-        gs = g.series.truncate(n)
-        w = fps.shift_down(ref.sub(ref.exp_series(g.series), fps.one(n + 1, gs.ring)), 1)
-        start = fps.one(n, w.ring)
+        fam = st.bernoulli_assoc(g, alpha, n)
+        w = fps.shift_down(ref.sub(ref.exp_series(g.series), fps.one(n + 1, g.series.ring)), 1)
+        want = fps.one(n, w.ring)
         power = w if alpha < 0 else ref.div(fps.one(n, w.ring), w)
         for _ in range(abs(int(alpha))):
-            start = ref.mul(start, power)
-        assert list(fam.values) == [fps.egf_coeff(start, m) for m in range(n + 1)]
-        want = ref.power_rows(start, gs, n)
-        assert_rows([p.coeffs for p in fam.xpolys], [st.XPoly(r).coeffs for r in want])
+            want = ref.mul(want, power)
+        assert list(fam.values) == [fps.egf_coeff(want, m) for m in range(n + 1)]
 
     def test_s2_identity_n64(self):
         # the fraction-free route at the size of the benchmark's largest build
@@ -574,42 +526,3 @@ class TestTableRoutes:
                         assert str(err.value) == str(exc), (alphas, max_n, rows)
                     else:
                         assert _table(route, f, max_n, s2, alphas) == want, (alphas, max_n, rows)
-
-
-class TestXPoly:
-    def test_basis_round_trips(self):
-        p = st.XPoly([Fraction(1), Fraction(-2), Fraction(0), Fraction(3)])
-        for basis in (st.BASIS_FALLING, st.BASIS_FALLING_LAMBDA):
-            q = st.basis_convert(p, basis)
-            assert st.basis_convert(q, st.BASIS_MONOMIAL) == p
-
-    def test_falling_basis_is_stirling(self):
-        # x^3 = sum_k S2(3,k) (x)_k
-        p = st.XPoly([0, 0, 0, 1])
-        q = p.convert(st.BASIS_FALLING)
-        assert list(q.coeffs) == [Fraction(cl.classical_s2(3, k)) for k in range(4)]
-
-    def test_eval(self):
-        p = st.XPoly([Fraction(1), Fraction(0), Fraction(2)])
-        assert p.eval(Fraction(3)) == 19
-
-    def test_poly_seq_identity(self):
-        polys = st.poly_seq(f_identity(6), 4)
-        for n, p in enumerate(polys):
-            assert p.coeffs == tuple([Fraction(0)] * n + [Fraction(1)])
-
-    def test_bell_assoc_bell_polynomials(self):
-        # f = t gives the classical Bell polynomials (second-kind rows)
-        rows = st.bell_assoc(f_identity(8), 4)
-        assert list(rows[3].coeffs) == [Fraction(cl.classical_s2(3, k)) for k in range(4)]
-        assert rows[4].eval(Fraction(1)) == 15  # Bell number B_4
-
-    def test_poly_seq_bell(self):
-        # f = log(1+t): the associated sequence is the Bell polynomials
-        order = 8
-        f = fps.DeltaSeries(
-            fps.Series(order, [Fraction(0)] + [Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)])
-        )
-        polys = st.poly_seq(f, 4)
-        assert list(polys[3].coeffs) == [Fraction(cl.classical_s2(3, k)) for k in range(4)]
-        assert polys[4].eval(Fraction(1)) == 15
