@@ -260,8 +260,8 @@ COMTET_CASES = [("identity", 8), ("mittag_leffler", 8), ("bell", 8), ("laguerre_
 
 
 class TestComtetKernel:
-    """_power_rows (Comtet's recurrence) through s2_assoc and s1_assoc, and
-    the Bernoulli numbers, against repeated series products in the
+    """_power_rows (Comtet's recurrence) through s2_assoc and s1_assoc and on
+    the bare inverse, and the Bernoulli numbers, against repeated series products in the
     reference module and against partial_bell; every base is built by the
     reference loops too."""
 
@@ -280,7 +280,14 @@ class TestComtetKernel:
                 assert list(tri.rows[m]) == [st.partial_bell(m, k, xs) for k in range(m + 1)]
 
     @pytest.mark.parametrize("name,n", COMTET_CASES)
-    @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(-1)])
+    def test_rows_of_the_inverse(self, name, n):
+        # base = fbar itself, whose rows are the coefficients of the
+        # sequence associated with f (Roman, The Umbral Calculus, 3.1)
+        fb = ref.horner_invert(comtet_case(name, n)).series
+        assert_rows(st._power_rows(fb, n), ref.power_rows(fb, n))
+
+    @pytest.mark.parametrize("name,n", COMTET_CASES)
+    @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(1), Fraction(-1)])
     def test_bernoulli_values(self, name, n, alpha):
         g = comtet_case(name, n + 1)
         fam = st.bernoulli_assoc(g, alpha, n)
