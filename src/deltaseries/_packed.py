@@ -366,7 +366,9 @@ def cauchy(an, bn, n, v=0):
 
 
 def egf_view(v, n):
-    """The view of the EGF coefficients m! x_m, m <= n, of the view v."""
+    """The view of the EGF coefficients m! x_m, m <= n, of the view v.  It
+    is not in normal form: its content is not divided out, which
+    ``scalar.view_scalars`` does not need."""
     xs, den, deg, P, E = v
     fs = accumulate(range(1, n + 1), operator.mul, initial=1)
-    return norm(muls(xs, deg, fs), den, deg) + (P, E and E[:n + 1])
+    return muls(xs, deg, fs), den, deg, P, E and E[:n + 1]

@@ -6,21 +6,26 @@ are stated with t^n/n! weights; :func:`egf_coeff` and :func:`from_egf` do
 that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
-composition (``_eval_at_powers``), ``div``, ``exp_series``, ``power``,
-``add`` and ``sub`` (``_sum``) read each operand's integer view and leave
-one on their result, in normal form, for the next kernel to read as it
-is; ``_packed`` states what a view holds and keeps its algebra.  Over Q(l) the inverse
-fbar of f and e^fbar - 1 have weight w = 2 and P the squarefree part of
-f1, as Lagrange inversion puts [t^n] fbar over a divisor of f1^(2n-1).
-``Fraction``, ``LPoly`` and ``LRat`` values are made only where a value
-leaves the series layer: when ``coeffs`` or one coefficient is read (for
-output, equality and the hash), for Triangle entries and Bernoulli values
-(``egf_coeff``).
+composition (``_eval_at_powers``), ``compose_log1p``, ``div``,
+``exp_series``, ``power``, ``add`` and ``sub`` (``_sum``) read each
+operand's integer view and leave one on their result, in normal form, for
+the next kernel to read as it is; ``_packed`` states what a view holds and
+keeps its algebra.  Over Q(l) the inverse fbar of f and e^fbar - 1 have
+weight w = 2 and P the squarefree part of f1, as Lagrange inversion puts
+[t^n] fbar over a divisor of f1^(2n-1).  ``Fraction``, ``LPoly`` and
+``LRat`` values are made only where a value leaves the series layer: when
+``coeffs`` or one coefficient is read (for output, equality and the hash),
+for Triangle entries and Bernoulli values (``egf_coeff``, or
+``_packed.egf_view`` for a whole prefix).
 
 Composition g(f) runs by baby-step/giant-step (Paterson-Stockmeyer)
 evaluation: about 2*sqrt(d) series products for an outer series g of
 degree d, instead of one per coefficient, in one integer frame of g and f
-(``_eval_at_powers``).  Compositional inversion runs by Newton iteration
+(``_eval_at_powers``).  Composition with log(1+t), the associated
+logarithm, is instead the Stirling transform of g's coefficients
+(``compose_log1p``): one dot product a coefficient with int weights
+k! s(n, k) from their row recurrence, O(n^2) products in all; ``compose``
+is its check.  Compositional inversion runs by Newton iteration
 (order doubling), in one integer frame too; each step evaluates f(g) once,
 and g' stands in for 1/f'(g).  Over Q and Q[l], where neither f nor 1/f1
 has an l-denominator (P = 1), the iteration starts at the first rung of
@@ -50,8 +55,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import scalar as sc
-from ._packed import (NO_P, at, bits, cauchy, exps, frame, join, lift, line, muls, norm, pack, packs,
-                      points, pmul, polys, product, rebase, reduce, reduced, shift, unpack, weight, width)
+from ._packed import (NO_P, at, bits, cauchy, exps, frame, join, lift, line, muls, norm, norms, pack, packs,
+                      points, pmul, polys, ppow, product, rebase, reduce, reduced, shift, unpack, weight, width)
 from .scalar import check_printable, int_base, int_part, int_view, view_scalars
 from .errors import (
     BadConstantTerm,
@@ -502,6 +507,38 @@ def _eval_at_powers(vg, vf):
         if not start:
             return acc, W, den, P, eo
         r = norm(*reduced(acc, W, den)[:3])
+
+
+def compose_log1p(g):
+    """g(log(1+t)) as the Stirling transform n! [t^n] = sum_k s(n, k) k! g[k]
+    (Comtet, Advanced Combinatorics, 1974, 3.3 and 5.5): one dot product a
+    coefficient with the int weights a(n, k) = k! s(n, k) of the row
+    recurrence a(m+1, k) = k a(m, k-1) - m a(m, k).
+
+    g[k] is viewed over den P^(w k + s) (``frame``) as X_k and packed once,
+    so coefficient n is (N!/n!) sum_k a(n, k) X_k Q_(n-k) over
+    den N! P^(w n + s), N the order and Q_j = P^(w j), which is 1 when
+    P = 1 or w = 0.  The same sums over the l1 norms bound the width."""
+    N, v = g.order, g.view
+    P, w, F = v[3], 0, None
+    if len(P) > 1:
+        w, (s,) = frame(v)
+        F = line(N, w, s)
+    xs, den, deg = at(v, P, F)
+    qs = [ppow(P, w * j) for j in range(N + 1)] if w else [[1]] * (N + 1)
+    rows = [[1]]
+    for m in range(N):
+        r = rows[-1]
+        rows.append([k * x - m * y for k, x, y in zip(range(m + 2), [0] + r, r + [0])])
+    c = [math.perm(N, N - m) for m in range(N + 1)]  # N!/m!
+    B = 0
+    if deg or w:
+        nx, nq = norms(xs, deg), norms(qs, 1)
+        B = max(c[m] * sum(abs(a) * x * q for a, x, q in zip(r, nx, nq[m::-1]))
+                for m, r in enumerate(rows)).bit_length() + 1
+    xk, qk = packs(xs, deg, B), packs(qs, 1, B)
+    sums = [c[m] * sum(map(operator.mul, r, map(operator.mul, xk, qk[m::-1]))) for m, r in enumerate(rows)]
+    return _out(N, sums, B, den * math.factorial(N), P, F, g.ring)
 
 
 class DeltaSeries:

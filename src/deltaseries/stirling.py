@@ -3,7 +3,8 @@
 Triangles store EGF-normalized entries: entry (n, k) is n! times the
 ordinary t^n coefficient of the k-th column generating function.  The
 series layer stores ordinary coefficients; every conversion between the
-two conventions goes through :func:`deltaseries.fps.egf_coeff`.
+two conventions goes through :func:`deltaseries.fps.egf_coeff`, or, for a
+whole prefix at once, ``_packed.egf_view``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from . import classical as cl
 from . import fps
 from . import scalar as sc
-from ._packed import at, egf_view, frame, line, norms, packs, reduced
+from ._packed import at, egf_view, frame, line, norm, norms, packs, reduced
 from .scalar import view_scalars
 from .errors import (
     ArityTooSmall,
@@ -87,7 +88,8 @@ def _power_rows(base, max_n):
 
     It runs on the integer views of ``_packed`` in every ring: b_j is
     j! x_j / den of the view base keeps (``egf_view``), viewed over
-    d P^(w j + s) for the frame of least excess (``frame``) and packed.
+    d P^(w j + s) for the frame of least excess (``frame``), in normal
+    form (``norm``), and packed.
     B_{n,k} is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x)
     (Comtet, 3.3), so entry (n, k) is the unpacked sum over
     d^k P^(w n + k s).  The entries are the only scalars made here.  The
@@ -102,7 +104,7 @@ def _power_rows(base, max_n):
     if len(P) > 1:
         w, (s,) = frame(v)
         F = line(max_n, w, s)
-    xs, d, deg = at(v, P, F)
+    xs, d, deg = norm(*at(v, P, F))
     B = max(map(max, _bell_columns(norms(xs, deg)))).bit_length() + 1 if deg else 0
     cols = [view_scalars(reduced(col[k:], B, d**k, P, F and line(max_n - k, w, (w + s) * k)))
             for k, col in enumerate(_bell_columns(packs(xs, deg, B)))]
@@ -126,10 +128,6 @@ def _bell_columns(b):
 def compositional_inverse(f):
     """Cached Newton inverse of a delta series."""
     return fps.invert_newton(f)
-
-
-def _log1p(order):
-    return fps.Series(order, [Fraction(0)] + [Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +157,9 @@ def s1_assoc(f, max_n):
 
 @lru_cache(maxsize=None)
 def assoc_log(f):
-    """The logarithm associated with f: f(log(1+t))."""
-    return fps.compose(f.series, _log1p(f.order))
+    """The logarithm associated with f: f(log(1+t)), by the Stirling
+    transform of f's coefficients (``fps.compose_log1p``)."""
+    return fps.compose_log1p(f.series)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,7 @@ def bernoulli_assoc(g, alpha, max_n):
             "rational order needs g'(0) = 1, got %s" % sc.format_scalar(w[0])
         )
     base = fps.power(w, -alpha)
-    return BernoulliFamily(g, alpha, [fps.egf_coeff(base, n) for n in range(max_n + 1)])
+    return BernoulliFamily(g, alpha, view_scalars(egf_view(base.view, max_n)))
 
 
 def scalar_rat_pow(s, e):
@@ -261,7 +260,7 @@ def moment_sequence(f, max_m):
         raise InsufficientOrder("order %d < %d" % (f.order, max_m))
     fb = compositional_inverse(f)
     e = fps.exp_series(fb.series.truncate(max_m))
-    return [fps.egf_coeff(e, m) for m in range(max_m + 1)]
+    return view_scalars(egf_view(e.view, max_m))
 
 
 def lemma_bell_moments(ps, max_n):

@@ -112,10 +112,13 @@ def suite_lemmas(f, label, max_n):
 
 
 def suite_logarithm(f, label, max_n):
-    """The associated logarithm four ways: composition with log(1+t),
-    inversion of e^{fbar}-1, the first column of the first-kind triangle,
-    and the second-kind expansion."""
+    """The associated logarithm five ways: the Stirling transform of f's
+    coefficients (``assoc_log``), composition with log(1+t), inversion of
+    e^{fbar}-1, the first column of the first-kind triangle, and the
+    second-kind expansion."""
     direct = st.assoc_log(f).truncate(max_n)
+    log1p = fps.Series(max_n, [Fraction(0)] + [Fraction((-1) ** (n - 1), n) for n in range(1, max_n + 1)])
+    composed = fps.compose(f.series.truncate(max_n), log1p)
     # the inverse of e^{fbar}-1 to order m needs only its first m coefficients
     m = max(max_n, 1)
     fb = st.compositional_inverse(f).series.truncate(m)
@@ -126,7 +129,7 @@ def suite_logarithm(f, label, max_n):
     s2 = st.s2_assoc(f, max(2 * max_n - 2, max_n))
     expanded = st.assoc_log_expansion(f, max_n, s2)
     failures = []
-    for name, other in (("inverse", inv), ("column-1", col), ("expansion", expanded)):
+    for name, other in (("composition", composed), ("inverse", inv), ("column-1", col), ("expansion", expanded)):
         for n in range(max_n + 1):
             if other.coeffs[n] != direct.coeffs[n]:
                 failures.append(_fail("%s [t^%d]" % (name, n), other.coeffs[n], direct.coeffs[n]))

@@ -11,6 +11,7 @@ from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as hst
 
 from deltaseries import _packed as pk
+from deltaseries import classical as cl
 from deltaseries import exprparse as ep
 from deltaseries import fps
 from deltaseries import presets as pr
@@ -384,7 +385,65 @@ class TestComposeInOneFrame:
             assert norms[1] - norms[0] >= 2 and norms[1] >= 5, (f.ring, norms)
 
 
-PRIMES = [p for p in range(2, 500) if all(p % q for q in range(2, p))]
+def log1p_outer(ring, w, n):
+    """c t + t^2 (w = 0), t/(1 - c t) (w = 1) and the inverse of t/c + 2 t^2
+    (w = 2) to order n, for c = 1/2 over Q, 1 + l over Q[l] and 1/(1 + l)
+    over Q(l), where w is the weight of P = 1 + l in the series' frame."""
+    c = {"q": Fraction(1, 2), "ql": 1 + L, "qlrat": 1 / (1 + L)}[ring]
+    if w == 0:
+        cs = [0, c, 1]
+    elif w == 1:
+        cs = [0] + [c ** (k - 1) for k in range(1, n + 1)]
+    else:
+        cs = fps.invert_newton(fps.DeltaSeries(fps.Series(n, ([0, 1 / c, 2] + [0] * n)[:n + 1]))).series.coeffs
+    return fps.Series(n, (list(cs) + [0] * n)[:n + 1])
+
+
+class TestComposeLog1p:
+    """g(log(1+t)) by the Stirling transform, against composition with
+    log(1+t) by the package's kernel and by plain Horner evaluation."""
+
+    RINGS = {"q": sc.RING_Q, "ql": sc.RING_QL, "qlrat": sc.RING_QLRAT}
+
+    @pytest.mark.parametrize("w", [0, 1, 2])
+    @pytest.mark.parametrize("ring", ["q", "ql", "qlrat"])
+    def test_against_composition(self, ring, w):
+        g = log1p_outer(ring, w, 8)
+        assert g.ring == self.RINGS[ring]
+        if ring == "qlrat":
+            assert pk.frame(g.view)[0] == w
+        # Horner over a l-denominator takes seconds a case from order 13 on
+        top = 12 if ring == "qlrat" else 20
+        for n in range(1, 21):
+            g = log1p_outer(ring, w, n)
+            got = fps.compose_log1p(g)
+            assert got.ring == g.ring
+            assert_same(got, fps.compose(g, log1p(n)))
+            if n <= top:
+                assert_same(got, ref.horner_compose(g, log1p(n)))
+            assert_view(got)
+
+    def test_edge_cases(self):
+        Lr = 1 / (1 + L)
+        for g in (fps.Series(0, [Fraction(2, 3)]), fps.Series(0, [Lr]), fps.zero(6), fps.zero(6, sc.RING_QLRAT),
+                  # a nonzero constant term, and a lone top term over a l-denominator
+                  fps.Series(7, [L * Lr, 1, Lr, 2, 0, L, 3, 1]), fps.Series(9, [0] * 9 + [Lr ** 3]),
+                  # every term of coefficient n has the sign (-1)^n: its l-digit meets the width bound
+                  fps.Series(16, [0] + [(-1) ** k * L for k in range(1, 17)])):
+            got = fps.compose_log1p(g)
+            assert_same(got, ref.horner_compose(g, log1p(g.order)))
+            assert_view(got)
+
+    def test_weights_are_stirling_numbers(self):
+        # n! [t^n] log(1+t)^k = k! s(n, k), the weight of g[k] in coefficient n
+        N = 20
+        for k in range(N + 1):
+            got = fps.compose_log1p(fps.Series(N, [0] * k + [1] + [0] * (N - k)))
+            assert [fps.egf_coeff(got, n) for n in range(N + 1)] == \
+                [cl.classical_s1(n, k) * math.factorial(k) for n in range(N + 1)], k
+
+
+PRIMES =[p for p in range(2, 500) if all(p % q for q in range(2, p))]
 
 # zero, small rationals and 1/p-type values whose denominators share no factor
 q_coeff = hst.one_of(

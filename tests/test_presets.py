@@ -123,8 +123,8 @@ class TestOracleAgreement:
         def refuse(*args):
             raise AssertionError("an oracle read a kernel it checks")
         for mod, name in ((st, "s2_assoc"), (st, "s1_assoc"), (st, "compositional_inverse"), (st, "assoc_log"),
-                          (st, "_power_rows"), (fps, "compose"), (fps, "invert_newton"), (pr, "moment_delta"),
-                          (fps, "pow_ratio"), (fps, "div")):
+                          (st, "_power_rows"), (fps, "compose"), (fps, "compose_log1p"), (fps, "invert_newton"),
+                          (pr, "moment_delta"), (fps, "pow_ratio"), (fps, "div")):
             monkeypatch.setattr(mod, name, refuse)
         assert values() == want
 
@@ -207,13 +207,15 @@ class TestDegLog1p:
                 assert got == want and got.ring == want.ring, (n, got.ring, want.ring)
 
     def test_degenerate_oracles_read_no_compose(self, monkeypatch):
-        # assoc_log, which these logarithms check, is a composition
+        # these logarithms check assoc_log, a Stirling transform
+        # (compose_log1p), and verify checks it by composition with log(1+t)
         pids = ("deg_central_bell", "partial_deg_bell", "full_deg_bell")
         logs = [st.assoc_log(_preset(pid, 12).f) for pid in pids]
 
         def refused(*a):
             raise AssertionError("compose")
         monkeypatch.setattr(fps, "compose", refused)
+        monkeypatch.setattr(fps, "compose_log1p", refused)
         for pid, lg in zip(pids, logs):
             assert pr.oracle_log(pid, 12, L) == lg, pid
 

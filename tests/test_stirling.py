@@ -96,6 +96,24 @@ class TestTriangles:
         )
         assert lg == fps.compose(f.series, u)
 
+    def test_assoc_log_reads_no_classical_number(self, monkeypatch):
+        # its weights k! s(n, k) come from its own recurrence: the oracles of
+        # presets read classical.classical_s1, so the logarithm may not
+        fs = [pr.make_preset(pid, 16).f for pid in ("bell", "central_bell", "mittag_leffler")]
+        fs += [pr.make_preset(pid, 12, pr.LAMBDA_SYMBOLIC).f for pid in ("deg_falling", "full_deg_bell")]
+        fs.append(fps.DeltaSeries(fps.Series(12, [0, 1 + sc.LAMBDA, 2] + [0] * 10)))  # over Q(l)
+        want = [fps.compose(f.series, fps.Series(f.order, [0] + [Fraction((-1) ** (n - 1), n)
+                                                                 for n in range(1, f.order + 1)])) for f in fs]
+
+        def refused(*a):
+            raise AssertionError("assoc_log read classical")
+        for name in dir(cl):
+            if callable(getattr(cl, name)) and getattr(getattr(cl, name), "__module__", None) == cl.__name__:
+                monkeypatch.setattr(cl, name, refused)
+        st.assoc_log.cache_clear()
+        for f, lg in zip(fs, want):
+            assert st.assoc_log(f) == lg
+
     def test_json_and_csv(self):
         tri = st.s2_assoc(f_identity(), 3)
         obj = tri.to_json("t")
