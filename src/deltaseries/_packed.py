@@ -365,6 +365,36 @@ def cauchy(an, bn, n, v=0):
     return [sum(map(operator.mul, an[:m + 1 - v], rb[n - m:])) for m in range(n + 1)]
 
 
+def dilate(v, N):
+    """(w, G): for the view v of a delta series f over P, and
+    1/f[1] == N / (d P^a) as N = (gam, d, a), the least w >= 0 for which
+    G(t) = f(P^w t) / (P^w f[1]) has no l-denominator, and G's view
+    (xs, den, deg) over P = 1, in normal form; G[1] is 1.  Coefficient i
+    of G is f[i] P^(w (i-1)) / f[1]: each f[i]/f[1] is reduced once to its
+    least exponent e_i, and w is the least with e_i <= w (i - 1)."""
+    xs, den, deg, P, E = v
+    (gam, d, a), n = N, len(xs) - 1
+    ys, es = zip(*[reduce(pmul(x, gam), P, e + a) for x, e in zip(polys(xs, deg)[1:], E[1:])])
+    w = weight(list(enumerate(es)))
+    return w, norm(*at(([[]] + list(ys), den * d, 1, P, [0] + list(es)), P, line(n, w, -w)))
+
+
+def undilate(v, N, w, P):
+    """The view (xs, den, 1, P, E) of fbar, the inverse of f, from the view
+    v of the inverse of G = dilate(f)[1] over P = 1: as f(P^w Gbar(t)) =
+    P^w f[1] t, [t^m] fbar = Gbar[m] (1/f[1])^m / P^(w (m-1)), each over
+    den d^n P^(w (m-1) + a m) and brought to its least exponent (``reduce``).
+    It is not in normal form."""
+    xs, den, deg = v
+    (gam, d, a), n = N, len(xs) - 1
+    out, g = [([0], 0)], [d ** n]
+    for m, x in enumerate(polys(xs, deg)[1:], 1):
+        g = [c // d for c in pmul(g, gam)]  # gam^m d^(n-m)
+        out.append(reduce(pmul(x, g), P, w * (m - 1) + a * m))
+    ys, E = zip(*out)
+    return list(ys), den * d ** n, 1, P, list(E)
+
+
 def egf_view(v, n):
     """The view of the EGF coefficients m! x_m, m <= n, of the view v.  It
     is not in normal form: its content is not divided out, which

@@ -26,16 +26,17 @@ logarithm, is instead the Stirling transform of g's coefficients
 (``compose_log1p``): one dot product a coefficient with int weights
 k! s(n, k) from their row recurrence, O(n^2) products in all; ``compose``
 is its check.  Compositional inversion runs by Newton iteration
-(order doubling), in one integer frame too; each step evaluates f(g) once,
-and g' stands in for 1/f'(g).  Over Q and Q[l], where neither f nor 1/f1
-has an l-denominator (P = 1), the iteration starts at the first rung of
-its halving ladder at or below order 32, made by Lagrange inversion in
+(order doubling) over P = 1 only; each step evaluates f(g) once, and g'
+stands in for 1/f'(g).  The iteration starts at the first rung of its
+halving ladder at or below a top order, made by Lagrange inversion in
 baby and giant steps (Johansson, arXiv:1108.4772, 2011): about 2 sqrt(m)
 series products and one dot product a coefficient, on int views.  Over
-Q(l) Newton starts from t/f1: one P-frame over all the powers of t/f
-would carry extra factors of P, which trial division strips again.  The
-Lagrange inversion formulas are provided as independent coefficient
-extractors so the two routes can be checked against each other.
+Q(l) the substitution t -> P^w t moves the whole inversion to P = 1: the
+dilated series G(t) = f(P^w t) / (P^w f1), w least, has no
+l-denominator, and [t^n] fbar = Gbar[n] / (P^(w (n-1)) f1^n) is reduced
+once, so no factor of P is stripped between steps.  The Lagrange
+inversion formulas are provided as independent coefficient extractors so
+the two routes can be checked against each other.
 
 Every power f^alpha, alpha rational, is one kernel, ``power``: J.C.P.
 Miller's recurrence, run like ``div`` and ``exp_series`` by ``_recurrence``,
@@ -55,8 +56,9 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import scalar as sc
-from ._packed import (NO_P, at, bits, cauchy, exps, frame, join, lift, line, muls, norm, norms, pack, packs,
-                      points, pmul, polys, ppow, product, rebase, reduce, reduced, shift, unpack, weight, width)
+from ._packed import (NO_P, at, bits, cauchy, dilate, exps, frame, join, lift, line, muls, norm, norms, pack, packs,
+                      points, pmul, polys, ppow, product, rebase, reduce, reduced, shift, undilate, unpack, weight,
+                      width)
 from .scalar import check_printable, int_base, int_part, int_view, view_scalars
 from .errors import (
     BadConstantTerm,
@@ -290,21 +292,17 @@ def _out(n, xs, B, den, P, F, ring, ties=None):
 
 
 def mul(a, b):
-    """Truncated Cauchy product (``_times``), each sum reduced once (``_out``)."""
+    """Truncated Cauchy product: both views in one frame (``frame``),
+    multiplied packed (``product``), each sum i over den P^F[i] reduced
+    once (``_out``)."""
     _check_orders(a, b)
-    return _out(a.order, *_times(a.view, b.view, a.order), sc.join_ring(a.ring, b.ring))
-
-
-def _times(va, vb, n):
-    """(sums, B, den, P, F): the truncated Cauchy product of the views va
-    and vb of order n, both viewed in one frame (``frame``) and multiplied
-    packed (``product``), sum i over den P^F[i]."""
+    n, va, vb = a.order, a.view, b.view
     P = join(va[3], vb[3])
     ea = eb = eo = None  # exponents of P, none for P = 1
     if len(P) > 1:
         w, (sa, sb) = frame(va, vb)
         ea, eb, eo = line(n, w, sa), line(n, w, sb), line(n, w, sa + sb)
-    return product(at(va, P, ea), at(vb, P, eb), n) + (P, eo)
+    return _out(n, *product(at(va, P, ea), at(vb, P, eb), n), P, eo, sc.join_ring(a.ring, b.ring))
 
 
 def _recurrence(u, c, g, e, P, E, ring, tail=None):
@@ -598,6 +596,12 @@ class DeltaSeries:
 # order n ties with climbing by Newton above 32 at n = 32-48 and is 18-54% slower
 # at 64-128 (best of 5-50 runs a point, four presets).
 _LAGRANGE_TOP = 32
+# The same for the dilated series G of a Q(l) inversion, whose l-degree grows
+# by w a coefficient.  A base to 8 beat Newton from t/f1 at every point of the
+# Q(l) families of the tests at orders 6-40, while a base to 32 was up to 2x
+# slower than one to 8 on a dense G at 24, and 5x slower than Newton from
+# t/f1 on (l+2)(t + (1+l)^2 t^2 + (1+l) t^3), a sparse G, at 32.
+_DILATED_TOP = 8
 
 
 def _lagrange_base(xf, fd, df, inv1, m):
@@ -640,41 +644,52 @@ def invert_newton(f):
     1/f'(g) = g' + O(t^h), as f'(g) g' = (f(g))' (Brent and Kung, J. ACM
     25, 1978), so a step g - (f(g) - t) / f'(g) is g - t^(h+1) (f(g)[h+1..m] g'):
     one evaluation, one short product.  The precisions m climb ..., ceil(n/4),
-    ceil(n/2), n (2, 3, 6, 12 for n = 12), never above the doubling 2, 4, 8, ...
-    Over Q(l) they start from g = t/f[1]; over Q and Q[l] (P = 1) the first
-    rung at or below 32 is made by Lagrange inversion (``_lagrange_base``).
+    ceil(n/2), n (2, 3, 6, 12 for n = 12), never above the doubling 2, 4, 8, ...,
+    from the first rung at or below a top order, made by Lagrange inversion
+    (``_lagrange_base``).
 
-    The whole inversion runs on int views over one P, the lcm of f's and
-    that of 1/f[1]: g stays a view from step to step, and each step reads
-    f's prefix, evaluates f at g padded with zeros (``_eval_at_powers``),
-    reduces only the sums h+1..m of f(g), as the lower ones are t, and
-    appends the correction, whose support is disjoint from g's, over one
-    den.  Only the inverse is made a Series, and in the base case h = t/f
-    by its recurrence."""
+    The inversion runs on int views over P = 1 only (``_invert``).  Over Q
+    and Q[l], where neither f nor 1/f[1] has an l-denominator, it inverts f
+    with the top 32.  Over Q(l), P the lcm of f's and that of 1/f[1], it
+    inverts G(t) = f(P^w t) / (P^w f[1]) instead, which lies over P = 1
+    (``_packed.dilate``), with the top ``_DILATED_TOP``, and reads
+    [t^m] fbar = Gbar[m] / (P^(w (m-1)) f[1]^m) back over P, one ``reduce``
+    a coefficient (``_packed.undilate``).  Only the inverse is made a
+    Series, and in the base case h = t/f by its recurrence."""
     fs = f.series
     n, inv1 = fs.order, sc.scalar_inv(fs[1])
     vf = fs.view
     P = join(vf[3], int_base([inv1]))
-    xf, fd, df, _, ef = rebase(vf, P)
-    K = (-(-n // (_LAGRANGE_TOP if len(P) == 1 else 1)) - 1).bit_length()  # the steps: rungs above the base
-    if len(P) > 1:
-        xs, den, deg, _, E = int_view((_ZERO, inv1), P)
-    else:
-        (xs, den, deg), E = _lagrange_base(xf, fd, df, inv1, -(-n >> K)), None
+    if len(P) == 1:
+        return DeltaSeries(_lazy(n, *_invert(vf[:3], inv1, n, _LAGRANGE_TOP), fs.ring))
+    N = int_part(inv1, P)
+    w, G = dilate(rebase(vf, P), N)
+    xs, den, deg, _, E = undilate(_invert(G, 1, n, _DILATED_TOP), N, w, P)
+    return DeltaSeries(_lazy(n, xs, den, deg, fs.ring, P, E))
+
+
+def _invert(vf, inv1, n, top):
+    """(xs, den, deg): the inverse to order n of the delta series viewed as
+    vf = (xs, den, deg) over P = 1, with 1/f[1] == inv1, by Newton steps
+    from the first rung at or below `top` (``invert_newton``): g stays a
+    view from step to step, and each step reads f's prefix, evaluates f at
+    g padded with zeros (``_eval_at_powers``), reduces only the sums
+    h+1..m of f(g), as the lower ones are t, and appends the correction,
+    whose support is disjoint from g's, over one den."""
+    xf, fd, df = vf
+    K = (-(-n // top) - 1).bit_length()  # the steps: rungs above the base
+    xs, den, deg = _lagrange_base(xf, fd, df, inv1, -(-n >> K))
     for k in range(K - 1, -1, -1):
         h, m = len(xs) - 1, -(-n >> k)  # m = ceil(n / 2^k)
         z = m - h
-        sums, B, sd, _, F = _eval_at_powers((xf[:m + 1], fd, df, P, ef and ef[:m + 1]),
-                                            (xs + [[] if deg else 0] * z, den, deg, P, E and E + [0] * z))
-        err = reduced(sums[h + 1:], B, sd, P, F and F[h + 1:])  # (f(g) - t) / t^(h+1)
-        err = norm(*err[:3]) + err[3:]
+        sums, B, sd, _, _ = _eval_at_powers((xf[:m + 1], fd, df, NO_P, None),
+                                            (xs + [[] if deg else 0] * z, den, deg, NO_P, None))
+        err = norm(*reduced(sums[h + 1:], B, sd)[:3])  # (f(g) - t) / t^(h+1)
         # -g' up to t^(z-1), so the correction is err times it
-        dg = muls(xs[1:], deg, range(-1, -z - 1, -1)), den, deg, P, E and E[1:z + 1]
-        c = reduced(*_times(err, dg, z - 1))
+        c = reduced(*product(err, (muls(xs[1:], deg, range(-1, -z - 1, -1)), den, deg), z - 1))
         L, D = math.lcm(den, c[1]), max(deg, c[2])
         xs, den, deg = norm(lift((xs, den, deg), L, D) + lift(c[:3], L, D), L, D)
-        E = E and E + c[4]
-    return DeltaSeries(_lazy(n, xs, den, deg, fs.ring, P, E))
+    return xs, den, deg
 
 
 def _inverse_power(f, order, n):

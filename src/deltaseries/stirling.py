@@ -226,7 +226,11 @@ def bell_rows(base, max_n):
     cols = [fps.one(max_n, base.ring)]
     for k in range(1, max_n + 1):
         cols.append(fps.scale(fps.mul(cols[-1], base), Fraction(1, k)))
-    return tuple(tuple(fps.egf_coeff(cols[k], n) for k in range(n + 1)) for n in range(max_n + 1))
+    vals = []  # column k from row k on (base^k has valuation k), by one egf_view
+    for k, c in enumerate(cols):
+        xs, den, deg, P, E = egf_view(c.view, max_n)
+        vals.append([None] * k + view_scalars((xs[k:], den, deg, P, E and E[k:])))
+    return tuple(tuple(vals[k][n] for k in range(n + 1)) for n in range(max_n + 1))
 
 
 def partial_bell(n, k, xs):

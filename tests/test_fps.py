@@ -915,8 +915,8 @@ class TestTightFrames:
 
 # name: (declared ring, coefficients from t^0 on, top order, highest order
 # also checked against horner_invert, whose scalar loops slow down over Q(l));
-# over Q and Q[l] the top lies above the Lagrange base case at 32, so that
-# the orders past it take Newton steps
+# each top lies above the Lagrange base case, at 32 over Q and Q[l] and at
+# fps._DILATED_TOP over Q(l), so that the orders past it take Newton steps
 NEWTON_CASES = {
     "q-linear": (None, [0, Fraction(-3, 2)], 40, 20),
     "q-f2-zero": (None, [0, 2, 0] + [Fraction((-1) ** i, i) for i in range(3, 41)], 40, 20),
@@ -932,6 +932,10 @@ NEWTON_CASES = {
     "qlrat-f1-lambda": (None, [0, L, 1, Fraction(-1, 2), 1 - L], 20, 8),
     # 1/f1 rational, so P comes from the later terms alone
     "qlrat-f1-rational": (None, [0, Fraction(2, 3), 0, 1 / (1 + L), L, Fraction(1, 3) / (1 - L) ** 2], 20, 8),
+    # f1 = l (l + 1), two distinct factors, and a later l-denominator coprime to it
+    "qlrat-two-factors": (None, [0, L * (L + 1), 1, 0, 1 / (2 - L), L], 20, 8),
+    # (l + 2) t / (1 - t): f1 divides every coefficient, so the dilation has w = 0
+    "qlrat-w0": (None, [0] + [L + 2] * 20, 20, 12),
 }
 
 
@@ -956,12 +960,49 @@ def rungs(n, top):
     return ms[::-1]
 
 
+def base_top(f):
+    """The highest order of the base case of invert_newton on f: 32 over
+    P = 1, and over Q(l) that of the dilated series it inverts."""
+    return fps._LAGRANGE_TOP if over_p1(f) else fps._DILATED_TOP
+
+
+@hst.composite
+def small_poly(draw, max_deg):
+    """A canonical scalar of Q[l] of degree <= max_deg with small coefficients."""
+    cs = draw(hst.lists(hst.builds(Fraction, hst.integers(-4, 4), hst.integers(1, 3)), min_size=1,
+                        max_size=max_deg + 1))
+    return sc.simplify(sc.LPoly(cs))
+
+
+@hst.composite
+def qlrat_delta(draw):
+    """A delta series over Q(l) whose f1 is a nonconstant l-polynomial,
+    now and then with a squared factor; its later coefficients are zero,
+    l-polynomials, multiples of f1 or, in half the draws, values over the
+    factors of one denominator family.  Of order 1..10, or 1..8 with
+    l-denominators, where the reference's gcds slow down; small
+    coefficients keep them fast."""
+    q = draw(small_poly(2).filter(lambda p: p.__class__ is sc.LPoly))
+    f1 = q * draw(hst.sampled_from([1, 1, q, 1 + L]))
+    scalar = hst.one_of(small_poly(2), small_poly(1).map(lambda p: p * f1))
+    dens = draw(hst.booleans())
+    if dens:
+        factors = DEN_FAMILIES[draw(hst.sampled_from(sorted(DEN_FAMILIES)))]
+        scalar = hst.one_of(scalar, hst.builds(lambda p, q, e: p / q ** e, small_poly(1), hst.sampled_from(factors),
+                                               hst.integers(1, 2)))
+    n = draw(hst.integers(min_value=1, max_value=8 if dens else 10))
+    cs = draw(hst.lists(hst.one_of(hst.just(Fraction(0)), scalar), min_size=n - 1, max_size=n - 1))
+    return fps.DeltaSeries(fps.Series(n, [0, f1] + cs))
+
+
 class TestNewtonStep:
     """The step g - t^(h+1) (f(g)[h+1..m] g') of invert_newton at every
     order, so that the last step often has m < 2h, against the
     f'(g)-and-division step of tests/reference.py and Lagrange inversion.
-    Over Q and Q[l] (P = 1) the steps start at the first rung at or below
-    32, made by Lagrange inversion; over Q(l) they start at t/f[1]."""
+    The steps run over P = 1 only, from the first rung at or below the
+    base case's top order, made by Lagrange inversion: 32 over Q and Q[l];
+    over Q(l) they invert the dilated series G(t) = f(P^w t) / (P^w f1)
+    from the top fps._DILATED_TOP."""
 
     @pytest.mark.parametrize("name", sorted(NEWTON_CASES))
     def test_every_order(self, name):
@@ -976,44 +1017,50 @@ class TestNewtonStep:
             if n <= horner:
                 assert_same(got, ref.horner_invert(f).series)
 
+    @given(qlrat_delta())
+    @seed(29)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    def test_dilated_inverse_against_horner(self, f):
+        # the Q(l) route, the inverse of the dilated series read back over
+        # P, against the reference's scalar steps, which share no kernel
+        assert_same(fps.invert_newton(f).series, ref.horner_invert(f).series)
+
     def test_one_evaluation_and_no_division_a_step(self, monkeypatch):
         calls = []
         for kernel in ("_eval_at_powers", "div", "mul", "_window", "_recurrence"):
             real = getattr(fps, kernel)
             monkeypatch.setattr(fps, kernel, lambda *a, real=real, kernel=kernel: calls.append(kernel) or real(*a))
         for name, (_, _, top, _) in NEWTON_CASES.items():
-            # two steps above the base case at 65
-            for n in (1, 2, 3, 5, 8, top, 33) + ((65,) if over_p1(newton_case(name, top)) else ()):
+            f = newton_case(name, top)
+            # two steps above the base case at 65 over P = 1, at 33 over Q(l)
+            for n in (1, 2, 3, 5, 8, 9, top, 33) + ((65,) if over_p1(f) else ()):
                 f = newton_case(name, n)
                 calls.clear()
                 fps.invert_newton(f)
-                if over_p1(f):
-                    # one recurrence (h = t/f) for the base case, then one
-                    # evaluation for each rung above it
-                    assert calls == ["_recurrence"] + ["_eval_at_powers"] * len(rungs(n, 32)), (name, n)
-                else:
-                    # (n - 1).bit_length() steps reach n from h = 1
-                    assert calls == ["_eval_at_powers"] * (n - 1).bit_length(), (name, n)
+                # one recurrence (h = t/f) for the base case, then one
+                # evaluation for each rung above it
+                assert calls == ["_recurrence"] + ["_eval_at_powers"] * len(rungs(n, base_top(f))), (name, n)
 
     @staticmethod
     def precisions(monkeypatch, f):
-        """The order m0 of the base case (0 when there is none) and the
-        precision m of each step, read from the length of h = t/f and from
-        the prefix of f each step evaluates."""
+        """The order m0 of the base case and the precision m of each step,
+        read from the length of h = t/f and from the prefix of f each step
+        evaluates."""
         m0, ms = [], []
         real, rec = fps._eval_at_powers, fps._recurrence
         monkeypatch.setattr(fps, "_eval_at_powers", lambda vg, vf: ms.append(len(vg[0]) - 1) or real(vg, vf))
         monkeypatch.setattr(fps, "_recurrence", lambda u, *a: m0.append(len(u[0])) or rec(u, *a))
         fps.invert_newton(f)
-        assert len(m0) <= 1
-        return sum(m0), ms
+        assert len(m0) == 1
+        return m0[0], ms
 
     @pytest.mark.parametrize("n, ladder", [(12, [2, 3, 6, 12]), (17, [2, 3, 5, 9, 17]), (2, [2]), (1, [])]
                              + [(2 ** j, [2 ** i for i in range(1, j + 1)]) for j in range(2, 7)])
     def test_halving_ladder(self, monkeypatch, n, ladder):
-        # over Q(l) the steps climb ..., ceil(n/4), ceil(n/2), n; at a power
-        # of two that is the doubling schedule 2, 4, 8, ...
-        assert self.precisions(monkeypatch, newton_case("qlrat-linear", n)) == (0, ladder)
+        # from a base case at order 1, t/f1, the steps climb ..., ceil(n/4),
+        # ceil(n/2), n; at a power of two that is the doubling schedule 2, 4, 8, ...
+        monkeypatch.setattr(fps, "_LAGRANGE_TOP", 1)
+        assert self.precisions(monkeypatch, newton_case("q-linear", n)) == (1, ladder)
 
     @pytest.mark.parametrize("n, m0, ladder", [(1, 1, []), (12, 12, []), (32, 32, []), (33, 17, [33]),
                                                (64, 32, [64]), (65, 17, [33, 65]), (100, 25, [50, 100]),
@@ -1025,17 +1072,22 @@ class TestNewtonStep:
             assert self.precisions(monkeypatch, newton_case(name, n)) == (m0, ladder), name
 
     def test_no_step_above_the_doubling_schedule(self, monkeypatch):
-        for n in range(1, 80):
-            m0, ms = self.precisions(monkeypatch, newton_case("qlrat-linear", n))
-            assert not m0 and len(ms) == (n - 1).bit_length() and (n == 1 or ms[-1] == n), n
-            # each step at most doubles, and none is above min(2^(i+1), n)
-            assert all(m <= 2 * h for h, m in zip([1] + ms, ms)), (n, ms)
-            assert all(m <= min(2 ** (i + 1), n) for i, m in enumerate(ms)), (n, ms)
-        for n in range(1, 140):
-            m0, ms = self.precisions(monkeypatch, newton_case("q-linear", n))
-            # exactly the rungs above the base case, and each step at most doubles
-            assert ms == rungs(n, 32) and m0 == (-(-ms[0] // 2) if ms else n) <= 32, (n, m0, ms)
-            assert all(m <= 2 * h for h, m in zip([m0] + ms, ms)), (n, m0, ms)
+        with monkeypatch.context() as mp:
+            mp.setattr(fps, "_LAGRANGE_TOP", 1)
+            for n in range(1, 80):
+                m0, ms = self.precisions(mp, newton_case("q-linear", n))
+                assert m0 == 1 and len(ms) == (n - 1).bit_length() and (n == 1 or ms[-1] == n), n
+                # each step at most doubles, and none is above min(2^(i+1), n)
+                assert all(m <= 2 * h for h, m in zip([1] + ms, ms)), (n, ms)
+                assert all(m <= min(2 ** (i + 1), n) for i, m in enumerate(ms)), (n, ms)
+        for name, top in (("q-linear", 140), ("qlrat-linear", 80)):
+            for n in range(1, top):
+                f = newton_case(name, n)
+                m0, ms = self.precisions(monkeypatch, f)
+                # exactly the rungs above the base case, and each step at most doubles
+                assert ms == rungs(n, base_top(f)) and m0 == (-(-ms[0] // 2) if ms else n) <= base_top(f), \
+                    (name, n, m0, ms)
+                assert all(m <= 2 * h for h, m in zip([m0] + ms, ms)), (name, n, m0, ms)
 
     @pytest.mark.parametrize("pid, n", [("deg_falling", 17), ("deg_falling", 33), ("bell", 65)])
     def test_ladder_against_lagrange(self, pid, n):
@@ -1048,11 +1100,12 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("name", ["q-dense", "ql-dense", "qlrat-dense"])
     def test_one_frame_and_one_series_an_inverse(self, monkeypatch, name):
-        # the iterate, f(g) and the correction stay int views: no Series
-        # kernel runs, and the inverse is the only Series made (every Series
-        # passes through _set); over P = 1 the base case makes one more, h =
-        # t/f from one _recurrence, and its powers are views too; at order
-        # 40 one step climbs above it
+        # the iterate, f(g) and the correction stay int views, as do f's
+        # dilation and its inverse over Q(l): no Series kernel runs, and the
+        # inverse is the only Series made (every Series passes through
+        # _set), but for h = t/f, which the base case makes by one
+        # _recurrence; its powers are views too; at order 40 one step climbs
+        # above 32, and over Q(l) two or three steps climb above 8
         names = ["compose", "mul", "sub", "_window", "derivative", "div", "_recurrence", "_eval_at_powers", "_set"]
         calls = dict.fromkeys(names, 0)
         for kernel in names:
@@ -1062,14 +1115,13 @@ class TestNewtonStep:
                 calls[kernel] += 1
                 return real(*a)
             monkeypatch.setattr(fps, kernel, counted)
-        for n in (20, 40) if over_p1(newton_case(name, 20)) else (20,):
+        for n in (20, 40):
             f = newton_case(name, n)
             for c in calls:
                 calls[c] = 0
             got = fps.invert_newton(f).series
             assert calls["_set"] <= 2 and not any(calls[c] for c in names[:6]), calls
-            steps = rungs(n, 32) if over_p1(f) else rungs(n, 1)
-            assert (calls["_recurrence"], calls["_eval_at_powers"]) == (over_p1(f), len(steps)), calls
+            assert (calls["_recurrence"], calls["_eval_at_powers"]) == (1, len(rungs(n, base_top(f)))), calls
             assert got.ring == f.ring and got.order == n
 
 

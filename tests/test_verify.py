@@ -45,6 +45,19 @@ class TestSuites:
         assert "first failure" in lines[1]
 
 
+class TestRationalFunctionSeries:
+    """No corpus series lies over Q(l): these two reach a Q(l) inverse, the
+    dilated route of fps.invert_newton, through every suite."""
+
+    @pytest.mark.parametrize("f", ["(1+lambda)^2*t+t^2-lambda*t^3", "lambda*(lambda+1)*t+t^2/(2-lambda)"])
+    def test_verify_all_passes(self, capsys, f):
+        code = cli.main(["verify", "all", "--f", f, "--lambda", "symbolic", "--n", "5"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        # lambda-limit skips a series that is no preset
+        assert [line.split()[-1] for line in out.splitlines()] == ["pass"] * 5 + ["skip"], out
+
+
 class TestSharedTables:
     """Each suite builds one Bell table per series and one Bernoulli family
     per order, and reads entries out of them."""
