@@ -120,7 +120,11 @@ def pmul(a, b):
 
 
 def ppow(P, e):
-    """P^e for an int polynomial P and e >= 0; its coefficients lie below l1(P)^e."""
+    """P^e for an int polynomial P and e >= 0; its coefficients lie below l1(P)^e.
+    The power of a monomial c l^m is a shift, c^e after m e zeros, with
+    nothing packed."""
+    if not any(P[:-1]):
+        return [0] * ((len(P) - 1) * e) + [P[-1] ** e]
     B = width(e * sum(map(abs, P)).bit_length(), 1)
     return unpack(pack(P, B) ** e, B)
 
@@ -190,10 +194,15 @@ def cofactor(D, P):
 
 def reduce(cs, P, e):
     """(cs, e) for the int polynomial cs / P^e with every factor P that
-    divides cs stripped, by exact trial division: e is then the least
-    exponent, and P does not divide cs unless e is 0."""
+    divides cs stripped, at most e of them: e is then the least exponent,
+    and P does not divide cs unless e is 0.  For P = l the factors are the
+    zero low coefficients; otherwise exact trial division strips them one
+    at a time."""
     if not any(cs):
         return cs, 0
+    if e > 0 and len(P) == 2 and not P[0]:
+        k = min(e, next(i for i, c in enumerate(cs) if c))
+        return cs[k:], e - k
     while e > 0:
         q = pdiv(cs, P)
         if q is None:

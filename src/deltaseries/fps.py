@@ -7,7 +7,8 @@ that conversion in exactly one place.
 
 In all three rings the kernels run on Python ints, by one route: ``mul``,
 composition (``_eval_at_powers``), ``compose_log1p``, ``div``,
-``exp_series``, ``power``, ``add`` and ``sub`` (``_sum``) read each
+``exp_series`` (and ``expm1``, e^f - 1, its view with the constant term
+set to zero), ``power``, ``add`` and ``sub`` (``_sum``) read each
 operand's integer view and leave one on their result, in normal form, for
 the next kernel to read as it is; ``_packed`` states what a view holds and
 keeps its algebra.  Over Q(l) the inverse fbar of f and e^fbar - 1 have
@@ -317,8 +318,12 @@ def _recurrence(u, c, g, e, P, E, ring, tail=None):
     P^E[n]: the terms of each sum then share the exponent of u[n].  Each
     step forms the packed sum, and the one of d beside it, unpacks it,
     multiplies by gam, reduces the new output once for the result's view and
-    packs its numerator.  Before the next sum could overflow B, B grows and
-    everything so far is repacked.  B is 0 (nothing packed) when u, c and
+    packs its numerator.  c[n] and d[n] are packed at step n, the first sum
+    that reads them.  Before the next sum could overflow B, B grows, and the
+    outputs and the c[k] and d[k], k <= n, are repacked.  After the last
+    step no sum follows: B then only has to hold the outputs' own digits,
+    and c and d are not repacked; over P != 1 the result is made from the
+    reduced outputs, so the last one is neither packed nor widened for.  B is 0 (nothing packed) when u, c and
     gam are constants.  For P = 1 the packed outputs are the result's view.
     The tail's weights can make the outputs grow without bound (the power
     kernel's exponent), so with it each output is refused once certainly too
@@ -331,10 +336,15 @@ def _recurrence(u, c, g, e, P, E, ring, tail=None):
     if m:  # |c[k] + m[n] d[k]| < 2^hc
         hc = max(hc, bits(xd, dc) + max(m).bit_length()) + 1
     B = width(hc, 1) if du + dc + len(gam) - 1 else 0
-    ck, dk = packs(xc, dc, B), packs(xd, dc, B)
+    ck, dk = ([0], [0]) if dc else (xc, xd)  # c[0] and d[0] are never read
     out, nums, den = [], [], 1
     dn, hn = 0, 0  # degree and height bits of nums
+    last = len(xu) - 1
     for n, un in enumerate(xu):
+        if dc and 0 < n < len(xc):  # c[n] and d[n], packed as the first sum reads them
+            ck.append(pack(xc[n], B))
+        if dc and 0 < n < len(xd):
+            dk.append(pack(xd[n], B))
         s = sum(map(operator.mul, ck[1:n + 1], reversed(nums)))
         if m:
             s += m[n] * sum(map(operator.mul, dk[1:n + 1], reversed(nums)))
@@ -349,15 +359,21 @@ def _recurrence(u, c, g, e, P, E, ring, tail=None):
             if cap:  # over Q(l) once P is stripped
                 check_printable(*(out[-1] if len(P) > 1 else (x, 0, dv)), P, cap)
             r = dv // math.gcd(den, dv)
+            if n == last and len(P) > 1:  # the result is out over den; nums are not read again
+                den *= r
+                break
             if B:
                 # after this step nums lie below 2^hn, for |y r| < 2^hn 2^ceil(log2 r)
                 hn = max(hn + (r - 1).bit_length(), (max(map(abs, x), default=0) * (den * r // dv)).bit_length())
                 dn = max(dn, len(x) - 1)
-                need = width(hc + hn, (n + 1) * (min(dc, dn) + 1))
+                # the next sum must fit in B; after the last step only the outputs
+                need = width(hc + hn, (n + 1) * (min(dc, dn) + 1)) if n < last else hn + 1
                 if need > B:
-                    W = need + (need >> 2)
+                    W = need + (need >> 2) if n < last else need
                     nums = [pack(unpack(y, B), W) for y in nums]
-                    ck, dk = packs(xc, dc, W), packs(xd, dc, W)
+                    if dc and n < last:  # c[k] and d[k] are packed for k <= n only
+                        ck = [0] + [pack(p, W) for p in xc[1:len(ck)]]
+                        dk = [0] + [pack(p, W) for p in xd[1:len(dk)]]
                     B = W
             x = pack(x, B)
         else:
@@ -737,6 +753,14 @@ def exp_series(f):
     one = [1] + [0] * n, 1, 0
     e = [fd] + [fd * m for m in range(1, n + 1)]
     return _recurrence(one, (kf, fd, deg), ([1], 1, 0), e, P, E, f.ring)
+
+
+def expm1(f):
+    """e^f - 1 for a series with zero constant term: exp_series's view with
+    its constant term 1 set to zero, nothing else read or packed."""
+    e = exp_series(f)
+    xs, den, deg, P, E = e.view
+    return _lazy(e.order, [[] if deg else 0] + xs[1:], den, deg, e.ring, P, E and [0] + E[1:])
 
 
 def log_series(g):

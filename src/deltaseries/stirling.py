@@ -93,10 +93,12 @@ def _power_rows(base, max_n):
     B_{n,k} is homogeneous, B_{n,k}(a x_1, a^2 x_2, ...) = a^n B_{n,k}(x)
     (Comtet, 3.3), so entry (n, k) is the unpacked sum over
     d^k P^(w n + k s).  The entries are the only scalars made here.  The
-    width bounds every sum because the same recurrence, run first on the l1
-    norms of those polynomials, bounds the l1 norm of each sum (the norm of
-    a product is at most the product of the norms).  Over Q the norms are
-    not needed: nothing is packed.
+    width bounds every sum because B_{n,k} of the l1 norms of those
+    polynomials bounds the l1 norm of entry (n, k) (the norm of a product
+    is at most the product of the norms), and the complete Bell number
+    Y_n = sum_k B_{n,k} of the norms bounds them all: an O(n^2) pass, at
+    most log2(n + 1) bits wider than the largest B_{n,k}.  Over Q the
+    norms are not needed: nothing is packed.
     """
     v = egf_view(base.view, max_n)
     P = v[3]
@@ -105,7 +107,7 @@ def _power_rows(base, max_n):
         w, (s,) = frame(v)
         F = line(max_n, w, s)
     xs, d, deg = norm(*at(v, P, F))
-    B = max(map(max, _bell_columns(norms(xs, deg)))).bit_length() + 1 if deg else 0
+    B = max(_complete_bell(norms(xs, deg))).bit_length() + 1 if deg else 0
     cols = [view_scalars(reduced(col[k:], B, d**k, P, F and line(max_n - k, w, (w + s) * k)))
             for k, col in enumerate(_bell_columns(packs(xs, deg, B)))]
     return [[cols[k][n - k] for k in range(n + 1)] for n in range(max_n + 1)]
@@ -124,6 +126,15 @@ def _bell_columns(b):
     return cols
 
 
+def _complete_bell(b):
+    """Y[n] = sum_k B_{n,k}(b_1, b_2, ...), the complete Bell polynomials,
+    by Y_n = sum_{j=1}^{n} C(n-1, j-1) b_j Y_{n-j}, on ints."""
+    Y = [1]
+    for n in range(1, len(b)):
+        Y.append(sum(math.comb(n - 1, j - 1) * b[j] * Y[n - j] for j in range(1, n + 1)))
+    return Y
+
+
 @lru_cache(maxsize=None)
 def compositional_inverse(f):
     """Cached Newton inverse of a delta series."""
@@ -139,7 +150,7 @@ def s2_assoc(f, max_n):
     if f.order < max_n:
         raise InsufficientOrder("delta series order %d < max_n %d" % (f.order, max_n))
     fb = compositional_inverse(f).series.truncate(max_n)
-    base = fps.sub(fps.exp_series(fb), fps.one(max_n, fb.ring))
+    base = fps.expm1(fb)
     return Triangle("s2", max_n, _power_rows(base, max_n), base.ring)
 
 
@@ -185,7 +196,7 @@ def _bernoulli_base(g, max_n):
     """w = (e^{g(t)} - 1)/t to order max_n, the base every order alpha of
     bernoulli_assoc(g, alpha, max_n) raises to -alpha."""
     gs = g.series.truncate(max_n + 1)
-    return fps.shift_down(fps.sub(fps.exp_series(gs), fps.one(max_n + 1, gs.ring)), 1)
+    return fps.shift_down(fps.expm1(gs), 1)
 
 
 @lru_cache(maxsize=None)

@@ -122,7 +122,7 @@ def suite_logarithm(f, label, max_n):
     # the inverse of e^{fbar}-1 to order m needs only its first m coefficients
     m = max(max_n, 1)
     fb = st.compositional_inverse(f).series.truncate(m)
-    e = fps.sub(fps.exp_series(fb), fps.one(m, fb.ring))
+    e = fps.expm1(fb)
     inv = fps.invert_newton(fps.DeltaSeries(e)).series.truncate(max_n)
     s1 = st.s1_assoc(f, max_n)
     col = fps.from_egf([s1.entry(n, 1) if n else Fraction(0) for n in range(max_n + 1)])

@@ -164,11 +164,20 @@ def test_criterion_10_binomial_identities():
     _report(10, "both binomial summation identities, n <= 12", ok)
 
 
-def test_criterion_11_lagrange_agreement(corpus_targets):
+def test_criterion_11_lagrange_agreement(corpus_targets, monkeypatch):
+    # base cases at order 1, so that the inverse to 12 takes the Newton
+    # steps 2, 3, 6, 12 in every ring, not Lagrange inversion alone
+    monkeypatch.setattr(fps, "_LAGRANGE_TOP", 1)
+    monkeypatch.setattr(fps, "_DILATED_TOP", 1)
+    steps = []
+    real = fps._eval_at_powers
+    monkeypatch.setattr(fps, "_eval_at_powers", lambda vg, vf: steps.append(len(vg[0]) - 1) or real(vg, vf))
     ok = True
     outer = fps.Series(12, [Fraction(1, m + 1) for m in range(13)])
     for label, f in corpus_targets:
-        g = st.compositional_inverse(f).series
+        steps.clear()
+        g = fps.invert_newton(f.truncate(12)).series
+        ok = ok and steps == [2, 3, 6, 12]
         for n in range(1, 13):
             ok = ok and fps.lagrange_coeff_inverse(f, n) == g.coeffs[n]
         for k in (1, 2, 3, 7, 12):

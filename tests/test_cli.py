@@ -365,6 +365,18 @@ class TestHostileInput:
         else:
             assert out.startswith("[t^0] %d*l^10000\n" % 2 ** 10000)
 
+    @pytest.mark.parametrize("expr, order, want", [
+        ("t/lambda^8000", 2, ["[t^0] 0", "[t^1] (1)/(1*l^8000)", "[t^2] 0"]),
+        ("(" * 13 + "lambda" + ")^2" * 13, 1, ["[t^0] 1*l^8192", "[t^1] 0"]),
+        ("(" * 13 + "lambda" + ")^2" * 13 + "*t", 1, ["[t^0] 0", "[t^1] 1*l^8192"])])
+    def test_high_powers_of_lambda_are_fast(self, capsys, expr, order, want):
+        # a power of the monomial P = l is a shift, and P is stripped by
+        # counting zero coefficients, not one trial division a factor
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--f", expr, "--lambda", "symbolic", "--order", str(order))
+        assert time.perf_counter() - start < 0.25
+        assert code == 0 and out.splitlines() == want
+
     @pytest.mark.parametrize("expr, label, const", [
         ("(1/(1+lambda)+t)^(100000)", "(1/(1+lambda)+t)^(100000)", "(1)/(1 + 1*l)"),
         ("(2+t)^(-1000000000)", "(2+t)^(-1000000000)", "2"),

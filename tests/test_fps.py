@@ -715,6 +715,133 @@ class TestPackedKernels:
         assert_same(fps.exp_series(f), ref.exp_series(f))
 
 
+# e^f - 1 against exp_series minus one: the coefficient i of f in each ring,
+# over Q(l) a linear P, an irreducible quadratic and P = l
+EXPM1_FAMILIES = {
+    "q": (sc.RING_Q, lambda i: Fraction((-1) ** i * (i + 2), i + 1)),
+    "ql": (sc.RING_QL, lambda i: (1 + i * L - L**2) / Fraction(i + 1)),
+    "qlrat-linear": (sc.RING_QLRAT, lambda i: (L + i) / (1 + 2 * L) ** (i % 3)),
+    "qlrat-irreducible": (sc.RING_QLRAT, lambda i: Fraction(1, i) / (L**2 + 1) ** (i % 2) - L),
+    "qlrat-l": (sc.RING_QLRAT, lambda i: (1 + L) / L**i),
+}
+
+
+class TestPackOnce:
+    """The Kronecker work of _recurrence and of e^f - 1: each coefficient of
+    c and d packed once at each width a sum reads it at, the outputs widened
+    after the last step only as far as they need, and e^f - 1 made without
+    a packed subtraction."""
+
+    @pytest.mark.parametrize("name", sorted(EXPM1_FAMILIES))
+    def test_expm1_is_exp_minus_one(self, name):
+        ring, coeff = EXPM1_FAMILIES[name]
+        for n in range(21):
+            f = fps.Series(n, [0] + [coeff(i) for i in range(1, n + 1)], ring)
+            got = fps.expm1(f)
+            want = fps.sub(fps.exp_series(f), fps.one(n, ring))
+            assert got._coeffs is None  # made from the view
+            assert_same(got, want)
+            assert got.view[3] == want.view[3]
+            assert_view(got)
+            assert_view(want)
+
+    @pytest.mark.parametrize("kernel, args", [
+        (fps.div, (ser(Fraction(2, 3) * L), ser(1))),
+        (fps.div, (ser(1, 2**40 * L), ser(1, L))),
+        (fps.exp_series, (ser(0, L / 2**40),)),
+    ], ids=["div-order-0", "div-order-1", "exp-order-1"])
+    def test_last_output_wider_than_the_running_width(self, monkeypatch, kernel, args):
+        # the last step widens to the width its outputs need, and no more:
+        # at P = 1 the recurrence ends with the unpacks of its n + 1 outputs
+        # at its last width, and the unpack before them is at a narrower one
+        widths, real = [], fps.unpack
+        monkeypatch.setattr(fps, "unpack", lambda x, B: widths.append(B) or real(x, B))
+        got = kernel(*args)
+        n = got.order
+        assert len(set(widths[-(n + 1):])) == 1 and widths[-(n + 2)] < widths[-1]
+        assert_same(got, {fps.div: ref.div, fps.exp_series: ref.exp_series}[kernel](*args))
+
+    @pytest.mark.parametrize("alpha", [2, -1, Fraction(1, 2), -2])
+    def test_power_at_orders_0_and_1(self, alpha):
+        # Miller's first width holds u's den and the weights q n, by which
+        # each output's den grows, so these outputs fit the running width
+        for f in (ser(Fraction(4, 9)), ser(1, L / 2**40), ser(1, 2**40 * L**2 - Fraction(1, 3))):
+            if alpha.__class__ is int:
+                want = ref.pow_int(f, alpha)
+            else:  # the reference's exp-log route needs the constant term 1
+                want = ref.pow_ratio(f, alpha) if f[0] == 1 else ser(Fraction(2, 3))
+            assert_same(fps.power(f, alpha), want)
+
+    def test_recurrence_packs_each_coefficient_once(self, monkeypatch):
+        """No coefficient of c or d is packed twice at one width, and each is
+        packed only at a width some later sum is unpacked at, so nothing is
+        repacked after the last step; the unpacks of the outputs at P = 1,
+        the last n + 1, form no sum."""
+        events, seen = [], []
+        real_rec, real_unpack = fps._recurrence, fps.unpack
+
+        def rec(u, c, g, e, P, E, ring, tail=None):
+            # how often each polynomial object occurs in c and d; they stay alive, so their ids hold
+            pid = [id(p) for p in list(c[0]) + list(tail[0] if tail else [])]
+            ids = {i: pid.count(i) for i in pid}
+            events.clear()
+            out = real_rec(u, c, g, e, P, E, ring, tail)
+            sums = events[:len(events) - (len(u[0]) if len(P) == 1 else 0)]
+            packed = [(i, B) for i, (kind, B, x) in enumerate(sums) if kind == "pack" and id(x) in ids]
+            for i, B in packed:
+                assert ("unpack", B) in [(k, W) for k, W, _ in sums[i + 1:]], (i, B)
+            counts = {}
+            for i, B in packed:
+                key = (id(sums[i][2]), B)
+                counts[key] = counts.get(key, 0) + 1
+                assert counts[key] <= ids[key[0]], key
+            seen.append(len(packed))
+            return out
+
+        monkeypatch.setattr(fps, "_recurrence", rec)
+        # a pack wherever it is made (packs of _packed too), and the unpacks of fps's own loops
+        patch_everywhere(monkeypatch, "pack", lambda real: lambda p, B: events.append(("pack", B, p)) or real(p, B))
+        monkeypatch.setattr(fps, "unpack", lambda x, B: events.append(("unpack", B, None)) or real_unpack(x, B))
+        n, h = 24, 2**20 - 1
+        a = fps.Series(n, [1 + h * L + L**2] + [h * L**3 - L] * n)
+        b = fps.Series(n, [Fraction(1, 3)] + [Fraction(h, 7) * L - h] * n)
+        f = fps.Series(n, [0] + [h * L**2 - Fraction(1, 5)] * n)
+        fps.div(a, b)
+        fps.exp_series(f)
+        for alpha in (2, -1, Fraction(1, 2)):
+            fps.power(fps.add(fps.one(n), f), alpha)
+        fps.div(ser(Fraction(2, 3) * L), ser(1))
+        fps.exp_series(ser(0, L / 2**40))
+        fps.div(fps.one(6, sc.RING_QLRAT), fps.Series(6, [1 + L] + [L / (1 + L)] * 6))
+        fps.invert_newton(newton_case("ql-dense", 12))
+        assert len(seen) == 9 and sum(seen) > 0
+
+    def test_nothing_packed_after_the_last_sum_over_P(self, monkeypatch):
+        """Over P != 1 the result is made from the reduced outputs, so after
+        the last sum is unpacked _recurrence packs nothing more: neither the
+        last output nor a widening for it."""
+        events, runs = [], []
+        real_rec, real_pack, real_unpack = fps._recurrence, fps.pack, fps.unpack
+
+        def rec(u, c, g, e, P, E, ring, tail=None):
+            events.clear()
+            out = real_rec(u, c, g, e, P, E, ring, tail)
+            if len(P) > 1:
+                runs.append(len(u[0]))
+                assert "pack" not in events[len(events) - events[::-1].index("unpack"):], events
+            return out
+
+        monkeypatch.setattr(fps, "_recurrence", rec)
+        monkeypatch.setattr(fps, "pack", lambda p, B: events.append("pack") or real_pack(p, B))
+        monkeypatch.setattr(fps, "unpack", lambda x, B: events.append("unpack") or real_unpack(x, B))
+        for n in (1, 6):
+            b = fps.Series(n, [1 + L] + [2**40 * L / (1 + L)] * n)
+            assert_same(fps.div(fps.one(n, sc.RING_QLRAT), b), ref.div(fps.one(n, sc.RING_QLRAT), b))
+            f = fps.Series(n, [0] + [(L**2 - 2**30) / (2 + L)] * n)
+            assert_same(fps.exp_series(f), ref.exp_series(f))
+        assert runs == [2, 2, 7, 7]
+
+
 # Denominator families for Q(l): a linear P, an irreducible quadratic, a
 # reducible squarefree P = l^2 - l (trial division by P leaves a factor of
 # it, so the gcd fallback runs), and coprime factors mixed.
@@ -1213,6 +1340,33 @@ def test_pack_round_trip(pB):
     p, B = pB
     assert pk.pack(p, B) == sum(c << B * i for i, c in enumerate(p))
     assert pk.unpack(pk.pack(p, B), B) == p
+
+
+@pytest.mark.parametrize("P", [(0, 1), (5,), (0, 0, -3), (0, 0, 0, 2), (1, 1), (-1, 0, 2)])
+def test_ppow(monkeypatch, P):
+    # a monomial's power is a shift, with nothing packed; any other P is
+    # packed at one width that holds every coefficient
+    want = [pk.unpack(pk.pack(list(P), 256) ** e, 256) for e in range(9)]
+    if not any(P[:-1]):
+        monkeypatch.setattr(pk, "pack", None)
+    assert [pk.ppow(P, e) for e in range(9)] == want
+
+
+@pytest.mark.parametrize("P", [(0, 1), (1, 1), (1, 0, 1), (-1, 0, 2), (0, 1, 1)])
+def test_reduce_strips_the_multiplicity(monkeypatch, P):
+    """reduce strips min(k, e) factors P from q P^k, q prime to P: for P = l
+    by its zero low coefficients, with no division; otherwise by one trial
+    division a factor and one past the last."""
+    calls = count_calls(monkeypatch, ["pdiv"])
+    q = [3, -1, 2]
+    for k in range(20):
+        cs = pk.pmul(q, pk.ppow(P, k))
+        for e in range(22):
+            calls["pdiv"] = 0
+            m = min(k, e)
+            assert pk.reduce(cs, P, e) == (pk.pmul(q, pk.ppow(P, k - m)), e - m), (k, e)
+            assert calls["pdiv"] == (0 if P == (0, 1) else m + (m < e)), (k, e)
+    assert pk.reduce([0, 0], P, 3) == ([0, 0], 0)
 
 
 def test_reference_shares_no_kernel():

@@ -316,6 +316,15 @@ class TestComtetKernel:
             want = ref.mul(want, power)
         assert list(fam.values) == [fps.egf_coeff(want, m) for m in range(n + 1)]
 
+    @pytest.mark.parametrize("c", [2**31 - 1, -(2**31 - 1), 2**64 + 1])
+    def test_width_at_its_bound(self, c):
+        # base c l t: entry (n, n) is c^n l^n, the only one of row n, so its
+        # digit equals the complete Bell number of the norms, and the width
+        # holds it with one bit to spare
+        for n in (1, 2, 5, 9):
+            base = fps.Series(n, [0, c * L] + [0] * (n - 1))
+            assert_rows(st._power_rows(base, n), ref.power_rows(base, n))
+
     def test_s2_identity_n64(self):
         # the fraction-free route at the size of the benchmark's largest build
         n = 64
