@@ -24,7 +24,11 @@ tests a scalar for zero.
 
 The series kernels run on the integer views of ``_packed``, which states
 their invariants; ``int_view`` makes one of scalars, and ``view_scalars``
-the canonical scalars of one.
+the canonical scalars of one.  Each of those is made in one step from the
+view's ints, with one gcd and no second normalisation: a Fraction is
+filled into its two slots (``_frac``, after one ``math.gcd`` in
+``_rational``), not passed through ``Fraction.__new__``, and a constant
+over Q[l] or Q(l) is made as a Fraction with no LPoly before it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ _RING_RANK = {RING_Q: 0, RING_QL: 1, RING_QLRAT: 2}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NEW = object.__new__
 
 
 def _as_frac(v):
@@ -61,25 +66,53 @@ def _as_frac(v):
     raise TypeError("not a rational: %r" % (v,))
 
 
-def _lpoly(xs, den):
-    """The LPoly xs / den in normal form, for the ints xs (low first) and an
-    int den != 0; xs itself is left as it is, as views share their lists."""
+def _frac(n, d):
+    """The Fraction n / d for coprime ints n and d > 0, made with no gcd:
+    ``Fraction.__new__`` would normalise it again at Python level."""
+    f = _NEW(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _rational(n, d):
+    """The Fraction n / d in lowest terms for ints n and d != 0: one gcd."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return _frac(n // g, d // g) if g != 1 else _frac(n, d)
+
+
+def _length(xs):
+    """The length of the ints xs with their trailing zeros stripped."""
     k = len(xs)
     while k and not xs[k - 1]:
         k -= 1
+    return k
+
+
+def _lpoly(xs, den, k=None):
+    """The LPoly xs / den in normal form, for the ints xs (low first) and an
+    int den != 0; xs itself is left as it is, as views share their lists.
+    k, if given, is ``_length(xs)``."""
+    if k is None:
+        k = _length(xs)
     g = math.gcd(den, *xs[:k])
     if den < 0:
         g = -g
-    p = object.__new__(LPoly)
-    object.__setattr__(p, "xs", tuple(xs[:k]) if g == 1 else tuple([x // g for x in xs[:k]]))
-    object.__setattr__(p, "den", den // g)
+    p = _NEW(LPoly)
+    _SET_XS(p, tuple(xs[:k]) if g == 1 else tuple([x // g for x in xs[:k]]))
+    _SET_DEN(p, den // g)
     return p
 
 
 def _poly(xs, den):
-    """The canonical scalar xs / den, for xs and den as in ``_lpoly``."""
-    p = _lpoly(xs, den)
-    return p if len(p.xs) > 1 else p.constant_value()
+    """The canonical scalar xs / den, for xs and den as in ``_lpoly``: a
+    constant is made as a Fraction with one gcd, and no LPoly."""
+    k = _length(xs)
+    if k > 1:
+        return _lpoly(xs, den, k)
+    return _rational(xs[0], den) if k else _ZERO
 
 
 def _pair(v):
@@ -108,7 +141,8 @@ class LPoly:
 
     @property
     def coeffs(self):
-        return tuple([Fraction(x, self.den) for x in self.xs])
+        # gcd(den, *xs) is 1, yet one x may share a factor with den
+        return tuple([_rational(x, self.den) for x in self.xs])
 
     @property
     def degree(self):
@@ -122,12 +156,12 @@ class LPoly:
         return len(self.xs) <= 1
 
     def constant_value(self):
-        return Fraction(self.xs[0], self.den) if self.xs else _ZERO
+        return _frac(self.xs[0], self.den) if self.xs else _ZERO
 
     def leading(self):
         if not self.xs:
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        return Fraction(self.xs[-1], self.den)
+        return _rational(self.xs[-1], self.den)
 
     def __bool__(self):
         return bool(self.xs)
@@ -244,7 +278,7 @@ class LPoly:
         acc, qk = 0, 1
         for x in reversed(self.xs):  # the value so far is acc q / qk
             acc, qk = acc * p + x * qk, qk * q
-        return Fraction(acc * q, self.den * qk)
+        return _rational(acc * q, self.den * qk)
 
     def derivative(self):
         return _lpoly([i * x for i, x in enumerate(self.xs)][1:], self.den)
@@ -256,6 +290,8 @@ class LPoly:
         return format_scalar(self)
 
 
+_SET_XS = LPoly.xs.__set__
+_SET_DEN = LPoly.den.__set__
 LAMBDA = LPoly((0, 1))
 
 
@@ -264,23 +300,22 @@ class LRat:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, _reduced=False):
+    def __init__(self, num, den):
         num = as_lpoly(num)
         den = as_lpoly(den)
         if den.is_zero():
             raise ZeroDenominator("zero denominator in rational function")
-        if not _reduced:
-            if num.is_zero():
-                num, den = LPoly(), LPoly((1,))
-            else:
-                # num / den == (N den.den / (num.den D[-1])) / (D / D[-1]) for the
-                # cofactors N and D of G = gcd(num.xs, den.xs)
-                G = igcd(num.xs, den.xs)
-                N, D = pdiv(num.xs, G), pdiv(den.xs, G)
-                num = _lpoly([x * den.den for x in N], num.den * D[-1])
-                den = _lpoly(D, D[-1])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if num.is_zero():
+            num, den = LPoly(), _LP_ONE
+        else:
+            # num / den == (N den.den / (num.den D[-1])) / (D / D[-1]) for the
+            # cofactors N and D of G = gcd(num.xs, den.xs)
+            G = igcd(num.xs, den.xs)
+            N, D = pdiv(num.xs, G), pdiv(den.xs, G)
+            num = _lpoly([x * den.den for x in N], num.den * D[-1])
+            den = _lpoly(D, D[-1])
+        _SET_NUM(self, num)
+        _SET_RDEN(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LRat is immutable")
@@ -317,7 +352,7 @@ class LRat:
     def __neg__(self):
         if not self.den.degree:  # a reduced denominator is monic: this one is 1
             return -self.num
-        return LRat(-self.num, self.den, _reduced=True)
+        return _lrat(as_lpoly(-self.num), self.den)
 
     def __sub__(self, other):
         other = _as_lrat(other)
@@ -359,7 +394,7 @@ class LRat:
             return LRat(self.den, self.num) ** (-k)
         if not k or not self.den.degree:  # 1, or an LRat over 1 made by its constructor
             return self.num ** k
-        return LRat(self.num ** k, self.den ** k, _reduced=True)  # coprime, den monic
+        return _lrat(as_lpoly(self.num ** k), self.den ** k)  # coprime, den monic
 
     def eval(self, value):
         value = _as_frac(value)
@@ -375,11 +410,25 @@ class LRat:
         return format_scalar(self)
 
 
+_SET_NUM = LRat.num.__set__
+_SET_RDEN = LRat.den.__set__
+_LP_ONE = _lpoly([1], 1)
+
+
+def _lrat(num, den):
+    """The LRat num / den made through its slots, with no check: the
+    LPolys num and den are coprime, den monic."""
+    r = _NEW(LRat)
+    _SET_NUM(r, num)
+    _SET_RDEN(r, den)
+    return r
+
+
 def _as_lrat(v):
     if isinstance(v, LRat):
         return v
     if isinstance(v, (int, Fraction, LPoly)):
-        return LRat(v, 1, _reduced=True)
+        return _lrat(as_lpoly(v), _LP_ONE)
     return NotImplemented
 
 
@@ -587,17 +636,20 @@ def int_view(coeffs, P):
 
 
 def view_scalars(v):
-    """The canonical scalars of the view v, in or out of normal form: an
-    LPoly keeps the view's ints (``_poly``), and an LRat takes a gcd only
-    when P has degree 2 or more (``_rat``)."""
+    """The canonical scalars of the view v, in or out of normal form, each
+    made in one step from the view's ints, with one gcd and no second
+    normalisation: a Fraction from ``_rational``, an LPoly from ``_poly``,
+    which keeps the view's ints, and an LRat from ``_rat``, which takes a
+    polynomial gcd only when P has degree 2 or more."""
     xs, den, deg, P, E = v
     if E is None:
-        return [_poly(x, den) for x in xs] if deg else [Fraction(x, den) for x in xs]
+        return [_poly(x, den) for x in xs] if deg else [_rational(x, den) for x in xs]
     return [_rat(x, den, P, e) if e else _poly(x, den) for x, e in zip(polys(xs, deg), E)]
 
 
 def _rat(cs, den, P, e):
-    """The canonical scalar cs / (den P^e), for (cs, e) from ``reduce``.
+    """The canonical scalar cs / (den P^e), for (cs, e) from ``reduce``, cs
+    ending in a nonzero int as ``unpack`` leaves it.
 
     When P has degree 2 or more, a proper factor of it may still divide cs:
     then each round strips G = gcd(cs, P), of degree below P's, from cs and
@@ -610,7 +662,7 @@ def _rat(cs, den, P, e):
         cs, D = pdiv(cs, G), pdiv(D, G)
     if len(D) == 1:
         return _poly(cs, den * D[-1])
-    return LRat(_lpoly(cs, den * D[-1]), _lpoly(D, D[-1]), _reduced=True)
+    return _lrat(_lpoly(cs, den * D[-1]), _lpoly(D, D[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +711,7 @@ def _fmt_lpoly(p):
     for i, x in enumerate(p.xs):
         if not x:
             continue
-        c = Fraction(x, p.den)
+        c = _rational(x, p.den)
         if i == 0:
             parts.append(str(c))
         elif i == 1:

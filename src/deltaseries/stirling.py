@@ -30,6 +30,8 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # triangles
 
+_ZERO = Fraction(0)  # every entry off a triangle
+
 
 class Triangle:
     """Lower-triangular table of scalars indexed (n, k), 0 <= k <= n <= max_n."""
@@ -50,7 +52,7 @@ class Triangle:
         if n > self.max_n:
             raise InsufficientOrder("row %d of a %s triangle with max_n %d" % (n, self.kind, self.max_n))
         if k < 0 or k > n:
-            return Fraction(0)
+            return _ZERO
         return self.rows[n][k]
 
     def with_entry(self, n, k, value):

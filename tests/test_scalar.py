@@ -409,3 +409,154 @@ class TestCanonical:
                 cells += st.bernoulli_assoc(e.f, alpha, 7).values
             for c in cells:
                 assert_canonical(c)
+
+
+# ---------------------------------------------------------------------------
+# scalars made in one step from a view's ints, against the public constructors
+
+def _same(got, want):
+    """Equal value, the same type and the same hash."""
+    assert type(got) is type(want), (got, want)
+    assert got == want and hash(got) == hash(want), (got, want)
+
+
+_BIG = 3**90 * 2**61
+_GRID = sorted({s * m for s in (1, -1) for m in (0, 1, 2, 3, 6, 12, 97, 2**64, _BIG, _BIG + 1, 6 * _BIG)})
+
+
+def _public(x, den, P=(1,), e=0):
+    """The scalar x / (den P^e) by the public constructors: ``Fraction`` at
+    deg 0, else ``simplify(LPoly(...))`` over 1 or ``LRat`` reduced by its
+    own gcd, P^e by LPoly products."""
+    if not isinstance(x, list):
+        return Fraction(x, den)
+    num = sc.LPoly([Fraction(c, den) for c in x])
+    if not e:
+        return sc.simplify(num)
+    return sc.simplify(sc.LRat(num, sc.LPoly(P) ** e))
+
+
+def _primitive(P):
+    return math.gcd(*P) == 1 and P[-1] > 0
+
+
+# P of degree 1 (l among them) and 2: primitive, squarefree, positive leading coefficient
+lin_P = hst.tuples(hst.integers(-5, 5), hst.integers(1, 4)).filter(_primitive)
+quad_P = hst.tuples(hst.integers(-5, 5), hst.integers(-5, 5), hst.integers(1, 3)).filter(
+    lambda P: _primitive(P) and P[1] ** 2 != 4 * P[0] * P[2])
+view_dens = hst.sampled_from([1, 2, 6, 12, 35, 2**64, _BIG])
+ints = hst.one_of(hst.integers(-40, 40), hst.sampled_from(_GRID))
+
+
+@hst.composite
+def num_polys(draw, max_len=4):
+    """An int polynomial, maybe zero ([] or with trailing zeros), maybe a
+    constant, maybe a multiple of 6 (sharing factors with a den)."""
+    x = draw(hst.lists(ints, max_size=max_len))
+    if draw(hst.booleans()):
+        x = [6 * c for c in x]
+    return x + [0] * draw(hst.integers(0, 2))
+
+
+class TestOneStepScalars:
+    def test_fraction_has_two_slots(self):
+        # _frac fills these two slots, and nothing else of a Fraction
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    def test_frac_and_rational_match_fraction(self):
+        others = [Fraction(7, 3), Fraction(-1, 2), Fraction(_BIG, 5), Fraction(0)]
+        for n in _GRID:
+            for d in [d for d in _GRID if d]:
+                want = Fraction(n, d)
+                for got in (sc._rational(n, d), sc._frac(want.numerator, want.denominator)):
+                    _same(got, want)
+                    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                    assert str(got) == str(want)
+                    for o in others:
+                        for op in (operator.add, operator.sub, operator.mul):
+                            _same(op(got, o), op(want, o))
+                            _same(op(o, got), op(o, want))
+                        if want:
+                            _same(o / got, o / want)
+                        if o:
+                            _same(got / o, want / o)
+
+    @given(hst.lists(ints, max_size=6), view_dens)
+    @settings(max_examples=150, deadline=None)
+    def test_q_views(self, xs, den):
+        for got, x in zip(sc.view_scalars((xs, den, 0, pk.NO_P, None)), xs):
+            _same(got, _public(x, den))
+
+    @given(hst.lists(num_polys(), min_size=1, max_size=5), view_dens)
+    @settings(max_examples=150, deadline=None)
+    def test_ql_views(self, xs, den):
+        deg = max(1, max(map(len, xs)) - 1)
+        for got, x in zip(sc.view_scalars((xs, den, deg, pk.NO_P, None)), xs):
+            _same(got, _public(x, den))
+
+    @given(hst.lists(hst.tuples(num_polys(), hst.integers(0, 3)), min_size=1, max_size=6),
+           hst.one_of(lin_P, quad_P), view_dens)
+    @settings(max_examples=200, deadline=None)
+    def test_qlrat_views(self, parts, P, den):
+        # (cs, e) brought to its least exponent, as a view over Q(l) holds it:
+        # a polynomial over P^e, e > 0, ends in a nonzero int, as unpack leaves it
+        parts = [pk.reduce(x, P, e) for x, e in parts]
+        xs = [list(x) if not e else list(x[:max(i + 1 for i, c in enumerate(x) if c)]) for x, e in parts]
+        E = [e for _, e in parts]
+        for got, x, e in zip(sc.view_scalars((xs, den, 1, P, E)), xs, E):
+            _same(got, _public(x, den, P, e))
+
+    def test_stripped_factors_do_not_leak_between_scalars(self):
+        # P = l (1 + l): l divides the first numerator, not the second; both at e = 2
+        P, den = (0, 1, 1), 3
+        xs = [[0, 2], [5, 1], [0, 0, 4], [7]]
+        E = [2, 2, 2, 2]
+        for got, x, e in zip(sc.view_scalars((xs, den, 1, P, E)), xs, E):
+            _same(got, _public(x, den, P, e))
+
+    def test_lpoly_parts_match_fraction(self):
+        # a part need not be coprime to den, though gcd(den, *xs) is 1: 3/6 of (2 + 3 l)/6
+        for xs, den in (((2, 3), 4), ((2, 3), 6), ((6, 0, 9), 12), ((-4,), 6), ((_BIG, 2**64), 3 * _BIG)):
+            p = sc._lpoly(list(xs), den)
+            assert p.coeffs == tuple(Fraction(x, p.den) for x in p.xs)
+            for got, want in zip(p.coeffs, [Fraction(x, den) for x in xs]):
+                _same(got, want)
+            _same(p.leading(), Fraction(xs[-1], den))
+            if len(p.xs) == 1:
+                _same(p.constant_value(), Fraction(xs[0], den))
+
+    def test_no_fraction_normalised_twice(self, monkeypatch):
+        # every Fraction of a view over Q, and every l-constant, is made by
+        # _frac: Fraction.__new__ is not called at all, and no LPoly is made
+        # for a constant
+        calls, made = [], []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        monkeypatch.setattr(sc, "_NEW", lambda cls: made.append(cls) or object.__new__(cls))
+        Fraction(1, 2)
+        assert calls, "the wrapper sees Fraction.__new__"
+        calls.clear()
+        q = sc.view_scalars(([6, -4, 0, _BIG], 12, 0, pk.NO_P, None))
+        ql = sc.view_scalars(([[6], [-4, 0], [], [0, 0], [3, 2]], 12, 1, pk.NO_P, None))
+        qlrat = sc.view_scalars(([[6], [0], [1, 1]], 12, 1, (1, 1), [0, 0, 0]))
+        assert made.count(sc.LPoly) == 2  # the two non-constants
+        const = sc._lpoly([-6], 4)
+        value, h = const.constant_value(), hash(const)
+        assert calls == []
+        assert value == Fraction(-3, 2) and h == hash(Fraction(-3, 2))
+        monkeypatch.undo()
+        _same(q[0], Fraction(1, 2))
+        assert q[1:3] == [Fraction(-1, 3), 0] and q[3] == Fraction(_BIG, 12)
+        assert ql[:4] == [Fraction(1, 2), Fraction(-1, 3), 0, 0] and ql[4] == lp(Fraction(1, 4), Fraction(1, 6))
+        assert qlrat[:2] == [Fraction(1, 2), 0] and qlrat[2] == lp(Fraction(1, 12), Fraction(1, 12))
+
+    def test_entries_off_a_triangle_share_one_zero(self):
+        t = st.s2_assoc(pr.corpus(4)[0].f, 4)
+        zeros = [t.entry(2, 3), t.entry(4, -1), t.entry(0, 1)]
+        assert all(z is zeros[0] for z in zeros)
+        _same(zeros[0], Fraction(0))
